@@ -323,32 +323,51 @@ def cmd_match(args) -> int:
     return EXIT_OK
 
 
-def _apply_config(argv: list[str]) -> list[str]:
-    """Prepend key=value pairs from --config as defaults (flags win)."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    path = argv[idx + 1]
-    rest = argv[:idx] + argv[idx + 2:]
-    extra = []
+def _set_config_defaults(parser: argparse.ArgumentParser, argv: list[str],
+                         path: str) -> None:
+    """Make each `key = value` line of a config file the default of the long
+    option --key, on the global parser or else on the parser of the
+    subcommand named in argv, so that flags on the command line still win."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    command = next((arg for arg in argv if arg in sub.choices), None)
+    scopes = [parser] + ([sub.choices[command]] if command else [])
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            flag = "--" + key.strip().replace("_", "-")
-            if flag not in rest:
-                extra.extend([flag, value.strip()])
-    # subcommand stays first; defaults appended after it
-    return rest + extra
+            key, sep, value = (part.strip() for part in line.partition("="))
+            flag = "--" + key.replace("_", "-")
+            owner = next((p for p in scopes
+                          if flag in p._option_string_actions), None)
+            if not sep or owner is None:
+                parser.error(f"config {path}: unknown key {key!r}")
+            action = owner._option_string_actions[flag]
+            if action.nargs == 0:  # a switch such as --json
+                if value not in ("true", "false"):
+                    parser.error(f"config {path}: {key} takes true or false")
+                value = value == "true"
+            action.required = False  # the file may supply --bound
+            owner.set_defaults(**{action.dest: value})
+
+
+def _worker_count(text: str) -> int:
+    """--workers: an integer from 1 to the CPU count."""
+    count = int(text) if text.removeprefix("-").isdecimal() else 0
+    if not 1 <= count <= (os.cpu_count() or 1):
+        raise argparse.ArgumentTypeError(
+            f"expected 1 to {os.cpu_count()} (the CPU count), got {text!r}")
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tauseq",
         description="Octahedral tau-function recurrences, sequences, and "
-                    "exact verification oracles.")
+                    "exact verification oracles.",
+        epilog="--config FILE, anywhere in the arguments, reads "
+               "'key = value' defaults; flags on the command line win.")
     parser.add_argument("--json", action="store_true",
                         help="echo the resolved configuration in the output")
     parser.add_argument("--seed", type=int, default=0, dest="global_seed",
@@ -390,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-match", type=int, default=10)
     p.add_argument("--oeis", help="stripped db path (default: fixture)")
     p.add_argument("--output", help="JSONL output path")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1,
+                   help="derive processes, 1 to the CPU count")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("match", help="match terms against the offline db")
@@ -408,12 +428,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        argv = _apply_config(argv)
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    pre = argparse.ArgumentParser(prog="tauseq", add_help=False,
+                                  allow_abbrev=False)
+    pre.add_argument("--config", metavar="FILE")
+    known, argv = pre.parse_known_args(argv)
     parser = build_parser()
+    if known.config is not None:
+        try:
+            _set_config_defaults(parser, argv, known.config)
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     args = parser.parse_args(argv)
     global _RESOLVED_CONFIG
     _RESOLVED_CONFIG = None

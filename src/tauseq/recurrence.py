@@ -143,14 +143,14 @@ class SequenceRun:
 
     def to_json_dict(self) -> dict:
         return {
-            "terms": [_term_str(t) for t in self.terms],
+            "terms": [term_str(t) for t in self.terms],
             "status": self.status,
             "status_index": self.status_index,
-            "seed_window": [_term_str(t) for t in self.seed_window],
+            "seed_window": [term_str(t) for t in self.seed_window],
         }
 
 
-def _term_str(t: int | Fraction) -> str:
+def term_str(t: int | Fraction) -> str:
     if isinstance(t, Fraction) and t.denominator != 1:
         return f"{t.numerator}/{t.denominator}"
     return str(int(t))

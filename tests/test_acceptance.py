@@ -4,6 +4,7 @@ Each test prints a single PASS/FAIL line (bypassing capture, so the verdicts
 are visible in the pytest log) and asserts the same condition it reports.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -18,7 +19,7 @@ from tauseq.oeis import load_fixture
 from tauseq.recurrence import (PermutationAction, act_permutation,
                                derive_recurrence, generate,
                                table_octahedron_residual)
-from tauseq.scan import ScanConfig, run_scan
+from tauseq.scan import ScanConfig, run_scan, write_jsonl
 
 SQUARE = parse_matrix("5,-2,-2,-1;1,1,-1,-1")
 HEX = parse_matrix("1,3,-3,-1;0,1,2,-3")
@@ -194,7 +195,15 @@ def test_criterion_09_cross_oracle(capsys):
            failures == 0, "50 random group elements at cutoff 6")
 
 
-def test_criterion_10_scan_hermetic(capsys):
+BOUND5_SHA256 = \
+    "ecc35b0335b7ebb293aaf743ec6ceabdd4ac83c5c88e5979e6938654632a97c0"
+BOUND5_SUMMARY = {"degenerate": 0, "duplicates": 16657, "integral": 940,
+                  "matched": 1, "non_integral": 0,
+                  "skipped": {"torsion": 11581}, "total": 29178,
+                  "unique": 940, "unmatched": 939}
+
+
+def test_criterion_10_scan_hermetic(capsys, tmp_path):
     cfg = ScanConfig(bound=5, terms=24)
     db = load_fixture()
     records1, summary1 = run_scan(cfg, db, workers=1)
@@ -215,7 +224,13 @@ def test_criterion_10_scan_hermetic(capsys):
     hex_unmatched = (key2 in by_key and by_key[key2]["matches"] == []
                      and by_key[key2]["status"] == "ok")
 
-    ok = byte_identical and parallel_agrees and square_hit and hex_unmatched
+    jsonl = tmp_path / "records.jsonl"
+    write_jsonl(records1, str(jsonl))
+    golden = (hashlib.sha256(jsonl.read_bytes()).hexdigest() == BOUND5_SHA256
+              and summary1 == BOUND5_SUMMARY)
+
+    ok = (byte_identical and parallel_agrees and square_hit and hex_unmatched
+          and golden)
     report(capsys, 10, "bound-5 scan: reference hit, second record unmatched, "
-           "deterministic, parallel-consistent", ok,
+           "deterministic, parallel-consistent, golden output", ok,
            f"{summary1['total']} bases, {summary1['unique']} unique")

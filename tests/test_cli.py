@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -213,3 +214,49 @@ def test_missing_config_file(capsys):
                        "--matrix", SQUARE)
     assert code == 2
     assert "config error" in err
+
+
+def test_config_flag_without_path_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--bound", "1", "--config"])
+    assert exc.value.code == 2
+
+
+def test_config_sets_global_seed(capsys, tmp_path):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = 5\n")
+    code, obj = run_json(capsys, "verify", "plucker", "--trials", "2",
+                         "--config", str(cfg))
+    assert code == 0
+    assert obj["seed"] == 5
+    _, flag = run_json(capsys, "--seed", "5", "verify", "plucker",
+                       "--trials", "2")
+    assert obj == flag
+
+
+@pytest.mark.parametrize("value,echoed", [("true", True), ("false", False)])
+def test_config_switch_takes_true_false(capsys, tmp_path, value, echoed):
+    cfg = tmp_path / "json.cfg"
+    cfg.write_text(f"json = {value}\n")
+    code, obj = run_json(capsys, "--config", str(cfg), "derive",
+                         "--matrix", SQUARE)
+    assert code == 0
+    assert ("config" in obj) is echoed
+
+
+def test_config_unknown_key_is_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("terms = 16\nno_such_option = 3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--bound", "1", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "no_such_option" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3", str((os.cpu_count() or 1) + 1)])
+def test_scan_workers_out_of_range(capsys, workers):
+    # rejected while parsing, before any pool is started
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--bound", "1", "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
