@@ -21,7 +21,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from . import fock, kp, oeis, scan
 from .lattice import (LatticeError, RankError, TorsionError, parse_matrix,
@@ -389,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "generate":
             p.add_argument("--recurrence-json", help="recurrence JSON")
             p.add_argument("--terms", type=int, default=24)
-            p.add_argument("--init", help="explicit seed window, commas")
+            p.add_argument("--init", help="explicit seed window, commas; "
+                           "write --init=-1,... when it starts with a minus")
         p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="run an exact oracle")
@@ -415,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("match", help="match terms against the offline db")
     p.add_argument("--terms-list", required=True, metavar="TERMS",
-                   help="comma-separated integers")
+                   help="comma-separated integers; write "
+                   "--terms-list=-1,... when they start with a minus")
     p.add_argument("--oeis", help="stripped db path (default: fixture)")
     p.add_argument("--min-match", type=int, default=10)
     p.add_argument("--no-trim", action="store_true",

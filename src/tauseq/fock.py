@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .intlinalg import det_exact, rank
+from .intlinalg import det_exact
 
 # One component's occupied positions, descending; a wedge is one tuple per
 # component.  Coefficients live in dict[Wedge, Fraction] vectors.
@@ -153,19 +153,11 @@ def vec_add(*vecs: FockVector) -> FockVector:
     return out
 
 
-def charge_eigenvalue(wedge: Wedge, component: int, window: Window) -> int:
-    """Eigenvalue of the normal-ordered charge operator on one component."""
-    occ = wedge[component]
-    below = sum(1 for p in occ if p < 0)
-    empty_above = sum(1 for p in window.positions if p >= 0 and p not in occ)
-    return below - empty_above
-
-
 @dataclass(frozen=True)
 class GroupElement:
-    """Invertible exact-rational matrix indexed by global slots."""
+    """Invertible integer matrix indexed by global slots."""
 
-    matrix: tuple[tuple[Fraction | int, ...], ...]
+    matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         n = len(self.matrix)
@@ -173,12 +165,6 @@ class GroupElement:
             raise ValueError("matrix must be square")
         if det_exact(self.matrix) == 0:
             raise ValueError("matrix must be invertible")
-
-
-def identity_element(window: Window) -> GroupElement:
-    n = window.size
-    return GroupElement(tuple(
-        tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 
 def random_group_element(window: Window, rng: random.Random,
@@ -201,13 +187,13 @@ def _wedge_slots(wedge: Wedge, window: Window) -> list[int]:
 
 
 def _minor(g: GroupElement, rows: Sequence[int],
-           cols: Sequence[int]) -> Fraction | int:
+           cols: Sequence[int]) -> int:
     sub = [[g.matrix[i][j] for j in cols] for i in rows]
     return det_exact(sub)
 
 
 def tau_discrete(g: GroupElement, n: Sequence[int],
-                 window: Window) -> Fraction | int:
+                 window: Window) -> int:
     """Discrete tau value <Omega| g |n> as a minor of g.
 
     Rows are the neutral-vacuum slots, columns the slots of vacuum(n); both
@@ -366,6 +352,12 @@ def _random_vec(dim: int, rng: random.Random, bound: int = 5) -> list[int]:
     return [rng.randint(-bound, bound) for _ in range(dim)]
 
 
+def _independent(vecs: list[list[int]]) -> bool:
+    """Rows independent over Q, i.e. their Gram determinant is nonzero."""
+    return det_exact([[sum(x * y for x, y in zip(u, v)) for v in vecs]
+                      for u in vecs]) != 0
+
+
 def _draw_spaces(dim: int, codim: int, rng: random.Random,
                  max_retries: int = 50) -> tuple[list[list[int]], list[list[int]]]:
     """Random L', L with L' + L of full rank dim - codim."""
@@ -373,7 +365,7 @@ def _draw_spaces(dim: int, codim: int, rng: random.Random,
     l_prime_size = total // 2
     for _ in range(max_retries):
         vecs = [_random_vec(dim, rng) for _ in range(total)]
-        if rank(vecs) == total:
+        if _independent(vecs):
             return vecs[:l_prime_size], vecs[l_prime_size:]
     raise RuntimeError("could not draw non-degenerate spaces")
 

@@ -1,21 +1,20 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-Everything here works on plain Python ints / Fractions, so results are exact
-at any size.  Matrices are lists (or tuples) of rows.  The matrices involved
-are small (a handful of rows, up to a few dozen columns), so the simple
-cubic algorithms are the right tool.
+Everything here works on plain Python ints, so results are exact at any
+size and no rational arithmetic is needed.  Matrices are lists (or tuples)
+of rows.  The matrices involved are small (a handful of rows, up to a few
+dozen columns), so the simple cubic algorithms are the right tool.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
 Matrix = Sequence[Sequence[int]]
 
 
-def det_bareiss(matrix: Matrix) -> int:
+def det_exact(matrix: Matrix) -> int:
     """Determinant of a square integer matrix (fraction-free Bareiss)."""
     n = len(matrix)
     if n == 0:
@@ -42,70 +41,6 @@ def det_bareiss(matrix: Matrix) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
-
-
-def det_fraction(matrix: Sequence[Sequence[Fraction | int]]) -> Fraction:
-    """Determinant over exact rationals (Gaussian elimination)."""
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    sign = 1
-    result = Fraction(1)
-    for k in range(n):
-        pivot_row = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        result *= pivot
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] / pivot
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
-    return sign * result
-
-
-def det_exact(matrix: Sequence[Sequence[Fraction | int]]) -> Fraction | int:
-    """Exact determinant; uses the integer fast path when possible."""
-    if all(isinstance(x, int) for row in matrix for x in row):
-        return det_bareiss(matrix)
-    return det_fraction(matrix)
-
-
-def rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
-    """Rank over the rationals."""
-    if not matrix:
-        return 0
-    m = [[Fraction(x) for x in row] for row in matrix]
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pivot = m[r][c]
-        for i in range(r + 1, rows):
-            if m[i][c] != 0:
-                f = m[i][c] / pivot
-                for j in range(c, cols):
-                    m[i][j] -= f * m[r][j]
-        r += 1
-        if r == rows:
-            break
-    return r
 
 
 def hnf_2rows(matrix: Matrix) -> tuple[list[list[int]], list[list[int]]]:

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .intlinalg import (hnf_2rows, kernel_basis, rank,
-                        snf_invariants_2rows, solve_2unknowns)
+from .intlinalg import (hnf_2rows, kernel_basis, snf_invariants_2rows,
+                        solve_2unknowns)
 
 
 class LatticeError(Exception):
@@ -58,13 +58,6 @@ class EdgePolygon:
             (v[(i + 1) % len(v)][0] - v[i][0], v[(i + 1) % len(v)][1] - v[i][1])
             for i in range(len(v)))
 
-    @classmethod
-    def from_edges(cls, edges: list[tuple[int, int]]) -> "EdgePolygon":
-        verts = [(0, 0)]
-        for ex, ey in edges[:-1]:
-            verts.append((verts[-1][0] + ex, verts[-1][1] + ey))
-        return cls(tuple(verts))
-
 
 @dataclass(frozen=True)
 class SublatticeBasis:
@@ -76,16 +69,14 @@ class SublatticeBasis:
             raise LatticeError("rows must have equal length >= 3")
         if sum(self.a) != 0 or sum(self.b) != 0:
             raise LatticeError("rows must have degree 0 (coordinate sum zero)")
-        if rank([self.a, self.b]) != 2:
+        a, b, s = self.a, self.b, len(self.a)
+        if not any(a[i] * b[j] != a[j] * b[i]
+                   for i in range(s) for j in range(i + 1, s)):
             raise RankError("rows must be linearly independent")
 
     @property
     def s(self) -> int:
         return len(self.a)
-
-    def contains(self, n: tuple[int, ...]) -> bool:
-        """Membership in the sublattice <a, b> over the integers."""
-        return solve_2unknowns(self.a, self.b, n) is not None
 
 
 @dataclass(frozen=True)

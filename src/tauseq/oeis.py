@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import json
 import re
 import time
 from dataclasses import dataclass, field
@@ -131,24 +132,30 @@ def search_online(terms: list[int], endpoint: str = DEFAULT_ENDPOINT,
     Network failures, non-success statuses and malformed payloads raise
     distinct errors; retries are bounded with a politeness delay.
     """
-    import requests
+    import urllib.request
+    from http.client import HTTPException
+    from urllib.error import HTTPError
+    from urllib.parse import urlencode
 
     query = ",".join(str(t) for t in terms)
+    url = endpoint + "?" + urlencode({"q": query, "fmt": "json"})
     last_error: Exception | None = None
     for attempt in range(retries + 1):
         if attempt:
             time.sleep(delay)
         try:
-            resp = requests.get(endpoint, params={"q": query, "fmt": "json"},
-                                timeout=30)
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(url, timeout=30) as resp:
+                status, body = resp.status, resp.read()
+        except HTTPError as exc:
+            status, body = exc.code, b""
+        except (OSError, HTTPException) as exc:  # URLError is an OSError
             last_error = OeisError(f"network failure: {exc}")
             continue
-        if resp.status_code != 200:
-            last_error = OeisError(f"search returned status {resp.status_code}")
+        if status != 200:
+            last_error = OeisError(f"search returned status {status}")
             continue
         try:
-            payload = resp.json()
+            payload = json.loads(body)
         except ValueError as exc:
             raise OeisError(f"malformed search payload: {exc}") from exc
         results = payload.get("results") or []

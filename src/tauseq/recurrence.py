@@ -3,8 +3,9 @@
 derive_recurrence projects the six octahedron points around a fixed
 degree-(-2) base through a lattice quotient map; the projected indices form
 the three offset pairs of T(l+p1)T(l+q1) - T(l+p2)T(l+q2) + T(l+p3)T(l+q3)=0.
-generate runs such a recurrence forward over exact big integers, falling
-back to exact rationals when a division fails to be integral.
+generate runs such a recurrence forward over plain Python ints; a term
+becomes an exact rational only where a division leaves a remainder, which
+the Laurent phenomenon makes the uncommon case.
 """
 
 from __future__ import annotations
@@ -161,7 +162,8 @@ def generate(rec: BilinearRecurrence, count: int,
     """Iterate the recurrence to `count` terms from an initial window.
 
     The default window is all ones.  Every step solves for the unique top
-    term exactly; divisions are checked and never rounded.
+    term exactly with divmod; a nonzero remainder stores the exact rational
+    quotient instead and marks the run "non-integral".
     """
     window = rec.window
     if count < window:
@@ -183,22 +185,21 @@ def generate(rec: BilinearRecurrence, count: int,
     run = SequenceRun(terms=terms, seed_window=list(init))
     for j in range(window, count):
         l = j - top
-        acc = Fraction(0)
+        acc = 0
         for i, (p, q) in enumerate(pairs):
-            if i == owner:
-                continue
-            acc += SIGNS[i] * Fraction(terms[l + p]) * Fraction(terms[l + q])
-        divisor = SIGNS[owner] * Fraction(terms[l + partner])
+            if i != owner:
+                acc += SIGNS[i] * terms[l + p] * terms[l + q]
+        divisor = SIGNS[owner] * terms[l + partner]
         if divisor == 0:
             run.status = "degenerate"
             run.status_index = j
             break
-        value = -acc / divisor
-        if value.denominator == 1:
-            value = int(value)
-        elif run.status == "ok":
-            run.status = "non-integral"
-            run.status_index = j
+        value, rem = divmod(-acc, divisor)
+        if rem:
+            value = Fraction(-acc, divisor)
+            if run.status == "ok":
+                run.status = "non-integral"
+                run.status_index = j
         terms.append(value)
     return run
 

@@ -208,7 +208,7 @@ def test_criterion_10_scan_hermetic(capsys, tmp_path):
     db = load_fixture()
     records1, summary1 = run_scan(cfg, db, workers=1)
     records2, summary2 = run_scan(cfg, db, workers=1)
-    parallel, summary_p = run_scan(cfg, db, workers=4)
+    parallel, summary_p = run_scan(cfg, db, workers=2)
 
     byte_identical = (json.dumps(records1, sort_keys=True)
                       == json.dumps(records2, sort_keys=True)

@@ -84,6 +84,16 @@ def test_generate_unsolvable_exit_code(capsys):
     assert code == 5
 
 
+def test_generate_negative_init_equals_form(capsys):
+    # "--init -1,..." would be read as an option; the "=" form is the way
+    code, obj = run_json(capsys, "generate", "--matrix", SQUARE,
+                         "--terms", "12", "--init=-1,1,1,1,1,1,1,1")
+    assert code == 0
+    assert obj["seed_window"] == ["-1"] + ["1"] * 7
+    assert obj["terms"][:8] == obj["seed_window"]
+    assert len(obj["terms"]) == 12
+
+
 def test_generate_deterministic(capsys):
     _, out1, _ = run(capsys, "generate", "--matrix", HEX, "--terms", "28")
     _, out2, _ = run(capsys, "generate", "--matrix", HEX, "--terms", "28")
@@ -154,6 +164,17 @@ def test_match_fixture(capsys):
     code, obj = run_json(capsys, "match", "--terms-list", terms)
     assert code == 0
     assert {"a_number": "A018896", "position": 8} in obj["matches"]
+
+
+def test_match_negative_terms_equals_form(capsys):
+    # the tail alone is in A018896; with the leading -1 it is in no entry
+    tail = "2,3,4,5,9,18,34,93,180,348"
+    code, obj = run_json(capsys, "match", "--terms-list=" + tail)
+    assert code == 0
+    assert {"a_number": "A018896", "position": 8} in obj["matches"]
+    code, obj = run_json(capsys, "match", "--terms-list=-1," + tail)
+    assert code == 0
+    assert obj["matches"] == []
 
 
 def test_match_too_short_exit_code(capsys):

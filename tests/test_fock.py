@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 
 from tauseq import fock
-from tauseq.fock import (FockVector, Window, apply_p, apply_psi,
-                         apply_psi_star, charge_eigenvalue,
-                         identity_element, octahedron_residual,
+from tauseq.fock import (FockVector, GroupElement, Window, apply_p,
+                         apply_psi, apply_psi_star, octahedron_residual,
                          plucker3_residual, plucker4_residuals,
                          random_group_element, tau_discrete,
                          tau_with_insertions, vacuum, vec_add, vec_scale,
@@ -18,6 +17,11 @@ ONE = Fraction(1)
 
 def basis_vec(wedge) -> FockVector:
     return {wedge: ONE}
+
+
+def identity_element(w: Window) -> GroupElement:
+    return GroupElement(tuple(tuple(int(i == j) for j in range(w.size))
+                              for i in range(w.size)))
 
 
 # ---------------------------------------------------------------- vacuum
@@ -118,11 +122,16 @@ def test_p_on_zero_vector():
 
 
 def test_charge_operator_eigenvalue():
+    # normal-ordered charge: occupied slots at or above 0 minus the empty
+    # slots below 0 (stored positions, p -> p - 1/2)
     w = Window(4, 4)
     for n in [(0, 0, 0, 0), (2, -2, 0, 0), (1, -1, 1, -1)]:
         wedge = vacuum(n, w)
         for c in range(4):
-            assert charge_eigenvalue(wedge, c, w) == n[c]
+            occ = wedge[c]
+            above = sum(1 for p in occ if p >= 0)
+            empty_below = sum(1 for p in w.positions if p < 0 and p not in occ)
+            assert above - empty_below == n[c]
 
 
 def test_pm_commutator_on_interior_states():

@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from tauseq.intlinalg import solve_2unknowns
 from tauseq.lattice import (EdgePolygon, LatticeError, QuotientMap, RankError,
                             SublatticeBasis, TorsionError, hermite_reduce,
                             parse_matrix, parse_polygon, polygon_to_basis,
@@ -11,18 +13,23 @@ SQUARE_BASIS = parse_matrix("5,-2,-2,-1;1,1,-1,-1")
 HEX_BASIS = parse_matrix("1,3,-3,-1;0,1,2,-3")
 
 
+def member(basis: SublatticeBasis, n: tuple[int, ...]) -> bool:
+    """Membership in the sublattice <a, b> over the integers."""
+    return solve_2unknowns(basis.a, basis.b, n) is not None
+
+
 # ---------------------------------------------------------------- polygons
 
 
 def test_polygon_to_basis_edge_columns():
-    p = EdgePolygon.from_edges([(5, 1), (-2, 1), (-2, -1), (-1, -1)])
+    p = EdgePolygon(((0, 0), (5, 1), (3, 2), (1, 1)))
     basis = polygon_to_basis(p)
     assert basis.a == (5, -2, -2, -1)
     assert basis.b == (1, 1, -1, -1)
 
 
 def test_polygon_to_basis_second_example():
-    p = EdgePolygon.from_edges([(1, 0), (3, 1), (-3, 2), (-1, -3)])
+    p = EdgePolygon(((0, 0), (1, 0), (4, 1), (1, 3)))
     basis = polygon_to_basis(p)
     assert basis.a == (1, 3, -3, -1)
     assert basis.b == (0, 1, 2, -3)
@@ -44,7 +51,8 @@ def test_polygon_edges_close_up():
 
 def test_parse_polygon_roundtrip():
     p = parse_polygon("0,0 5,1 3,2 1,1")
-    assert EdgePolygon.from_edges(list(p.edges)).edges == p.edges
+    assert p.vertices == ((0, 0), (5, 1), (3, 2), (1, 1))
+    assert parse_polygon(" ".join(f"{x},{y}" for x, y in p.vertices)) == p
 
 
 # ------------------------------------------------------------------ basis
@@ -62,9 +70,9 @@ def test_basis_requires_independent_rows():
 
 def test_basis_contains():
     b = SQUARE_BASIS
-    assert b.contains((0, 0, 0, 0))
-    assert b.contains(tuple(2 * x - y for x, y in zip(b.a, b.b)))
-    assert not b.contains((1, -1, 0, 0))
+    assert member(b, (0, 0, 0, 0))
+    assert member(b, tuple(2 * x - y for x, y in zip(b.a, b.b)))
+    assert not member(b, (1, -1, 0, 0))
 
 
 def test_parse_matrix_errors():
@@ -78,8 +86,8 @@ def test_parse_matrix_errors():
 
 
 def same_lattice(b1: SublatticeBasis, b2: SublatticeBasis) -> bool:
-    return all(b1.contains(r) for r in (b2.a, b2.b)) and \
-        all(b2.contains(r) for r in (b1.a, b1.b))
+    return all(member(b1, r) for r in (b2.a, b2.b)) and \
+        all(member(b2, r) for r in (b1.a, b1.b))
 
 
 def test_hermite_preserves_lattice():
@@ -159,17 +167,29 @@ def test_equal_projection_iff_lattice_membership():
         for _ in range(1000):
             n1, n2 = random_deg0(rng), random_deg0(rng)
             diff = tuple(x - y for x, y in zip(n1, n2))
-            member = basis.contains(diff)
-            assert (q(n1) == q(n2)) == member
-            agree += member
+            inside = member(basis, diff)
+            assert (q(n1) == q(n2)) == inside
+            agree += inside
         assert agree > 0  # the equivalence was exercised on both sides
 
 
 def test_quotient_invariant_under_hermite():
+    # the projection depends only on the sublattice: any unimodular change
+    # of basis, the Hermite transform among them, gives the same map up to
+    # one global sign
+    probes = [n for n in itertools.product(range(-2, 3), repeat=4)
+              if sum(n) == 0]
     for basis in (SQUARE_BASIS, HEX_BASIS):
         q1 = quotient_map(basis)
-        q2 = quotient_map(hermite_reduce(basis)[0])
-        probes = [(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (2, 0, -1, -1)]
-        signs = {q1(n) == q2(n) for n in probes if q1(n) != 0}
-        flipped = {q1(n) == -q2(n) for n in probes if q1(n) != 0}
-        assert signs == {True} or flipped == {True}
+        transforms = [((0, 1), (1, 0)), ((2, 1), (1, 1)), ((1, -3), (0, 1)),
+                      ((-1, 0), (5, 1)), hermite_reduce(basis)[1]]
+        for (u00, u01), (u10, u11) in transforms:
+            assert u00 * u11 - u01 * u10 in (1, -1)
+            changed = SublatticeBasis(
+                tuple(u00 * x + u01 * y for x, y in zip(basis.a, basis.b)),
+                tuple(u10 * x + u11 * y for x, y in zip(basis.a, basis.b)))
+            q2 = quotient_map(changed)
+            ref = next(n for n in probes if q1(n) != 0)
+            sign = q2(ref) // q1(ref)
+            assert sign in (1, -1)
+            assert all(q2(n) == sign * q1(n) for n in probes)

@@ -1,4 +1,8 @@
 import gzip
+import json
+import urllib.error
+import urllib.parse
+import urllib.request
 
 import pytest
 
@@ -87,28 +91,35 @@ def test_match_empty_db():
 
 
 class FakeResponse:
-    def __init__(self, status=200, payload=None, bad_json=False):
-        self.status_code = status
-        self._payload = payload
-        self._bad = bad_json
+    """Stands in for the response object urllib.request.urlopen returns."""
 
-    def json(self):
-        if self._bad:
-            raise ValueError("bad json")
-        return self._payload
+    def __init__(self, payload=None, bad_json=False):
+        self.status = 200
+        self._body = b"{not json" if bad_json else json.dumps(payload).encode()
+
+    def read(self):
+        return self._body
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
 
 
 def test_search_online_success(monkeypatch):
     calls = []
 
-    def fake_get(url, params=None, timeout=None):
-        calls.append((url, params["q"]))
+    def fake_urlopen(url, timeout=None):
+        parts = urllib.parse.urlsplit(url)
+        query = urllib.parse.parse_qs(parts.query)
+        calls.append((f"{parts.scheme}://{parts.netloc}{parts.path}",
+                      query["q"][0]))
         return FakeResponse(payload={
             "count": 1,
             "results": [{"number": 18896, "name": "a(n)*a(n-8)=..."}]})
 
-    import requests
-    monkeypatch.setattr(requests, "get", fake_get)
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
     out = search_online([2, 3, 4, 5, 9], endpoint="https://example.test")
     assert out["advisory"] is True
     assert out["matches"] == [{"a_number": "A018896",
@@ -119,12 +130,12 @@ def test_search_online_success(monkeypatch):
 def test_search_online_retries_then_fails(monkeypatch):
     attempts = []
 
-    def fake_get(url, params=None, timeout=None):
+    def fake_urlopen(url, timeout=None):
         attempts.append(1)
-        return FakeResponse(status=503)
+        raise urllib.error.HTTPError(url, 503, "Service Unavailable",
+                                     None, None)
 
-    import requests
-    monkeypatch.setattr(requests, "get", fake_get)
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
     monkeypatch.setattr("time.sleep", lambda s: None)
     with pytest.raises(OeisError, match="status 503"):
         search_online([1, 2, 3], retries=2, delay=0)
@@ -132,8 +143,17 @@ def test_search_online_retries_then_fails(monkeypatch):
 
 
 def test_search_online_malformed_payload(monkeypatch):
-    import requests
-    monkeypatch.setattr(requests, "get",
+    monkeypatch.setattr(urllib.request, "urlopen",
                         lambda *a, **k: FakeResponse(bad_json=True))
     with pytest.raises(OeisError, match="malformed"):
         search_online([1, 2, 3], retries=0)
+
+
+def test_search_online_network_failure(monkeypatch):
+    def fake_urlopen(url, timeout=None):
+        raise urllib.error.URLError("connection refused")
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    monkeypatch.setattr("time.sleep", lambda s: None)
+    with pytest.raises(OeisError, match="network failure"):
+        search_online([1, 2, 3], retries=1, delay=0)

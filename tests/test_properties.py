@@ -1,0 +1,179 @@
+"""Property-based differential tests.
+
+Each integer fast path is checked against the Fraction reference it
+replaced: integer `generate` against the Fraction loop, the 2x2-minors rank
+check of SublatticeBasis and the Gram-determinant check of the Plucker draws
+against a Fraction Gaussian-elimination rank.  canonicalize_pairs is checked
+for its declared invariances.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tauseq.fock import _independent
+from tauseq.lattice import RankError, SublatticeBasis
+from tauseq.recurrence import (SIGNS, BilinearRecurrence, SequenceRun,
+                               canonicalize_pairs, generate)
+
+
+def fraction_rank(matrix) -> int:
+    """Rank over the rationals (Fraction Gaussian elimination)."""
+    if not matrix:
+        return 0
+    m = [[Fraction(x) for x in row] for row in matrix]
+    rows, cols = len(m), len(m[0])
+    r = 0
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, rows):
+            if m[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pivot = m[r][c]
+        for i in range(r + 1, rows):
+            if m[i][c] != 0:
+                f = m[i][c] / pivot
+                for j in range(c, cols):
+                    m[i][j] -= f * m[r][j]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def fraction_generate(rec: BilinearRecurrence, count: int,
+                      init=None) -> SequenceRun:
+    """The former generate: every step computed over Fractions."""
+    window = rec.window
+    if init is None:
+        init = [1] * window
+    low = min(x for pair in rec.pairs for x in pair)
+    pairs = [(p - low, q - low) for p, q in rec.pairs]
+    top = max(x for pair in pairs for x in pair)
+    owner = next(i for i, (p, q) in enumerate(pairs) if top in (p, q))
+    p_o, q_o = pairs[owner]
+    partner = q_o if p_o == top else p_o
+
+    terms = list(init)
+    run = SequenceRun(terms=terms, seed_window=list(init))
+    for j in range(window, count):
+        l = j - top
+        acc = Fraction(0)
+        for i, (p, q) in enumerate(pairs):
+            if i == owner:
+                continue
+            acc += SIGNS[i] * Fraction(terms[l + p]) * Fraction(terms[l + q])
+        divisor = SIGNS[owner] * Fraction(terms[l + partner])
+        if divisor == 0:
+            run.status = "degenerate"
+            run.status_index = j
+            break
+        value = -acc / divisor
+        if value.denominator == 1:
+            value = int(value)
+        elif run.status == "ok":
+            run.status = "non-integral"
+            run.status_index = j
+        terms.append(value)
+    return run
+
+
+# ------------------------------------------------------------ generate
+
+OFFSETS = st.integers(-4, 4)
+PAIRS = st.tuples(OFFSETS, OFFSETS).map(
+    lambda pq: (max(pq), min(pq)))
+
+
+def _iterable(pairs) -> bool:
+    """One pair holds the top offset, and not twice: the step can solve
+    for the top term by one division."""
+    top = max(x for pair in pairs for x in pair)
+    owners = [pair for pair in pairs if top in pair]
+    return len(owners) == 1 and owners[0] != (top, top)
+
+
+@st.composite
+def runs(draw):
+    rec = BilinearRecurrence(draw(st.tuples(PAIRS, PAIRS, PAIRS)
+                                  .filter(_iterable)))
+    count = rec.window + draw(st.integers(0, 12))
+    init = draw(st.none() | st.lists(st.integers(-30, 30),
+                                     min_size=rec.window,
+                                     max_size=rec.window))
+    return rec, count, init
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs())
+def test_generate_matches_fraction_reference(case):
+    rec, count, init = case
+    got = generate(rec, count, init)
+    want = fraction_generate(rec, count, init)
+    assert got.terms == want.terms
+    assert [type(t) for t in got.terms] == [type(t) for t in want.terms]
+    assert (got.status, got.status_index) == (want.status, want.status_index)
+    assert got.seed_window == want.seed_window
+
+
+# ---------------------------------------------------------- rank checks
+
+
+def degree_zero_rows(s: int):
+    return st.lists(st.integers(-3, 3), min_size=s - 1, max_size=s - 1).map(
+        lambda xs: (*xs, -sum(xs)))
+
+
+@st.composite
+def row_pairs(draw):
+    s = draw(st.integers(3, 6))
+    a = draw(degree_zero_rows(s))
+    multiple = st.integers(-3, 3).map(lambda k: tuple(k * x for x in a))
+    return a, draw(degree_zero_rows(s) | multiple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_pairs())
+def test_basis_minors_check_matches_fraction_rank(rows):
+    a, b = rows
+    try:
+        SublatticeBasis(a, b)
+        independent = True
+    except RankError:
+        independent = False
+    assert independent == (fraction_rank([a, b]) == 2)
+
+
+@st.composite
+def integer_matrices(draw):
+    k, d = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    m = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                      min_size=k, max_size=k))
+    if k >= 3 and draw(st.booleans()):  # force a dependent row
+        m[-1] = [x - 2 * y for x, y in zip(m[0], m[1])]
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_gram_check_matches_fraction_rank(m):
+    assert _independent(m) == (fraction_rank(m) == len(m))
+
+
+# ------------------------------------------------------- canonicalize
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(OFFSETS, OFFSETS), min_size=3, max_size=3),
+       st.integers(-10, 10))
+def test_canonicalize_pairs_invariances(raw, shift):
+    canon = canonicalize_pairs(raw)
+    assert canonicalize_pairs(canon) == canon
+    assert canonicalize_pairs([(-q, -p) for p, q in raw]) == canon
+    assert canonicalize_pairs([(p + shift, q + shift)
+                               for p, q in raw]) == canon

@@ -129,7 +129,7 @@ def test_run_scan_parallel_equivalence():
     cfg = ScanConfig(bound=2, terms=16)
     db = load_fixture()
     serial, sum_serial = run_scan(cfg, db, workers=1)
-    parallel, sum_parallel = run_scan(cfg, db, workers=3)
+    parallel, sum_parallel = run_scan(cfg, db, workers=2)
     assert serial == parallel
     assert sum_serial == sum_parallel
 
