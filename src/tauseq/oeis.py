@@ -2,18 +2,23 @@
 live search client.
 
 The stripped format is one sequence per line: "A000045 ,0,1,1,2,3,...,".
+A query is matched by one text search: the first match against a snapshot
+joins its entries, in A-number order, into one text of canonical rows
+",t0,t1,...," and every query then looks for ",q0,q1,...," in it.
 Matching is hermetic by design; the online client is advisory only and is
 never consulted by tests or acceptance runs.
 """
 
 from __future__ import annotations
 
+import bisect
 import gzip
-import io
+import itertools
 import json
 import re
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from typing import BinaryIO, Iterable
 
@@ -31,8 +36,28 @@ class QueryTooShort(OeisError):
 
 @dataclass
 class StrippedDb:
+    """Well-formed entries by A-number, and malformed lines as
+    (line number, text).
+
+    The first match builds a text index of `entries` and keeps it, so
+    `entries` must not change once the db has been matched.  Every term
+    must convert with str(), as every term load_stripped accepts does.
+    """
+
     entries: dict[str, list[int]]
     malformed: list[tuple[int, str]] = field(default_factory=list)
+
+    @cached_property
+    def _index(self) -> tuple[list[str], str, list[int]]:
+        """(A-numbers in order, their rows ",t0,t1,...," joined by
+        newlines, and the offset where each row starts, plus one past the
+        end of the text)."""
+        a_numbers = sorted(self.entries)
+        rows = ["," + ",".join(map(str, self.entries[a])) + ","
+                for a in a_numbers]
+        starts = list(itertools.accumulate((len(row) + 1 for row in rows),
+                                           initial=0))
+        return a_numbers, "\n".join(rows), starts
 
     def serialize(self) -> str:
         """Re-emit the well-formed entries in stripped format."""
@@ -67,7 +92,9 @@ def load_stripped(source: BinaryIO | bytes | str) -> StrippedDb:
         data = gzip.decompress(data)
     entries: dict[str, list[int]] = {}
     malformed: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(io.StringIO(data.decode("utf-8")), start=1):
+    # split on "\n" only: splitlines() would also split at "\r", "\x85",
+    # "\u2028" and others, and so move the line numbers of malformed lines
+    for lineno, raw in enumerate(data.decode("utf-8").split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -110,18 +137,28 @@ def trim_query(terms: list[int], policy: MatchPolicy) -> list[int]:
 def match_sequence(db: StrippedDb, terms: list[int],
                    policy: MatchPolicy | None = None
                    ) -> list[tuple[str, int]]:
-    """All (A-number, position) whose entry contains the query contiguously."""
+    """All (A-number, position) whose entry contains the query contiguously.
+
+    Each entry gives its first position, and hits come in A-number order.
+    """
     policy = policy or MatchPolicy()
     query = trim_query(terms, policy)
+    try:
+        needle = "," + ",".join(map(str, query)) + ","
+    except ValueError:
+        # a term past the int-to-str digit limit; load_stripped rejects
+        # every entry that holds one
+        return []
+    a_numbers, text, starts = db._index
     hits = []
-    for a_number in sorted(db.entries):
-        entry = db.entries[a_number]
-        positions = range(len(entry) - len(query) + 1) \
-            if policy.allow_offset else range(1)
-        for start in positions:
-            if entry[start:start + len(query)] == query:
-                hits.append((a_number, start))
-                break
+    at = text.find(needle)
+    while at >= 0:
+        row = bisect.bisect_right(starts, at) - 1
+        # the first occurrence in a row is at its start whenever position
+        # 0 matches, so without offsets a later one is a miss
+        if policy.allow_offset or at == starts[row]:
+            hits.append((a_numbers[row], text.count(",", starts[row], at)))
+        at = text.find(needle, starts[row + 1])
     return hits
 
 

@@ -26,7 +26,8 @@ PAIRINGS = (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3)))
 
 
 class UnsolvableError(LatticeError):
-    """The top offset appears in more than one pair; cannot iterate."""
+    """The top offset occurs more than once, in two pairs or twice in one
+    pair; no step can solve for the top term."""
 
     def __init__(self, pairs: tuple[Pair, Pair, Pair], colliding: list[int]):
         self.pairs = pairs
@@ -47,7 +48,9 @@ class BilinearRecurrence:
             raise ValueError("each pair must be ordered p >= q")
         offsets = [x for pair in self.pairs for x in pair]
         top = max(offsets)
-        owners = [i for i, (p, q) in enumerate(self.pairs) if top in (p, q)]
+        # one index per occurrence, so a pair (top, top) counts twice
+        owners = [i for i, pair in enumerate(self.pairs)
+                  for x in pair if x == top]
         if len(owners) != 1:
             raise UnsolvableError(self.pairs, owners)
 

@@ -78,10 +78,11 @@ def test_generate_from_recurrence_json(capsys):
 
 
 def test_generate_unsolvable_exit_code(capsys):
-    rec = {"pairs": [[2, 0], [2, -2], [1, -1]]}
-    code, _ = run_json(capsys, "generate", "--recurrence-json",
-                       json.dumps(rec), "--terms", "16")
-    assert code == 5
+    for pairs in ([[2, 0], [2, -2], [1, -1]], [[2, 2], [1, 1], [0, 0]]):
+        code, obj = run_json(capsys, "generate", "--recurrence-json",
+                             json.dumps({"pairs": pairs}), "--terms", "16")
+        assert code == 5
+        assert obj["error"].startswith("degenerate recurrence")
 
 
 def test_generate_negative_init_equals_form(capsys):

@@ -27,6 +27,12 @@ def test_load_stripped_parses_and_records_malformed():
     assert set(db.entries) == {"A000045", "A000290"}
     assert db.entries["A000045"][:5] == [0, 1, 1, 2, 3]
     assert [lineno for lineno, _ in db.malformed] == [5, 6, 7, 8]
+    # lines end at "\n" only: "\r\n" ends and a "\x85" or "\r" inside a
+    # line leave the line numbers as they are
+    odd = SAMPLE.replace("\n", "\r\n").replace("not a line", "not\x85a\rline")
+    again = load_stripped(odd)
+    assert again.entries == db.entries
+    assert [lineno for lineno, _ in again.malformed] == [5, 6, 7, 8]
 
 
 def test_load_stripped_gzip_detection():
@@ -67,14 +73,30 @@ def test_match_sequence_positions():
     hits = match_sequence(db, [1, 2, 3, 5, 8, 13, 21, 34, 55, 89],
                           MatchPolicy(min_match_terms=8))
     assert hits == [("A000045", 3)]
+    # whole terms only: 5 is not found inside -5 or 15
+    signed = StrippedDb(entries={"A000001": [-5, 6, 7, 8],
+                                 "A000002": [15, 6, 7, 8],
+                                 "A000003": [0, 5, 6, 7, 8]})
+    assert match_sequence(signed, [5, 6, 7, 8],
+                          MatchPolicy(min_match_terms=4)) == [("A000003", 1)]
+    # a term past the int-to-str digit limit is in no entry
+    assert match_sequence(db, [2, 3, 5, 8, 10 ** 4300, 21, 34, 55],
+                          MatchPolicy(min_match_terms=8)) == []
 
 
 def test_match_requires_offset_zero_when_disabled():
     db = load_stripped(SAMPLE)
     policy = MatchPolicy(min_match_terms=8, allow_offset=False)
+    # found only at position 3
     assert match_sequence(db, [1, 2, 3, 5, 8, 13, 21, 34, 55], policy) == []
     assert match_sequence(db, [0, 1, 1, 2, 3, 5, 8, 13, 21], policy) == \
         [("A000045", 0)]
+    # found at 0 and again at 4: position 0, once, with or without offsets
+    twice = StrippedDb(entries={"A000007": [2, 3, 4, 5, 2, 3, 4, 5, 2]})
+    for allow_offset in (False, True):
+        assert match_sequence(twice, [2, 3, 4, 5], MatchPolicy(
+            min_match_terms=4, allow_offset=allow_offset)) == \
+            [("A000007", 0)]
 
 
 def test_match_reference_sequence_in_fixture():

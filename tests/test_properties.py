@@ -3,19 +3,24 @@
 Each integer fast path is checked against the Fraction reference it
 replaced: integer `generate` against the Fraction loop, the 2x2-minors rank
 check of SublatticeBasis and the Gram-determinant check of the Plucker draws
-against a Fraction Gaussian-elimination rank.  canonicalize_pairs is checked
-for its declared invariances.
+against a Fraction Gaussian-elimination rank.  The text-index OEIS match is
+checked against the per-entry slice scan it replaced.  canonicalize_pairs
+is checked for its declared invariances, and BilinearRecurrence for
+accepting exactly the triples generate can iterate.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tauseq.fock import _independent
 from tauseq.lattice import RankError, SublatticeBasis
+from tauseq.oeis import (MatchPolicy, QueryTooShort, StrippedDb,
+                         match_sequence, trim_query)
 from tauseq.recurrence import (SIGNS, BilinearRecurrence, SequenceRun,
-                               canonicalize_pairs, generate)
+                               UnsolvableError, canonicalize_pairs, generate)
 
 
 def fraction_rank(matrix) -> int:
@@ -121,6 +126,26 @@ def test_generate_matches_fraction_reference(case):
     assert got.seed_window == want.seed_window
 
 
+@st.composite
+def triples(draw):
+    """Any ordered triple, or one whose top offset is paired with itself."""
+    pairs = list(draw(st.tuples(PAIRS, PAIRS, PAIRS)))
+    if draw(st.booleans()):
+        top = max(x for pair in pairs for x in pair) + draw(st.integers(0, 2))
+        pairs[draw(st.integers(0, 2))] = (top, top)
+    return tuple(pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(triples())
+def test_recurrence_accepts_exactly_iterable_triples(pairs):
+    if _iterable(pairs):
+        BilinearRecurrence(pairs)
+    else:
+        with pytest.raises(UnsolvableError):
+            BilinearRecurrence(pairs)
+
+
 # ---------------------------------------------------------- rank checks
 
 
@@ -163,6 +188,71 @@ def integer_matrices(draw):
 @given(integer_matrices())
 def test_gram_check_matches_fraction_rank(m):
     assert _independent(m) == (fraction_rank(m) == len(m))
+
+
+# ----------------------------------------------------------- OEIS match
+
+
+def reference_match(db: StrippedDb, terms, policy: MatchPolicy):
+    """The former match_sequence: sort the A-numbers, then slice-compare
+    every entry at every allowed offset."""
+    query = trim_query(terms, policy)
+    hits = []
+    for a_number in sorted(db.entries):
+        entry = db.entries[a_number]
+        positions = range(len(entry) - len(query) + 1) \
+            if policy.allow_offset else range(1)
+        for start in positions:
+            if entry[start:start + len(query)] == query:
+                hits.append((a_number, start))
+                break
+    return hits
+
+
+SMALL = st.sampled_from([0, 1, 2])
+BIG = 10 ** 39  # 40-digit terms from here up
+TERM = (SMALL | st.integers(-12, -1) | st.integers(10, 10 ** 6)
+        | st.integers(BIG, 10 * BIG - 1) | st.integers(1 - 10 * BIG, -BIG))
+ROWS = st.integers(1, 40).flatmap(
+    lambda n: st.lists(SMALL, min_size=n, max_size=n)
+    | st.lists(TERM, min_size=n, max_size=n))
+A_NUMBERS = st.integers(0, 999_999).map("A{:06d}".format)
+POLICIES = st.builds(MatchPolicy, trim_leading_ones=st.booleans(),
+                     min_match_terms=st.integers(4, 12),
+                     allow_offset=st.booleans())
+
+
+@st.composite
+def match_cases(draw):
+    # lists keep the draw order, so A-numbers come in random insertion order
+    names = draw(st.lists(A_NUMBERS, unique=True, max_size=10))
+    policy = draw(POLICIES)
+    # mostly just long enough, and now and then one term too short
+    length = policy.min_match_terms + draw(st.integers(-1, 3))
+    query = [1] * draw(st.sampled_from([0, 0, 1, 3])) + draw(
+        st.lists(SMALL, min_size=length, max_size=length)
+        | st.lists(TERM, min_size=length, max_size=length))
+    rows = []
+    for _ in names:  # plant the query in a row 0-2 times, at 0 or later
+        row = draw(ROWS)
+        for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+            at = draw(st.just(0) | st.integers(0, len(row)))
+            row = row[:at] + query + row[at:]
+        rows.append(row)
+    return StrippedDb(entries=dict(zip(names, rows))), query, policy
+
+
+@settings(max_examples=300, deadline=None)
+@given(match_cases())
+def test_match_matches_linear_scan(case):
+    db, query, policy = case
+    try:
+        want = reference_match(db, query, policy)
+    except QueryTooShort:
+        with pytest.raises(QueryTooShort):
+            match_sequence(db, query, policy)
+        return
+    assert match_sequence(db, query, policy) == want
 
 
 # ------------------------------------------------------- canonicalize

@@ -66,6 +66,10 @@ def test_canonicalize_centers_even_sums():
 def test_recurrence_rejects_shared_top_offset():
     with pytest.raises(UnsolvableError):
         BilinearRecurrence(((2, 0), (2, -2), (1, -1)))
+    # the top offset paired with itself: the step would divide by the term
+    # it solves for
+    with pytest.raises(UnsolvableError):
+        BilinearRecurrence(((2, 2), (1, 1), (0, 0)))
 
 
 def test_recurrence_json_roundtrip():
