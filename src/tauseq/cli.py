@@ -1,35 +1,35 @@
-"""Command-line interface.
+"""Command-line interface: parse the arguments, call the library, emit JSON.
 
 Exit codes are part of the public contract:
   0 success / all checks passed
-  1 verification failure
+  1 verification failure (an oracle found a nonzero residual)
   2 parse or usage error
   3 torsion in the lattice quotient
-  4 unsupported quotient rank
+  4 unsupported quotient rank, or linearly dependent basis rows
   5 unsolvable (degenerate) recurrence
+  70 internal error: an unexpected exception, whose traceback goes to stderr
 
 All machine output goes to stdout as a single JSON document (JSON Lines for
-scan); diagnostics go to stderr.  Identical invocation and seed produce
+scan); a failed command emits {"error": <the exception message>}.
+Diagnostics go to stderr.  Identical invocation and seed produce
 byte-identical stdout.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
-import random
 import sys
+import traceback
 
-from . import fock, kp, oeis, scan
+from . import oeis, scan, verify
 from .lattice import (LatticeError, RankError, TorsionError, parse_matrix,
-                      parse_polygon, polygon_to_basis, quotient_map)
+                      parse_polygon, polygon_to_basis)
 from .maya import MayaDiagram, Partition, maya_from_young_charge, \
     young_charge_from_maya
-from .recurrence import (BilinearRecurrence, PermutationAction,
-                         UnsolvableError, act_permutation, derive_recurrence,
-                         generate, table_octahedron_residual)
+from .recurrence import (BilinearRecurrence, UnsolvableError,
+                         derive_recurrence, generate)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -37,6 +37,17 @@ EXIT_PARSE = 2
 EXIT_TORSION = 3
 EXIT_RANK = 4
 EXIT_UNSOLVABLE = 5
+EXIT_INTERNAL = 70
+
+# exception -> exit code; the first matching row wins, so a subclass comes
+# before its base (TorsionError, UnsolvableError and RankError are
+# LatticeErrors)
+EXIT_CODES = (
+    (TorsionError, EXIT_TORSION),
+    (UnsolvableError, EXIT_UNSOLVABLE),
+    (RankError, EXIT_RANK),
+    ((ValueError, LatticeError, OSError, oeis.OeisError), EXIT_PARSE),
+)
 
 
 _RESOLVED_CONFIG: dict | None = None
@@ -48,9 +59,18 @@ def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _fail(code: int, message: str, **extra) -> int:
-    _emit({"error": message, **extra})
-    print(message, file=sys.stderr)
+def _fail(exc: Exception) -> int:
+    """Emit the error document of exc and return its exit code."""
+    code = next((code for types, code in EXIT_CODES
+                 if isinstance(exc, types)), EXIT_INTERNAL)
+    error = {"error": str(exc)}
+    if isinstance(exc, TorsionError):
+        error["invariant_factors"] = list(exc.invariant_factors)
+    if code == EXIT_INTERNAL:
+        traceback.print_exc()
+        error["error"] = f"internal error: {type(exc).__name__}: {exc}"
+    _emit(error)
+    print(error["error"], file=sys.stderr)
     return code
 
 
@@ -62,40 +82,27 @@ def _parse_partition(text: str) -> Partition:
 
 
 def _basis_from_args(args) -> "SublatticeBasis":
-    if getattr(args, "matrix", None):
+    if args.matrix:
         return parse_matrix(args.matrix)
+    if args.polygon is None:
+        raise ValueError("need --matrix or --polygon")
     return polygon_to_basis(parse_polygon(args.polygon))
 
 
 def cmd_maya(args) -> int:
-    try:
-        if args.from_maya:
-            diagram = MayaDiagram.from_json_dict(json.loads(args.from_maya))
-            lam, charge = young_charge_from_maya(diagram)
-            _emit({"young": list(lam.parts), "charge": charge})
-        else:
-            lam = _parse_partition(args.young)
-            diagram = maya_from_young_charge(lam, args.charge)
-            _emit(diagram.to_json_dict())
-    except (ValueError, KeyError) as exc:
-        return _fail(EXIT_PARSE, f"parse error: {exc}")
+    if args.from_maya:
+        diagram = MayaDiagram.from_json_dict(json.loads(args.from_maya))
+        lam, charge = young_charge_from_maya(diagram)
+        _emit({"young": list(lam.parts), "charge": charge})
+    else:
+        lam = _parse_partition(args.young)
+        _emit(maya_from_young_charge(lam, args.charge).to_json_dict())
     return EXIT_OK
 
 
 def cmd_derive(args) -> int:
-    try:
-        basis = _basis_from_args(args)
-    except (ValueError, LatticeError) as exc:
-        return _fail(EXIT_PARSE, f"parse error: {exc}")
-    try:
-        derived = derive_recurrence(basis)
-    except TorsionError as exc:
-        return _fail(EXIT_TORSION, str(exc),
-                     invariant_factors=list(exc.invariant_factors))
-    except UnsolvableError as exc:
-        return _fail(EXIT_UNSOLVABLE, str(exc))
-    except RankError as exc:
-        return _fail(EXIT_RANK, str(exc))
+    basis = _basis_from_args(args)
+    derived = derive_recurrence(basis)
     _emit({
         "basis": [list(basis.a), list(basis.b)],
         "quotient": {"w": list(derived.qmap.w), "m": derived.qmap.m,
@@ -109,168 +116,23 @@ def cmd_derive(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    try:
-        if args.recurrence_json:
-            rec = BilinearRecurrence.from_json_dict(
-                json.loads(args.recurrence_json))
-        else:
-            rec = derive_recurrence(_basis_from_args(args)).recurrence
-        init = None
-        if args.init:
-            init = [int(x) for x in args.init.split(",")]
-        run = generate(rec, args.terms, init)
-    except TorsionError as exc:
-        return _fail(EXIT_TORSION, str(exc),
-                     invariant_factors=list(exc.invariant_factors))
-    except UnsolvableError as exc:
-        return _fail(EXIT_UNSOLVABLE, str(exc))
-    except RankError as exc:
-        return _fail(EXIT_RANK, str(exc))
-    except (ValueError, LatticeError) as exc:
-        return _fail(EXIT_PARSE, f"parse error: {exc}")
-    out = run.to_json_dict()
+    if args.recurrence_json:
+        rec = BilinearRecurrence.from_json_dict(
+            json.loads(args.recurrence_json))
+    else:
+        rec = derive_recurrence(_basis_from_args(args)).recurrence
+    init = [int(x) for x in args.init.split(",")] if args.init else None
+    out = generate(rec, args.terms, init).to_json_dict()
     out["recurrence"] = rec.to_json_dict()
     _emit(out)
     return EXIT_OK
 
 
-def _verify_report(name: str, trials: int, failures: list, seed: int,
-                   **extra) -> dict:
-    return {
-        "check": name,
-        "trials": trials,
-        "failures": len(failures),
-        "first_failure": failures[0] if failures else None,
-        "seed": seed,
-        **extra,
-    }
-
-
-def _random_base_point(rng: random.Random, s: int) -> tuple[int, ...]:
-    while True:
-        n = tuple(rng.randint(-1, 1) for _ in range(s))
-        if sum(n) == -2:
-            return n
-
-
-def verify_octahedron(trials: int, cutoff: int, seed: int) -> dict:
-    window = fock.Window(cutoff, 4)
-    rng = random.Random(seed)
-    failures = []
-    for trial in range(trials):
-        g = fock.random_group_element(window, rng)
-        n = _random_base_point(rng, 4)
-        residual = fock.octahedron_residual(g, n, window)
-        if residual != 0:
-            failures.append({"trial": trial, "base": list(n),
-                             "residual": str(residual)})
-    return _verify_report("octahedron", trials, failures, seed,
-                          cutoff=cutoff)
-
-
-def verify_plucker(trials: int, dim: int, seed: int) -> dict:
-    failures = []
-    for trial in range(trials):
-        residual = fock.plucker3_residual(dim, seed + trial)
-        if residual != 0:
-            failures.append({"trial": trial, "residual": str(residual)})
-    return _verify_report("plucker", trials, failures, seed, dim=dim)
-
-
-def verify_plucker4(trials: int, dim: int, seed: int) -> dict:
-    verbatim_failures = []
-    failures = []
-    for trial in range(trials):
-        res = fock.plucker4_residuals(dim, seed + trial)
-        if res["verbatim"] != 0:
-            verbatim_failures.append({"trial": trial,
-                                      "residual": str(res["verbatim"])})
-        if res["symmetric"] != 0:
-            failures.append({"trial": trial,
-                             "residual": str(res["symmetric"])})
-    verdict = ("symmetric reading holds; verbatim printed form fails"
-               if failures == [] and verbatim_failures else
-               "both readings hold" if not failures else
-               "symmetric reading fails")
-    return _verify_report("plucker4", trials, failures, seed, dim=dim,
-                          verbatim_failures=len(verbatim_failures),
-                          verdict=verdict)
-
-
-def verify_states(cutoff: int) -> dict:
-    report = fock.verify_state_identities(fock.Window(cutoff, 1))
-    failures = [r for r in report if not r["ok"]]
-    return {
-        "check": "states",
-        "trials": len(report),
-        "failures": len(failures),
-        "first_failure": failures[0] if failures else None,
-        "cutoff": cutoff,
-        "identities": [{"identity": r["identity"], "ok": r["ok"]}
-                       for r in report],
-    }
-
-
-def verify_kp(max_weight: int) -> dict:
-    failures = []
-    lams = kp.partitions_up_to(max_weight)
-    for lam in lams:
-        residual = kp.kp_bilinear_residual(kp.schur(lam))
-        if residual:
-            failures.append({"partition": list(lam.parts),
-                             "residual": kp.render(residual)})
-    return {
-        "check": "kp",
-        "trials": len(lams),
-        "failures": len(failures),
-        "first_failure": failures[0] if failures else None,
-        "max_weight": max_weight,
-    }
-
-
-def verify_permutation(trials: int, cutoff: int, seed: int,
-                       sigmas: int = 5, probes: int = 100) -> dict:
-    window = fock.Window(cutoff, 4)
-    rng = random.Random(seed)
-    bound = cutoff - 2
-    bases = [n for n in itertools.product(range(-1, 2), repeat=4)
-             if sum(n) == -2]
-    failures = []
-    for trial in range(trials):
-        g = fock.random_group_element(window, rng)
-        table = fock.tau_table(g, window, bound=bound)
-        for _ in range(sigmas):
-            perm = list(range(1, 5))
-            rng.shuffle(perm)
-            acted = act_permutation(PermutationAction(tuple(perm)), table)
-            for _ in range(probes):
-                base = rng.choice(bases)
-                residual = table_octahedron_residual(acted, base)
-                if residual != 0:
-                    failures.append({"trial": trial, "sigma": perm,
-                                     "base": list(base),
-                                     "residual": str(residual)})
-    return _verify_report("permutation", trials, failures, seed,
-                          cutoff=cutoff, sigmas=sigmas, probes=probes)
-
-
 def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else args.global_seed
-    try:
-        if args.oracle == "octahedron":
-            report = verify_octahedron(args.trials, args.cutoff or 4, seed)
-        elif args.oracle == "plucker":
-            report = verify_plucker(args.trials, args.dim or 8, seed)
-        elif args.oracle == "plucker4":
-            report = verify_plucker4(args.trials, args.dim or 9, seed)
-        elif args.oracle == "states":
-            report = verify_states(args.cutoff or 6)
-        elif args.oracle == "kp":
-            report = verify_kp(args.max_weight)
-        else:
-            report = verify_permutation(args.trials, args.cutoff or 4, seed)
-    except ValueError as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    report = verify.ORACLES[args.oracle](
+        trials=args.trials, seed=seed, cutoff=args.cutoff, dim=args.dim,
+        max_weight=args.max_weight)
     _emit(report)
     return EXIT_OK if report["failures"] == 0 else EXIT_VERIFY_FAIL
 
@@ -283,41 +145,30 @@ def _load_db(args) -> oeis.StrippedDb:
 
 
 def cmd_scan(args) -> int:
-    try:
-        cfg = scan.ScanConfig(bound=args.bound, terms=args.terms,
-                              min_match_terms=args.min_match)
-        db = _load_db(args)
-    except (ValueError, OSError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    records, summary = scan.run_scan(cfg, db, workers=args.workers)
-    for record in records:
-        sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
-    if args.output:
+    cfg = scan.ScanConfig(bound=args.bound, terms=args.terms,
+                          min_match_terms=args.min_match)
+    records, summary = scan.run_scan(cfg, _load_db(args),
+                                     workers=args.workers)
+    if args.output:  # before stdout, so a bad path leaves no records there
         scan.write_jsonl(records, args.output)
         scan.write_summary(summary, args.output + ".summary.json")
+    for record in records:
+        sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
     print(json.dumps(summary, sort_keys=True), file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_match(args) -> int:
-    try:
-        terms = [int(x) for x in args.terms_list.split(",")]
-        db = _load_db(args)
-        policy = oeis.MatchPolicy(min_match_terms=args.min_match,
-                                  trim_leading_ones=not args.no_trim)
-        hits = oeis.match_sequence(db, terms, policy)
-    except oeis.QueryTooShort as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    except (ValueError, OSError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    terms = [int(x) for x in args.terms_list.split(",")]
+    db = _load_db(args)
+    policy = oeis.MatchPolicy(min_match_terms=args.min_match,
+                              trim_leading_ones=not args.no_trim)
+    hits = oeis.match_sequence(db, terms, policy)
     result = {"matches": [{"a_number": a, "position": p} for a, p in hits]}
     if args.online:
-        endpoint = os.environ.get("TAUSEQ_OEIS_ENDPOINT",
-                                  oeis.DEFAULT_ENDPOINT)
-        try:
-            result["online"] = oeis.search_online(terms, endpoint)
-        except oeis.OeisError as exc:
-            result["online_error"] = str(exc)
+        result.update(oeis.advisory_search(
+            terms, os.environ.get("TAUSEQ_OEIS_ENDPOINT",
+                                  oeis.DEFAULT_ENDPOINT)))
     _emit(result)
     return EXIT_OK
 
@@ -393,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="run an exact oracle")
-    p.add_argument("oracle", choices=["plucker", "plucker4", "states",
-                                      "octahedron", "kp", "permutation"])
+    p.add_argument("oracle", choices=verify.ORACLES)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=None,
                    help="overrides the global --seed")
@@ -448,7 +298,18 @@ def main(argv: list[str] | None = None) -> int:
             k: v for k, v in sorted(vars(args).items())
             if k not in ("func", "json") and v is not None
         }
-    return args.func(args)
+    # exact big-int text in and out for this command only: CPython 3.10.7+
+    # refuses int <-> str conversions past 4300 digits by default
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        return _fail(exc)
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -43,49 +43,6 @@ def det_exact(matrix: Matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def hnf_2rows(matrix: Matrix) -> tuple[list[list[int]], list[list[int]]]:
-    """Row Hermite normal form of a rank-2 integer matrix with 2 rows.
-
-    Returns (H, U) with U unimodular (2x2) and H = U @ matrix.  Pivots are
-    positive and the entry above the second pivot is reduced into [0, pivot).
-    """
-    a = list(matrix[0])
-    b = list(matrix[1])
-    u = [[1, 0], [0, 1]]
-    s = len(a)
-
-    def row_op(target: int, source: int, factor: int) -> None:
-        rows = [a, b]
-        for j in range(s):
-            rows[target][j] -= factor * rows[source][j]
-        for j in range(2):
-            u[target][j] -= factor * u[source][j]
-
-    def swap() -> None:
-        nonlocal a, b
-        a, b = b, a
-        u[0], u[1] = u[1], u[0]
-
-    def negate(target: int) -> None:
-        rows = [a, b]
-        rows[target][:] = [-x for x in rows[target]]
-        u[target][:] = [-x for x in u[target]]
-
-    # first pivot column: leftmost column with a nonzero entry
-    col1 = next(j for j in range(s) if a[j] != 0 or b[j] != 0)
-    while b[col1] != 0:
-        if a[col1] == 0 or abs(b[col1]) < abs(a[col1]):
-            swap()
-        row_op(1, 0, b[col1] // a[col1])
-    if a[col1] < 0:
-        negate(0)
-    col2 = next(j for j in range(s) if b[j] != 0)
-    if b[col2] < 0:
-        negate(1)
-    row_op(0, 1, a[col2] // b[col2])  # reduce the entry above the 2nd pivot
-    return [a, b], u
-
-
 def kernel_basis(matrix: Matrix) -> list[list[int]]:
     """Basis of the integer kernel lattice {v : matrix @ v = 0}.
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .intlinalg import (hnf_2rows, kernel_basis, snf_invariants_2rows,
-                        solve_2unknowns)
+from .intlinalg import kernel_basis, snf_invariants_2rows, solve_2unknowns
 
 
 class LatticeError(Exception):
@@ -96,13 +95,6 @@ def polygon_to_basis(p: EdgePolygon) -> SublatticeBasis:
     edges = p.edges
     return SublatticeBasis(tuple(e[0] for e in edges),
                            tuple(e[1] for e in edges))
-
-
-def hermite_reduce(basis: SublatticeBasis
-                   ) -> tuple[SublatticeBasis, tuple[tuple[int, int], ...]]:
-    """Canonical row-reduced basis of the same sublattice, plus transform."""
-    h, u = hnf_2rows([basis.a, basis.b])
-    return SublatticeBasis(tuple(h[0]), tuple(h[1])), (tuple(u[0]), tuple(u[1]))
 
 
 def quotient_map(basis: SublatticeBasis) -> QuotientMap:

@@ -88,11 +88,16 @@ class MayaDiagram:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MayaDiagram":
-        return cls(
-            charge=int(obj["charge"]),
-            added=frozenset(parse_half(p) for p in obj["added"]),
-            removed=frozenset(parse_half(p) for p in obj["removed"]),
-        )
+        try:
+            return cls(
+                charge=int(obj["charge"]),
+                added=frozenset(parse_half(p) for p in obj["added"]),
+                removed=frozenset(parse_half(p) for p in obj["removed"]),
+            )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError('Maya JSON must be {"charge": c, "added": '
+                             '[half-integers], "removed": '
+                             '[half-integers]}') from exc
 
 
 def maya_from_young_charge(lam: Partition, charge: int) -> MayaDiagram:

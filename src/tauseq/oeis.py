@@ -17,6 +17,7 @@ import itertools
 import json
 import re
 import time
+import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
@@ -89,7 +90,10 @@ def load_stripped(source: BinaryIO | bytes | str) -> StrippedDb:
     else:
         data = source.read()
     if data[:2] == b"\x1f\x8b":
-        data = gzip.decompress(data)
+        try:
+            data = gzip.decompress(data)
+        except (EOFError, zlib.error) as exc:  # truncated or corrupt
+            raise ValueError(f"unreadable gzip snapshot: {exc}") from exc
     entries: dict[str, list[int]] = {}
     malformed: list[tuple[int, str]] = []
     # split on "\n" only: splitlines() would also split at "\r", "\x85",
@@ -204,3 +208,13 @@ def search_online(terms: list[int], endpoint: str = DEFAULT_ENDPOINT,
                         for r in results if "number" in r],
         }
     raise last_error  # type: ignore[misc]
+
+
+def advisory_search(terms: list[int], endpoint: str = DEFAULT_ENDPOINT
+                    ) -> dict:
+    """search_online as an advisory: {"online": result} or, when the search
+    fails, {"online_error": message}."""
+    try:
+        return {"online": search_online(terms, endpoint)}
+    except OeisError as exc:
+        return {"online_error": str(exc)}

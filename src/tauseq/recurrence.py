@@ -66,10 +66,15 @@ class BilinearRecurrence:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BilinearRecurrence":
-        pairs = tuple(tuple(int(x) for x in p) for p in obj["pairs"])
-        if len(pairs) != 3:
+        try:
+            pairs = tuple(tuple(int(x) for x in p) for p in obj["pairs"])
+            signs = tuple(obj.get("signs", SIGNS))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError('recurrence JSON must be {"pairs": [[p, q], '
+                             '[p, q], [p, q]]} of integers') from exc
+        if len(pairs) != 3 or any(len(p) != 2 for p in pairs):
             raise ValueError("need exactly three pairs")
-        if "signs" in obj and tuple(obj["signs"]) != SIGNS:
+        if signs != SIGNS:
             raise ValueError("signs must be (1, -1, 1)")
         return cls(pairs)  # type: ignore[arg-type]
 

@@ -1,0 +1,140 @@
+"""Exact verification oracles, one report dict each.
+
+A report names its check, counts its trials and failures, and carries the
+first failure; a nonzero `failures` is what the CLI's exit code 1 means.
+Every oracle takes the same keyword options and ignores those it does not
+use; a `cutoff` or `dim` left as None takes the oracle's own default.
+fock and kp are called through their module attributes, so that a caller
+who wraps those attributes sees every call.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+from . import fock, kp
+from .recurrence import (PermutationAction, act_permutation,
+                         table_octahedron_residual)
+
+
+def _report(check: str, trials: int, failures: list, **extra) -> dict:
+    return {
+        "check": check,
+        "trials": trials,
+        "failures": len(failures),
+        "first_failure": failures[0] if failures else None,
+        **extra,
+    }
+
+
+def _random_base_point(rng: random.Random, s: int) -> tuple[int, ...]:
+    while True:
+        n = tuple(rng.randint(-1, 1) for _ in range(s))
+        if sum(n) == -2:
+            return n
+
+
+def verify_octahedron(trials: int, seed: int, cutoff: int | None = None,
+                      **unused) -> dict:
+    cutoff = 4 if cutoff is None else cutoff
+    window = fock.Window(cutoff, 4)
+    rng = random.Random(seed)
+    failures = []
+    for trial in range(trials):
+        g = fock.random_group_element(window, rng)
+        n = _random_base_point(rng, 4)
+        residual = fock.octahedron_residual(g, n, window)
+        if residual != 0:
+            failures.append({"trial": trial, "base": list(n),
+                             "residual": str(residual)})
+    return _report("octahedron", trials, failures, seed=seed, cutoff=cutoff)
+
+
+def verify_plucker(trials: int, seed: int, dim: int | None = None,
+                   **unused) -> dict:
+    dim = 8 if dim is None else dim
+    failures = []
+    for trial in range(trials):
+        residual = fock.plucker3_residual(dim, seed + trial)
+        if residual != 0:
+            failures.append({"trial": trial, "residual": str(residual)})
+    return _report("plucker", trials, failures, seed=seed, dim=dim)
+
+
+def verify_plucker4(trials: int, seed: int, dim: int | None = None,
+                    **unused) -> dict:
+    dim = 9 if dim is None else dim
+    verbatim_failures = []
+    failures = []
+    for trial in range(trials):
+        res = fock.plucker4_residuals(dim, seed + trial)
+        if res["verbatim"] != 0:
+            verbatim_failures.append({"trial": trial,
+                                      "residual": str(res["verbatim"])})
+        if res["symmetric"] != 0:
+            failures.append({"trial": trial,
+                             "residual": str(res["symmetric"])})
+    verdict = ("symmetric reading holds; verbatim printed form fails"
+               if failures == [] and verbatim_failures else
+               "both readings hold" if not failures else
+               "symmetric reading fails")
+    return _report("plucker4", trials, failures, seed=seed, dim=dim,
+                   verbatim_failures=len(verbatim_failures), verdict=verdict)
+
+
+def verify_states(cutoff: int | None = None, **unused) -> dict:
+    cutoff = 6 if cutoff is None else cutoff
+    report = fock.verify_state_identities(fock.Window(cutoff, 1))
+    failures = [r for r in report if not r["ok"]]
+    return _report("states", len(report), failures, cutoff=cutoff,
+                   identities=[{"identity": r["identity"], "ok": r["ok"]}
+                               for r in report])
+
+
+def verify_kp(max_weight: int = 6, **unused) -> dict:
+    failures = []
+    lams = kp.partitions_up_to(max_weight)
+    for lam in lams:
+        residual = kp.kp_bilinear_residual(kp.schur(lam))
+        if residual:
+            failures.append({"partition": list(lam.parts),
+                             "residual": kp.render(residual)})
+    return _report("kp", len(lams), failures, max_weight=max_weight)
+
+
+def verify_permutation(trials: int, seed: int, cutoff: int | None = None,
+                       sigmas: int = 5, probes: int = 100, **unused) -> dict:
+    cutoff = 4 if cutoff is None else cutoff
+    window = fock.Window(cutoff, 4)
+    rng = random.Random(seed)
+    bound = cutoff - 2
+    bases = [n for n in itertools.product(range(-1, 2), repeat=4)
+             if sum(n) == -2]
+    failures = []
+    for trial in range(trials):
+        g = fock.random_group_element(window, rng)
+        table = fock.tau_table(g, window, bound=bound)
+        for _ in range(sigmas):
+            perm = list(range(1, 5))
+            rng.shuffle(perm)
+            acted = act_permutation(PermutationAction(tuple(perm)), table)
+            for _ in range(probes):
+                base = rng.choice(bases)
+                residual = table_octahedron_residual(acted, base)
+                if residual != 0:
+                    failures.append({"trial": trial, "sigma": perm,
+                                     "base": list(base),
+                                     "residual": str(residual)})
+    return _report("permutation", trials, failures, seed=seed, cutoff=cutoff,
+                   sigmas=sigmas, probes=probes)
+
+
+ORACLES = {
+    "plucker": verify_plucker,
+    "plucker4": verify_plucker4,
+    "states": verify_states,
+    "octahedron": verify_octahedron,
+    "kp": verify_kp,
+    "permutation": verify_permutation,
+}

@@ -1,12 +1,16 @@
+import hashlib
 import json
 import os
+import sys
 
 import pytest
 
+from tauseq import oeis, verify
 from tauseq.cli import main
 
 SQUARE = "5,-2,-2,-1;1,1,-1,-1"
 HEX = "1,3,-3,-1;0,1,2,-3"
+SOMOS = '{"pairs": [[0,0],[4,-4],[3,-3]]}'
 
 
 def run(capsys, *argv):
@@ -46,9 +50,11 @@ def test_derive_torsion_exit_code(capsys):
 
 
 def test_derive_rank_exit_code(capsys):
-    code, _ = run_json(capsys, "derive", "--matrix",
-                       "1,-1,0,0,0;0,0,1,0,-1")
-    assert code == 4
+    # a quotient of rank 2, and two linearly dependent rows
+    for matrix in ("1,-1,0,0,0;0,0,1,0,-1", "1,1,-1,-1;2,2,-2,-2"):
+        code, obj = run_json(capsys, "derive", "--matrix", matrix)
+        assert code == 4
+        assert "error" in obj
 
 
 def test_derive_parse_exit_code(capsys):
@@ -83,6 +89,27 @@ def test_generate_unsolvable_exit_code(capsys):
                              json.dumps({"pairs": pairs}), "--terms", "16")
         assert code == 5
         assert obj["error"].startswith("degenerate recurrence")
+
+
+def test_generate_past_int_str_digit_limit(capsys):
+    # the last of 600 terms has more digits than CPython's default limit
+    # of 4300 for int <-> str; the CLI lifts it for the command only
+    limit = sys.get_int_max_str_digits()
+    code, obj = run_json(capsys, "generate", "--recurrence-json", SOMOS,
+                         "--terms", "600")
+    assert code == 0
+    assert len(obj["terms"][-1]) == 5143
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_match_terms_past_int_str_digit_limit(capsys, tmp_path):
+    big = "9" * 4400
+    snapshot = tmp_path / "big.txt"
+    snapshot.write_text(f"A000001 ,2,3,4,5,{big},\n")
+    code, obj = run_json(capsys, "match", "--terms-list", f"2,3,4,5,{big}",
+                         "--oeis", str(snapshot), "--min-match", "4")
+    assert code == 0
+    assert obj["matches"] == [{"a_number": "A000001", "position": 0}]
 
 
 def test_generate_negative_init_equals_form(capsys):
@@ -178,6 +205,18 @@ def test_match_negative_terms_equals_form(capsys):
     assert obj["matches"] == []
 
 
+def test_match_online_failure_is_advisory(capsys, monkeypatch):
+    def offline(terms, endpoint):
+        raise oeis.OeisError("network failure: offline")
+
+    monkeypatch.setattr(oeis, "search_online", offline)
+    code, obj = run_json(capsys, "match", "--terms-list",
+                         "2,3,4,5,9,18,34,93,180,348", "--online")
+    assert code == 0
+    assert {"a_number": "A018896", "position": 8} in obj["matches"]
+    assert obj["online_error"] == "network failure: offline"
+
+
 def test_match_too_short_exit_code(capsys):
     code, _ = run_json(capsys, "match", "--terms-list", "1,1,1,1,2,3")
     assert code == 2
@@ -200,6 +239,151 @@ def test_scan_output_files(capsys, tmp_path):
     assert out_path.read_text() == out
     summary = json.loads((tmp_path / "scan.jsonl.summary.json").read_text())
     assert summary["total"] > 0
+
+
+# ------------------------------------------------------ error handling
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive"],
+    ["generate", "--terms", "5"],
+    ["generate", "--recurrence-json", "{}"],
+    ["generate", "--recurrence-json", "[1]"],
+    ["generate", "--recurrence-json", '{"pairs": [1,2,3]}'],
+    ["maya", "--from-maya", "[1]"],
+    ["maya", "--from-maya", '{"charge": 0}'],
+    ["match", "--terms-list", "2,3,4,5,9,18,34,93,180,348",
+     "--oeis", "TRUNCATED"],
+    ["scan", "--bound", "1", "--oeis", "TRUNCATED"],
+    ["scan", "--bound", "1", "--output", "MISSING"],
+    ["verify", "octahedron", "--cutoff", "0"],
+    ["verify", "states", "--cutoff", "0"],
+    ["verify", "permutation", "--cutoff", "0"],
+    ["verify", "plucker", "--dim", "0"],
+    ["verify", "plucker4", "--dim", "0"],
+], ids=lambda argv: " ".join(argv))
+def test_malformed_input_is_usage_error(capsys, tmp_path, argv):
+    truncated = tmp_path / "truncated.gz"
+    truncated.write_bytes(b"\x1f\x8b\x08\x00abc")
+    paths = {"TRUNCATED": str(truncated),
+             "MISSING": str(tmp_path / "missing" / "x")}
+    argv = [paths.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "error" in json.loads(out)  # the only document on stdout
+    assert "Traceback" not in err
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    def broken(**options):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(verify.ORACLES, "kp", broken)
+    code, out, err = run(capsys, "verify", "kp")
+    assert code == 70
+    assert json.loads(out)["error"].startswith("internal error")
+    assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+def test_unused_verify_option_is_ignored(capsys):
+    _, plain = run_json(capsys, "verify", "plucker", "--trials", "2")
+    code, obj = run_json(capsys, "verify", "plucker", "--trials", "2",
+                         "--cutoff", "9")
+    assert code == 0
+    assert obj == plain
+
+
+# (exit code, stdout) of each command, pinned by sha256
+TRANSCRIPT = [
+    (["derive", "--matrix", SQUARE],
+     "123584203d701e298683959ec3f1ad266a12135f61b7f8ef684e4d4dd2e6c026"),
+    (["derive", "--polygon", "0,0 1,0 4,1 1,3"],
+     "7f2aab6342e484da73ff4ce4fe946dc3105f630a3adf7b9196b81ae6e90d207c"),
+    (["derive", "--matrix", HEX],
+     "7f2aab6342e484da73ff4ce4fe946dc3105f630a3adf7b9196b81ae6e90d207c"),
+    (["derive", "--matrix", "2,-2,0,0;0,0,1,-1"],
+     "42a1b57647cfa6de460b79cda907ca25ffbe7e90f700fd6e99db941795def086"),
+    (["derive", "--matrix", "1,-1,0,0,0;0,0,1,0,-1"],
+     "06b7b3a4c1a06bd6d73f57cf15094a6c82eb2529e224585a764bd4e40751322f"),
+    (["derive", "--matrix", "1,x;2,3"],
+     "8f15c26f9600280457b02f15aabadffe36c8e098c54f545eda5036eb1c95d886"),
+    (["derive", "--matrix", "1,1,-1,-1;2,2,-2,-2"],
+     "08fcb1ce838c6fffe60a602ac44075740e209a2643ce414999c3b1d303aa291c"),
+    (["derive", "--polygon", "0,0 1,0 0,1 1,1"],
+     "260b1f3e737f6977c542e48a969c67f8e131dbd64739545d1fce5797b8383500"),
+    (["generate", "--matrix", SQUARE, "--terms", "24"],
+     "61e29cb91b55a2d4dcce96db4112118b912b20ad0d0b3eac535e2e503fe37838"),
+    (["generate", "--polygon", "0,0 1,0 4,1 1,3", "--terms", "28"],
+     "75e67dc95b72adf36016b448acf314ec9d407360f4e743cf86528ee5b83bed31"),
+    (["generate", "--recurrence-json", SOMOS, "--terms", "24"],
+     "61e29cb91b55a2d4dcce96db4112118b912b20ad0d0b3eac535e2e503fe37838"),
+    (["generate", "--matrix", SQUARE, "--terms", "12",
+      "--init=-1,1,1,1,1,1,1,1"],
+     "42d817356f2672d848b177d5b0462094b2ea0beeea6b4f9474415ab5c91891a1"),
+    (["generate", "--recurrence-json", '{"pairs": [[2,0],[2,-2],[1,-1]]}',
+      "--terms", "16"],
+     "f9c87f7d696a914f2ddbc57783ecab897d045621f30894eef6e6239195b6b74a"),
+    (["generate", "--matrix", "2,-2,0,0;0,0,1,-1"],
+     "42a1b57647cfa6de460b79cda907ca25ffbe7e90f700fd6e99db941795def086"),
+    (["generate", "--matrix", "1,1,-1,-1;2,2,-2,-2"],
+     "08fcb1ce838c6fffe60a602ac44075740e209a2643ce414999c3b1d303aa291c"),
+    (["generate", "--matrix", SQUARE, "--init", "1,2"],
+     "390fe779361006dc48eb82ffdacc917473d0d01eefa79799a9d493b8de65c8ef"),
+    (["generate", "--recurrence-json", SOMOS, "--terms", "20",
+      "--init", "2,1,1,1,1,1,1,3"],
+     "47b04041a77f67af414b973d4f75600ab5de9c03949012bc7a82597ace653a7a"),
+    (["maya", "--young", "4,2,2,1", "--charge", "-1"],
+     "73f9acbc83a42a1bf4fabef9f437bd7cd4250ab0157f5f66603eb26a747b4077"),
+    (["maya", "--from-maya", '{"added": ["7/2", "1/2"], "charge": -1, '
+      '"removed": ["-5/2", "-7/2"]}'],
+     "40c032a36a52b5096e07e9a1836b9411e11b80bc5443c563f51f7e8da343939b"),
+    (["maya", "--young", "2,x"],
+     "8f15c26f9600280457b02f15aabadffe36c8e098c54f545eda5036eb1c95d886"),
+    (["maya", "--young", "", "--charge", "3"],
+     "005bd80432be35c20c4d5488fbbe9e2e89a4976a5e877c10300bfa5177d330d6"),
+    (["maya", "--from-maya", '{"charge": 0}'],
+     "9c3c4bb96ac0c07698cc82fbdb908eb918a4e1610b0f2a8a5613f9c6e71b6ebd"),
+    (["verify", "octahedron", "--trials", "3", "--seed", "7"],
+     "bd8e468ccab9fc92f6082afb872b3d1bed61d82c5b0d2596c561914501aecf4a"),
+    (["verify", "plucker", "--trials", "3"],
+     "39b645717283aa497a5d7d694b0328f6ba8cc902874ccb91890de942a7ed5cc2"),
+    (["verify", "plucker4", "--trials", "3", "--seed", "1"],
+     "1181eaf718d4b4b637cde215b480ee665c8a613bea3eb51ff17a87cd568a864f"),
+    (["verify", "states"],
+     "829c5c943f24e87e3d595009e1068e2d3c394845ff694f6470962de524023965"),
+    (["verify", "kp", "--max-weight", "3"],
+     "839ffe5ad73e9efd80ab2449835b559a597216a400f85ad6251e8935e4299e67"),
+    (["verify", "permutation", "--trials", "1", "--seed", "2"],
+     "3d5fb3277361c2e66d415ad652a23a2f1f62d63c2edb18733ad23ba69c1d6c68"),
+    (["verify", "plucker", "--cutoff", "9", "--trials", "2"],
+     "dccf88b220d783cfe29374cb92ccce29c92b18998bfbe0d91dbff22ffe05a6c9"),
+    (["verify", "states", "--cutoff", "2"],
+     "83dedeaaa477f29551f098f8d715e9a810750836a0577675f7d5ddaaaf66ff91"),
+    (["match", "--terms-list",
+      "1,1,1,1,1,1,1,1,2,3,4,5,9,18,34,93,180,348,724,3033"],
+     "9de77c1b2f1ae7c0fe8d25ee9684e7c7278bab7ed3c48868af9b7bcf1a55e14b"),
+    (["match", "--terms-list=2,3,4,5,9,18,34,93,180,348"],
+     "9de77c1b2f1ae7c0fe8d25ee9684e7c7278bab7ed3c48868af9b7bcf1a55e14b"),
+    (["match", "--terms-list=-1,2,3,4,5,9,18,34,93,180,348"],
+     "01ae780eef92e6c84ef4dc9c9b752b7280a6188cc25a1323530d1664b736ba13"),
+    (["match", "--terms-list", "1,1,1,1,2,3"],
+     "2ed082509ac09750e09ce800c7b6458e771c2652334bb1b4a1c2b31c1c3f9840"),
+    (["match", "--terms-list", "1,x"],
+     "8f15c26f9600280457b02f15aabadffe36c8e098c54f545eda5036eb1c95d886"),
+    (["--json", "derive", "--matrix", SQUARE],
+     "4749269a757a537e0bde6f276ef52a92cc6de389b03b8b9d46c1171751a7188d"),
+    (["--json", "--seed", "11", "verify", "plucker", "--trials", "2"],
+     "b94c7b754a30efc24fd0a70b2360bbf53479c6a83f544a9c2a0e9f35d3dc6633"),
+]
+
+
+def test_golden_transcript(capsys):
+    changed = []
+    for argv, digest in TRANSCRIPT:
+        code, out, _ = run(capsys, *argv)
+        if hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() != digest:
+            changed.append((argv, code, out[:200]))
+    assert changed == []
 
 
 # ------------------------------------------------------- global options

@@ -3,8 +3,8 @@ from itertools import permutations
 
 import pytest
 
-from tauseq.intlinalg import (det_exact, hnf_2rows, kernel_basis,
-                              snf_invariants_2rows, solve_2unknowns)
+from tauseq.intlinalg import (det_exact, kernel_basis, snf_invariants_2rows,
+                              solve_2unknowns)
 
 
 def leibniz_det(m):
@@ -30,16 +30,6 @@ def test_det_against_leibniz():
         n = rng.randint(1, 5)
         m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         assert det_exact(m) == leibniz_det(m)
-
-
-def test_hnf_same_lattice():
-    m = [[5, -2, -2, -1], [1, 1, -1, -1]]
-    h, u = hnf_2rows(m)
-    # U unimodular and H = U @ M
-    assert abs(u[0][0] * u[1][1] - u[0][1] * u[1][0]) == 1
-    for r in range(2):
-        for c in range(4):
-            assert h[r][c] == u[r][0] * m[0][c] + u[r][1] * m[1][c]
 
 
 def test_kernel_contains_and_spans():
