@@ -129,6 +129,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     seed = args.seed if args.seed is not None else args.global_seed
     report = verify.ORACLES[args.oracle](
         trials=args.trials, seed=seed, cutoff=args.cutoff, dim=args.dim,
@@ -298,18 +300,12 @@ def main(argv: list[str] | None = None) -> int:
             k: v for k, v in sorted(vars(args).items())
             if k not in ("func", "json") and v is not None
         }
-    # exact big-int text in and out for this command only: CPython 3.10.7+
-    # refuses int <-> str conversions past 4300 digits by default
-    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if digits is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        return args.func(args)
-    except Exception as exc:
-        return _fail(exc)
-    finally:
-        if digits is not None:
-            sys.set_int_max_str_digits(digits)
+    # exact big-int text in and out for this command only
+    with oeis.exact_int_str():
+        try:
+            return args.func(args)
+        except Exception as exc:
+            return _fail(exc)
 
 
 if __name__ == "__main__":  # pragma: no cover

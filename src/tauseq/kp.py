@@ -10,8 +10,7 @@ partition (2) is t_1^2/2 + t_2, directly comparable to the Fock states.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .maya import Partition
 

@@ -5,14 +5,16 @@ A sublattice basis is a 2 x s integer matrix whose rows a, b each sum to
 zero (so they lie in A_{s-1} = {n : sum n_i = 0}).  When the quotient
 A_{s-1}/<a,b> is free of rank 1 it is identified with Z by a primitive
 covector w and a step m: index(n) = (w . n) / m.
+
+For s = 4 the 2x2 minors p_ij = a_i b_j - a_j b_i decide everything: the
+quotient is torsion-free exactly when their gcd is 1, and then w is the
+cross product (p_23, -p_13, p_12, 0) of columns 1-3 and m = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-
-from .intlinalg import kernel_basis, snf_invariants_2rows, solve_2unknowns
 
 
 class LatticeError(Exception):
@@ -98,72 +100,45 @@ def polygon_to_basis(p: EdgePolygon) -> SublatticeBasis:
 
 
 def quotient_map(basis: SublatticeBasis) -> QuotientMap:
-    """Compute (w, m, torsion witness) for the quotient A_{s-1}/<a,b>.
+    """Compute (w, m) for the quotient A_{s-1}/<a,b> from the 2x2 minors.
 
-    w generates {v : v.a = v.b = 0} modulo the all-ones vector; m is the
-    gcd of w over a basis of A_{s-1}.  Torsion is detected via the Smith
-    normal form of (a, b) written in the f_i = e^i - e^{i+1} basis.
+    With p_ij = a_i b_j - a_j b_i, the invariant factors of <a,b> inside
+    A_3 are (d1, g / d1), where d1 is the gcd of the eight entries and g the
+    gcd of the six minors, so the quotient is torsion-free exactly when
+    g = 1.  The rows have degree 0, so p_14 = -p_12 - p_13,
+    p_24 = p_12 - p_23 and p_34 = p_13 + p_23, and g is already the gcd of
+    p_12, p_13, p_23.  The cross product of columns 1-3, (p_23, -p_13,
+    p_12, 0), annihilates both rows, and when g = 1 it is the primitive w
+    with w_4 = 0.  Then m = 1: the kernel lattice {v : v.a = v.b = 0} is
+    saturated and contains the all-ones vector, so {ones, w} is a basis of
+    it and the differences of w have gcd 1.
     """
     s = basis.s
     if s != 4:
         raise RankError(f"unsupported rank: quotient of A_{s - 1} by a rank-2 "
                         f"sublattice has rank {s - 3}, need 1")
-    # integer kernel of the 2 x s matrix contains the all-ones vector
-    kernel = kernel_basis([basis.a, basis.b])
-    ones = tuple([1] * s)
-    coeffs = solve_2unknowns(kernel[0], kernel[1], ones)
-    if coeffs is None:  # pragma: no cover - ones is always in the kernel
-        raise LatticeError("all-ones vector not in kernel lattice")
-    x, y = coeffs
-    # complete primitive `ones` to a basis {ones, w} of the kernel lattice
-    if gcd(x, y) != 1:  # pragma: no cover - ones is primitive
-        raise LatticeError("all-ones vector not primitive in kernel")
-    u, v = _bezout(x, y)
-    w = [u * kernel[0][i] + v * kernel[1][i] for i in range(s)]
-    w = _normalize_w(w)
-
-    m = 0
-    for i in range(s - 1):
-        m = gcd(m, w[i] - w[i + 1])
-    # coordinates of a, b in the f-basis are the partial sums
-    fa = [sum(basis.a[: i + 1]) for i in range(s - 1)]
-    fb = [sum(basis.b[: i + 1]) for i in range(s - 1)]
-    d1, d2 = snf_invariants_2rows([fa, fb])
-    if (d1, d2) != (1, 1):
-        raise TorsionError((d1, d2))
-    return QuotientMap(w=tuple(w), m=m, torsion_free=True)
-
-
-def _bezout(x: int, y: int) -> tuple[int, int]:
-    """(u, v) with x*v - y*u = 1, for coprime x, y."""
-    old_r, r = x, y
-    old_s, s_c = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s_c = s_c, old_s - q * s_c
-        old_t, t = t, old_t - q * t
-    # old_s*x + old_t*y = gcd = +-1
-    sign = old_r  # +-1
-    u, v = -old_t * sign, old_s * sign
-    assert x * v - y * u == 1
-    return u, v
+    a, b = basis.a, basis.b
+    p12 = a[0] * b[1] - a[1] * b[0]
+    p13 = a[0] * b[2] - a[2] * b[0]
+    p23 = a[1] * b[2] - a[2] * b[1]
+    g = gcd(p12, p13, p23)
+    if g != 1:
+        d1 = gcd(*a, *b)
+        raise TorsionError((d1, g // d1))
+    w = _normalize_w([p23, -p13, p12, 0])
+    return QuotientMap(w=tuple(w), m=1, torsion_free=True)
 
 
 def _normalize_w(w: list[int]) -> list[int]:
-    """Reduce modulo the all-ones vector, first nonzero entry positive."""
+    """Canonical representative of +-w modulo the all-ones vector: reduce
+    each sign so the entries sum to [0, s), and keep the larger list."""
     s = len(w)
 
     def reduce_ones(vec: list[int]) -> list[int]:
         t = sum(vec) // s
         return [x - t for x in vec]
 
-    w = reduce_ones(w)
-    first = next((x for x in w if x != 0), 0)
-    if first < 0:
-        w = reduce_ones([-x for x in w])
-    return w
+    return max(reduce_ones(w), reduce_ones([-x for x in w]))
 
 
 def project(qmap: QuotientMap, n: tuple[int, ...]) -> int:

@@ -16,12 +16,14 @@ import gzip
 import itertools
 import json
 import re
+import sys
 import time
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
-from typing import BinaryIO, Iterable
+from typing import BinaryIO
 
 A_NUMBER_RE = re.compile(r"^A\d{6}$")
 DEFAULT_ENDPOINT = "https://oeis.org/search"
@@ -35,14 +37,28 @@ class QueryTooShort(OeisError):
     pass
 
 
+@contextmanager
+def exact_int_str():
+    """Lift CPython's int <-> str digit limit (3.10.7+, 4300 digits by
+    default) for the block, so an int of any size converts exactly; the old
+    limit is restored afterwards."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 @dataclass
 class StrippedDb:
     """Well-formed entries by A-number, and malformed lines as
     (line number, text).
 
     The first match builds a text index of `entries` and keeps it, so
-    `entries` must not change once the db has been matched.  Every term
-    must convert with str(), as every term load_stripped accepts does.
+    `entries` must not change once the db has been matched.
     """
 
     entries: dict[str, list[int]]
@@ -54,8 +70,9 @@ class StrippedDb:
         newlines, and the offset where each row starts, plus one past the
         end of the text)."""
         a_numbers = sorted(self.entries)
-        rows = ["," + ",".join(map(str, self.entries[a])) + ","
-                for a in a_numbers]
+        with exact_int_str():
+            rows = ["," + ",".join(map(str, self.entries[a])) + ","
+                    for a in a_numbers]
         starts = list(itertools.accumulate((len(row) + 1 for row in rows),
                                            initial=0))
         return a_numbers, "\n".join(rows), starts
@@ -147,12 +164,8 @@ def match_sequence(db: StrippedDb, terms: list[int],
     """
     policy = policy or MatchPolicy()
     query = trim_query(terms, policy)
-    try:
+    with exact_int_str():
         needle = "," + ",".join(map(str, query)) + ","
-    except ValueError:
-        # a term past the int-to-str digit limit; load_stripped rejects
-        # every entry that holds one
-        return []
     a_numbers, text, starts = db._index
     hits = []
     at = text.find(needle)

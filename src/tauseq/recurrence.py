@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .lattice import LatticeError, QuotientMap, SublatticeBasis, quotient_map
 
@@ -67,13 +67,17 @@ class BilinearRecurrence:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BilinearRecurrence":
         try:
-            pairs = tuple(tuple(int(x) for x in p) for p in obj["pairs"])
+            pairs = tuple(tuple(p) for p in obj["pairs"])
             signs = tuple(obj.get("signs", SIGNS))
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError('recurrence JSON must be {"pairs": [[p, q], '
                              '[p, q], [p, q]]} of integers') from exc
         if len(pairs) != 3 or any(len(p) != 2 for p in pairs):
             raise ValueError("need exactly three pairs")
+        # bool is an int subclass; floats and strings are not converted
+        bad = [x for p in pairs for x in p if type(x) is not int]
+        if bad:
+            raise ValueError(f"offsets must be integers, got {bad[0]!r}")
         if signs != SIGNS:
             raise ValueError("signs must be (1, -1, 1)")
         return cls(pairs)  # type: ignore[arg-type]
@@ -119,6 +123,9 @@ class DerivedRecurrence:
 def derive_recurrence(basis: SublatticeBasis) -> DerivedRecurrence:
     """Compile the octahedral relation through the quotient of a basis."""
     qmap = quotient_map(basis)
+    w = qmap.w
+    # m = 1, so the index of base + e_alpha + e_beta is w.base + w_alpha + w_beta
+    base_index = sum(wi * ni for wi, ni in zip(w, BASE_POINT))
     raw_pairs = []
     points = []
     for pairing in PAIRINGS:
@@ -127,7 +134,7 @@ def derive_recurrence(basis: SublatticeBasis) -> DerivedRecurrence:
             n = list(BASE_POINT)
             n[alpha - 1] += 1
             n[beta - 1] += 1
-            idx = qmap(tuple(n))
+            idx = base_index + w[alpha - 1] + w[beta - 1]
             points.append((tuple(n), idx))
             indices.append(idx)
         raw_pairs.append(tuple(indices))

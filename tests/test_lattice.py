@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from tauseq.intlinalg import solve_2unknowns
+from reference_lattice import solve_2unknowns
 from tauseq.lattice import (EdgePolygon, LatticeError, QuotientMap, RankError,
                             SublatticeBasis, TorsionError, parse_matrix,
                             parse_polygon, polygon_to_basis, project,
@@ -153,7 +153,7 @@ def test_equal_projection_iff_lattice_membership():
 def test_quotient_invariant_under_hermite():
     # the projection depends only on the sublattice: any unimodular change
     # of basis, the row-Hermite transform of each basis among them, gives
-    # the same map up to one global sign
+    # the same canonical w and so exactly the same map
     probes = [n for n in itertools.product(range(-2, 3), repeat=4)
               if sum(n) == 0]
     hermite = {SQUARE_BASIS: ((0, 1), (-1, 5)), HEX_BASIS: ((1, -3), (0, 1))}
@@ -167,7 +167,5 @@ def test_quotient_invariant_under_hermite():
                 tuple(u00 * x + u01 * y for x, y in zip(basis.a, basis.b)),
                 tuple(u10 * x + u11 * y for x, y in zip(basis.a, basis.b)))
             q2 = quotient_map(changed)
-            ref = next(n for n in probes if q1(n) != 0)
-            sign = q2(ref) // q1(ref)
-            assert sign in (1, -1)
-            assert all(q2(n) == sign * q1(n) for n in probes)
+            assert q2 == q1
+            assert all(q2(n) == q1(n) for n in probes)

@@ -1,5 +1,6 @@
 import gzip
 import json
+import sys
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -82,6 +83,16 @@ def test_match_sequence_positions():
     # a term past the int-to-str digit limit is in no entry
     assert match_sequence(db, [2, 3, 5, 8, 10 ** 4300, 21, 34, 55],
                           MatchPolicy(min_match_terms=8)) == []
+
+
+def test_index_holds_terms_past_int_str_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    db = StrippedDb(entries={"A000001": [2, 3, 4, 5, 10 ** 4300]})
+    policy = MatchPolicy(min_match_terms=4)
+    assert match_sequence(db, [2, 3, 4, 5], policy) == [("A000001", 0)]
+    assert match_sequence(db, [3, 4, 5, 10 ** 4300], policy) == \
+        [("A000001", 1)]
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_match_requires_offset_zero_when_disabled():

@@ -1,8 +1,10 @@
 """Property-based differential tests.
 
-Each integer fast path is checked against the Fraction reference it
-replaced: integer `generate` against the Fraction loop, the 2x2-minors rank
-check of SublatticeBasis and the Gram-determinant check of the Plucker draws
+The closed-form quotient map is checked against the kernel / Bezout /
+Smith-form path it replaced (kept in tests/reference_lattice.py).  Each
+integer fast path is checked against the Fraction reference it replaced:
+integer `generate` against the Fraction loop, the 2x2-minors rank check of
+SublatticeBasis and the Gram-determinant check of the Plucker draws
 against a Fraction Gaussian-elimination rank.  The text-index OEIS match is
 checked against the per-entry slice scan it replaced.  canonicalize_pairs
 is checked for its declared invariances, and BilinearRecurrence for
@@ -15,12 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_lattice
 from tauseq.fock import _independent
-from tauseq.lattice import RankError, SublatticeBasis
+from tauseq.lattice import (LatticeError, QuotientMap, RankError,
+                            SublatticeBasis, TorsionError, quotient_map)
 from tauseq.oeis import (MatchPolicy, QueryTooShort, StrippedDb,
                          match_sequence, trim_query)
 from tauseq.recurrence import (SIGNS, BilinearRecurrence, SequenceRun,
-                               UnsolvableError, canonicalize_pairs, generate)
+                               UnsolvableError, canonicalize_pairs,
+                               derive_recurrence, generate)
 
 
 def fraction_rank(matrix) -> int:
@@ -149,9 +154,9 @@ def test_recurrence_accepts_exactly_iterable_triples(pairs):
 # ---------------------------------------------------------- rank checks
 
 
-def degree_zero_rows(s: int):
-    return st.lists(st.integers(-3, 3), min_size=s - 1, max_size=s - 1).map(
-        lambda xs: (*xs, -sum(xs)))
+def degree_zero_rows(s: int, bound: int = 3):
+    return st.lists(st.integers(-bound, bound), min_size=s - 1,
+                    max_size=s - 1).map(lambda xs: (*xs, -sum(xs)))
 
 
 @st.composite
@@ -188,6 +193,59 @@ def integer_matrices(draw):
 @given(integer_matrices())
 def test_gram_check_matches_fraction_rank(m):
     assert _independent(m) == (fraction_rank(m) == len(m))
+
+
+# --------------------------------------------------------- quotient map
+
+
+@st.composite
+def quotient_cases(draw):
+    """Degree-0 2x4 rows: generic, with torsion forced by scaling a row or
+    by b = c*a + k*b' (every minor a multiple of k), or dependent rows."""
+    a = draw(degree_zero_rows(4, 6).filter(any))
+    kind = draw(st.sampled_from(["free"] * 4 + ["scaled", "minors",
+                                                  "dependent"]))
+    if kind == "dependent":
+        multiple = draw(st.integers(-3, 3))
+        return a, tuple(multiple * x for x in a)
+    k = draw(st.integers(2, 4))
+    b = draw(degree_zero_rows(4, 6).filter(
+        lambda b: fraction_rank([a, b]) == 2))
+    if kind == "scaled":
+        a = tuple(k * x for x in a)
+    elif kind == "minors":
+        c = draw(st.integers(-2, 2))
+        b = tuple(c * x + k * y for x, y in zip(a, b))
+    return a, b
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except TorsionError as exc:
+        return TorsionError, exc.invariant_factors
+    except LatticeError as exc:
+        return type(exc), None
+
+
+@settings(max_examples=500, deadline=None)
+@given(quotient_cases())
+def test_quotient_map_matches_kernel_reference(rows):
+    a, b = rows
+    basis = _outcome(SublatticeBasis, a, b)
+    if basis == (RankError, None):
+        assert fraction_rank([a, b]) < 2
+        return
+    got = _outcome(quotient_map, basis)
+    want = _outcome(reference_lattice.quotient_map, basis)
+    if not isinstance(want, QuotientMap):
+        assert got == want
+        return
+    assert got.m == want.m == 1
+    assert list(got.w) == reference_lattice.canonical_sign(want.w)
+    got_rec = _outcome(lambda basis: derive_recurrence(basis).recurrence,
+                       basis)
+    assert got_rec == _outcome(reference_lattice.derive_recurrence, want)
 
 
 # ----------------------------------------------------------- OEIS match
