@@ -6,6 +6,35 @@ the three offset pairs of T(l+p1)T(l+q1) - T(l+p2)T(l+q2) + T(l+p3)T(l+q3)=0.
 generate runs such a recurrence forward over plain Python ints; a term
 becomes an exact rational only where a division leaves a remainder, which
 the Laurent phenomenon makes the uncommon case.
+
+Convex polygons give positive Gale-Robinson recurrences.  Let e1..e4 be the
+edges of a strictly convex ccw quadrilateral whose basis is torsion-free,
+and p_ij = cross(e_i, e_j).  Then the derived recurrence has its top offset
+in the minus pair pairs[1] only, and reads
+
+    T(n) T(n-N) = T(n-p) T(n-N+p) + T(n-q) T(n-N+q),   0 < p, q < N,
+
+the three-term Gale-Robinson recurrence, with N = p12 + p34 = twice the
+area.  Its all-ones run is a sequence of positive integers.
+
+Proof sketch.  Convexity gives p12, p23, p34 > 0 and p14 < 0, and
+e4 = -(e1 + e2 + e3) gives p34 = p13 + p23 and -p14 = p12 + p13, so
+p12 + p34 = p23 - p14 = N.  The pair (alpha beta | gamma delta) has the
+common sum of all pairs and the spread w_alpha + w_beta - w_gamma - w_delta
+up to sign, which adding the all-ones vector to w leaves unchanged.  With
+w = (p23, -p13, p12, 0) the spreads are p23 + p14 for (12|34), N for the
+minus pair (13|24), and p34 - p12 for (14|23); the first and last are
+each a difference x - y of positive x, y with x + y = N, so |x - y| < N.
+The minus pair thus holds the largest and the smallest offset alone, and
+canonicalize_pairs keeps it in the middle.  Each step divides a sum of
+products of earlier terms by an earlier term, so the run stays positive.
+The recurrence is a projection of the octahedron recurrence (Speyer,
+J. Algebraic Combin. 25, 2007), which is Laurent with positive
+coefficients, so the run is integral (for p != q this is Fomin-Zelevinsky,
+Adv. Appl. Math. 28, 2002).  The plus pairs coincide, giving
+T(n) T(n-N) = 2 T(n-p) T(n-N+p), exactly when e1 || e3 (p13 = 0) or
+e2 || e4 (p12 = p23).  tests/test_properties.py checks the statement on
+random quadrilaterals with coordinates up to 50.
 """
 
 from __future__ import annotations
@@ -78,8 +107,8 @@ class BilinearRecurrence:
         bad = [x for p in pairs for x in p if type(x) is not int]
         if bad:
             raise ValueError(f"offsets must be integers, got {bad[0]!r}")
-        if signs != SIGNS:
-            raise ValueError("signs must be (1, -1, 1)")
+        if signs != SIGNS or any(type(s) is not int for s in signs):
+            raise ValueError("signs must be the integers (1, -1, 1)")
         return cls(pairs)  # type: ignore[arg-type]
 
 

@@ -1,11 +1,14 @@
 """Scan 4-edge convex lattice polygons: derive, dedup, generate, match.
 
 Each piece of work happens once.  The enumeration emits one polygon per
-rotation class, already in order.  Deriving a recurrence is a pure function
-of the basis, so it can run on a process pool.  The parent walks the derived
-records in enumeration order and generates and matches only the first basis
-of each distinct recurrence, which keeps 1-worker and N-worker runs
-byte-identical.
+rotation class, in lexicographic order of its edge cycle.  The unit of
+parallel work is a slice of first edges taken by stride: a slice
+enumerates its own cycles, derives each basis, and keeps the first record
+of each distinct recurrence together with its edge cycle.  The parent
+merges the slices by keeping, per recurrence, the record whose edge cycle
+is smallest, which is the one a serial walk in enumeration order meets
+first.  So 1-worker and N-worker runs are byte-identical.  The parent then
+generates and matches each kept record once.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .lattice import LatticeError, RankError, SublatticeBasis, TorsionError
 from .oeis import MatchPolicy, QueryTooShort, StrippedDb, match_sequence
@@ -37,9 +40,11 @@ class ScanConfig:
 Edge = tuple[int, int]
 
 
-def enumerate_edge_cycles(bound: int) -> list[tuple[Edge, Edge, Edge, Edge]]:
+def enumerate_edge_cycles(bound: int, start: int = 0, step: int = 1
+                          ) -> list[tuple[Edge, Edge, Edge, Edge]]:
     """All 4-edge strictly convex ccw cycles with coordinates in [-B, B],
-    one representative per cyclic rotation class, in lexicographic order.
+    one representative per cyclic rotation class, in lexicographic order;
+    only those whose first edge is in vectors[start::step].
 
     The edges of a strictly convex cycle point in distinct directions, so
     the lexicographically smallest rotation is the one that starts at the
@@ -50,7 +55,8 @@ def enumerate_edge_cycles(bound: int) -> list[tuple[Edge, Edge, Edge, Edge]]:
     vectors = [(x, y) for x in coords for y in coords if (x, y) != (0, 0)]
     cross = lambda u, v: u[0] * v[1] - u[1] * v[0]
     cycles = []
-    for i, e1 in enumerate(vectors):
+    for i in range(start, len(vectors), step):
+        e1 = vectors[i]
         later = vectors[i + 1:]
         for e2 in later:
             if cross(e1, e2) <= 0:
@@ -65,12 +71,6 @@ def enumerate_edge_cycles(bound: int) -> list[tuple[Edge, Edge, Edge, Edge]]:
                     continue
                 cycles.append((e1, e2, e3, e4))
     return cycles
-
-
-def enumerate_bases(cfg: ScanConfig) -> Iterator[SublatticeBasis]:
-    for edges in enumerate_edge_cycles(cfg.bound):
-        yield SublatticeBasis(tuple(e[0] for e in edges),
-                              tuple(e[1] for e in edges))
 
 
 def scan_one(basis: SublatticeBasis) -> dict:
@@ -115,44 +115,69 @@ def complete_record(record: dict, cfg: ScanConfig, db: StrippedDb) -> dict:
     return record
 
 
+# one slice's (total, skip counts by reason, {dedup_key: (edges, record)})
+Slice = tuple[int, dict[str, int], dict[str, tuple]]
+
+
+def scan_slice(bound: int, start: int = 0, step: int = 1) -> Slice:
+    """Enumerate and derive the cycles whose first edge is in the slice
+    vectors[start::step]; keep the first record of each dedup key with its
+    edge cycle."""
+    skipped: dict[str, int] = {}
+    firsts: dict[str, tuple] = {}
+    cycles = enumerate_edge_cycles(bound, start, step)
+    for edges in cycles:
+        record = scan_one(SublatticeBasis(tuple(e[0] for e in edges),
+                                          tuple(e[1] for e in edges)))
+        if "skip" in record:
+            reason = record["skip"]
+            skipped[reason] = skipped.get(reason, 0) + 1
+        elif record["dedup_key"] not in firsts:
+            firsts[record["dedup_key"]] = (edges, record)
+    return len(cycles), skipped, firsts
+
+
 # generate status -> summary counter; any other status is "degenerate"
 _STATUS_COUNTER = {"ok": "integral", "non-integral": "non_integral"}
 
 
-def _collect(derived: Iterable[dict], cfg: ScanConfig,
-             db: StrippedDb) -> tuple[list[dict], dict]:
-    """One pass in enumeration order: count skips and duplicates, and
-    complete the first record of each distinct recurrence."""
+def merge_slices(slices: Iterable[Slice], cfg: ScanConfig,
+                 db: StrippedDb) -> tuple[list[dict], dict]:
+    """Sum the slices' counts, keep the record with the least edge cycle
+    per dedup key, and complete each kept record once."""
     summary = {"total": 0, "skipped": {}, "integral": 0, "non_integral": 0,
                "degenerate": 0, "matched": 0, "unmatched": 0,
                "duplicates": 0, "unique": 0}
-    kept: dict[str, dict] = {}
-    for record in derived:
-        summary["total"] += 1
-        if "skip" in record:
-            reason = record["skip"]
-            summary["skipped"][reason] = summary["skipped"].get(reason, 0) + 1
-            continue
-        key = record["dedup_key"]
-        if key in kept:
-            summary["duplicates"] += 1
-            continue
-        kept[key] = complete_record(record, cfg, db)
+    kept: dict[str, tuple] = {}
+    for total, skipped, firsts in slices:
+        summary["total"] += total
+        for reason, count in skipped.items():
+            summary["skipped"][reason] = \
+                summary["skipped"].get(reason, 0) + count
+        for key, first in firsts.items():
+            if key not in kept or first[0] < kept[key][0]:
+                kept[key] = first
+    records = []
+    for key in sorted(kept):
+        record = complete_record(kept[key][1], cfg, db)
         summary[_STATUS_COUNTER.get(record["status"], "degenerate")] += 1
         summary["matched" if record["matches"] else "unmatched"] += 1
-    summary["unique"] = len(kept)
-    records = sorted(kept.values(), key=lambda r: (r["dedup_key"], r["basis"]))
+        records.append(record)
+    summary["unique"] = len(records)
+    summary["duplicates"] = (summary["total"] - len(records)
+                             - sum(summary["skipped"].values()))
     return records, summary
 
 
 def run_scan(cfg: ScanConfig, db: StrippedDb,
              workers: int = 1) -> tuple[list[dict], dict]:
     """Scan every enumerated basis; return (sorted records, summary)."""
-    bases = enumerate_bases(cfg)
     if workers <= 1:
-        return _collect(map(scan_one, bases), cfg, db)
+        return merge_slices([scan_slice(cfg.bound)], cfg, db)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return _collect(pool.map(scan_one, bases, chunksize=64), cfg, db)
+        slices = list(pool.map(scan_slice, [cfg.bound] * workers,
+                               range(workers), [workers] * workers))
+    return merge_slices(slices, cfg, db)
 
 
 def write_jsonl(records: list[dict], path: str) -> None:

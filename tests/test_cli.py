@@ -254,6 +254,12 @@ def test_scan_output_files(capsys, tmp_path):
     ["generate", "--recurrence-json", '{"pairs": [[0.9,0],[4,-4],[3,-3]]}'],
     ["generate", "--recurrence-json", '{"pairs": [[true,0],[4,-4],[3,-3]]}'],
     ["generate", "--recurrence-json", '{"pairs": [["0",0],[4,-4],[3,-3]]}'],
+    ["generate", "--recurrence-json",
+     '{"pairs": [[0,0],[4,-4],[3,-3]], "signs": [true, -1, 1]}'],
+    ["generate", "--recurrence-json",
+     '{"pairs": [[0,0],[4,-4],[3,-3]], "signs": [1, -1.0, 1]}'],
+    ["generate", "--recurrence-json",
+     '{"pairs": [[0,0],[4,-4],[3,-3]], "signs": [1, -1, "1"]}'],
     ["maya", "--from-maya", "[1]"],
     ["maya", "--from-maya", '{"charge": 0}'],
     ["match", "--terms-list", "2,3,4,5,9,18,34,93,180,348",

@@ -8,19 +8,23 @@ SublatticeBasis and the Gram-determinant check of the Plucker draws
 against a Fraction Gaussian-elimination rank.  The text-index OEIS match is
 checked against the per-entry slice scan it replaced.  canonicalize_pairs
 is checked for its declared invariances, and BilinearRecurrence for
-accepting exactly the triples generate can iterate.
+accepting exactly the triples generate can iterate.  Every torsion-free
+strictly convex quadrilateral is checked to give a positive Gale-Robinson
+recurrence (the statement is in the recurrence module docstring).
 """
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import reference_lattice
 from tauseq.fock import _independent
-from tauseq.lattice import (LatticeError, QuotientMap, RankError,
-                            SublatticeBasis, TorsionError, quotient_map)
+from tauseq.lattice import (EdgePolygon, LatticeError, QuotientMap,
+                            RankError, SublatticeBasis, TorsionError,
+                            polygon_to_basis, quotient_map)
 from tauseq.oeis import (MatchPolicy, QueryTooShort, StrippedDb,
                          match_sequence, trim_query)
 from tauseq.recurrence import (SIGNS, BilinearRecurrence, SequenceRun,
@@ -325,3 +329,45 @@ def test_canonicalize_pairs_invariances(raw, shift):
     assert canonicalize_pairs([(-q, -p) for p, q in raw]) == canon
     assert canonicalize_pairs([(p + shift, q + shift)
                                for p, q in raw]) == canon
+
+
+# ------------------------------------------------------ Gale-Robinson
+
+
+def _strictly_convex(vertices) -> bool:
+    try:
+        EdgePolygon(vertices)
+    except LatticeError:
+        return False
+    return True
+
+
+@st.composite
+def convex_quadrilaterals(draw):
+    """Strictly convex ccw quadrilaterals with vertices in [-50, 50]^2:
+    four distinct points in angular order around their centroid, kept
+    when that order is strictly convex."""
+    coord = st.integers(-50, 50)
+    points = draw(st.lists(st.tuples(coord, coord), min_size=4, max_size=4,
+                           unique=True))
+    cx = sum(x for x, _ in points) / 4
+    cy = sum(y for _, y in points) / 4
+    points.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
+    return tuple(points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(convex_quadrilaterals().filter(_strictly_convex))
+def test_convex_quadrilateral_gives_positive_gale_robinson(vertices):
+    try:
+        rec = derive_recurrence(polygon_to_basis(EdgePolygon(vertices)))\
+            .recurrence
+    except TorsionError:
+        reject()  # no Z-indexed sequence to check
+    top = max(x for pair in rec.pairs for x in pair)
+    assert top in rec.pairs[1]
+    # extends the scan's max(24, window) terms, which add no step past the
+    # all-ones window once the window exceeds 24
+    run = generate(rec, rec.window + 24)
+    assert run.status == "ok"
+    assert all(t > 0 for t in run.terms)

@@ -6,8 +6,9 @@ import pytest
 from tauseq.lattice import parse_matrix
 from tauseq.oeis import load_fixture
 from tauseq.recurrence import derive_recurrence, generate, term_str
-from tauseq.scan import (ScanConfig, complete_record, enumerate_bases,
-                         enumerate_edge_cycles, run_scan, scan_one,
+from reference_scan import reference_bases, reference_scan
+from tauseq.scan import (ScanConfig, complete_record, enumerate_edge_cycles,
+                         merge_slices, run_scan, scan_one, scan_slice,
                          write_jsonl, write_summary)
 
 
@@ -119,7 +120,7 @@ def test_run_scan_bound_two_deterministic():
     assert json.dumps(records1, sort_keys=True) == \
         json.dumps(records2, sort_keys=True)
     assert summary1 == summary2
-    assert summary1["total"] == len(list(enumerate_bases(cfg)))
+    assert summary1["total"] == len(list(reference_bases(cfg)))
     assert summary1["unique"] == len(records1)
     assert summary1["unique"] + summary1["duplicates"] + \
         sum(summary1["skipped"].values()) == summary1["total"]
@@ -132,6 +133,31 @@ def test_run_scan_parallel_equivalence():
     parallel, sum_parallel = run_scan(cfg, db, workers=2)
     assert serial == parallel
     assert sum_serial == sum_parallel
+
+
+@pytest.mark.parametrize("step", [2, 3, 7])
+def test_enumerate_slices_partition_the_cycles(step):
+    cycles = enumerate_edge_cycles(4)
+    slices = [enumerate_edge_cycles(4, start, step) for start in range(step)]
+    assert sorted(c for part in slices for c in part) == cycles
+
+
+@pytest.mark.parametrize("bound", range(6))
+def test_sliced_scan_matches_reference(bound):
+    # every slice step merges to the ordered walk's records and summary,
+    # so the kept record of each key is the first in enumeration order
+    cfg = ScanConfig(bound=bound)
+    db = load_fixture()
+    want = reference_scan(cfg, db)
+    for step in (1, 2, 3, 7):
+        slices = [scan_slice(bound, start, step) for start in range(step)]
+        assert merge_slices(slices, cfg, db) == want, f"step {step}"
+
+
+def test_pool_scan_matches_reference():
+    cfg = ScanConfig(bound=4)
+    db = load_fixture()
+    assert run_scan(cfg, db, workers=2) == reference_scan(cfg, db)
 
 
 def test_records_sorted_and_deduped():
@@ -149,7 +175,7 @@ def test_dedup_key_determines_terms():
     records, summary = run_scan(cfg, load_fixture())
     kept = {r["dedup_key"]: r["terms"] for r in records}
     checked = 0
-    for basis in enumerate_bases(cfg):
+    for basis in reference_bases(cfg):
         derived = scan_one(basis)
         if "skip" in derived:
             continue
