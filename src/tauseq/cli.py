@@ -24,12 +24,12 @@ import sys
 import traceback
 
 from . import oeis, scan, verify
-from .lattice import (LatticeError, RankError, TorsionError, parse_matrix,
-                      parse_polygon, polygon_to_basis)
+from .lattice import (LatticeError, RankError, TorsionError, edges_to_basis,
+                      parse_matrix, parse_polygon, quotient_map)
 from .maya import MayaDiagram, Partition, maya_from_young_charge, \
     young_charge_from_maya
-from .recurrence import (BilinearRecurrence, UnsolvableError,
-                         derive_recurrence, generate)
+from .recurrence import (BASE_POINT, BilinearRecurrence, UnsolvableError,
+                         derive_recurrence, generate, octahedron_points)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -86,7 +86,7 @@ def _basis_from_args(args) -> "SublatticeBasis":
         return parse_matrix(args.matrix)
     if args.polygon is None:
         raise ValueError("need --matrix or --polygon")
-    return polygon_to_basis(parse_polygon(args.polygon))
+    return edges_to_basis(parse_polygon(args.polygon).edges)
 
 
 def cmd_maya(args) -> int:
@@ -102,15 +102,15 @@ def cmd_maya(args) -> int:
 
 def cmd_derive(args) -> int:
     basis = _basis_from_args(args)
-    derived = derive_recurrence(basis)
+    w = quotient_map(basis)
     _emit({
         "basis": [list(basis.a), list(basis.b)],
-        "quotient": {"w": list(derived.qmap.w), "m": derived.qmap.m,
-                     "torsion_free": derived.qmap.torsion_free},
-        "base_point": list(derived.base),
+        # literals: quotient_map raises on torsion, and w . n is the index
+        "quotient": {"w": list(w), "m": 1, "torsion_free": True},
+        "base_point": list(BASE_POINT),
         "octahedron_points": [{"point": list(pt), "index": idx}
-                              for pt, idx in derived.points],
-        "recurrence": derived.recurrence.to_json_dict(),
+                              for pt, idx in octahedron_points(w)],
+        "recurrence": derive_recurrence(basis).to_json_dict(),
     })
     return EXIT_OK
 
@@ -120,7 +120,7 @@ def cmd_generate(args) -> int:
         rec = BilinearRecurrence.from_json_dict(
             json.loads(args.recurrence_json))
     else:
-        rec = derive_recurrence(_basis_from_args(args)).recurrence
+        rec = derive_recurrence(_basis_from_args(args))
     init = [int(x) for x in args.init.split(",")] if args.init else None
     out = generate(rec, args.terms, init).to_json_dict()
     out["recurrence"] = rec.to_json_dict()

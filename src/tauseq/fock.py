@@ -256,21 +256,17 @@ def tau_with_insertions(g: GroupElement, n: Sequence[int],
     return coeff * _minor(g, rows, cols)
 
 
-def octahedron_residual(g: GroupElement, n: Sequence[int], window: Window,
-                        quad: tuple[int, int, int, int] = (1, 2, 3, 4)
-                        ) -> Fraction | int:
+def octahedron_residual(g: GroupElement, n: Sequence[int],
+                        window: Window) -> Fraction | int:
     """Exact residual of the three-term octahedral identity at base n.
 
     Zero for every invertible g — this is the discrete Hirota/Plucker
     identity the rest of the package builds on.
     """
-    a, b, c, d = quad
-    if not a < b < c < d:
-        raise ValueError("quadruple must be strictly increasing")
     t = lambda p: tau_with_insertions(g, n, p, window)
-    return (t((a, b)) * t((c, d))
-            - t((a, c)) * t((b, d))
-            + t((a, d)) * t((b, c)))
+    return (t((1, 2)) * t((3, 4))
+            - t((1, 3)) * t((2, 4))
+            + t((1, 4)) * t((2, 3)))
 
 
 # ---------------------------------------------------------------------------

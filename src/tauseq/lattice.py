@@ -3,12 +3,12 @@ quotient projection to the integers.
 
 A sublattice basis is a 2 x s integer matrix whose rows a, b each sum to
 zero (so they lie in A_{s-1} = {n : sum n_i = 0}).  When the quotient
-A_{s-1}/<a,b> is free of rank 1 it is identified with Z by a primitive
-covector w and a step m: index(n) = (w . n) / m.
+A_{s-1}/<a,b> is free of rank 1 it is identified with Z by one primitive
+covector w: index(n) = w . n for degree-0 n.
 
 For s = 4 the 2x2 minors p_ij = a_i b_j - a_j b_i decide everything: the
 quotient is torsion-free exactly when their gcd is 1, and then w is the
-cross product (p_23, -p_13, p_12, 0) of columns 1-3 and m = 1.
+cross product (p_23, -p_13, p_12, 0) of columns 1-3.
 """
 
 from __future__ import annotations
@@ -80,27 +80,16 @@ class SublatticeBasis:
         return len(self.a)
 
 
-@dataclass(frozen=True)
-class QuotientMap:
-    """Projection A_{s-1}/<a,b> -> Z via n -> (w . n) / m."""
-
-    w: tuple[int, ...]
-    m: int
-    torsion_free: bool
-
-    def __call__(self, n: tuple[int, ...]) -> int:
-        return project(self, n)
+def edges_to_basis(edges: tuple[tuple[int, int], ...]) -> SublatticeBasis:
+    """Edge vectors, of a polygon or a scanned edge cycle, become the
+    columns of the 2 x s matrix (rows a, b)."""
+    a, b = zip(*edges)
+    return SublatticeBasis(a, b)
 
 
-def polygon_to_basis(p: EdgePolygon) -> SublatticeBasis:
-    """Edge vectors become the columns of the 2 x s matrix (rows a, b)."""
-    edges = p.edges
-    return SublatticeBasis(tuple(e[0] for e in edges),
-                           tuple(e[1] for e in edges))
-
-
-def quotient_map(basis: SublatticeBasis) -> QuotientMap:
-    """Compute (w, m) for the quotient A_{s-1}/<a,b> from the 2x2 minors.
+def quotient_map(basis: SublatticeBasis) -> tuple[int, ...]:
+    """The canonical covector w of the quotient A_{s-1}/<a,b>, from the
+    2x2 minors; a degree-0 point n has index w . n.
 
     With p_ij = a_i b_j - a_j b_i, the invariant factors of <a,b> inside
     A_3 are (d1, g / d1), where d1 is the gcd of the eight entries and g the
@@ -109,9 +98,9 @@ def quotient_map(basis: SublatticeBasis) -> QuotientMap:
     p_24 = p_12 - p_23 and p_34 = p_13 + p_23, and g is already the gcd of
     p_12, p_13, p_23.  The cross product of columns 1-3, (p_23, -p_13,
     p_12, 0), annihilates both rows, and when g = 1 it is the primitive w
-    with w_4 = 0.  Then m = 1: the kernel lattice {v : v.a = v.b = 0} is
-    saturated and contains the all-ones vector, so {ones, w} is a basis of
-    it and the differences of w have gcd 1.
+    with w_4 = 0.  No step divides w . n: the kernel lattice
+    {v : v.a = v.b = 0} is saturated and contains the all-ones vector, so
+    {ones, w} is a basis of it and the differences of w have gcd 1.
     """
     s = basis.s
     if s != 4:
@@ -125,30 +114,19 @@ def quotient_map(basis: SublatticeBasis) -> QuotientMap:
     if g != 1:
         d1 = gcd(*a, *b)
         raise TorsionError((d1, g // d1))
-    w = _normalize_w([p23, -p13, p12, 0])
-    return QuotientMap(w=tuple(w), m=1, torsion_free=True)
+    return _normalize_w([p23, -p13, p12, 0])
 
 
-def _normalize_w(w: list[int]) -> list[int]:
+def _normalize_w(w: list[int]) -> tuple[int, ...]:
     """Canonical representative of +-w modulo the all-ones vector: reduce
-    each sign so the entries sum to [0, s), and keep the larger list."""
+    each sign so the entries sum to [0, s), and keep the larger tuple."""
     s = len(w)
 
-    def reduce_ones(vec: list[int]) -> list[int]:
+    def reduce_ones(vec: list[int]) -> tuple[int, ...]:
         t = sum(vec) // s
-        return [x - t for x in vec]
+        return tuple(x - t for x in vec)
 
     return max(reduce_ones(w), reduce_ones([-x for x in w]))
-
-
-def project(qmap: QuotientMap, n: tuple[int, ...]) -> int:
-    """Index (w . n) / m of a degree-0 point in the quotient."""
-    if sum(n) != 0:
-        raise LatticeError("can only project degree-0 points")
-    dot = sum(wi * ni for wi, ni in zip(qmap.w, n))
-    if dot % qmap.m:
-        raise LatticeError("projection is not integral")  # pragma: no cover
-    return dot // qmap.m
 
 
 def parse_matrix(text: str) -> SublatticeBasis:

@@ -77,12 +77,6 @@ class StrippedDb:
                                            initial=0))
         return a_numbers, "\n".join(rows), starts
 
-    def serialize(self) -> str:
-        """Re-emit the well-formed entries in stripped format."""
-        lines = [f"{a} ,{','.join(map(str, terms))},"
-                 for a, terms in sorted(self.entries.items())]
-        return "\n".join(lines) + ("\n" if lines else "")
-
 
 @dataclass(frozen=True)
 class MatchPolicy:

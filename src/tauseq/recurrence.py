@@ -1,8 +1,9 @@
 """Bilinear three-term recurrences compiled from the octahedral relation.
 
 derive_recurrence projects the six octahedron points around a fixed
-degree-(-2) base through a lattice quotient map; the projected indices form
-the three offset pairs of T(l+p1)T(l+q1) - T(l+p2)T(l+q2) + T(l+p3)T(l+q3)=0.
+degree-(-2) base through a lattice quotient's covector w; the indices w . n
+form the three offset pairs of
+T(l+p1)T(l+q1) - T(l+p2)T(l+q2) + T(l+p3)T(l+q3) = 0.
 generate runs such a recurrence forward over plain Python ints; a term
 becomes an exact rational only where a division leaves a remainder, which
 the Laurent phenomenon makes the uncommon case.
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .lattice import LatticeError, QuotientMap, SublatticeBasis, quotient_map
+from .lattice import LatticeError, SublatticeBasis, quotient_map
 
 Pair = tuple[int, int]
 SIGNS = (1, -1, 1)
@@ -138,38 +139,25 @@ def canonicalize_pairs(raw: Sequence[Sequence[int]]) -> tuple[Pair, Pair, Pair]:
     return min(candidates)
 
 
-@dataclass(frozen=True)
-class DerivedRecurrence:
-    """Recurrence plus the lattice bookkeeping that produced it."""
-
-    recurrence: BilinearRecurrence
-    qmap: QuotientMap
-    base: tuple[int, ...]
-    # six octahedron points with their projected indices, in pairing order
-    points: tuple[tuple[tuple[int, ...], int], ...]
-
-
-def derive_recurrence(basis: SublatticeBasis) -> DerivedRecurrence:
-    """Compile the octahedral relation through the quotient of a basis."""
-    qmap = quotient_map(basis)
-    w = qmap.w
-    # m = 1, so the index of base + e_alpha + e_beta is w.base + w_alpha + w_beta
+def octahedron_points(w: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+    """The six points BASE_POINT + e_alpha + e_beta, in pairing order, each
+    with its index w . point = w . BASE_POINT + w_alpha + w_beta."""
     base_index = sum(wi * ni for wi, ni in zip(w, BASE_POINT))
-    raw_pairs = []
     points = []
     for pairing in PAIRINGS:
-        indices = []
         for alpha, beta in pairing:
             n = list(BASE_POINT)
             n[alpha - 1] += 1
             n[beta - 1] += 1
-            idx = base_index + w[alpha - 1] + w[beta - 1]
-            points.append((tuple(n), idx))
-            indices.append(idx)
-        raw_pairs.append(tuple(indices))
-    rec = BilinearRecurrence(canonicalize_pairs(raw_pairs))
-    return DerivedRecurrence(recurrence=rec, qmap=qmap, base=BASE_POINT,
-                             points=tuple(points))
+            points.append((tuple(n), base_index + w[alpha - 1] + w[beta - 1]))
+    return points
+
+
+def derive_recurrence(basis: SublatticeBasis) -> BilinearRecurrence:
+    """Compile the octahedral relation through the quotient of a basis."""
+    idx = [index for _, index in octahedron_points(quotient_map(basis))]
+    return BilinearRecurrence(canonicalize_pairs(
+        list(zip(idx[::2], idx[1::2]))))
 
 
 @dataclass
@@ -271,12 +259,6 @@ class PermutationAction:
         for alpha, target in enumerate(self.sigma):
             out[target - 1] = n[alpha]
         return tuple(out)
-
-    def inverse(self) -> "PermutationAction":
-        inv = [0] * len(self.sigma)
-        for alpha, target in enumerate(self.sigma):
-            inv[target - 1] = alpha + 1
-        return PermutationAction(tuple(inv))
 
 
 def q_sigma(sigma: PermutationAction, n: Sequence[int]) -> int:

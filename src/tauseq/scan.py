@@ -3,12 +3,12 @@
 Each piece of work happens once.  The enumeration emits one polygon per
 rotation class, in lexicographic order of its edge cycle.  The unit of
 parallel work is a slice of first edges taken by stride: a slice
-enumerates its own cycles, derives each basis, and keeps the first record
-of each distinct recurrence together with its edge cycle.  The parent
-merges the slices by keeping, per recurrence, the record whose edge cycle
-is smallest, which is the one a serial walk in enumeration order meets
-first.  So 1-worker and N-worker runs are byte-identical.  The parent then
-generates and matches each kept record once.
+enumerates its own cycles, derives each basis, and keeps the first edge
+cycle of each distinct recurrence.  The parent merges the slices by
+keeping, per recurrence, the smallest edge cycle, which is the one a serial
+walk in enumeration order meets first.  So 1-worker and N-worker runs are
+byte-identical.  The parent then builds the record of each kept recurrence
+once, which is where it is generated and matched.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
-from .lattice import LatticeError, RankError, SublatticeBasis, TorsionError
+from .lattice import (LatticeError, RankError, SublatticeBasis, TorsionError,
+                      edges_to_basis)
 from .oeis import MatchPolicy, QueryTooShort, StrippedDb, match_sequence
 from .recurrence import (BilinearRecurrence, UnsolvableError,
                          derive_recurrence, generate, term_str)
@@ -38,10 +39,11 @@ class ScanConfig:
 
 
 Edge = tuple[int, int]
+Cycle = tuple[Edge, Edge, Edge, Edge]
 
 
 def enumerate_edge_cycles(bound: int, start: int = 0, step: int = 1
-                          ) -> list[tuple[Edge, Edge, Edge, Edge]]:
+                          ) -> list[Cycle]:
     """All 4-edge strictly convex ccw cycles with coordinates in [-B, B],
     one representative per cyclic rotation class, in lexicographic order;
     only those whose first edge is in vectors[start::step].
@@ -73,33 +75,38 @@ def enumerate_edge_cycles(bound: int, start: int = 0, step: int = 1
     return cycles
 
 
-def scan_one(basis: SublatticeBasis) -> dict:
-    """Derive a basis into a record: a skip reason, or its canonical
-    recurrence and the dedup key (its canonical pairs)."""
-    record: dict = {"basis": [list(basis.a), list(basis.b)]}
+def scan_one(basis: SublatticeBasis) -> BilinearRecurrence | str:
+    """Derive a basis: its canonical recurrence, or the reason it is
+    skipped."""
     try:
-        derived = derive_recurrence(basis)
-    except TorsionError as exc:
-        record["skip"] = "torsion"
-        record["invariant_factors"] = list(exc.invariant_factors)
-        return record
+        return derive_recurrence(basis)
+    except TorsionError:
+        return "torsion"
     except UnsolvableError:
-        record["skip"] = "unsolvable"
-        return record
+        return "unsolvable"
     except RankError:
-        record["skip"] = "rank"
-        return record
+        return "rank"
     except LatticeError as exc:  # pragma: no cover - defensive
-        record["skip"] = f"lattice: {exc}"
-        return record
-    record["recurrence"] = derived.recurrence.to_json_dict()
-    record["dedup_key"] = json.dumps(record["recurrence"]["pairs"])
-    return record
+        return f"lattice: {exc}"
 
 
-def complete_record(record: dict, cfg: ScanConfig, db: StrippedDb) -> dict:
-    """Add status, terms and OEIS matches to a derived, non-skipped record."""
-    rec = BilinearRecurrence.from_json_dict(record["recurrence"])
+def complete_record(edges: Cycle, rec: BilinearRecurrence, cfg: ScanConfig,
+                    db: StrippedDb) -> dict:
+    """The output record of a kept recurrence and the edge cycle it was
+    first derived from: basis, recurrence, dedup key (the JSON text of the
+    canonical pairs), generate status, terms and OEIS matches.
+
+    The run has max(cfg.terms, rec.window) terms from the all-ones window,
+    so a recurrence whose window is at least cfg.terms takes no step: its
+    terms are the seed window of ones, its status is "ok" and the summary
+    counts it as integral, and its query is usually too short to match
+    (657 and 855 of the 940 bound-5 records at 24 terms).
+    """
+    basis = edges_to_basis(edges)
+    recurrence = rec.to_json_dict()
+    record = {"basis": [list(basis.a), list(basis.b)],
+              "recurrence": recurrence,
+              "dedup_key": json.dumps(recurrence["pairs"])}
     run = generate(rec, max(cfg.terms, rec.window))
     record["status"] = run.status
     record["terms"] = [term_str(t) for t in run.terms]
@@ -115,25 +122,22 @@ def complete_record(record: dict, cfg: ScanConfig, db: StrippedDb) -> dict:
     return record
 
 
-# one slice's (total, skip counts by reason, {dedup_key: (edges, record)})
-Slice = tuple[int, dict[str, int], dict[str, tuple]]
+# one slice's (total, skip counts by reason, {recurrence: first edge cycle})
+Slice = tuple[int, dict[str, int], dict[BilinearRecurrence, Cycle]]
 
 
 def scan_slice(bound: int, start: int = 0, step: int = 1) -> Slice:
     """Enumerate and derive the cycles whose first edge is in the slice
-    vectors[start::step]; keep the first record of each dedup key with its
-    edge cycle."""
+    vectors[start::step]; keep the first edge cycle of each recurrence."""
     skipped: dict[str, int] = {}
-    firsts: dict[str, tuple] = {}
+    firsts: dict[BilinearRecurrence, Cycle] = {}
     cycles = enumerate_edge_cycles(bound, start, step)
     for edges in cycles:
-        record = scan_one(SublatticeBasis(tuple(e[0] for e in edges),
-                                          tuple(e[1] for e in edges)))
-        if "skip" in record:
-            reason = record["skip"]
-            skipped[reason] = skipped.get(reason, 0) + 1
-        elif record["dedup_key"] not in firsts:
-            firsts[record["dedup_key"]] = (edges, record)
+        rec = scan_one(edges_to_basis(edges))
+        if isinstance(rec, str):
+            skipped[rec] = skipped.get(rec, 0) + 1
+        else:
+            firsts.setdefault(rec, edges)
     return len(cycles), skipped, firsts
 
 
@@ -143,26 +147,26 @@ _STATUS_COUNTER = {"ok": "integral", "non-integral": "non_integral"}
 
 def merge_slices(slices: Iterable[Slice], cfg: ScanConfig,
                  db: StrippedDb) -> tuple[list[dict], dict]:
-    """Sum the slices' counts, keep the record with the least edge cycle
-    per dedup key, and complete each kept record once."""
+    """Sum the slices' counts, keep the least edge cycle per recurrence,
+    and complete each kept recurrence once, sorted by dedup key."""
     summary = {"total": 0, "skipped": {}, "integral": 0, "non_integral": 0,
                "degenerate": 0, "matched": 0, "unmatched": 0,
                "duplicates": 0, "unique": 0}
-    kept: dict[str, tuple] = {}
+    kept: dict[BilinearRecurrence, Cycle] = {}
     for total, skipped, firsts in slices:
         summary["total"] += total
         for reason, count in skipped.items():
             summary["skipped"][reason] = \
                 summary["skipped"].get(reason, 0) + count
-        for key, first in firsts.items():
-            if key not in kept or first[0] < kept[key][0]:
-                kept[key] = first
-    records = []
-    for key in sorted(kept):
-        record = complete_record(kept[key][1], cfg, db)
+        for rec, edges in firsts.items():
+            if rec not in kept or edges < kept[rec]:
+                kept[rec] = edges
+    records = sorted((complete_record(edges, rec, cfg, db)
+                      for rec, edges in kept.items()),
+                     key=lambda record: record["dedup_key"])
+    for record in records:
         summary[_STATUS_COUNTER.get(record["status"], "degenerate")] += 1
         summary["matched" if record["matches"] else "unmatched"] += 1
-        records.append(record)
     summary["unique"] = len(records)
     summary["duplicates"] = (summary["total"] - len(records)
                              - sum(summary["skipped"].values()))

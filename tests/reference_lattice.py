@@ -1,20 +1,41 @@
 """Reference quotient map: the integer kernel / Bezout / Smith-form path
 that `tauseq.lattice.quotient_map` replaced with the closed form from the
-six 2x2 minors.  Tests compare the closed form against it and use its
-2-unknown solve as the sublattice-membership oracle.
+six 2x2 minors, with the (w, m, torsion_free) map and the point-by-point
+projection it returned.  Tests compare the closed form against it and use
+its 2-unknown solve as the sublattice-membership oracle.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from tauseq.lattice import (LatticeError, QuotientMap, RankError,
-                            SublatticeBasis, TorsionError, project)
+from tauseq.lattice import (LatticeError, RankError, SublatticeBasis,
+                            TorsionError)
 from tauseq.recurrence import (BASE_POINT, PAIRINGS, BilinearRecurrence,
                                canonicalize_pairs)
 
 Matrix = Sequence[Sequence[int]]
+
+
+@dataclass(frozen=True)
+class QuotientMap:
+    """Projection A_{s-1}/<a,b> -> Z via n -> (w . n) / m."""
+
+    w: tuple[int, ...]
+    m: int
+    torsion_free: bool
+
+
+def project(qmap: QuotientMap, n: tuple[int, ...]) -> int:
+    """Index (w . n) / m of a degree-0 point in the quotient."""
+    if sum(n) != 0:
+        raise LatticeError("can only project degree-0 points")
+    dot = sum(wi * ni for wi, ni in zip(qmap.w, n))
+    if dot % qmap.m:
+        raise LatticeError("projection is not integral")
+    return dot // qmap.m
 
 
 def kernel_basis(matrix: Matrix) -> list[list[int]]:

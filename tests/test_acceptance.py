@@ -12,12 +12,12 @@ import time
 from fractions import Fraction
 
 from tauseq import fock, kp
-from tauseq.lattice import parse_matrix
+from tauseq.lattice import parse_matrix, quotient_map
 from tauseq.maya import (Partition, maya_from_young_charge,
                          young_charge_from_maya)
 from tauseq.oeis import load_fixture
 from tauseq.recurrence import (PermutationAction, act_permutation,
-                               derive_recurrence, generate,
+                               derive_recurrence, generate, octahedron_points,
                                table_octahedron_residual)
 from tauseq.scan import ScanConfig, run_scan, write_jsonl
 
@@ -40,10 +40,10 @@ def report(capsys, num: int, title: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_01_square_sequence(capsys):
     start = time.perf_counter()
-    derived = derive_recurrence(SQUARE)
-    run = generate(derived.recurrence, 24)
+    rec = derive_recurrence(SQUARE)
+    run = generate(rec, 24)
     elapsed = time.perf_counter() - start
-    ok = (derived.recurrence.pairs == ((0, 0), (4, -4), (3, -3))
+    ok = (rec.pairs == ((0, 0), (4, -4), (3, -3))
           and run.status == "ok" and run.terms == SQUARE_TERMS
           and elapsed < 1.0)
     report(capsys, 1, "reference square-polygon recurrence and 24 exact terms", ok,
@@ -52,10 +52,10 @@ def test_criterion_01_square_sequence(capsys):
 
 def test_criterion_02_hex_sequence(capsys):
     start = time.perf_counter()
-    derived = derive_recurrence(HEX)
-    run = generate(derived.recurrence, 28)
+    rec = derive_recurrence(HEX)
+    run = generate(rec, 28)
     elapsed = time.perf_counter() - start
-    ok = (derived.recurrence.window == 12 and run.status == "ok"
+    ok = (rec.window == 12 and run.status == "ok"
           and run.terms == HEX_TERMS and elapsed < 1.0)
     report(capsys, 2, "second reference recurrence and 28 exact terms", ok,
            f"{elapsed:.3f}s")
@@ -180,13 +180,13 @@ def test_criterion_08_maya_roundtrip(capsys):
 
 def test_criterion_09_cross_oracle(capsys):
     window = fock.Window(6, 4)
-    derived = derive_recurrence(SQUARE)
+    points = octahedron_points(quotient_map(SQUARE))
     rng = random.Random(6_2024)
     failures = 0
     for _ in range(50):
         g = fock.random_group_element(window, rng)
         values = [Fraction(fock.tau_discrete(g, pt, window))
-                  for pt, _ in derived.points]
+                  for pt, _ in points]
         signed = (values[0] * values[1] - values[2] * values[3]
                   + values[4] * values[5])
         if signed != 0:
@@ -218,7 +218,7 @@ def test_criterion_10_scan_hermetic(capsys, tmp_path):
     by_key = {r["dedup_key"]: r for r in records1}
     key1 = json.dumps([[0, 0], [4, -4], [3, -3]])
     key2 = json.dumps([list(p) for p in
-                       derive_recurrence(HEX).recurrence.pairs])
+                       derive_recurrence(HEX).pairs])
     square_hit = any(m["a_number"] == "A018896"
                      for m in by_key.get(key1, {}).get("matches", []))
     hex_unmatched = (key2 in by_key and by_key[key2]["matches"] == []

@@ -32,4 +32,7 @@ def test_tracer_counts_every_enumerated_and_derived_cycle():
     # the one known dead target, deleted from intlinalg with its caller
     assert tracer.missing == ["intlinalg.rank"]
     assert tracer.counters.enumerate_cycles == summary["total"] == 194
-    assert tracer.aggregate()["scan.scan_one"]["calls"] == summary["total"]
+    layers = tracer.aggregate()
+    for layer in ("scan.scan_one", "lattice.quotient_map",
+                  "recurrence.derive"):
+        assert layers[layer]["calls"] == summary["total"], layer

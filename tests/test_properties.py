@@ -10,10 +10,12 @@ checked against the per-entry slice scan it replaced.  canonicalize_pairs
 is checked for its declared invariances, and BilinearRecurrence for
 accepting exactly the triples generate can iterate.  Every torsion-free
 strictly convex quadrilateral is checked to give a positive Gale-Robinson
-recurrence (the statement is in the recurrence module docstring).
+recurrence (the statement is in the recurrence module docstring), and the
+octahedral relation to hold exactly for random group elements.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,10 +23,11 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import reference_lattice
-from tauseq.fock import _independent
-from tauseq.lattice import (EdgePolygon, LatticeError, QuotientMap,
-                            RankError, SublatticeBasis, TorsionError,
-                            polygon_to_basis, quotient_map)
+from tauseq.fock import (Window, _independent, octahedron_residual,
+                         random_group_element)
+from tauseq.lattice import (EdgePolygon, LatticeError, RankError,
+                            SublatticeBasis, TorsionError, edges_to_basis,
+                            quotient_map)
 from tauseq.oeis import (MatchPolicy, QueryTooShort, StrippedDb,
                          match_sequence, trim_query)
 from tauseq.recurrence import (SIGNS, BilinearRecurrence, SequenceRun,
@@ -242,13 +245,12 @@ def test_quotient_map_matches_kernel_reference(rows):
         return
     got = _outcome(quotient_map, basis)
     want = _outcome(reference_lattice.quotient_map, basis)
-    if not isinstance(want, QuotientMap):
+    if not isinstance(want, reference_lattice.QuotientMap):
         assert got == want
         return
-    assert got.m == want.m == 1
-    assert list(got.w) == reference_lattice.canonical_sign(want.w)
-    got_rec = _outcome(lambda basis: derive_recurrence(basis).recurrence,
-                       basis)
+    assert want.m == 1
+    assert list(got) == reference_lattice.canonical_sign(want.w)
+    got_rec = _outcome(derive_recurrence, basis)
     assert got_rec == _outcome(reference_lattice.derive_recurrence, want)
 
 
@@ -360,8 +362,7 @@ def convex_quadrilaterals(draw):
 @given(convex_quadrilaterals().filter(_strictly_convex))
 def test_convex_quadrilateral_gives_positive_gale_robinson(vertices):
     try:
-        rec = derive_recurrence(polygon_to_basis(EdgePolygon(vertices)))\
-            .recurrence
+        rec = derive_recurrence(edges_to_basis(EdgePolygon(vertices).edges))
     except TorsionError:
         reject()  # no Z-indexed sequence to check
     top = max(x for pair in rec.pairs for x in pair)
@@ -371,3 +372,28 @@ def test_convex_quadrilateral_gives_positive_gale_robinson(vertices):
     run = generate(rec, rec.window + 24)
     assert run.status == "ok"
     assert all(t > 0 for t in run.terms)
+
+
+# ------------------------------------------------------------ octahedron
+
+
+@st.composite
+def octahedron_cases(draw):
+    """A window of cutoff 3 or 4 over four components, a group element
+    drawn from a seed and an entry bound, and a degree -2 base point
+    within the headroom |n_c| <= K - 2."""
+    window = Window(draw(st.sampled_from([3, 4])), 4)
+    room = st.integers(2 - window.cutoff, window.cutoff - 2)
+    n = draw(st.lists(room, min_size=3, max_size=3))
+    n.append(-2 - sum(n))
+    if abs(n[3]) > window.cutoff - 2:
+        reject()
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = random_group_element(window, rng, draw(st.integers(1, 5)))
+    return g, tuple(n), window
+
+
+@settings(max_examples=200, deadline=None)
+@given(octahedron_cases())
+def test_octahedron_residual_vanishes(case):
+    assert octahedron_residual(*case) == 0

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from tauseq.fock import Window, random_group_element, tau_table
-from tauseq.lattice import parse_matrix
-from tauseq.recurrence import (BilinearRecurrence, PermutationAction,
-                               UnsolvableError, act_permutation,
-                               canonicalize_pairs, derive_recurrence,
-                               generate, q_sigma, table_octahedron_residual)
+from tauseq.lattice import parse_matrix, quotient_map
+from tauseq.recurrence import (BASE_POINT, BilinearRecurrence,
+                               PermutationAction, UnsolvableError,
+                               act_permutation, canonicalize_pairs,
+                               derive_recurrence, generate, octahedron_points,
+                               q_sigma, table_octahedron_residual)
 
 SQUARE_BASIS = parse_matrix("5,-2,-2,-1;1,1,-1,-1")
 HEX_BASIS = parse_matrix("1,3,-3,-1;0,1,2,-3")
@@ -23,26 +24,29 @@ HEX_TERMS = [1] * 12 + [2, 3, 4, 6, 9, 13, 19, 28, 41, 79, 163, 490,
 
 
 def test_derive_square_example():
-    d = derive_recurrence(SQUARE_BASIS)
-    assert d.recurrence.pairs == ((0, 0), (4, -4), (3, -3))
-    assert d.recurrence.window == 8
+    rec = derive_recurrence(SQUARE_BASIS)
+    assert rec.pairs == ((0, 0), (4, -4), (3, -3))
+    assert rec.window == 8
 
 
 def test_derive_hex_example():
-    d = derive_recurrence(HEX_BASIS)
+    rec = derive_recurrence(HEX_BASIS)
     # equivalent to the offset triple (0,-6), (3,-9), (2,-8) after
     # canonicalization (translate by +3, reorder)
-    assert d.recurrence.pairs == \
-        canonicalize_pairs([(0, -6), (3, -9), (2, -8)])
-    assert d.recurrence.window == 12
+    assert rec.pairs == canonicalize_pairs([(0, -6), (3, -9), (2, -8)])
+    assert rec.window == 12
 
 
 def test_derived_points_have_degree_zero():
-    d = derive_recurrence(SQUARE_BASIS)
-    assert len(d.points) == 6
-    for point, idx in d.points:
+    w = quotient_map(SQUARE_BASIS)
+    points = octahedron_points(w)
+    assert len(points) == 6
+    for (point, idx), (alpha, beta) in zip(
+            points, [(1, 2), (3, 4), (1, 3), (2, 4), (1, 4), (2, 3)]):
         assert sum(point) == 0
-        assert d.qmap(point) == idx
+        assert [x - b for x, b in zip(point, BASE_POINT)] == \
+            [int(c in (alpha, beta)) for c in range(1, 5)]
+        assert sum(wi * ni for wi, ni in zip(w, point)) == idx
 
 
 def test_canonicalize_is_idempotent_and_symmetric():
@@ -73,7 +77,7 @@ def test_recurrence_rejects_shared_top_offset():
 
 
 def test_recurrence_json_roundtrip():
-    rec = derive_recurrence(SQUARE_BASIS).recurrence
+    rec = derive_recurrence(SQUARE_BASIS)
     obj = rec.to_json_dict()
     assert obj["pairs"] == [[0, 0], [4, -4], [3, -3]]
     assert obj["signs"] == [1, -1, 1]
@@ -94,7 +98,7 @@ def check_recurrence_holds(rec: BilinearRecurrence, terms):
 
 
 def test_generate_square_sequence():
-    rec = derive_recurrence(SQUARE_BASIS).recurrence
+    rec = derive_recurrence(SQUARE_BASIS)
     run = generate(rec, 24)
     assert run.status == "ok"
     assert run.terms == SQUARE_TERMS
@@ -102,7 +106,7 @@ def test_generate_square_sequence():
 
 
 def test_generate_hex_sequence():
-    rec = derive_recurrence(HEX_BASIS).recurrence
+    rec = derive_recurrence(HEX_BASIS)
     run = generate(rec, 28)
     assert run.status == "ok"
     assert run.terms == HEX_TERMS
@@ -119,7 +123,7 @@ def test_generate_trivial_window_regression():
 
 
 def test_generate_custom_seed_window():
-    rec = derive_recurrence(SQUARE_BASIS).recurrence
+    rec = derive_recurrence(SQUARE_BASIS)
     run = generate(rec, 12, init=[1, 1, 1, 1, 1, 1, 1, 2])
     assert run.seed_window == [1, 1, 1, 1, 1, 1, 1, 2]
     check_recurrence_holds(rec, run.terms)
@@ -143,7 +147,7 @@ def test_generate_degenerate_status():
 
 
 def test_generate_validates_arguments():
-    rec = derive_recurrence(SQUARE_BASIS).recurrence
+    rec = derive_recurrence(SQUARE_BASIS)
     with pytest.raises(ValueError):
         generate(rec, 4)
     with pytest.raises(ValueError):
@@ -153,13 +157,20 @@ def test_generate_validates_arguments():
 # ------------------------------------------------------- permutation action
 
 
+def inverse(sigma: PermutationAction) -> PermutationAction:
+    inv = [0] * len(sigma.sigma)
+    for alpha, target in enumerate(sigma.sigma):
+        inv[target - 1] = alpha + 1
+    return PermutationAction(tuple(inv))
+
+
 def test_permutation_validation_and_inverse():
     with pytest.raises(ValueError):
         PermutationAction((1, 1, 2, 3))
     sigma = PermutationAction((2, 3, 1, 4))
-    assert sigma.inverse().sigma == (3, 1, 2, 4)
+    assert inverse(sigma).sigma == (3, 1, 2, 4)
     n = (5, -2, 1, -4)
-    assert sigma.inverse().apply(sigma.apply(n)) == n
+    assert inverse(sigma).apply(sigma.apply(n)) == n
 
 
 def test_q_sigma_examples():
@@ -192,7 +203,7 @@ def test_permutation_inverse_restores_table():
     g = random_group_element(w, random.Random(3))
     table = tau_table(g, w, bound=1)
     sigma = PermutationAction((3, 1, 4, 2))
-    assert act_permutation(sigma.inverse(), act_permutation(sigma, table)) == \
+    assert act_permutation(inverse(sigma), act_permutation(sigma, table)) == \
         {n: v for n, v in table.items()}
 
 

@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from tauseq.lattice import parse_matrix
+from tauseq.lattice import edges_to_basis, parse_matrix
 from tauseq.oeis import load_fixture
-from tauseq.recurrence import derive_recurrence, generate, term_str
+from tauseq.recurrence import generate, term_str
 from reference_scan import reference_bases, reference_scan
 from tauseq.scan import (ScanConfig, complete_record, enumerate_edge_cycles,
                          merge_slices, run_scan, scan_one, scan_slice,
@@ -97,15 +97,16 @@ def test_enumerate_one_representative_per_rotation():
 
 def test_scan_one_torsion_skip():
     basis = parse_matrix("2,-2,0,0;0,0,1,-1")
-    record = scan_one(basis)
-    assert record["skip"] == "torsion"
-    assert 2 in record["invariant_factors"]
+    assert scan_one(basis) == "torsion"
 
 
 def test_scan_one_reference_basis():
     cfg = ScanConfig(bound=5, terms=24)
-    record = complete_record(scan_one(parse_matrix("5,-2,-2,-1;1,1,-1,-1")),
-                             cfg, load_fixture())
+    edges = ((5, 1), (-2, 1), (-2, -1), (-1, -1))
+    record = complete_record(edges, scan_one(edges_to_basis(edges)), cfg,
+                             load_fixture())
+    assert record["basis"] == [[5, -2, -2, -1], [1, 1, -1, -1]]
+    assert record["dedup_key"] == "[[0, 0], [4, -4], [3, -3]]"
     assert record["status"] == "ok"
     assert record["recurrence"]["pairs"] == [[0, 0], [4, -4], [3, -3]]
     assert record["terms"][-1] == "261033"
@@ -176,12 +177,12 @@ def test_dedup_key_determines_terms():
     kept = {r["dedup_key"]: r["terms"] for r in records}
     checked = 0
     for basis in reference_bases(cfg):
-        derived = scan_one(basis)
-        if "skip" in derived:
+        rec = scan_one(basis)
+        if isinstance(rec, str):
             continue
-        rec = derive_recurrence(basis).recurrence
         run = generate(rec, max(cfg.terms, rec.window))
-        assert [term_str(t) for t in run.terms] == kept[derived["dedup_key"]]
+        key = json.dumps([list(pair) for pair in rec.pairs])
+        assert [term_str(t) for t in run.terms] == kept[key]
         checked += 1
     assert checked == summary["unique"] + summary["duplicates"]
 
