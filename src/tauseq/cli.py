@@ -24,8 +24,9 @@ import sys
 import traceback
 
 from . import oeis, scan, verify
-from .lattice import (LatticeError, RankError, TorsionError, edges_to_basis,
-                      parse_matrix, parse_polygon, quotient_map)
+from .lattice import (LatticeError, RankError, SublatticeBasis, TorsionError,
+                      edges_to_basis, parse_matrix, parse_polygon,
+                      quotient_map)
 from .maya import MayaDiagram, Partition, maya_from_young_charge, \
     young_charge_from_maya
 from .recurrence import (BASE_POINT, BilinearRecurrence, UnsolvableError,
@@ -81,7 +82,7 @@ def _parse_partition(text: str) -> Partition:
     return Partition(tuple(int(x) for x in text.split(",")))
 
 
-def _basis_from_args(args) -> "SublatticeBasis":
+def _basis_from_args(args) -> SublatticeBasis:
     if args.matrix:
         return parse_matrix(args.matrix)
     if args.polygon is None:

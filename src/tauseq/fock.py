@@ -2,8 +2,9 @@
 
 The infinite semi-infinite-wedge space is truncated to a window of 2K
 half-integer positions per component; with s components a basis wedge is a
-choice of occupied positions in each component.  All coefficients are exact
-rationals and every check below is an exact identity, never approximate.
+choice of occupied positions in each component.  Fock-vector coefficients
+are exact rationals, minors and tau tables are ints, and every check below
+is an exact identity, never approximate.
 
 Conventions (all signs derive from these two choices):
   * positions are stored as ints via p -> p - 1/2 (as in tauseq.maya);
@@ -174,8 +175,10 @@ def random_group_element(window: Window, rng: random.Random,
     while True:
         m = tuple(tuple(rng.randint(-bound, bound) for _ in range(n))
                   for _ in range(n))
-        if det_exact(m) != 0:
-            return GroupElement(m)
+        try:
+            return GroupElement(m)  # its check is the one determinant
+        except ValueError:
+            continue
 
 
 def _wedge_slots(wedge: Wedge, window: Window) -> list[int]:
@@ -208,17 +211,17 @@ def tau_discrete(g: GroupElement, n: Sequence[int],
 
 
 def tau_table(g: GroupElement, window: Window,
-              bound: int | None = None) -> dict[tuple[int, ...], Fraction]:
+              bound: int | None = None) -> dict[tuple[int, ...], int]:
     """All tau values on degree-0 charge vectors with |n_c| <= bound."""
     if bound is None:
         bound = window.cutoff - 2
     s = window.components
-    table: dict[tuple[int, ...], Fraction] = {}
+    table: dict[tuple[int, ...], int] = {}
 
     def rec(prefix: tuple[int, ...]) -> None:
         if len(prefix) == s:
             if sum(prefix) == 0:
-                table[prefix] = Fraction(tau_discrete(g, prefix, window))
+                table[prefix] = tau_discrete(g, prefix, window)
             return
         remaining = s - len(prefix) - 1
         for c in range(-bound, bound + 1):

@@ -240,7 +240,7 @@ def generate(rec: BilinearRecurrence, count: int,
 # permutation action on tau tables
 # ---------------------------------------------------------------------------
 
-TauTable = dict[tuple[int, ...], Fraction]
+TauTable = dict[tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
@@ -288,9 +288,9 @@ def act_permutation(sigma: PermutationAction, table: TauTable) -> TauTable:
 
 
 def table_octahedron_residual(table: TauTable,
-                              base: tuple[int, ...]) -> Fraction:
+                              base: tuple[int, ...]) -> int:
     """Three-term octahedral residual read off a tau table at a base point."""
-    def at(shift_a: int, shift_b: int) -> Fraction:
+    def at(shift_a: int, shift_b: int) -> int:
         n = list(base)
         n[shift_a - 1] += 1
         n[shift_b - 1] += 1

@@ -11,6 +11,7 @@ from tauseq.fock import (FockVector, GroupElement, Window, apply_p,
                          random_group_element, tau_discrete,
                          tau_with_insertions, vacuum, vec_add, vec_scale,
                          verify_state_identities)
+from tauseq.intlinalg import det_exact
 
 ONE = Fraction(1)
 
@@ -161,6 +162,42 @@ def test_state_identities_window_too_small():
         verify_state_identities(Window(2, 1))
 
 
+# ------------------------------------------------------- group elements
+
+
+def double_check_draw(window: Window, rng: random.Random,
+                      bound: int) -> tuple[GroupElement, int]:
+    """The draw loop that tested invertibility before GroupElement tested
+    it again, with the number of singular draws it rejected."""
+    n, rejected = window.size, 0
+    while True:
+        m = tuple(tuple(rng.randint(-bound, bound) for _ in range(n))
+                  for _ in range(n))
+        if det_exact(m) != 0:
+            return GroupElement(m), rejected
+        rejected += 1
+
+
+@pytest.mark.parametrize("bound", [1, 3])
+def test_random_group_element_draws_as_double_check(bound):
+    rejected = 0
+    for window in (Window(2, 1), Window(2, 2), Window(3, 4)):
+        for seed in range(6):
+            fast, slow = random.Random(seed), random.Random(seed)
+            for _ in range(4):
+                g, skipped = double_check_draw(window, slow, bound)
+                assert random_group_element(window, fast, bound) == g
+                rejected += skipped
+            assert fast.getstate() == slow.getstate()
+    if bound == 1:
+        assert rejected > 0  # the retry path was taken
+
+
+def test_group_element_rejects_singular_matrix():
+    with pytest.raises(ValueError, match="invertible"):
+        GroupElement(((1, 2), (2, 4)))
+
+
 # ------------------------------------------------------------ tau minors
 
 
@@ -169,6 +206,14 @@ def test_tau_identity_matrix():
     g = identity_element(w)
     assert tau_discrete(g, (0, 0, 0, 0), w) == 1
     assert tau_discrete(g, (1, -1, 0, 0), w) == 0
+
+
+def test_tau_table_holds_int_minors():
+    w = Window(4, 4)
+    g = random_group_element(w, random.Random(4))
+    table = fock.tau_table(g, w, bound=1)
+    assert table and all(type(v) is int for v in table.values())
+    assert all(v == tau_discrete(g, n, w) for n, v in table.items())
 
 
 def test_tau_requires_degree_zero():

@@ -1,6 +1,10 @@
-"""Every import under src/tauseq/ is used by the module that makes it."""
+"""Every import under src/tauseq/ is used by the module that makes it, and
+every annotation there names something the module can resolve."""
 
 import ast
+import importlib
+import inspect
+import typing
 from pathlib import Path
 
 import pytest
@@ -30,3 +34,29 @@ def test_no_unused_imports(path):
 def test_unused_import_is_found():
     source = "from typing import Iterable, Sequence\nx: Sequence[int] = ()\n"
     assert unused_imports(source) == ["Iterable"]
+
+
+def annotated_callables(module):
+    """The module's own functions, classes and the methods of its classes."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            yield obj
+            for member in vars(obj).values():
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                if inspect.isfunction(member):
+                    yield member
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_annotations_resolve(path):
+    module = importlib.import_module(f"tauseq.{path.stem}")
+    for obj in annotated_callables(module):
+        typing.get_type_hints(obj)  # raises NameError on an unknown name

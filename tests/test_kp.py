@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from tauseq import kp
-from tauseq.kp import (add, const, diff, h_series, kp_bilinear_residual, mul,
-                       partitions_up_to, render, scale, schur, sub, variable,
-                       zero)
+from tauseq.kp import (add, const, diff, divide, h_series,
+                       kp_bilinear_residual, mul, partitions_up_to, render,
+                       scale, schur, sub, variable, zero)
 from tauseq.maya import Partition
 
 M = 6
@@ -85,23 +85,31 @@ def test_render_deterministic():
 
 
 # ----------------------------------------------------- complete homogeneous
+# h_series gives the integer series H_n = n! * h_n; h(n) divides it back.
+
+
+def h(n):
+    return divide(h_series(n, M)[n], math.factorial(n))
 
 
 def test_h_series_small():
-    h = h_series(3, M)
-    assert h[0] == const(1, M)
-    assert h[1] == t(1)
+    hs = h_series(3, M)
+    assert hs[0] == const(1, M)
+    assert hs[1] == t(1)
     # h2 = t1^2/2 + t2 ; h3 = t1^3/6 + t1 t2 + t3
-    assert h[2] == add(scale(mul(t(1), t(1)), Fraction(1, 2)), t(2))
-    assert h[3] == add(scale(mul(mul(t(1), t(1)), t(1)), Fraction(1, 6)),
-                       mul(t(1), t(2)), t(3))
+    assert hs[2] == scale(add(scale(mul(t(1), t(1)), Fraction(1, 2)), t(2)),
+                          2)
+    assert hs[3] == scale(add(scale(mul(mul(t(1), t(1)), t(1)),
+                                    Fraction(1, 6)),
+                              mul(t(1), t(2)), t(3)), 6)
+    assert all(type(c) is int for poly in hs for c in poly.values())
 
 
 def test_h_series_matches_truncated_exponential():
     # sum_n h_n z^n = exp(sum_k t_k z^k): compare coefficient of z^n with
     # the explicit exponential expansion sum over compositions
     n_max = 8
-    h = h_series(n_max, n_max)
+    hs = h_series(n_max, n_max)
     # exp(sum_k t_k z^k) = prod_k (sum_a t_k^a z^{k a} / a!), built by
     # convolving one exponential factor at a time
     expected = [const(1, n_max)] + [zero() for _ in range(n_max)]
@@ -119,21 +127,20 @@ def test_h_series_matches_truncated_exponential():
                 fact /= a
         expected = nxt
     for n in range(n_max + 1):
-        assert h[n] == expected[n]
+        assert hs[n] == scale(expected[n], math.factorial(n))
 
 
 # ---------------------------------------------------------------- schur
 
 
 def test_schur_small_partitions():
-    h = h_series(4, M)
     assert schur(Partition(()), M) == const(1, M)
-    assert schur(Partition((2,)), M) == h[2]
+    assert schur(Partition((2,)), M) == h(2)
     # s_{11} = h1^2 - h2 = t1^2/2 - t2
-    assert schur(Partition((1, 1)), M) == sub(mul(t(1), t(1)), h[2])
+    assert schur(Partition((1, 1)), M) == sub(mul(t(1), t(1)), h(2))
     # s_{22} = h2^2 - h3 h1
-    assert schur(Partition((2, 2)), M) == sub(mul(h[2], h[2]),
-                                              mul(h[3], h[1]))
+    assert schur(Partition((2, 2)), M) == sub(mul(h(2), h(2)),
+                                              mul(h(3), h(1)))
 
 
 def test_schur_weight_grading():

@@ -11,7 +11,9 @@ is checked for its declared invariances, and BilinearRecurrence for
 accepting exactly the triples generate can iterate.  Every torsion-free
 strictly convex quadrilateral is checked to give a positive Gale-Robinson
 recurrence (the statement is in the recurrence module docstring), and the
-octahedral relation to hold exactly for random group elements.
+octahedral relation to hold exactly for random group elements.  The
+integer KP path (Schur functions and the bilinear residual) is checked
+against the all-Fraction oracle it replaced (tests/reference_kp.py).
 """
 
 import math
@@ -19,15 +21,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+import reference_kp
 import reference_lattice
 from tauseq.fock import (Window, _independent, octahedron_residual,
                          random_group_element)
+from tauseq.kp import kp_bilinear_residual, schur
 from tauseq.lattice import (EdgePolygon, LatticeError, RankError,
                             SublatticeBasis, TorsionError, edges_to_basis,
                             quotient_map)
+from tauseq.maya import Partition
 from tauseq.oeis import (MatchPolicy, QueryTooShort, StrippedDb,
                          match_sequence, trim_query)
 from tauseq.recurrence import (SIGNS, BilinearRecurrence, SequenceRun,
@@ -397,3 +402,62 @@ def octahedron_cases(draw):
 @given(octahedron_cases())
 def test_octahedron_residual_vanishes(case):
     assert octahedron_residual(*case) == 0
+
+
+# -------------------------------------------------------------------- kp
+
+
+@st.composite
+def schur_cases(draw):
+    """A partition of weight <= 8 and a variable count m in [|lambda|, 10]."""
+    parts, room = [], draw(st.integers(0, 8))
+    while room:
+        part = draw(st.integers(1, min([room] + parts[-1:])))
+        parts.append(part)
+        room -= part
+    return Partition(tuple(parts)), draw(st.integers(sum(parts), 10))
+
+
+@settings(max_examples=150, deadline=None)
+@given(schur_cases())
+def test_schur_matches_fraction_reference(case):
+    lam, m = case
+    poly = schur(lam, m)
+    assert poly == reference_kp.schur(lam, m)
+    assert all(type(c) is Fraction for c in poly.values())
+
+
+COEFFS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def tau_polys(draw):
+    """A polynomial in m in [3, 6] variables with up to 6 terms, exponents
+    up to 4 and Fraction coefficients of mixed denominators."""
+    m = draw(st.integers(3, 6))
+    exps = st.tuples(*[st.integers(0, 4)] * m)
+    terms = draw(st.dictionaries(exps, COEFFS, max_size=6))
+    return {exp: c for exp, c in terms.items() if c}, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(tau_polys())
+@example(({}, 3))
+@example(({(0, 0, 0): Fraction(-7, 3)}, 3))
+@example(({(0, 0, 0, 0): Fraction(5)}, 4))
+def test_kp_residual_matches_fraction_reference(case):
+    tau, m = case
+    residual = kp_bilinear_residual(tau, m)
+    assert residual == reference_kp.kp_bilinear_residual(tau)
+    assert all(type(c) is Fraction for c in residual.values())
+    if len(tau) <= 1 and all(not any(exp) for exp in tau):
+        assert residual == {}  # {} and constants
+
+
+@settings(max_examples=100, deadline=None)
+@given(tau_polys(), COEFFS.filter(bool))
+def test_kp_residual_scales_quadratically(case, c):
+    tau, m = case
+    scaled = {exp: c * x for exp, x in tau.items()}
+    assert kp_bilinear_residual(scaled, m) == \
+        {exp: c * c * x for exp, x in kp_bilinear_residual(tau, m).items()}
