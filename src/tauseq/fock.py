@@ -2,9 +2,9 @@
 
 The infinite semi-infinite-wedge space is truncated to a window of 2K
 half-integer positions per component; with s components a basis wedge is a
-choice of occupied positions in each component.  Fock-vector coefficients
-are exact rationals, minors and tau tables are ints, and every check below
-is an exact identity, never approximate.
+choice of occupied positions in each component.  Fock-vector coefficients,
+minors and tau tables are ints, and every check below is an exact
+identity, never approximate.
 
 Conventions (all signs derive from these two choices):
   * positions are stored as ints via p -> p - 1/2 (as in tauseq.maya);
@@ -14,18 +14,20 @@ Conventions (all signs derive from these two choices):
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .intlinalg import det_exact
+from .recurrence import octahedral_combination
 
 # One component's occupied positions, descending; a wedge is one tuple per
-# component.  Coefficients live in dict[Wedge, Fraction] vectors.
+# component.  Coefficients live in dict[Wedge, int] vectors.
 Component = tuple[int, ...]
 Wedge = tuple[Component, ...]
-FockVector = dict[Wedge, Fraction]
+FockVector = dict[Wedge, int]
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,7 @@ def apply_p(component: int, k: int, vec: FockVector,
     return out
 
 
-def _accumulate(vec: FockVector, wedge: Wedge, coeff: Fraction) -> None:
+def _accumulate(vec: FockVector, wedge: Wedge, coeff: int) -> None:
     new = vec.get(wedge, 0) + coeff
     if new:
         vec[wedge] = new
@@ -142,7 +144,7 @@ def _accumulate(vec: FockVector, wedge: Wedge, coeff: Fraction) -> None:
         vec.pop(wedge, None)
 
 
-def vec_scale(vec: FockVector, c: Fraction) -> FockVector:
+def vec_scale(vec: FockVector, c: int) -> FockVector:
     return {w: c * x for w, x in vec.items()} if c else {}
 
 
@@ -189,10 +191,12 @@ def _wedge_slots(wedge: Wedge, window: Window) -> list[int]:
     return slots
 
 
-def _minor(g: GroupElement, rows: Sequence[int],
-           cols: Sequence[int]) -> int:
-    sub = [[g.matrix[i][j] for j in cols] for i in rows]
-    return det_exact(sub)
+def _covacuum_minor(g: GroupElement, wedge: Wedge, window: Window) -> int:
+    """<Omega| g |wedge>: the minor of g on the neutral-vacuum rows and the
+    wedge's columns, both in global slot order."""
+    rows = _wedge_slots(vacuum((0,) * window.components, window), window)
+    cols = _wedge_slots(wedge, window)
+    return det_exact([[g.matrix[i][j] for j in cols] for i in rows])
 
 
 def tau_discrete(g: GroupElement, n: Sequence[int],
@@ -204,10 +208,7 @@ def tau_discrete(g: GroupElement, n: Sequence[int],
     """
     if sum(n) != 0:
         raise ValueError("charge vector must have degree 0")
-    zero = (0,) * window.components
-    rows = _wedge_slots(vacuum(zero, window), window)
-    cols = _wedge_slots(vacuum(n, window), window)
-    return _minor(g, rows, cols)
+    return _covacuum_minor(g, vacuum(n, window), window)
 
 
 def tau_table(g: GroupElement, window: Window,
@@ -215,61 +216,44 @@ def tau_table(g: GroupElement, window: Window,
     """All tau values on degree-0 charge vectors with |n_c| <= bound."""
     if bound is None:
         bound = window.cutoff - 2
-    s = window.components
-    table: dict[tuple[int, ...], int] = {}
-
-    def rec(prefix: tuple[int, ...]) -> None:
-        if len(prefix) == s:
-            if sum(prefix) == 0:
-                table[prefix] = tau_discrete(g, prefix, window)
-            return
-        remaining = s - len(prefix) - 1
-        for c in range(-bound, bound + 1):
-            if abs(sum(prefix) + c) <= bound * remaining or remaining == 0:
-                rec(prefix + (c,))
-
-    rec(())
-    return table
+    charges = range(-bound, bound + 1)
+    return {n: tau_discrete(g, n, window)
+            for n in itertools.product(charges, repeat=window.components)
+            if sum(n) == 0}
 
 
 def tau_with_insertions(g: GroupElement, n: Sequence[int],
-                        pair: tuple[int, int],
-                        window: Window) -> Fraction | int:
+                        pair: tuple[int, int], window: Window) -> int:
     """<g| psi_{alpha, n_alpha+1/2} psi_{beta, n_beta+1/2} |n>, exact.
 
-    Components in `pair` are 1-based, alpha < beta, deg(n) = -2.  The two
-    insertions raise the charges at alpha and beta by one; the value equals
-    tau_discrete at the raised charge vector times the sorting parity.
+    Components in `pair` are 1-based, alpha < beta, deg(n) = -2.  Each
+    insertion fills the free slot n_c on top of its component, so the value
+    is the covacuum minor of that wedge times the sign of moving each psi
+    past the n_c + K occupied slots of every earlier component c.
     """
     alpha, beta = pair
     if not 1 <= alpha < beta <= window.components:
         raise ValueError("need 1 <= alpha < beta <= s")
     if sum(n) != -2:
         raise ValueError("charge vector must have degree -2")
-    window.check_headroom(n)
-    vec: FockVector = {vacuum(n, window): Fraction(1)}
-    vec = apply_psi(beta - 1, n[beta - 1], vec, window)
-    vec = apply_psi(alpha - 1, n[alpha - 1], vec, window)
-    if not vec:
-        return 0
-    (wedge, coeff), = vec.items()
-    zero = (0,) * window.components
-    rows = _wedge_slots(vacuum(zero, window), window)
-    cols = _wedge_slots(wedge, window)
-    return coeff * _minor(g, rows, cols)
+    wedge = list(vacuum(n, window))  # checks the headroom
+    for c in (alpha - 1, beta - 1):
+        wedge[c] = (n[c],) + wedge[c]
+    passed = (sum(n[:alpha - 1]) + sum(n[:beta - 1])
+              + window.cutoff * (alpha + beta - 2))
+    sign = -1 if passed % 2 else 1
+    return sign * _covacuum_minor(g, tuple(wedge), window)
 
 
 def octahedron_residual(g: GroupElement, n: Sequence[int],
-                        window: Window) -> Fraction | int:
+                        window: Window) -> int:
     """Exact residual of the three-term octahedral identity at base n.
 
     Zero for every invertible g — this is the discrete Hirota/Plucker
     identity the rest of the package builds on.
     """
-    t = lambda p: tau_with_insertions(g, n, p, window)
-    return (t((1, 2)) * t((3, 4))
-            - t((1, 3)) * t((2, 4))
-            + t((1, 4)) * t((2, 3)))
+    return octahedral_combination(
+        lambda pair: tau_with_insertions(g, n, pair, window))
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +261,15 @@ def octahedron_residual(g: GroupElement, n: Sequence[int],
 # ---------------------------------------------------------------------------
 
 def _wedge_over_l(top: tuple[int, int], window: Window) -> Wedge:
-    """v_a v_b |L> with |L> occupying every position below -3/2."""
-    hi, lo = top
-    occ = tuple(sorted((hi, lo), reverse=True)) + tuple(
-        range(-3, -window.cutoff - 1, -1))
-    return (occ,)
+    """v_a v_b |L> (a > b) with |L> occupying every position below -3/2."""
+    return (top + tuple(range(-3, -window.cutoff - 1, -1)),)
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """num/den in lowest terms, as str(Fraction(num, den)) prints it."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def verify_state_identities(window: Window) -> list[dict]:
@@ -289,49 +277,42 @@ def verify_state_identities(window: Window) -> list[dict]:
 
     Each bosonic polynomial in the p_k operators must reproduce a single
     wedge state v_a v_b |L>.  Requires K >= 6 so no term leaves the window.
+    An identity state = P(p)|0> / d is checked on ints as
+    d * state == d * v_a v_b |L>.
     """
     if window.cutoff < 6:
         raise ValueError("window too small: need K >= 6")
     w = Window(window.cutoff, 1)
-    v0: FockVector = {vacuum((0,), w): Fraction(1)}
+    v0: FockVector = {vacuum((0,), w): 1}
     p = lambda k, v: apply_p(0, k, v, w)
-    half = Fraction(1, 2)
 
-    states = {
-        "vacuum": v0,
-        "p1": p(1, v0),
-        "(p1^2+p2)/2": vec_scale(vec_add(p(1, p(1, v0)), p(2, v0)), half),
-        "(p1^2-p2)/2": vec_scale(vec_add(p(1, p(1, v0)),
-                                         vec_scale(p(2, v0), Fraction(-1))),
-                                 half),
-        "(p1^3-p3)/3": vec_scale(
-            vec_add(p(1, p(1, p(1, v0))),
-                    vec_scale(p(3, v0), Fraction(-1))), Fraction(1, 3)),
-        "(p1^4+3p2^2-4p1p3)/12": vec_scale(
-            vec_add(p(1, p(1, p(1, p(1, v0)))),
-                    vec_scale(p(2, p(2, v0)), Fraction(3)),
-                    vec_scale(p(1, p(3, v0)), Fraction(-4))),
-            Fraction(1, 12)),
-    }
+    p1, p2, p3 = (p(k, v0) for k in (1, 2, 3))
+    p11 = p(1, p1)
+    # (identity, denominator d, d * state, target's top positions a, b).
     # Pairings as the operator algebra derives them: the hook expansion of
     # p_2 gives (p1^2+p2)/2 |0> = v_{3/2} v_{-3/2} |L> (the one-row state)
     # and (p1^2-p2)/2 |0> = v_{1/2} v_{-1/2} |L> (the one-column state).
-    expected_tops = {
-        "vacuum": (-1, -2),                      # v_{-1/2} v_{-3/2}
-        "p1": (0, -2),                           # v_{1/2} v_{-3/2}
-        "(p1^2+p2)/2": (1, -2),                  # v_{3/2} v_{-3/2}
-        "(p1^2-p2)/2": (0, -1),                  # v_{1/2} v_{-1/2}
-        "(p1^3-p3)/3": (1, -1),                  # v_{3/2} v_{-1/2}
-        "(p1^4+3p2^2-4p1p3)/12": (1, 0),         # v_{3/2} v_{1/2}
-    }
+    identities = [
+        ("vacuum", 1, v0, (-1, -2)),                    # v_{-1/2} v_{-3/2}
+        ("p1", 1, p1, (0, -2)),                         # v_{1/2} v_{-3/2}
+        ("(p1^2+p2)/2", 2, vec_add(p11, p2), (1, -2)),  # v_{3/2} v_{-3/2}
+        ("(p1^2-p2)/2", 2, vec_add(p11, vec_scale(p2, -1)),
+         (0, -1)),                                      # v_{1/2} v_{-1/2}
+        ("(p1^3-p3)/3", 3, vec_add(p(1, p11), vec_scale(p3, -1)),
+         (1, -1)),                                      # v_{3/2} v_{-1/2}
+        ("(p1^4+3p2^2-4p1p3)/12", 12,
+         vec_add(p(1, p(1, p11)), vec_scale(p(2, p2), 3),
+                 vec_scale(p(1, p3), -4)),
+         (1, 0)),                                       # v_{3/2} v_{1/2}
+    ]
     report = []
-    for name, state in states.items():
-        want: FockVector = {_wedge_over_l(expected_tops[name], w): Fraction(1)}
-        diff = vec_add(state, vec_scale(want, Fraction(-1)))
+    for name, d, state, top in identities:
+        diff = vec_add(state, {_wedge_over_l(top, w): -d})
         report.append({
             "identity": name,
             "ok": not diff,
-            "diff": [{"wedge": [list(c) for c in wdg], "coeff": str(x)}
+            "diff": [{"wedge": [list(c) for c in wdg],
+                      "coeff": _ratio_str(x, d)}
                      for wdg, x in sorted(diff.items())],
         })
     return report

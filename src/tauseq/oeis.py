@@ -82,7 +82,6 @@ class StrippedDb:
 class MatchPolicy:
     trim_leading_ones: bool = True
     min_match_terms: int = 10
-    allow_offset: bool = True
 
     def __post_init__(self) -> None:
         if self.min_match_terms < 4:
@@ -165,10 +164,7 @@ def match_sequence(db: StrippedDb, terms: list[int],
     at = text.find(needle)
     while at >= 0:
         row = bisect.bisect_right(starts, at) - 1
-        # the first occurrence in a row is at its start whenever position
-        # 0 matches, so without offsets a later one is a miss
-        if policy.allow_offset or at == starts[row]:
-            hits.append((a_numbers[row], text.count(",", starts[row], at)))
+        hits.append((a_numbers[row], text.count(",", starts[row], at)))
         at = text.find(needle, starts[row + 1])
     return hits
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .lattice import LatticeError, SublatticeBasis, quotient_map
 
@@ -53,6 +53,13 @@ SIGNS = (1, -1, 1)
 # (alpha beta | gamma delta), (alpha gamma | beta delta), (alpha delta | beta gamma)
 BASE_POINT = (0, 0, -1, -1)
 PAIRINGS = (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3)))
+
+
+def octahedral_combination(t: Callable[[Pair], int]) -> int:
+    """The octahedral relation's left side t12 t34 - t13 t24 + t14 t23,
+    sum_i SIGNS[i] t(p_i) t(q_i) over the PAIRINGS (p_i | q_i), where t
+    gives the value raised at a pair of 1-based components."""
+    return sum(sign * t(p) * t(q) for sign, (p, q) in zip(SIGNS, PAIRINGS))
 
 
 class UnsolvableError(LatticeError):
@@ -290,10 +297,10 @@ def act_permutation(sigma: PermutationAction, table: TauTable) -> TauTable:
 def table_octahedron_residual(table: TauTable,
                               base: tuple[int, ...]) -> int:
     """Three-term octahedral residual read off a tau table at a base point."""
-    def at(shift_a: int, shift_b: int) -> int:
+    def at(pair: Pair) -> int:
         n = list(base)
-        n[shift_a - 1] += 1
-        n[shift_b - 1] += 1
+        for c in pair:
+            n[c - 1] += 1
         return table[tuple(n)]
 
-    return (at(1, 2) * at(3, 4) - at(1, 3) * at(2, 4) + at(1, 4) * at(2, 3))
+    return octahedral_combination(at)

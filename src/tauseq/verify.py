@@ -93,33 +93,45 @@ def verify_states(cutoff: int | None = None, **unused) -> dict:
 
 
 def verify_kp(max_weight: int = 6, **unused) -> dict:
+    if max_weight < 0:
+        raise ValueError(f"--max-weight must be >= 0, got {max_weight}")
+    # weight w needs t_1..t_w, and the residual differentiates in t_1..t_3
+    m = max(max_weight, 3)
     failures = []
     lams = kp.partitions_up_to(max_weight)
     for lam in lams:
-        residual = kp.kp_bilinear_residual(kp.schur(lam))
+        residual = kp.kp_bilinear_residual(kp.schur(lam, m), m)
         if residual:
             failures.append({"partition": list(lam.parts),
                              "residual": kp.render(residual)})
     return _report("kp", len(lams), failures, max_weight=max_weight)
 
 
+SIGMAS = 5  # permutations drawn per tau table
+PROBES = 100  # base points probed per permutation
+
+
 def verify_permutation(trials: int, seed: int, cutoff: int | None = None,
-                       sigmas: int = 5, probes: int = 100, **unused) -> dict:
+                       **unused) -> dict:
     cutoff = 4 if cutoff is None else cutoff
     window = fock.Window(cutoff, 4)
     rng = random.Random(seed)
-    bound = cutoff - 2
-    bases = [n for n in itertools.product(range(-1, 2), repeat=4)
+    # a base's raised points must lie in the table, |n_c| <= cutoff - 2
+    top = min(1, cutoff - 3)
+    bases = [n for n in itertools.product(range(-1, top + 1), repeat=4)
              if sum(n) == -2]
+    if not bases:
+        raise ValueError(f"permutation needs cutoff >= 3, got {cutoff}: "
+                         "no raised base point fits in its tau table")
     failures = []
     for trial in range(trials):
         g = fock.random_group_element(window, rng)
-        table = fock.tau_table(g, window, bound=bound)
-        for _ in range(sigmas):
+        table = fock.tau_table(g, window)
+        for _ in range(SIGMAS):
             perm = list(range(1, 5))
             rng.shuffle(perm)
             acted = act_permutation(PermutationAction(tuple(perm)), table)
-            for _ in range(probes):
+            for _ in range(PROBES):
                 base = rng.choice(bases)
                 residual = table_octahedron_residual(acted, base)
                 if residual != 0:
@@ -127,7 +139,7 @@ def verify_permutation(trials: int, seed: int, cutoff: int | None = None,
                                      "base": list(base),
                                      "residual": str(residual)})
     return _report("permutation", trials, failures, seed=seed, cutoff=cutoff,
-                   sigmas=sigmas, probes=probes)
+                   sigmas=SIGMAS, probes=PROBES)
 
 
 ORACLES = {

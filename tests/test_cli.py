@@ -185,6 +185,21 @@ def test_verify_kp_small(capsys):
     assert obj["failures"] == 0
 
 
+def test_verify_kp_takes_variables_from_max_weight(capsys):
+    # weight 9 needs t_1..t_9, one more than kp's default of 8 variables
+    code, obj = run_json(capsys, "verify", "kp", "--max-weight", "9")
+    assert code == 0
+    assert (obj["trials"], obj["failures"]) == (97, 0)
+
+
+def test_verify_permutation_smallest_cutoff(capsys):
+    # cutoff 3 leaves the six base points that permute (-1, -1, 0, 0)
+    code, obj = run_json(capsys, "verify", "permutation", "--trials", "2",
+                         "--cutoff", "3")
+    assert code == 0
+    assert (obj["trials"], obj["failures"]) == (2, 0)
+
+
 # ------------------------------------------------------------- match/scan
 
 
@@ -269,10 +284,12 @@ def test_scan_output_files(capsys, tmp_path):
     ["verify", "octahedron", "--cutoff", "0"],
     ["verify", "states", "--cutoff", "0"],
     ["verify", "permutation", "--cutoff", "0"],
+    ["verify", "permutation", "--cutoff", "2"],
     ["verify", "plucker", "--dim", "0"],
     ["verify", "plucker4", "--dim", "0"],
     ["verify", "plucker", "--trials", "-5"],
     ["verify", "kp", "--trials", "-1"],
+    ["verify", "kp", "--max-weight", "-1"],
 ], ids=lambda argv: " ".join(argv))
 def test_malformed_input_is_usage_error(capsys, tmp_path, argv):
     truncated = tmp_path / "truncated.gz"

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference_fock
 from tauseq import fock
 from tauseq.fock import (FockVector, GroupElement, Window, apply_p,
                          apply_psi, apply_psi_star, octahedron_residual,
@@ -13,7 +14,7 @@ from tauseq.fock import (FockVector, GroupElement, Window, apply_p,
                          verify_state_identities)
 from tauseq.intlinalg import det_exact
 
-ONE = Fraction(1)
+ONE = 1
 
 
 def basis_vec(wedge) -> FockVector:
@@ -144,8 +145,8 @@ def test_pm_commutator_on_interior_states():
         for state in states:
             ab = apply_p(0, -m, apply_p(0, m, state, w), w)
             ba = apply_p(0, m, apply_p(0, -m, state, w), w)
-            comm = vec_add(ab, vec_scale(ba, Fraction(-1)))
-            assert comm == vec_scale(state, Fraction(m))
+            comm = vec_add(ab, vec_scale(ba, -1))
+            assert comm == vec_scale(state, m)
 
 
 # ------------------------------------------------------- state identities
@@ -155,6 +156,33 @@ def test_state_identities_k6():
     report = verify_state_identities(Window(6, 1))
     assert len(report) == 6
     assert all(r["ok"] for r in report)
+
+
+def test_fock_vectors_hold_ints():
+    w = Window(6, 1)
+    v0 = basis_vec(vacuum((0,), w))
+    state = vec_add(apply_p(0, 1, apply_p(0, 1, v0, w), w),
+                    vec_scale(apply_p(0, 2, v0, w), -1))
+    assert state and all(type(x) is int for x in state.values())
+
+
+def test_failing_identity_reports_reduced_coefficients(monkeypatch):
+    # every target moved to the vacuum's wedge: each identity but the
+    # first leaves d at its own wedge and -d at the vacuum's, which print
+    # reduced by the denominator d as 1 and -1
+    w = Window(6, 1)
+    monkeypatch.setattr(fock, "_wedge_over_l",
+                        lambda top, window: vacuum((0,), window))
+    report = verify_state_identities(w)
+    assert [r["ok"] for r in report] == [True] + [False] * 5
+    for r in report[1:]:
+        assert sorted(d["coeff"] for d in r["diff"]) == ["-1", "1"]
+
+
+def test_ratio_str_prints_as_fraction():
+    for num in range(-30, 31):
+        for den in (1, 2, 3, 12):
+            assert fock._ratio_str(num, den) == str(Fraction(num, den))
 
 
 def test_state_identities_window_too_small():
@@ -222,7 +250,7 @@ def test_tau_requires_degree_zero():
         tau_discrete(identity_element(w), (1, 0, 0, 0), w)
 
 
-def brute_force_tau(g, n, w) -> Fraction:
+def brute_force_tau(g, n, w) -> int:
     """Independent oracle: apply g to the wedge vectors one by one and read
     off the covacuum coefficient, never touching the determinant path."""
     # the rightmost factor of the psi product acts first, so apply the
@@ -243,14 +271,14 @@ def brute_force_tau(g, n, w) -> Fraction:
             c, p = slot_to_pos[i]
             contrib = apply_psi(c, p, vec, w)
             for wedge, x in contrib.items():
-                cur = new.get(wedge, 0) + Fraction(coeff) * x
+                cur = new.get(wedge, 0) + coeff * x
                 if cur:
                     new[wedge] = cur
                 else:
                     new.pop(wedge, None)
         vec = new
     target = vacuum((0,) * w.components, w)
-    return vec.get(target, Fraction(0))
+    return vec.get(target, 0)
 
 
 def test_tau_against_brute_force_expansion():
@@ -260,7 +288,7 @@ def test_tau_against_brute_force_expansion():
     for _ in range(5):
         g = random_group_element(w, rng)
         for n in charge_vectors:
-            assert Fraction(tau_discrete(g, n, w)) == brute_force_tau(g, n, w)
+            assert tau_discrete(g, n, w) == brute_force_tau(g, n, w)
 
 
 def test_tau_multilinear_in_rows():
@@ -275,7 +303,16 @@ def test_tau_multilinear_in_rows():
         assert tau_discrete(g2, n, w) == 3 * tau_discrete(g, n, w)
 
 
+def sorting_sign(slots: list[int]) -> int:
+    """Sign of the permutation that sorts distinct slots ascending."""
+    inversions = sum(1 for i, a in enumerate(slots) for b in slots[i + 1:]
+                     if a > b)
+    return -1 if inversions % 2 else 1
+
+
 def test_insertions_match_raised_tau():
+    # psi_alpha psi_beta |n> is the raised vacuum up to the sign of sorting
+    # the two inserted slots, written in front, into the wedge's slots
     w = Window(3, 4)
     rng = random.Random(23)
     for _ in range(50):
@@ -285,9 +322,28 @@ def test_insertions_match_raised_tau():
             raised = list(n)
             raised[pair[0] - 1] += 1
             raised[pair[1] - 1] += 1
+            inserted = [w.slot(c - 1, n[c - 1]) for c in pair]
+            sign = sorting_sign(inserted + fock._wedge_slots(vacuum(n, w), w))
             t_ins = tau_with_insertions(g, n, pair, w)
-            t_plain = tau_discrete(g, tuple(raised), w)
-            assert abs(t_ins) == abs(t_plain)
+            assert type(t_ins) is int
+            assert t_ins == sign * tau_discrete(g, tuple(raised), w)
+
+
+PAIRS = list(itertools.combinations(range(1, 5), 2))
+
+
+@pytest.mark.parametrize("cutoff", [3, 4, 5])
+def test_insertions_match_engine_reference(cutoff):
+    # every degree -2 base within the headroom, all six pairs, exact sign
+    w = Window(cutoff, 4)
+    g = random_group_element(w, random.Random(cutoff))
+    room = range(2 - cutoff, cutoff - 1)
+    bases = [n for n in itertools.product(room, repeat=4) if sum(n) == -2]
+    for n in bases:
+        for pair in PAIRS:
+            got = tau_with_insertions(g, n, pair, w)
+            assert type(got) is int
+            assert got == reference_fock.tau_with_insertions(g, n, pair, w)
 
 
 def test_insertion_into_occupied_slot_is_zero():
@@ -326,7 +382,8 @@ def test_octahedron_random_trials():
             n = tuple(rng.randint(-1, 1) for _ in range(4))
             if sum(n) == -2:
                 break
-        assert octahedron_residual(g, n, w) == 0
+        residual = octahedron_residual(g, n, w)
+        assert type(residual) is int and residual == 0
 
 
 def test_octahedron_zero_factor():

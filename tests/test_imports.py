@@ -1,5 +1,6 @@
-"""Every import under src/tauseq/ is used by the module that makes it, and
-every annotation there names something the module can resolve."""
+"""Every import under src/tauseq/ is used by the module that makes it,
+every annotation there names something the module can resolve, and only
+the two modules with a rational end import fractions."""
 
 import ast
 import importlib
@@ -34,6 +35,35 @@ def test_no_unused_imports(path):
 def test_unused_import_is_found():
     source = "from typing import Iterable, Sequence\nx: Sequence[int] = ()\n"
     assert unused_imports(source) == ["Iterable"]
+
+
+# recurrence: generate's tail after a division with a remainder;
+# kp: schur and kp_bilinear_residual take and return Fraction coefficients
+FRACTION_MODULES = {"recurrence", "kp"}
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules an import statement brings in."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_only_the_rational_ends_import_fractions():
+    users = {path.stem for path in SRC.glob("*.py")
+             if "fractions" in imported_modules(
+                 path.read_text(encoding="utf-8"))}
+    assert users <= FRACTION_MODULES
+
+
+def test_fractions_import_is_found():
+    assert "fractions" in imported_modules("from fractions import Fraction\n")
+    assert "fractions" in imported_modules("import fractions as fr\n")
+    assert "fractions" not in imported_modules("from .fractions import x\n")
 
 
 def annotated_callables(module):

@@ -102,19 +102,11 @@ def test_index_holds_terms_past_int_str_digit_limit():
     assert sys.get_int_max_str_digits() == limit
 
 
-def test_match_requires_offset_zero_when_disabled():
-    db = load_stripped(SAMPLE)
-    policy = MatchPolicy(min_match_terms=8, allow_offset=False)
-    # found only at position 3
-    assert match_sequence(db, [1, 2, 3, 5, 8, 13, 21, 34, 55], policy) == []
-    assert match_sequence(db, [0, 1, 1, 2, 3, 5, 8, 13, 21], policy) == \
-        [("A000045", 0)]
-    # found at 0 and again at 4: position 0, once, with or without offsets
+def test_match_reports_first_position_once():
+    # found at 0 and again at 4: position 0, once
     twice = StrippedDb(entries={"A000007": [2, 3, 4, 5, 2, 3, 4, 5, 2]})
-    for allow_offset in (False, True):
-        assert match_sequence(twice, [2, 3, 4, 5], MatchPolicy(
-            min_match_terms=4, allow_offset=allow_offset)) == \
-            [("A000007", 0)]
+    assert match_sequence(twice, [2, 3, 4, 5],
+                          MatchPolicy(min_match_terms=4)) == [("A000007", 0)]
 
 
 def test_match_reference_sequence_in_fixture():

@@ -264,14 +264,12 @@ def test_quotient_map_matches_kernel_reference(rows):
 
 def reference_match(db: StrippedDb, terms, policy: MatchPolicy):
     """The former match_sequence: sort the A-numbers, then slice-compare
-    every entry at every allowed offset."""
+    every entry at every offset."""
     query = trim_query(terms, policy)
     hits = []
     for a_number in sorted(db.entries):
         entry = db.entries[a_number]
-        positions = range(len(entry) - len(query) + 1) \
-            if policy.allow_offset else range(1)
-        for start in positions:
+        for start in range(len(entry) - len(query) + 1):
             if entry[start:start + len(query)] == query:
                 hits.append((a_number, start))
                 break
@@ -287,8 +285,7 @@ ROWS = st.integers(1, 40).flatmap(
     | st.lists(TERM, min_size=n, max_size=n))
 A_NUMBERS = st.integers(0, 999_999).map("A{:06d}".format)
 POLICIES = st.builds(MatchPolicy, trim_leading_ones=st.booleans(),
-                     min_match_terms=st.integers(4, 12),
-                     allow_offset=st.booleans())
+                     min_match_terms=st.integers(4, 12))
 
 
 @st.composite
