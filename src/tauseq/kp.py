@@ -112,6 +112,10 @@ def render(p: MultiPoly) -> str:
     return " + ".join(pieces).replace("+ -", "- ")
 
 
+# m -> H_0..H_n; a longer series is stored as a new list, never extended
+_H_SERIES: dict[int, list[MultiPoly]] = {}
+
+
 def h_series(max_n: int, m: int = DEFAULT_VARS) -> list[MultiPoly]:
     """Integer series H_n = n! * h_n for n = 0..max_n, in t_1..t_m.
 
@@ -119,18 +123,20 @@ def h_series(max_n: int, m: int = DEFAULT_VARS) -> list[MultiPoly]:
     sum_n h_n z^n = exp(sum_{k<=m} t_k z^k).  Their derivative recurrence
     n*h_n = sum_k k*t_k*h_{n-k}, multiplied by (n-1)!, becomes
     H_n = sum_k k*(n-1)!/(n-k)! * t_k * H_{n-k}, which stays on ints.
+    Each H_n is built once per m and shared: callers must not change it.
     """
     if m < 1:
         raise ValueError("need at least one variable")
-    hs = [const(1, m)]
-    for n in range(1, max_n + 1):
+    hs = list(_H_SERIES.get(m, [const(1, m)]))
+    for n in range(len(hs), max_n + 1):
         acc = zero()
         falling = 1  # (n-1)!/(n-k)!
         for k in range(1, min(n, m) + 1):
             acc = add(acc, scale(mul(variable(k, m), hs[n - k]), k * falling))
             falling *= n - k
         hs.append(acc)
-    return hs
+    _H_SERIES[m] = hs
+    return hs[:max_n + 1]
 
 
 def schur(lam: Partition, m: int = DEFAULT_VARS) -> MultiPoly:

@@ -36,6 +36,15 @@ Adv. Appl. Math. 28, 2002).  The plus pairs coincide, giving
 T(n) T(n-N) = 2 T(n-p) T(n-N+p), exactly when e1 || e3 (p13 = 0) or
 e2 || e4 (p12 = p23).  tests/test_properties.py checks the statement on
 random quadrilaterals with coordinates up to 50.
+
+The scan's key.  Up to p <-> N - p and q <-> N - q, (N, p, q) =
+(p12 + p13 + p23, p12, p12 + p13), and a plus pair T(n-p) T(n-N+p) is
+the offsets (-(N-s)/2, -(N+s)/2) with spread s = |N - 2p|, beside the
+minus pair (0, -N).  Reflection, translation and the plus-pair swap keep
+the spreads, so (N, s_lo, s_hi), the plus spreads in order, fixes the
+canonical pairs: scan.scan_one keys each cycle by it.  tests/test_scan.py
+checks on every cycle at bounds 0-6 that the key gives derive_recurrence's
+pairs, or that both skip the cycle as torsion.
 """
 
 from __future__ import annotations

@@ -1,14 +1,14 @@
-"""Scan 4-edge convex lattice polygons: derive, dedup, generate, match.
+"""Scan 4-edge convex lattice polygons: key, dedup, derive, generate, match.
 
 Each piece of work happens once.  The enumeration emits one polygon per
 rotation class, in lexicographic order of its edge cycle.  The unit of
 parallel work is a slice of first edges taken by stride: a slice
-enumerates its own cycles, derives each basis, and keeps the first edge
-cycle of each distinct recurrence.  The parent merges the slices by
-keeping, per recurrence, the smallest edge cycle, which is the one a serial
-walk in enumeration order meets first.  So 1-worker and N-worker runs are
-byte-identical.  The parent then builds the record of each kept recurrence
-once, which is where it is generated and matched.
+enumerates its own cycles, keys each one by three 2x2 minors of its edges,
+and keeps the first edge cycle of each distinct key.  The parent merges
+the slices by keeping, per key, the smallest edge cycle, which is the one a
+serial walk in enumeration order meets first.  So 1-worker and N-worker
+runs are byte-identical.  The parent then builds the record of each kept
+key once, which is where it is derived, generated and matched.
 """
 
 from __future__ import annotations
@@ -16,13 +16,12 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable
 
-from .lattice import (LatticeError, RankError, SublatticeBasis, TorsionError,
-                      edges_to_basis)
+from .lattice import edges_to_basis
 from .oeis import MatchPolicy, QueryTooShort, StrippedDb, match_sequence
-from .recurrence import (BilinearRecurrence, UnsolvableError,
-                         derive_recurrence, generate, term_str)
+from .recurrence import derive_recurrence, generate, term_str
 
 
 @dataclass(frozen=True)
@@ -40,6 +39,8 @@ class ScanConfig:
 
 Edge = tuple[int, int]
 Cycle = tuple[Edge, Edge, Edge, Edge]
+# Gale-Robinson coordinates (N, s_lo, s_hi) of a cycle's recurrence
+Key = tuple[int, int, int]
 
 
 def enumerate_edge_cycles(bound: int, start: int = 0, step: int = 1
@@ -75,26 +76,25 @@ def enumerate_edge_cycles(bound: int, start: int = 0, step: int = 1
     return cycles
 
 
-def scan_one(basis: SublatticeBasis) -> BilinearRecurrence | str:
-    """Derive a basis: its canonical recurrence, or the reason it is
-    skipped."""
-    try:
-        return derive_recurrence(basis)
-    except TorsionError:
+def scan_one(edges: Cycle) -> Key | str:
+    """The key (N, s_lo, s_hi) of the recurrence a convex cycle derives, or
+    "torsion", from p_ij = cross(e_i, e_j); see the recurrence module
+    docstring.  Equal keys are equal recurrences."""
+    (x1, y1), (x2, y2), (x3, y3), _ = edges
+    p12 = x1 * y2 - y1 * x2
+    p13 = x1 * y3 - y1 * x3
+    p23 = x2 * y3 - y2 * x3
+    if gcd(p12, p13, p23) != 1:
         return "torsion"
-    except UnsolvableError:
-        return "unsolvable"
-    except RankError:
-        return "rank"
-    except LatticeError as exc:  # pragma: no cover - defensive
-        return f"lattice: {exc}"
+    n = p12 + p13 + p23
+    s3, s1 = abs(n - 2 * p12), abs(n - 2 * (p12 + p13))
+    return (n, s1, s3) if s1 <= s3 else (n, s3, s1)
 
 
-def complete_record(edges: Cycle, rec: BilinearRecurrence, cfg: ScanConfig,
-                    db: StrippedDb) -> dict:
-    """The output record of a kept recurrence and the edge cycle it was
-    first derived from: basis, recurrence, dedup key (the JSON text of the
-    canonical pairs), generate status, terms and OEIS matches.
+def complete_record(edges: Cycle, cfg: ScanConfig, db: StrippedDb) -> dict:
+    """The output record of a kept edge cycle: basis, derived recurrence,
+    dedup key (the JSON text of the canonical pairs), generate status,
+    terms and OEIS matches.
 
     The run has max(cfg.terms, rec.window) terms from the all-ones window,
     so a recurrence whose window is at least cfg.terms takes no step: its
@@ -103,6 +103,7 @@ def complete_record(edges: Cycle, rec: BilinearRecurrence, cfg: ScanConfig,
     (657 and 855 of the 940 bound-5 records at 24 terms).
     """
     basis = edges_to_basis(edges)
+    rec = derive_recurrence(basis)
     recurrence = rec.to_json_dict()
     record = {"basis": [list(basis.a), list(basis.b)],
               "recurrence": recurrence,
@@ -122,22 +123,22 @@ def complete_record(edges: Cycle, rec: BilinearRecurrence, cfg: ScanConfig,
     return record
 
 
-# one slice's (total, skip counts by reason, {recurrence: first edge cycle})
-Slice = tuple[int, dict[str, int], dict[BilinearRecurrence, Cycle]]
+# one slice's (total, skip counts by reason, {key: first edge cycle})
+Slice = tuple[int, dict[str, int], dict[Key, Cycle]]
 
 
 def scan_slice(bound: int, start: int = 0, step: int = 1) -> Slice:
-    """Enumerate and derive the cycles whose first edge is in the slice
-    vectors[start::step]; keep the first edge cycle of each recurrence."""
+    """Enumerate and key the cycles whose first edge is in the slice
+    vectors[start::step]; keep the first edge cycle of each key."""
     skipped: dict[str, int] = {}
-    firsts: dict[BilinearRecurrence, Cycle] = {}
+    firsts: dict[Key, Cycle] = {}
     cycles = enumerate_edge_cycles(bound, start, step)
     for edges in cycles:
-        rec = scan_one(edges_to_basis(edges))
-        if isinstance(rec, str):
-            skipped[rec] = skipped.get(rec, 0) + 1
+        key = scan_one(edges)
+        if isinstance(key, str):
+            skipped[key] = skipped.get(key, 0) + 1
         else:
-            firsts.setdefault(rec, edges)
+            firsts.setdefault(key, edges)
     return len(cycles), skipped, firsts
 
 
@@ -147,22 +148,22 @@ _STATUS_COUNTER = {"ok": "integral", "non-integral": "non_integral"}
 
 def merge_slices(slices: Iterable[Slice], cfg: ScanConfig,
                  db: StrippedDb) -> tuple[list[dict], dict]:
-    """Sum the slices' counts, keep the least edge cycle per recurrence,
-    and complete each kept recurrence once, sorted by dedup key."""
+    """Sum the slices' counts, keep the least edge cycle per key, and
+    complete each kept cycle once, sorted by dedup key."""
     summary = {"total": 0, "skipped": {}, "integral": 0, "non_integral": 0,
                "degenerate": 0, "matched": 0, "unmatched": 0,
                "duplicates": 0, "unique": 0}
-    kept: dict[BilinearRecurrence, Cycle] = {}
+    kept: dict[Key, Cycle] = {}
     for total, skipped, firsts in slices:
         summary["total"] += total
         for reason, count in skipped.items():
             summary["skipped"][reason] = \
                 summary["skipped"].get(reason, 0) + count
-        for rec, edges in firsts.items():
-            if rec not in kept or edges < kept[rec]:
-                kept[rec] = edges
-    records = sorted((complete_record(edges, rec, cfg, db)
-                      for rec, edges in kept.items()),
+        for key, edges in firsts.items():
+            if key not in kept or edges < kept[key]:
+                kept[key] = edges
+    records = sorted((complete_record(edges, cfg, db)
+                      for edges in kept.values()),
                      key=lambda record: record["dedup_key"])
     for record in records:
         summary[_STATUS_COUNTER.get(record["status"], "degenerate")] += 1
@@ -175,7 +176,7 @@ def merge_slices(slices: Iterable[Slice], cfg: ScanConfig,
 
 def run_scan(cfg: ScanConfig, db: StrippedDb,
              workers: int = 1) -> tuple[list[dict], dict]:
-    """Scan every enumerated basis; return (sorted records, summary)."""
+    """Scan every enumerated cycle; return (sorted records, summary)."""
     if workers <= 1:
         return merge_slices([scan_slice(cfg.bound)], cfg, db)
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -38,6 +38,9 @@ def _random_base_point(rng: random.Random, s: int) -> tuple[int, ...]:
 def verify_octahedron(trials: int, seed: int, cutoff: int | None = None,
                       **unused) -> dict:
     cutoff = 4 if cutoff is None else cutoff
+    if cutoff < 3:  # a drawn base has entries in {-1, 0, 1}
+        raise ValueError(f"octahedron needs cutoff >= 3, got {cutoff}: "
+                         "no base point fits in its headroom")
     window = fock.Window(cutoff, 4)
     rng = random.Random(seed)
     failures = []

@@ -1,8 +1,10 @@
-"""Reference scan: the ordered walk that `tauseq.scan.run_scan` replaced
-with merged first-edge slices.  Every basis is derived (on a pool that
+"""Reference scan: the per-basis derive and the ordered walk that
+`tauseq.scan.run_scan` replaced with keyed, merged first-edge slices.
+Every cycle builds its basis and derives its recurrence (on a pool that
 receives the bases, when workers > 1), the derived recurrences are walked
 in enumeration order, and the first of each recurrence is completed.
-Tests compare the sliced scan against it.
+Tests compare the keyed scan against it, and map `scan_one`'s keys back
+to recurrences with `from_key`.
 """
 
 from __future__ import annotations
@@ -10,13 +12,37 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Iterator
 
-from tauseq.lattice import SublatticeBasis, edges_to_basis
+from tauseq.lattice import (LatticeError, RankError, SublatticeBasis,
+                            TorsionError, edges_to_basis)
 from tauseq.oeis import StrippedDb
-from tauseq.recurrence import BilinearRecurrence
-from tauseq.scan import (ScanConfig, complete_record, enumerate_edge_cycles,
-                         scan_one)
+from tauseq.recurrence import (BilinearRecurrence, Pair, UnsolvableError,
+                               canonicalize_pairs, derive_recurrence)
+from tauseq.scan import ScanConfig, complete_record, enumerate_edge_cycles
 
 _STATUS_COUNTER = {"ok": "integral", "non-integral": "non_integral"}
+
+
+def reference_scan_one(basis: SublatticeBasis) -> BilinearRecurrence | str:
+    """Derive a basis: its canonical recurrence, or the reason it is
+    skipped."""
+    try:
+        return derive_recurrence(basis)
+    except TorsionError:
+        return "torsion"
+    except UnsolvableError:
+        return "unsolvable"
+    except RankError:
+        return "rank"
+    except LatticeError as exc:  # pragma: no cover - defensive
+        return f"lattice: {exc}"
+
+
+def from_key(n: int, lo: int, hi: int) -> tuple[Pair, Pair, Pair]:
+    """The canonical pairs of the Gale-Robinson recurrence with window n
+    and plus-pair spreads lo <= hi: the minus pair (0, -n) and the two
+    plus pairs with the same sum -n and those spreads."""
+    return canonicalize_pairs([(-(n - lo) // 2, -(n + lo) // 2), (0, -n),
+                               (-(n - hi) // 2, -(n + hi) // 2)])
 
 
 def reference_bases(cfg: ScanConfig) -> Iterator[SublatticeBasis]:
@@ -26,9 +52,9 @@ def reference_bases(cfg: ScanConfig) -> Iterator[SublatticeBasis]:
 
 def collect(derived: Iterable[tuple[tuple, BilinearRecurrence | str]],
             cfg: ScanConfig, db: StrippedDb) -> tuple[list[dict], dict]:
-    """One pass over (edge cycle, scan_one result) in enumeration order:
-    count skips and duplicates, and complete the first cycle of each
-    distinct recurrence."""
+    """One pass over (edge cycle, reference_scan_one result) in
+    enumeration order: count skips and duplicates, and complete the first
+    cycle of each distinct recurrence."""
     summary = {"total": 0, "skipped": {}, "integral": 0, "non_integral": 0,
                "degenerate": 0, "matched": 0, "unmatched": 0,
                "duplicates": 0, "unique": 0}
@@ -41,7 +67,7 @@ def collect(derived: Iterable[tuple[tuple, BilinearRecurrence | str]],
         if rec in kept:
             summary["duplicates"] += 1
             continue
-        kept[rec] = record = complete_record(edges, rec, cfg, db)
+        kept[rec] = record = complete_record(edges, cfg, db)
         summary[_STATUS_COUNTER.get(record["status"], "degenerate")] += 1
         summary["matched" if record["matches"] else "unmatched"] += 1
     summary["unique"] = len(kept)
@@ -54,7 +80,7 @@ def reference_scan(cfg: ScanConfig, db: StrippedDb,
     cycles = enumerate_edge_cycles(cfg.bound)
     bases = map(edges_to_basis, cycles)
     if workers <= 1:
-        return collect(zip(cycles, map(scan_one, bases)), cfg, db)
+        return collect(zip(cycles, map(reference_scan_one, bases)), cfg, db)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return collect(zip(cycles, pool.map(scan_one, bases, chunksize=64)),
-                       cfg, db)
+        return collect(zip(cycles, pool.map(reference_scan_one, bases,
+                                            chunksize=64)), cfg, db)

@@ -33,6 +33,10 @@ def test_tracer_counts_every_enumerated_and_derived_cycle():
     assert tracer.missing == ["intlinalg.rank"]
     assert tracer.counters.enumerate_cycles == summary["total"] == 194
     layers = tracer.aggregate()
-    for layer in ("scan.scan_one", "lattice.quotient_map",
+    assert layers["scan.scan_one"]["calls"] == summary["total"]
+    # scan_one keys each cycle from its minors; only the kept cycle of
+    # each key builds a basis and derives its recurrence
+    assert summary["unique"] == 8
+    for layer in ("lattice.basis", "lattice.quotient_map",
                   "recurrence.derive"):
-        assert layers[layer]["calls"] == summary["total"], layer
+        assert layers[layer]["calls"] == summary["unique"], layer

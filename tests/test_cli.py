@@ -192,6 +192,14 @@ def test_verify_kp_takes_variables_from_max_weight(capsys):
     assert (obj["trials"], obj["failures"]) == (97, 0)
 
 
+def test_verify_octahedron_smallest_cutoff(capsys):
+    # cutoff 3 leaves headroom |n_c| <= 1 for every drawn base point
+    code, obj = run_json(capsys, "verify", "octahedron", "--trials", "2",
+                         "--cutoff", "3")
+    assert code == 0
+    assert (obj["trials"], obj["failures"]) == (2, 0)
+
+
 def test_verify_permutation_smallest_cutoff(capsys):
     # cutoff 3 leaves the six base points that permute (-1, -1, 0, 0)
     code, obj = run_json(capsys, "verify", "permutation", "--trials", "2",
@@ -282,6 +290,8 @@ def test_scan_output_files(capsys, tmp_path):
     ["scan", "--bound", "1", "--oeis", "TRUNCATED"],
     ["scan", "--bound", "1", "--output", "MISSING"],
     ["verify", "octahedron", "--cutoff", "0"],
+    ["verify", "octahedron", "--cutoff", "2", "--trials", "0"],
+    ["verify", "octahedron", "--cutoff", "2", "--trials", "1"],
     ["verify", "states", "--cutoff", "0"],
     ["verify", "permutation", "--cutoff", "0"],
     ["verify", "permutation", "--cutoff", "2"],

@@ -105,6 +105,18 @@ def test_h_series_small():
     assert all(type(c) is int for poly in hs for c in poly.values())
 
 
+def test_h_series_prefix_is_its_own_list():
+    # a series is built once per variable count and shared between calls:
+    # a shorter call after a longer one gets exactly its prefix, and a
+    # caller that edits the returned list leaves later calls unchanged
+    long = h_series(6, 7)
+    short = h_series(2, 7)
+    assert short == long[:3]
+    short.append(zero())
+    short[0] = zero()
+    assert h_series(6, 7) == long
+
+
 def test_h_series_matches_truncated_exponential():
     # sum_n h_n z^n = exp(sum_k t_k z^k): compare coefficient of z^n with
     # the explicit exponential expansion sum over compositions

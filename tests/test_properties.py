@@ -11,9 +11,11 @@ is checked for its declared invariances, and BilinearRecurrence for
 accepting exactly the triples generate can iterate.  Every torsion-free
 strictly convex quadrilateral is checked to give a positive Gale-Robinson
 recurrence (the statement is in the recurrence module docstring), and the
-octahedral relation to hold exactly for random group elements.  The
-integer KP path (Schur functions and the bilinear residual) is checked
-against the all-Fraction oracle it replaced (tests/reference_kp.py).
+scan's key of its edge cycle to map back to that recurrence, or both to
+say torsion.  The octahedral relation is checked to hold exactly for
+random group elements.  The integer KP path (Schur functions and the
+bilinear residual) is checked against the all-Fraction oracle it replaced
+(tests/reference_kp.py).
 """
 
 import math
@@ -26,6 +28,7 @@ from hypothesis import strategies as st
 
 import reference_kp
 import reference_lattice
+from reference_scan import from_key
 from tauseq.fock import (Window, _independent, octahedron_residual,
                          random_group_element)
 from tauseq.kp import kp_bilinear_residual, schur
@@ -38,6 +41,7 @@ from tauseq.oeis import (MatchPolicy, QueryTooShort, StrippedDb,
 from tauseq.recurrence import (SIGNS, BilinearRecurrence, SequenceRun,
                                UnsolvableError, canonicalize_pairs,
                                derive_recurrence, generate)
+from tauseq.scan import scan_one
 
 
 def fraction_rank(matrix) -> int:
@@ -374,6 +378,25 @@ def test_convex_quadrilateral_gives_positive_gale_robinson(vertices):
     run = generate(rec, rec.window + 24)
     assert run.status == "ok"
     assert all(t > 0 for t in run.terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(convex_quadrilaterals().filter(_strictly_convex))
+@example(((0, 0), (3, 0), (2, 1), (0, 1)))  # e1 || e3: p = q
+@example(((0, 1), (0, 0), (3, 0), (2, 1)))  # e2 || e4: p = q
+@example(((0, 0), (5, 1), (3, 2), (1, 1)))  # the same quadrilateral from
+@example(((5, 1), (3, 2), (1, 1), (0, 0)))  # each vertex: p <-> N - p
+@example(((3, 2), (1, 1), (0, 0), (5, 1)))
+@example(((1, 1), (0, 0), (5, 1), (3, 2)))
+def test_scan_key_maps_to_derived_recurrence(vertices):
+    edges = EdgePolygon(vertices).edges
+    key = scan_one(edges)
+    try:
+        rec = derive_recurrence(edges_to_basis(edges))
+    except TorsionError:
+        assert key == "torsion"
+        return
+    assert from_key(*key) == rec.pairs
 
 
 # ------------------------------------------------------------ octahedron

@@ -3,10 +3,11 @@ import json
 
 import pytest
 
-from tauseq.lattice import edges_to_basis, parse_matrix
+from tauseq.lattice import edges_to_basis
 from tauseq.oeis import load_fixture
-from tauseq.recurrence import generate, term_str
-from reference_scan import reference_bases, reference_scan
+from tauseq.recurrence import derive_recurrence, generate, term_str
+from reference_scan import (from_key, reference_bases, reference_scan,
+                            reference_scan_one)
 from tauseq.scan import (ScanConfig, complete_record, enumerate_edge_cycles,
                          merge_slices, run_scan, scan_one, scan_slice,
                          write_jsonl, write_summary)
@@ -96,15 +97,15 @@ def test_enumerate_one_representative_per_rotation():
 
 
 def test_scan_one_torsion_skip():
-    basis = parse_matrix("2,-2,0,0;0,0,1,-1")
-    assert scan_one(basis) == "torsion"
+    # the columns of the basis 2,-2,0,0;0,0,1,-1
+    assert scan_one(((2, 0), (-2, 0), (0, 1), (0, -1))) == "torsion"
 
 
 def test_scan_one_reference_basis():
     cfg = ScanConfig(bound=5, terms=24)
     edges = ((5, 1), (-2, 1), (-2, -1), (-1, -1))
-    record = complete_record(edges, scan_one(edges_to_basis(edges)), cfg,
-                             load_fixture())
+    assert scan_one(edges) == (8, 0, 6)
+    record = complete_record(edges, cfg, load_fixture())
     assert record["basis"] == [[5, -2, -2, -1], [1, 1, -1, -1]]
     assert record["dedup_key"] == "[[0, 0], [4, -4], [3, -3]]"
     assert record["status"] == "ok"
@@ -170,21 +171,41 @@ def test_records_sorted_and_deduped():
 
 
 def test_dedup_key_determines_terms():
-    # every non-skipped basis generates exactly the terms of the record kept
-    # for its key, so completing only the first basis per key loses nothing
+    # every non-skipped cycle generates exactly the terms of the record kept
+    # for its key, so completing only the first cycle per key loses nothing
     cfg = ScanConfig(bound=3, terms=24)
     records, summary = run_scan(cfg, load_fixture())
     kept = {r["dedup_key"]: r["terms"] for r in records}
     checked = 0
-    for basis in reference_bases(cfg):
-        rec = scan_one(basis)
-        if isinstance(rec, str):
+    for edges in enumerate_edge_cycles(cfg.bound):
+        if isinstance(scan_one(edges), str):
             continue
+        rec = derive_recurrence(edges_to_basis(edges))
         run = generate(rec, max(cfg.terms, rec.window))
         key = json.dumps([list(pair) for pair in rec.pairs])
         assert [term_str(t) for t in run.terms] == kept[key]
         checked += 1
     assert checked == summary["unique"] + summary["duplicates"]
+
+
+def test_scan_one_keys_match_reference_derive():
+    # the key of every cycle at bounds 0-6 maps back to the recurrence the
+    # per-basis derive gives, or both skip it for the same reason, and
+    # distinct keys are distinct recurrences
+    keys, recs, checked = set(), set(), 0
+    for bound in range(7):
+        for edges in enumerate_edge_cycles(bound):
+            checked += 1
+            key = scan_one(edges)
+            want = reference_scan_one(edges_to_basis(edges))
+            if isinstance(want, str):
+                assert key == want, edges
+                continue
+            assert from_key(*key) == want.pairs, edges
+            keys.add(key)
+            recs.add(want)
+    assert checked == 120872
+    assert len(keys) == len(recs) == 2125
 
 
 @pytest.mark.parametrize("bound,sha256,summary", SCAN_GOLDEN,
