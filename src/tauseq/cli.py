@@ -141,10 +141,15 @@ def cmd_verify(args) -> int:
 
 
 def _load_db(args) -> oeis.StrippedDb:
-    if args.oeis:
-        with open(args.oeis, "rb") as fh:
-            return oeis.load_stripped(fh)
-    return oeis.load_fixture()
+    if not args.oeis:
+        return oeis.load_fixture()
+    with open(args.oeis, "rb") as fh:
+        db = oeis.load_stripped(fh)
+    if db.malformed:
+        count = len(db.malformed)
+        print(f"oeis: skipped {count} malformed line{'s' * (count != 1)} "
+              f"(first: line {db.malformed[0][0]})", file=sys.stderr)
+    return db
 
 
 def cmd_scan(args) -> int:

@@ -2,9 +2,13 @@
 live search client.
 
 The stripped format is one sequence per line: "A000045 ,0,1,1,2,3,...,".
-A query is matched by one text search: the first match against a snapshot
-joins its entries, in A-number order, into one text of canonical rows
-",t0,t1,...," and every query then looks for ",q0,q1,...," in it.
+Loading keeps each entry as its canonical row text ",t0,t1,...,": a line
+already in that form is stored as it stands, and any other accepted form
+(leading zeros, "+5", "-0", spaces, "_" separators, empty fields, no
+trailing comma) goes through int() and str() once, at load.  A query is
+matched by one text search: the first match against a snapshot joins the
+rows, in A-number order, into one text, and every query then looks for
+",q0,q1,...," in it.
 Matching is hermetic by design; the online client is advisory only and is
 never consulted by tests or acceptance runs.
 """
@@ -25,7 +29,10 @@ from functools import cached_property
 from importlib import resources
 from typing import BinaryIO
 
-A_NUMBER_RE = re.compile(r"^A\d{6}$")
+A_NUMBER_RE = re.compile(r"A[0-9]{6}")
+# a whole stripped line whose terms are already canonical: 0, or an
+# optional minus and digits without a leading zero
+CANONICAL_LINE_RE = re.compile(r"(A[0-9]{6}) (,(?:(?:0|-?[1-9][0-9]*),)+)")
 DEFAULT_ENDPOINT = "https://oeis.org/search"
 
 
@@ -54,25 +61,22 @@ def exact_int_str():
 
 @dataclass
 class StrippedDb:
-    """Well-formed entries by A-number, and malformed lines as
-    (line number, text).
+    """Well-formed entries, each the canonical row text ",t0,t1,...," of
+    its terms, by A-number, and malformed lines as (line number, text).
 
     The first match builds a text index of `entries` and keeps it, so
     `entries` must not change once the db has been matched.
     """
 
-    entries: dict[str, list[int]]
+    entries: dict[str, str]
     malformed: list[tuple[int, str]] = field(default_factory=list)
 
     @cached_property
     def _index(self) -> tuple[list[str], str, list[int]]:
-        """(A-numbers in order, their rows ",t0,t1,...," joined by
-        newlines, and the offset where each row starts, plus one past the
-        end of the text)."""
+        """(A-numbers in order, their rows joined by newlines, and the
+        offset where each row starts, plus one past the end of the text)."""
         a_numbers = sorted(self.entries)
-        with exact_int_str():
-            rows = ["," + ",".join(map(str, self.entries[a])) + ","
-                    for a in a_numbers]
+        rows = [self.entries[a] for a in a_numbers]
         starts = list(itertools.accumulate((len(row) + 1 for row in rows),
                                            initial=0))
         return a_numbers, "\n".join(rows), starts
@@ -92,6 +96,7 @@ def load_stripped(source: BinaryIO | bytes | str) -> StrippedDb:
     """Parse a stripped file; gzip input is detected by magic bytes.
 
     Malformed lines are recorded with their line numbers and skipped.
+    Terms of any size are accepted.
     """
     if isinstance(source, str):
         data = source.encode()
@@ -104,27 +109,33 @@ def load_stripped(source: BinaryIO | bytes | str) -> StrippedDb:
             data = gzip.decompress(data)
         except (EOFError, zlib.error) as exc:  # truncated or corrupt
             raise ValueError(f"unreadable gzip snapshot: {exc}") from exc
-    entries: dict[str, list[int]] = {}
+    entries: dict[str, str] = {}
     malformed: list[tuple[int, str]] = []
     # split on "\n" only: splitlines() would also split at "\r", "\x85",
     # "\u2028" and others, and so move the line numbers of malformed lines
     for lineno, raw in enumerate(data.decode("utf-8").split("\n"), start=1):
         line = raw.strip()
+        canonical = CANONICAL_LINE_RE.fullmatch(line)
+        if canonical:
+            entries[canonical[1]] = canonical[2]
+            continue
         if not line or line.startswith("#"):
             continue
         head, sep, rest = line.partition(" ,")
-        if not sep or not A_NUMBER_RE.match(head):
+        if not sep or not A_NUMBER_RE.fullmatch(head):
             malformed.append((lineno, line))
             continue
         try:
-            terms = [int(x) for x in rest.rstrip(",").split(",") if x != ""]
+            with exact_int_str():
+                row = ",".join(str(int(x)) for x in rest.rstrip(",").split(",")
+                               if x != "")
         except ValueError:
             malformed.append((lineno, line))
             continue
-        if not terms:
+        if not row:
             malformed.append((lineno, line))
             continue
-        entries[head] = terms
+        entries[head] = "," + row + ","
     return StrippedDb(entries=entries, malformed=malformed)
 
 

@@ -1,0 +1,76 @@
+"""Reference OEIS snapshot loader: every term parsed to an int.
+
+This is the loader that kept each entry as a list of ints and built the
+match index by turning every int back into text, with two fixes: the
+A-number is six ASCII digits, and int() and str() run without CPython's
+int <-> str digit limit.  `tauseq.oeis.load_stripped` keeps canonical rows
+as text instead, and the tests compare the two.  `stripped_db` builds a
+db from int rows for tests that need hand-made entries.
+"""
+
+import gzip
+import itertools
+import re
+import zlib
+
+from tauseq import oeis
+from tauseq.oeis import StrippedDb, exact_int_str
+
+A_NUMBER_RE = re.compile(r"^A[0-9]{6}$")
+
+
+def load_stripped(source) -> tuple[dict[str, list[int]],
+                                   list[tuple[int, str]]]:
+    """(entries as int lists by A-number, malformed (line number, text))."""
+    if isinstance(source, str):
+        data = source.encode()
+    elif isinstance(source, bytes):
+        data = source
+    else:
+        data = source.read()
+    if data[:2] == b"\x1f\x8b":
+        try:
+            data = gzip.decompress(data)
+        except (EOFError, zlib.error) as exc:
+            raise ValueError(f"unreadable gzip snapshot: {exc}") from exc
+    entries: dict[str, list[int]] = {}
+    malformed: list[tuple[int, str]] = []
+    for lineno, raw in enumerate(data.decode("utf-8").split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        head, sep, rest = line.partition(" ,")
+        if not sep or not A_NUMBER_RE.match(head):
+            malformed.append((lineno, line))
+            continue
+        try:
+            with exact_int_str():
+                terms = [int(x) for x in rest.rstrip(",").split(",")
+                         if x != ""]
+        except ValueError:
+            malformed.append((lineno, line))
+            continue
+        if not terms:
+            malformed.append((lineno, line))
+            continue
+        entries[head] = terms
+    return entries, malformed
+
+
+def index(entries: dict[str, list[int]]) -> tuple[list[str], str, list[int]]:
+    """(A-numbers in order, rows ",t0,t1,...," joined by newlines, and the
+    offset where each row starts, plus one past the end of the text)."""
+    a_numbers = sorted(entries)
+    with exact_int_str():
+        rows = ["," + ",".join(map(str, entries[a])) + "," for a in a_numbers]
+    starts = list(itertools.accumulate((len(row) + 1 for row in rows),
+                                       initial=0))
+    return a_numbers, "\n".join(rows), starts
+
+
+def stripped_db(rows: dict[str, list[int]]) -> StrippedDb:
+    """The db that loading these int rows, in stripped format, gives."""
+    with exact_int_str():
+        text = "".join(f"{a} ,{','.join(map(str, terms))},\n"
+                       for a, terms in rows.items())
+    return oeis.load_stripped(text)

@@ -7,6 +7,7 @@ import pytest
 
 from tauseq import oeis, verify
 from tauseq.cli import main
+from test_oeis import SAMPLE
 
 SQUARE = "5,-2,-2,-1;1,1,-1,-1"
 HEX = "1,3,-3,-1;0,1,2,-3"
@@ -239,6 +240,24 @@ def test_match_online_failure_is_advisory(capsys, monkeypatch):
     assert code == 0
     assert {"a_number": "A018896", "position": 8} in obj["matches"]
     assert obj["online_error"] == "network failure: offline"
+
+
+@pytest.mark.parametrize("argv", [
+    ["match", "--terms-list", "1,2,3,5,8,13,21,34,55,89", "--min-match", "8"],
+    ["scan", "--bound", "1", "--terms", "16"],
+], ids=lambda argv: argv[0])
+def test_skipped_malformed_lines_reported_on_stderr(capsys, tmp_path, argv):
+    dirty, clean = tmp_path / "dirty.txt", tmp_path / "clean.txt"
+    dirty.write_text(SAMPLE)
+    clean.write_text("".join(line for line in SAMPLE.splitlines(True)
+                             if line.startswith(("A000045", "A000290"))))
+    code, out, err = run(capsys, *argv, "--oeis", str(dirty))
+    want_code, want_out, want_err = run(capsys, *argv, "--oeis", str(clean))
+    assert code == want_code == 0
+    assert out == want_out
+    assert err == "oeis: skipped 4 malformed lines (first: line 5)\n" \
+        + want_err
+    assert "oeis:" not in want_err
 
 
 def test_match_too_short_exit_code(capsys):

@@ -6,7 +6,9 @@ integer fast path is checked against the Fraction reference it replaced:
 integer `generate` against the Fraction loop, the 2x2-minors rank check of
 SublatticeBasis and the Gram-determinant check of the Plucker draws
 against a Fraction Gaussian-elimination rank.  The text-index OEIS match is
-checked against the per-entry slice scan it replaced.  canonicalize_pairs
+checked against the per-entry slice scan it replaced, and the OEIS loader,
+which keeps canonical rows as text, against the int-parsing loader it
+replaced (tests/reference_oeis.py).  canonicalize_pairs
 is checked for its declared invariances, and BilinearRecurrence for
 accepting exactly the triples generate can iterate.  Every torsion-free
 strictly convex quadrilateral is checked to give a positive Gale-Robinson
@@ -18,6 +20,7 @@ bilinear residual) is checked against the all-Fraction oracle it replaced
 (tests/reference_kp.py).
 """
 
+import gzip
 import math
 import random
 from fractions import Fraction
@@ -28,6 +31,7 @@ from hypothesis import strategies as st
 
 import reference_kp
 import reference_lattice
+import reference_oeis
 from reference_scan import from_key
 from tauseq.fock import (Window, _independent, octahedron_residual,
                          random_group_element)
@@ -36,7 +40,7 @@ from tauseq.lattice import (EdgePolygon, LatticeError, RankError,
                             SublatticeBasis, TorsionError, edges_to_basis,
                             quotient_map)
 from tauseq.maya import Partition
-from tauseq.oeis import (MatchPolicy, QueryTooShort, StrippedDb,
+from tauseq.oeis import (MatchPolicy, QueryTooShort, load_stripped,
                          match_sequence, trim_query)
 from tauseq.recurrence import (SIGNS, BilinearRecurrence, SequenceRun,
                                UnsolvableError, canonicalize_pairs,
@@ -266,13 +270,14 @@ def test_quotient_map_matches_kernel_reference(rows):
 # ----------------------------------------------------------- OEIS match
 
 
-def reference_match(db: StrippedDb, terms, policy: MatchPolicy):
+def reference_match(entries: dict[str, list[int]], terms,
+                    policy: MatchPolicy):
     """The former match_sequence: sort the A-numbers, then slice-compare
     every entry at every offset."""
     query = trim_query(terms, policy)
     hits = []
-    for a_number in sorted(db.entries):
-        entry = db.entries[a_number]
+    for a_number in sorted(entries):
+        entry = entries[a_number]
         for start in range(len(entry) - len(query) + 1):
             if entry[start:start + len(query)] == query:
                 hits.append((a_number, start))
@@ -309,20 +314,93 @@ def match_cases(draw):
             at = draw(st.just(0) | st.integers(0, len(row)))
             row = row[:at] + query + row[at:]
         rows.append(row)
-    return StrippedDb(entries=dict(zip(names, rows))), query, policy
+    return dict(zip(names, rows)), query, policy
 
 
 @settings(max_examples=300, deadline=None)
 @given(match_cases())
 def test_match_matches_linear_scan(case):
-    db, query, policy = case
+    entries, query, policy = case
+    db = reference_oeis.stripped_db(entries)
     try:
-        want = reference_match(db, query, policy)
+        want = reference_match(entries, query, policy)
     except QueryTooShort:
         with pytest.raises(QueryTooShort):
             match_sequence(db, query, policy)
         return
     assert match_sequence(db, query, policy) == want
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663"
+                             "\u0664\u0665\u0666\u0667\u0668\u0669")
+
+
+@st.composite
+def term_fields(draw):
+    """One field of a stripped row: a term written canonically or in one
+    of the other forms int() accepts."""
+    if draw(st.integers(0, 9)):
+        value = draw(TERM)
+        sign, digits = ("-" if value < 0 else ""), str(abs(value))
+    else:  # 4 301 digits, one past CPython's default int <-> str limit;
+        # drawn as text, since hypothesis reports draws with str()
+        sign = draw(st.sampled_from(["", "-"]))
+        digits = "1" + "0" * 4296 + "{:04d}".format(draw(st.integers(0, 99)))
+    form = draw(st.sampled_from(["canonical"] * 4 + [
+        "zeros", "plus", "spaces", "underscore", "unicode"]))
+    if form == "zeros":  # also "-0" and "-00" for zero
+        return (sign or draw(st.sampled_from(["", "-"]))) \
+            + "0" * draw(st.integers(0, 2)) + digits
+    if form == "plus" and not sign:
+        return "+" + digits
+    if form == "spaces":
+        return draw(st.sampled_from([" ", "", "\t"])) + sign + digits \
+            + draw(st.sampled_from([" ", ""]))
+    if form == "underscore" and len(digits) > 1:
+        at = draw(st.integers(1, len(digits) - 1))
+        return sign + digits[:at] + "_" + digits[at:]
+    if form == "unicode":
+        return sign + digits.translate(ARABIC_INDIC)
+    return sign + digits
+
+
+@st.composite
+def stripped_lines(draw):
+    a_number = "A{:06d}".format(draw(st.integers(0, 20)))  # duplicates too
+    kind = draw(st.sampled_from(["row"] * 6 + [
+        "comment", "blank", "short_a_number", "no_separator", "non_integer",
+        "no_terms", "unicode_a_number"]))
+    if kind == "row":
+        fields = draw(st.lists(term_fields(), min_size=1, max_size=8))
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            fields.insert(draw(st.integers(0, len(fields))), "")
+        line = f"{a_number} ," + ",".join(fields) \
+            + draw(st.sampled_from([",", ",", ""]))
+    else:
+        line = {"comment": "# comment ,1,2,", "blank": "",
+                "short_a_number": f"{a_number[:-1]} ,1,2,3,",
+                "no_separator": f"{a_number} 1,2,3,",
+                "non_integer": f"{a_number} ,1,x,3,",
+                "no_terms": f"{a_number} ,,",
+                "unicode_a_number": a_number.translate(ARABIC_INDIC)
+                + " ,1,2,3,"}[kind]
+    return draw(st.sampled_from(["", "", " "])) + line \
+        + draw(st.sampled_from(["\n", "\n", "\r\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(stripped_lines(), max_size=12), st.booleans(),
+       st.booleans())
+def test_load_matches_int_reference(lines, final_newline, compress):
+    text = "".join(lines)
+    if not final_newline:
+        text = text.rstrip("\n")
+    data = gzip.compress(text.encode()) if compress else text.encode()
+    db = load_stripped(data)
+    entries, malformed = reference_oeis.load_stripped(data)
+    assert db.malformed == malformed
+    assert len(db.entries) == len(entries)
+    assert db._index == reference_oeis.index(entries)
 
 
 # ------------------------------------------------------- canonicalize
