@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .intlinalg import det_exact
+from .intlinalg import det_exact, pair_minors
 from .recurrence import octahedral_combination
 
 # One component's occupied positions, descending; a wedge is one tuple per
@@ -223,37 +223,35 @@ def tau_table(g: GroupElement, window: Window,
 
 
 def tau_with_insertions(g: GroupElement, n: Sequence[int],
-                        pair: tuple[int, int], window: Window) -> int:
-    """<g| psi_{alpha, n_alpha+1/2} psi_{beta, n_beta+1/2} |n>, exact.
+                        window: Window) -> dict[tuple[int, int], int]:
+    """{(alpha, beta): <g| psi_{alpha, n_alpha+1/2} psi_{beta, n_beta+1/2} |n>}
+    for every pair of components 1 <= alpha < beta <= s, exact; deg(n) = -2.
 
-    Components in `pair` are 1-based, alpha < beta, deg(n) = -2.  Each
-    insertion fills the free slot n_c on top of its component, so the value
-    is the covacuum minor of that wedge times the sign of moving each psi
-    past the n_c + K occupied slots of every earlier component c.
+    Each insertion fills the free slot n_c on top of its component, so a
+    value is the covacuum minor of g on the slots of vacuum(n) followed by
+    the two inserted slots: the wedge v_alpha v_beta |n> with its two front
+    vectors moved past the s*K - 2 vacuum slots, an even permutation.  All
+    those minors share the vacuum columns and come from one elimination.
     """
-    alpha, beta = pair
-    if not 1 <= alpha < beta <= window.components:
-        raise ValueError("need 1 <= alpha < beta <= s")
     if sum(n) != -2:
         raise ValueError("charge vector must have degree -2")
-    wedge = list(vacuum(n, window))  # checks the headroom
-    for c in (alpha - 1, beta - 1):
-        wedge[c] = (n[c],) + wedge[c]
-    passed = (sum(n[:alpha - 1]) + sum(n[:beta - 1])
-              + window.cutoff * (alpha + beta - 2))
-    sign = -1 if passed % 2 else 1
-    return sign * _covacuum_minor(g, tuple(wedge), window)
+    cols = _wedge_slots(vacuum(n, window), window)  # checks the headroom
+    cols += [window.slot(c, nc) for c, nc in enumerate(n)]
+    rows = _wedge_slots(vacuum((0,) * window.components, window), window)
+    minors = pair_minors([[g.matrix[i][j] for j in cols] for i in rows])
+    return {(i + 1, j + 1): value for (i, j), value in minors.items()}
 
 
 def octahedron_residual(g: GroupElement, n: Sequence[int],
                         window: Window) -> int:
-    """Exact residual of the three-term octahedral identity at base n.
+    """Exact residual of the three-term octahedral identity at base n, from
+    the six insertion values of tau_with_insertions.
 
     Zero for every invertible g — this is the discrete Hirota/Plucker
     identity the rest of the package builds on.
     """
-    return octahedral_combination(
-        lambda pair: tau_with_insertions(g, n, pair, window))
+    values = tau_with_insertions(g, n, window)
+    return octahedral_combination(values.__getitem__)
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,8 @@ class SequenceRun:
 
 
 def term_str(t: int | Fraction) -> str:
+    if type(t) is int:  # skips Fraction's costly ABC instance check
+        return str(t)
     if isinstance(t, Fraction) and t.denominator != 1:
         return f"{t.numerator}/{t.denominator}"
     return str(int(t))

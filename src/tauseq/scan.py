@@ -55,24 +55,29 @@ def enumerate_edge_cycles(bound: int, start: int = 0, step: int = 1
     yields each class once, and the nested loops emit them in order.
     """
     coords = range(-bound, bound + 1)
-    vectors = [(x, y) for x in coords for y in coords if (x, y) != (0, 0)]
+    grid = [[(x, y) for y in coords] for x in coords]  # grid[x + B][y + B]
+    vectors = [v for column in grid for v in column if v != (0, 0)]
     cross = lambda u, v: u[0] * v[1] - u[1] * v[0]
     cycles = []
     for i in range(start, len(vectors), step):
         e1 = vectors[i]
-        later = vectors[i + 1:]
-        for e2 in later:
+        x1, y1 = e1
+        for e2 in vectors[i + 1:]:
             if cross(e1, e2) <= 0:
                 continue
-            for e3 in later:
-                if cross(e2, e3) <= 0:
-                    continue
-                e4 = (-(e1[0] + e2[0] + e3[0]), -(e1[1] + e2[1] + e3[1]))
-                if abs(e4[0]) > bound or abs(e4[1]) > bound or e4 <= e1:
-                    continue
-                if cross(e3, e4) <= 0 or cross(e4, e1) <= 0:
-                    continue
-                cycles.append((e1, e2, e3, e4))
+            # e3 runs over the vectors after e1 that keep
+            # e4 = -(e1 + e2 + e3) in the box, in lexicographic order
+            sx, sy = x1 + e2[0], y1 + e2[1]
+            lo, hi = max(-bound, -bound - sy), min(bound, bound - sy)
+            for x3 in range(max(x1, -bound - sx), min(bound, bound - sx) + 1):
+                first = lo if x3 > x1 else max(lo, y1 + 1)
+                for e3 in grid[x3 + bound][first + bound:hi + bound + 1]:
+                    if cross(e2, e3) <= 0:  # also drops e3 = (0, 0)
+                        continue
+                    e4 = (-sx - x3, -sy - e3[1])
+                    if e4 <= e1 or cross(e3, e4) <= 0 or cross(e4, e1) <= 0:
+                        continue
+                    cycles.append((e1, e2, e3, e4))
     return cycles
 
 

@@ -4,7 +4,9 @@ Every cycle builds its basis and derives its recurrence (on a pool that
 receives the bases, when workers > 1), the derived recurrences are walked
 in enumeration order, and the first of each recurrence is completed.
 Tests compare the keyed scan against it, and map `scan_one`'s keys back
-to recurrences with `from_key`.
+to recurrences with `from_key`.  `reference_enumerate_edge_cycles` is the
+enumeration whose e3 loop walks every later vector and only then tests
+that e4 lies in the box; tests compare the pruned loop against it.
 """
 
 from __future__ import annotations
@@ -17,9 +19,35 @@ from tauseq.lattice import (LatticeError, RankError, SublatticeBasis,
 from tauseq.oeis import StrippedDb
 from tauseq.recurrence import (BilinearRecurrence, Pair, UnsolvableError,
                                canonicalize_pairs, derive_recurrence)
-from tauseq.scan import ScanConfig, complete_record, enumerate_edge_cycles
+from tauseq.scan import (Cycle, ScanConfig, complete_record,
+                         enumerate_edge_cycles)
 
 _STATUS_COUNTER = {"ok": "integral", "non-integral": "non_integral"}
+
+
+def reference_enumerate_edge_cycles(bound: int, start: int = 0,
+                                    step: int = 1) -> list[Cycle]:
+    """`enumerate_edge_cycles` with the e3 loop over every later vector."""
+    coords = range(-bound, bound + 1)
+    vectors = [(x, y) for x in coords for y in coords if (x, y) != (0, 0)]
+    cross = lambda u, v: u[0] * v[1] - u[1] * v[0]
+    cycles = []
+    for i in range(start, len(vectors), step):
+        e1 = vectors[i]
+        later = vectors[i + 1:]
+        for e2 in later:
+            if cross(e1, e2) <= 0:
+                continue
+            for e3 in later:
+                if cross(e2, e3) <= 0:
+                    continue
+                e4 = (-(e1[0] + e2[0] + e3[0]), -(e1[1] + e2[1] + e3[1]))
+                if abs(e4[0]) > bound or abs(e4[1]) > bound or e4 <= e1:
+                    continue
+                if cross(e3, e4) <= 0 or cross(e4, e1) <= 0:
+                    continue
+                cycles.append((e1, e2, e3, e4))
+    return cycles
 
 
 def reference_scan_one(basis: SublatticeBasis) -> BilinearRecurrence | str:

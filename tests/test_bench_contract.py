@@ -1,4 +1,4 @@
-"""The benchmark's span tracer still sees every scan layer.
+"""The benchmark's span tracer still sees every scan and oracle layer.
 
 perfbench/spans.py wraps tauseq's functions by module attribute, so a
 restructure that stops calling them through those attributes would leave
@@ -10,7 +10,7 @@ import sys
 import types
 from pathlib import Path
 
-from tauseq import scan
+from tauseq import fock, scan, verify
 from tauseq.oeis import load_fixture
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -40,3 +40,26 @@ def test_tracer_counts_every_enumerated_and_derived_cycle():
     for layer in ("lattice.basis", "lattice.quotient_map",
                   "recurrence.derive"):
         assert layers[layer]["calls"] == summary["unique"], layer
+
+
+def test_tracer_counts_octahedron_oracle_calls(monkeypatch):
+    # one group element and one shared elimination per trial: the only
+    # determinants left are the invertibility checks of the drawn matrices
+    spans = load_spans()
+    drawn = []
+    group_element = fock.GroupElement
+
+    def counting_group_element(matrix):
+        drawn.append(matrix)
+        return group_element(matrix)
+
+    monkeypatch.setattr(fock, "GroupElement", counting_group_element)
+    trials = 3
+    with spans.Tracer() as tracer:
+        report = verify.verify_octahedron(trials=trials, seed=1, cutoff=4)
+    assert report["failures"] == 0
+    assert tracer.missing == ["intlinalg.rank"]
+    layers = tracer.aggregate()
+    assert layers["fock.random_group_element"]["calls"] == trials
+    assert layers["fock.tau_with_insertions"]["calls"] == trials
+    assert layers["intlinalg.det"]["calls"] == len(drawn) >= trials

@@ -318,15 +318,15 @@ def test_insertions_match_raised_tau():
     for _ in range(50):
         g = random_group_element(w, rng)
         n = (-1, 0, 0, -1)
+        values = tau_with_insertions(g, n, w)
         for pair in [(1, 2), (1, 4), (2, 4)]:
             raised = list(n)
             raised[pair[0] - 1] += 1
             raised[pair[1] - 1] += 1
             inserted = [w.slot(c - 1, n[c - 1]) for c in pair]
             sign = sorting_sign(inserted + fock._wedge_slots(vacuum(n, w), w))
-            t_ins = tau_with_insertions(g, n, pair, w)
-            assert type(t_ins) is int
-            assert t_ins == sign * tau_discrete(g, tuple(raised), w)
+            assert type(values[pair]) is int
+            assert values[pair] == sign * tau_discrete(g, tuple(raised), w)
 
 
 PAIRS = list(itertools.combinations(range(1, 5), 2))
@@ -340,10 +340,38 @@ def test_insertions_match_engine_reference(cutoff):
     room = range(2 - cutoff, cutoff - 1)
     bases = [n for n in itertools.product(room, repeat=4) if sum(n) == -2]
     for n in bases:
-        for pair in PAIRS:
-            got = tau_with_insertions(g, n, pair, w)
-            assert type(got) is int
-            assert got == reference_fock.tau_with_insertions(g, n, pair, w)
+        got = tau_with_insertions(g, n, w)
+        assert all(type(v) is int for v in got.values())
+        assert got == {pair: reference_fock.engine_insertion(g, n, pair, w)
+                       for pair in PAIRS}
+
+
+@pytest.mark.parametrize("cutoff", [3, 4, 5, 6])
+def test_insertions_match_closed_form_and_engine(cutoff):
+    # the shared elimination against both per-pair paths it replaced, for
+    # the identity and random g, on the oracle's bases and the headroom's
+    # corners
+    w = Window(cutoff, 4)
+    rng = random.Random(100 + cutoff)
+    elements = [identity_element(w), random_group_element(w, rng)]
+    edge = cutoff - 2
+    values = sorted({-edge, -1, 0, 1, edge})
+    bases = [n for n in itertools.product(values, repeat=4) if sum(n) == -2]
+    for g in elements:
+        for n in bases:
+            got = tau_with_insertions(g, n, w)
+            assert list(got) == PAIRS
+            for pair in PAIRS:
+                assert got[pair] == reference_fock.closed_form_insertion(
+                    g, n, pair, w)
+                assert got[pair] == reference_fock.engine_insertion(
+                    g, n, pair, w)
+
+
+def test_insertions_reject_wrong_degree():
+    w = Window(4, 4)
+    with pytest.raises(ValueError):
+        tau_with_insertions(identity_element(w), (0, 0, 0, -1), w)
 
 
 def test_insertion_into_occupied_slot_is_zero():
@@ -360,7 +388,7 @@ def test_insertion_into_occupied_slot_is_zero():
 def test_insertion_restores_neutral_vacuum():
     w = Window(4, 4)
     g = identity_element(w)
-    assert abs(tau_with_insertions(g, (0, 0, -1, -1), (3, 4), w)) == 1
+    assert abs(tau_with_insertions(g, (0, 0, -1, -1), w)[(3, 4)]) == 1
 
 
 # ------------------------------------------------------------ octahedron
@@ -393,7 +421,7 @@ def test_octahedron_zero_factor():
     g = identity_element(w)
     # base charge -2 in component 3: slot above is free, fine; occupied
     # insertion handled inside tau_with_insertions returning +-minor or 0
-    assert tau_with_insertions(g, (-1, -1, 0, 0), (3, 4), w) == 0
+    assert tau_with_insertions(g, (-1, -1, 0, 0), w)[(3, 4)] == 0
 
 
 # --------------------------------------------------------------- plucker

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from tauseq.recurrence import (BASE_POINT, BilinearRecurrence,
                                PermutationAction, UnsolvableError,
                                act_permutation, canonicalize_pairs,
                                derive_recurrence, generate, octahedron_points,
-                               q_sigma, table_octahedron_residual)
+                               q_sigma, table_octahedron_residual,
+                               term_str)
 
 SQUARE_BASIS = parse_matrix("5,-2,-2,-1;1,1,-1,-1")
 HEX_BASIS = parse_matrix("1,3,-3,-1;0,1,2,-3")
@@ -162,6 +164,20 @@ def inverse(sigma: PermutationAction) -> PermutationAction:
     for alpha, target in enumerate(sigma.sigma):
         inv[target - 1] = alpha + 1
     return PermutationAction(tuple(inv))
+
+
+def test_term_str_int_fast_path_matches_general_path():
+    def general(t):
+        if isinstance(t, Fraction) and t.denominator != 1:
+            return f"{t.numerator}/{t.denominator}"
+        return str(int(t))
+
+    for t in (0, -7, 261033, 10 ** 40, True, Fraction(6, 3), Fraction(-3, 4)):
+        assert term_str(t) == general(t)
+    limit = sys.get_int_max_str_digits()
+    if limit:  # CPython's digit limit still applies to plain ints
+        with pytest.raises(ValueError):
+            term_str(10 ** limit)
 
 
 def test_permutation_validation_and_inverse():

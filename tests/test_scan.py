@@ -6,7 +6,8 @@ import pytest
 from tauseq.lattice import edges_to_basis
 from tauseq.oeis import load_fixture
 from tauseq.recurrence import derive_recurrence, generate, term_str
-from reference_scan import (from_key, reference_bases, reference_scan,
+from reference_scan import (from_key, reference_bases,
+                            reference_enumerate_edge_cycles, reference_scan,
                             reference_scan_one)
 from tauseq.scan import (ScanConfig, complete_record, enumerate_edge_cycles,
                          merge_slices, run_scan, scan_one, scan_slice,
@@ -86,6 +87,19 @@ def test_enumerate_bound_one():
 @pytest.mark.parametrize("bound", range(6))
 def test_enumerate_matches_reference(bound):
     assert enumerate_edge_cycles(bound) == reference_edge_cycles(bound)
+
+
+@pytest.mark.parametrize("bound", range(8))
+def test_enumerate_matches_unpruned_loop(bound):
+    # the e3 loop over the box that keeps e4 in bounds gives the same list
+    # as the loop over every later vector, for the whole run and each slice
+    assert enumerate_edge_cycles(bound) == \
+        reference_enumerate_edge_cycles(bound)
+    if bound <= 5:
+        for step in (2, 3):
+            for start in range(step):
+                assert enumerate_edge_cycles(bound, start, step) == \
+                    reference_enumerate_edge_cycles(bound, start, step)
 
 
 def test_enumerate_one_representative_per_rotation():
