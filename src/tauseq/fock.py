@@ -2,9 +2,9 @@
 
 The infinite semi-infinite-wedge space is truncated to a window of 2K
 half-integer positions per component; with s components a basis wedge is a
-choice of occupied positions in each component.  Fock-vector coefficients,
-minors and tau tables are ints, and every check below is an exact
-identity, never approximate.
+choice of occupied positions in each component.  A Fock vector is a sparse
+dict of int coefficients, combined by kp's add and scale; minors are ints
+too, and every check below is an exact identity, never approximate.
 
 Conventions (all signs derive from these two choices):
   * positions are stored as ints via p -> p - 1/2 (as in tauseq.maya);
@@ -14,13 +14,13 @@ Conventions (all signs derive from these two choices):
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
 
 from .intlinalg import det_exact, pair_minors
+from .kp import add, scale
 from .recurrence import octahedral_combination
 
 # One component's occupied positions, descending; a wedge is one tuple per
@@ -95,7 +95,8 @@ def apply_psi(component: int, pos: int, vec: FockVector,
         sign = -1 if _preceding(wedge, component, pos) % 2 else 1
         new_comp = tuple(sorted(occ + (pos,), reverse=True))
         new_wedge = wedge[:component] + (new_comp,) + wedge[component + 1:]
-        _accumulate(out, new_wedge, sign * coeff)
+        # adding a fixed position keeps distinct wedges apart: no collision
+        out[new_wedge] = sign * coeff
     return out
 
 
@@ -112,7 +113,8 @@ def apply_psi_star(component: int, pos: int, vec: FockVector,
         sign = -1 if _preceding(wedge, component, pos) % 2 else 1
         new_comp = tuple(q for q in occ if q != pos)
         new_wedge = wedge[:component] + (new_comp,) + wedge[component + 1:]
-        _accumulate(out, new_wedge, sign * coeff)
+        # removing a fixed position keeps distinct wedges apart: no collision
+        out[new_wedge] = sign * coeff
     return out
 
 
@@ -125,35 +127,9 @@ def apply_p(component: int, k: int, vec: FockVector,
     """
     if k == 0 or abs(k) > 2 * window.cutoff:
         raise ValueError("k must be nonzero with |k| <= 2K")
-    out: FockVector = {}
-    for i in window.positions:
-        if i + k not in window.positions:
-            continue
-        moved = apply_psi(component, i + k,
-                          apply_psi_star(component, i, vec, window), window)
-        for wedge, coeff in moved.items():
-            _accumulate(out, wedge, coeff)
-    return out
-
-
-def _accumulate(vec: FockVector, wedge: Wedge, coeff: int) -> None:
-    new = vec.get(wedge, 0) + coeff
-    if new:
-        vec[wedge] = new
-    else:
-        vec.pop(wedge, None)
-
-
-def vec_scale(vec: FockVector, c: int) -> FockVector:
-    return {w: c * x for w, x in vec.items()} if c else {}
-
-
-def vec_add(*vecs: FockVector) -> FockVector:
-    out: FockVector = {}
-    for v in vecs:
-        for w, x in v.items():
-            _accumulate(out, w, x)
-    return out
+    return add(*(apply_psi(component, i + k,
+                           apply_psi_star(component, i, vec, window), window)
+                 for i in window.positions if i + k in window.positions))
 
 
 @dataclass(frozen=True)
@@ -209,17 +185,6 @@ def tau_discrete(g: GroupElement, n: Sequence[int],
     if sum(n) != 0:
         raise ValueError("charge vector must have degree 0")
     return _covacuum_minor(g, vacuum(n, window), window)
-
-
-def tau_table(g: GroupElement, window: Window,
-              bound: int | None = None) -> dict[tuple[int, ...], int]:
-    """All tau values on degree-0 charge vectors with |n_c| <= bound."""
-    if bound is None:
-        bound = window.cutoff - 2
-    charges = range(-bound, bound + 1)
-    return {n: tau_discrete(g, n, window)
-            for n in itertools.product(charges, repeat=window.components)
-            if sum(n) == 0}
 
 
 def tau_with_insertions(g: GroupElement, n: Sequence[int],
@@ -293,19 +258,18 @@ def verify_state_identities(window: Window) -> list[dict]:
     identities = [
         ("vacuum", 1, v0, (-1, -2)),                    # v_{-1/2} v_{-3/2}
         ("p1", 1, p1, (0, -2)),                         # v_{1/2} v_{-3/2}
-        ("(p1^2+p2)/2", 2, vec_add(p11, p2), (1, -2)),  # v_{3/2} v_{-3/2}
-        ("(p1^2-p2)/2", 2, vec_add(p11, vec_scale(p2, -1)),
+        ("(p1^2+p2)/2", 2, add(p11, p2), (1, -2)),      # v_{3/2} v_{-3/2}
+        ("(p1^2-p2)/2", 2, add(p11, scale(p2, -1)),
          (0, -1)),                                      # v_{1/2} v_{-1/2}
-        ("(p1^3-p3)/3", 3, vec_add(p(1, p11), vec_scale(p3, -1)),
+        ("(p1^3-p3)/3", 3, add(p(1, p11), scale(p3, -1)),
          (1, -1)),                                      # v_{3/2} v_{-1/2}
         ("(p1^4+3p2^2-4p1p3)/12", 12,
-         vec_add(p(1, p(1, p11)), vec_scale(p(2, p2), 3),
-                 vec_scale(p(1, p3), -4)),
+         add(p(1, p(1, p11)), scale(p(2, p2), 3), scale(p(1, p3), -4)),
          (1, 0)),                                       # v_{3/2} v_{1/2}
     ]
     report = []
     for name, d, state, top in identities:
-        diff = vec_add(state, {_wedge_over_l(top, w): -d})
+        diff = add(state, {_wedge_over_l(top, w): -d})
         report.append({
             "identity": name,
             "ok": not diff,

@@ -3,12 +3,13 @@ bilinear KP residual, all exact.
 
 A polynomial in variables t_1..t_m is a dict mapping length-m exponent
 tuples to nonzero coefficients.  The helpers (`add`, `scale`, `mul`,
-`diff`, ...) keep the type of the coefficients they are given.  `schur`
-and `kp_bilinear_residual` return Fraction coefficients, but work on ints
-in between: `schur` expands an integer-scaled Jacobi-Trudi determinant and
-divides once at the end, and `kp_bilinear_residual` clears tau's
-denominators once on the way in and divides once on the way out.  Those
-two divisions are the only places Fraction is left.
+`diff`, ...) keep the type of the coefficients they are given; `add` and
+`scale` treat keys as opaque, so they also serve tauseq.fock's vectors.
+`schur` and `kp_bilinear_residual` return Fraction coefficients, but work
+on ints in between: `schur` expands an integer-scaled Jacobi-Trudi
+determinant and divides once at the end, and `kp_bilinear_residual` clears
+tau's denominators once on the way in and divides once on the way out.
+Those two divisions are the only places Fraction is left.
 
 The variable convention throughout maps the bosonic operator p_k to
 k * t_k, so the Jacobi-Trudi output for the partition (2) is t_1^2/2 + t_2,

@@ -45,12 +45,15 @@ class EdgePolygon:
         if len(v) < 3:
             raise LatticeError("polygon needs at least 3 vertices")
         edges = self.edges
-        if tuple(map(sum, zip(*edges))) != (0, 0):
-            raise LatticeError("edge vectors must sum to zero")
-        for i, e in enumerate(edges):
-            f = edges[(i + 1) % len(edges)]
-            if e[0] * f[1] - e[1] * f[0] <= 0:
-                raise LatticeError("polygon must be strictly convex and ccw")
+        turns = [e[0] * f[1] - e[1] * f[0]
+                 for e, f in zip(edges, edges[1:] + edges[:1])]
+        # with every turn left, the boundary winds once (a star polygon winds
+        # more) exactly when the edge directions leave the upper half-plane
+        # (y > 0, or y = 0 and x > 0) once
+        upper = [y > 0 or (y == 0 and x > 0) for x, y in edges]
+        descents = sum(upper[i - 1] and not u for i, u in enumerate(upper))
+        if min(turns) <= 0 or descents != 1:
+            raise LatticeError("polygon must be strictly convex and ccw")
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:

@@ -253,65 +253,3 @@ def generate(rec: BilinearRecurrence, count: int,
         terms.append(value)
     return run
 
-
-# ---------------------------------------------------------------------------
-# permutation action on tau tables
-# ---------------------------------------------------------------------------
-
-TauTable = dict[tuple[int, ...], int]
-
-
-@dataclass(frozen=True)
-class PermutationAction:
-    """Permutation of components {1..s}, stored as a 1-based image tuple."""
-
-    sigma: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sorted(self.sigma) != list(range(1, len(self.sigma) + 1)):
-            raise ValueError(f"not a permutation of 1..s: {self.sigma}")
-
-    def apply(self, n: tuple[int, ...]) -> tuple[int, ...]:
-        """Coordinate permutation: entry at alpha moves to slot sigma(alpha)."""
-        out = [0] * len(n)
-        for alpha, target in enumerate(self.sigma):
-            out[target - 1] = n[alpha]
-        return tuple(out)
-
-
-def q_sigma(sigma: PermutationAction, n: Sequence[int]) -> int:
-    """Quadratic form sum of n_alpha * n_beta over inversion pairs of sigma."""
-    total = 0
-    s = len(sigma.sigma)
-    for alpha in range(s):
-        for beta in range(alpha + 1, s):
-            if sigma.sigma[alpha] > sigma.sigma[beta]:
-                total += n[alpha] * n[beta]
-    return total
-
-
-def act_permutation(sigma: PermutationAction, table: TauTable) -> TauTable:
-    """New table tau'(n) = (-1)^{q_sigma(n)} tau(sigma(n)).
-
-    Entries whose permuted point is missing from the input table are
-    dropped; on symmetric domains (all |n_c| <= bound) nothing is lost.
-    """
-    out: TauTable = {}
-    for n in table:
-        image = sigma.apply(n)
-        if image in table:
-            sign = -1 if q_sigma(sigma, n) % 2 else 1
-            out[n] = sign * table[image]
-    return out
-
-
-def table_octahedron_residual(table: TauTable,
-                              base: tuple[int, ...]) -> int:
-    """Three-term octahedral residual read off a tau table at a base point."""
-    def at(pair: Pair) -> int:
-        n = list(base)
-        for c in pair:
-            n[c - 1] += 1
-        return table[tuple(n)]
-
-    return octahedral_combination(at)

@@ -5,20 +5,17 @@ are visible in the pytest log) and asserts the same condition it reports.
 """
 
 import hashlib
-import itertools
 import json
 import random
 import time
 from fractions import Fraction
 
-from tauseq import fock, kp
+from tauseq import fock, kp, verify
 from tauseq.lattice import parse_matrix, quotient_map
 from tauseq.maya import (Partition, maya_from_young_charge,
                          young_charge_from_maya)
 from tauseq.oeis import load_fixture
-from tauseq.recurrence import (PermutationAction, act_permutation,
-                               derive_recurrence, generate, octahedron_points,
-                               table_octahedron_residual)
+from tauseq.recurrence import derive_recurrence, generate, octahedron_points
 from tauseq.scan import ScanConfig, run_scan, write_jsonl
 
 SQUARE = parse_matrix("5,-2,-2,-1;1,1,-1,-1")
@@ -143,24 +140,11 @@ def test_criterion_06_kp_residual(capsys):
 
 
 def test_criterion_07_permutation_action(capsys):
-    window = fock.Window(4, 4)
-    rng = random.Random(99)
-    bases = [n for n in itertools.product(range(-1, 2), repeat=4)
-             if sum(n) == -2]
-    failures = 0
-    for _ in range(20):
-        g = fock.random_group_element(window, rng)
-        table = fock.tau_table(g, window, bound=2)
-        for _ in range(5):
-            perm = list(range(1, 5))
-            rng.shuffle(perm)
-            acted = act_permutation(PermutationAction(tuple(perm)), table)
-            for _ in range(100):
-                base = rng.choice(bases)
-                if table_octahedron_residual(acted, base) != 0:
-                    failures += 1
+    result = verify.verify_permutation(trials=20, seed=99, cutoff=4)
+    ok = (result["trials"], result["sigmas"], result["probes"],
+          result["failures"]) == (20, 5, 100, 0)
     report(capsys, 7, "permutation action preserves the octahedral relation",
-           failures == 0, "20 tables x 5 permutations x 100 probes")
+           ok, "20 group elements x 5 permutations x 100 probes")
 
 
 def test_criterion_08_maya_roundtrip(capsys):

@@ -1,8 +1,10 @@
-"""Every function, class and method under src/tauseq/ is used in src/.
+"""Every function, class, method and module-level name under src/tauseq/
+is used in src/.
 
 A definition counts as used when its name occurs, as a name or as an
-attribute, somewhere in src/tauseq/ outside its own body.  Dunders are
-called by Python itself, and cli.main is the console entry point.
+attribute, somewhere in src/tauseq/ outside its own body; a module-level
+name (a constant or a type alias) outside the statement that assigns it.
+Dunders are used by Python itself, and cli.main is the console entry point.
 """
 
 import ast
@@ -21,15 +23,29 @@ def referenced_names(tree: ast.AST) -> Counter:
 
 
 def definitions(tree: ast.AST, prefix: str):
-    """(qualified name, node) of every def and class, nested ones too."""
+    """(qualified name, short name, node) of every def and class, nested
+    ones too."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             name = f"{prefix}.{node.name}"
-            yield name, node
+            yield name, node.name, node
             yield from definitions(node, name)
         else:
             yield from definitions(node, prefix)
+
+
+def module_names(tree: ast.Module, module: str):
+    """(qualified name, short name, statement) of every name a module-level
+    assignment binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield f"{module}.{name.id}", name.id, node
 
 
 def unused_definitions(sources: dict[str, str]) -> list[str]:
@@ -39,8 +55,8 @@ def unused_definitions(sources: dict[str, str]) -> list[str]:
                      Counter())
     unused = []
     for module, tree in trees.items():
-        for name, node in definitions(tree, module):
-            short = node.name
+        for name, short, node in [*definitions(tree, module),
+                                  *module_names(tree, module)]:
             if short.startswith("__") and short.endswith("__"):
                 continue
             if everywhere[short] - referenced_names(node)[short] == 0 \
@@ -64,3 +80,16 @@ def test_unused_definition_is_found():
         "b": "from a import Box\nBox().used()\n",
     }
     assert unused_definitions(sources) == ["a.Box.spare"]
+
+
+def test_unused_module_name_is_found():
+    sources = {
+        "a": "__version__ = '1'\n"
+             "LIMIT = 3\n"
+             "Alias = dict[str, int]\n"
+             "SPARE: int = 4\n"
+             "LEFT, RIGHT = 1, 2\n"
+             "def f(x: Alias):\n    LOCAL = 5\n    return LIMIT + LEFT\n",
+        "b": "from a import f\nf({})\n",
+    }
+    assert unused_definitions(sources) == ["a.RIGHT", "a.SPARE"]

@@ -59,6 +59,17 @@ def test_derive_rank_exit_code(capsys):
         assert "error" in obj
 
 
+def test_derive_star_polygon_is_usage_error(capsys):
+    # every turn is left, but the boundary winds twice: not convex (2); a
+    # convex pentagon still gets as far as the rank check (4)
+    code, obj = run_json(capsys, "derive", "--polygon", "0,0 2,0 0,1 1,-1 2,1")
+    assert code == 2
+    assert obj["error"] == "polygon must be strictly convex and ccw"
+    code, obj = run_json(capsys, "derive", "--polygon", "0,0 2,0 3,1 1,2 -1,1")
+    assert code == 4
+    assert "unsupported rank" in obj["error"]
+
+
 def test_derive_parse_exit_code(capsys):
     code, obj = run_json(capsys, "derive", "--matrix", "1,x;2,3")
     assert code == 2

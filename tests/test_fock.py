@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reference_fock
 from tauseq import fock
@@ -10,9 +12,10 @@ from tauseq.fock import (FockVector, GroupElement, Window, apply_p,
                          apply_psi, apply_psi_star, octahedron_residual,
                          plucker3_residual, plucker4_residuals,
                          random_group_element, tau_discrete,
-                         tau_with_insertions, vacuum, vec_add, vec_scale,
-                         verify_state_identities)
+                         tau_with_insertions, vacuum, verify_state_identities)
 from tauseq.intlinalg import det_exact
+from tauseq.kp import add, scale
+from tauseq.verify import _acted_value
 
 ONE = 1
 
@@ -97,15 +100,15 @@ def test_car_relations_exhaustive():
         for q in positions:
             for wedge in wedges:
                 v = basis_vec(wedge)
-                anti = vec_add(
+                anti = add(
                     apply_psi(0, p, apply_psi_star(0, q, v, w), w),
                     apply_psi_star(0, q, apply_psi(0, p, v, w), w))
                 assert anti == (v if p == q else {})
-                both_psi = vec_add(
+                both_psi = add(
                     apply_psi(0, p, apply_psi(0, q, v, w), w),
                     apply_psi(0, q, apply_psi(0, p, v, w), w))
                 assert both_psi == {}
-                both_star = vec_add(
+                both_star = add(
                     apply_psi_star(0, p, apply_psi_star(0, q, v, w), w),
                     apply_psi_star(0, q, apply_psi_star(0, p, v, w), w))
                 assert both_star == {}
@@ -145,8 +148,30 @@ def test_pm_commutator_on_interior_states():
         for state in states:
             ab = apply_p(0, -m, apply_p(0, m, state, w), w)
             ba = apply_p(0, m, apply_p(0, -m, state, w), w)
-            comm = vec_add(ab, vec_scale(ba, -1))
-            assert comm == vec_scale(state, m)
+            comm = add(ab, scale(ba, -1))
+            assert comm == scale(state, m)
+
+
+LINEAR = Window(2, 2)
+COMPONENT = st.frozensets(st.sampled_from(list(LINEAR.positions))).map(
+    lambda occ: tuple(sorted(occ, reverse=True)))
+MULTI_TERM = st.dictionaries(st.tuples(COMPONENT, COMPONENT),
+                             st.integers(-5, 5).filter(bool),
+                             min_size=2, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MULTI_TERM, st.integers(0, 1), st.sampled_from(list(LINEAR.positions)),
+       st.sampled_from([k for k in range(-4, 5) if k]))
+# p_1 moves both wedges of component 0 to (1, -1): the terms must add up
+@example({((1, -2), (-1, -2)): 1, ((0, -1), (-1, -2)): 1}, 0, 0, 1)
+def test_fock_engine_is_linear(vec, component, pos, k):
+    # psi and psi* write each output term once, without summing: a fixed
+    # position added or removed never maps two wedges to one
+    for op in (lambda v: apply_psi(component, pos, v, LINEAR),
+               lambda v: apply_psi_star(component, pos, v, LINEAR),
+               lambda v: apply_p(component, k, v, LINEAR)):
+        assert op(vec) == add(*(op({wedge: c}) for wedge, c in vec.items()))
 
 
 # ------------------------------------------------------- state identities
@@ -161,8 +186,8 @@ def test_state_identities_k6():
 def test_fock_vectors_hold_ints():
     w = Window(6, 1)
     v0 = basis_vec(vacuum((0,), w))
-    state = vec_add(apply_p(0, 1, apply_p(0, 1, v0, w), w),
-                    vec_scale(apply_p(0, 2, v0, w), -1))
+    state = add(apply_p(0, 1, apply_p(0, 1, v0, w), w),
+                scale(apply_p(0, 2, v0, w), -1))
     assert state and all(type(x) is int for x in state.values())
 
 
@@ -239,9 +264,25 @@ def test_tau_identity_matrix():
 def test_tau_table_holds_int_minors():
     w = Window(4, 4)
     g = random_group_element(w, random.Random(4))
-    table = fock.tau_table(g, w, bound=1)
+    table = reference_fock.tau_table(g, w, bound=1)
     assert table and all(type(v) is int for v in table.values())
     assert all(v == tau_discrete(g, n, w) for n, v in table.items())
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3))
+def test_acted_value_matches_reference_table(seed, bound):
+    # the permutation oracle's tau'(n), read at one point, against the
+    # whole acted table of the tau-table path it replaced
+    w = Window(4, 4)
+    g = random_group_element(w, random.Random(seed), bound)
+    table = reference_fock.tau_table(g, w)
+    for sigma in itertools.permutations(range(1, 5)):
+        acted = reference_fock.act_permutation(
+            reference_fock.PermutationAction(sigma), table)
+        assert acted.keys() == table.keys()
+        for n, value in acted.items():
+            assert _acted_value(table.__getitem__, sigma, n) == value
 
 
 def test_tau_requires_degree_zero():

@@ -49,6 +49,20 @@ def test_polygon_validation():
         EdgePolygon(((0, 0), (1, 0), (2, 0), (0, 1)))  # collinear edge pair
 
 
+def test_polygon_must_wind_once():
+    # a pentagram turns left at every vertex but winds twice
+    star = ((0, 0), (2, 0), (0, 1), (1, -1), (2, 1))
+    with pytest.raises(LatticeError, match="strictly convex"):
+        EdgePolygon(star)
+    pentagon = EdgePolygon(((0, 0), (2, 0), (3, 1), (1, 2), (-1, 1)))
+    with pytest.raises(RankError):
+        quotient_map(edges_to_basis(pentagon.edges))
+    # a convex polygon is accepted from every starting vertex
+    square = ((0, 0), (1, 0), (1, 1), (0, 1))
+    for shift in range(4):
+        EdgePolygon(square[shift:] + square[:shift])
+
+
 def test_polygon_edges_close_up():
     p = parse_polygon("0,0 1,0 1,1 0,1")
     assert p.edges == ((1, 0), (0, 1), (-1, 0), (0, -1))

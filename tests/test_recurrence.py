@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from tauseq.fock import Window, random_group_element, tau_table
+from reference_fock import (PermutationAction, act_permutation, q_sigma,
+                            table_octahedron_residual, tau_table)
+from tauseq.fock import Window, random_group_element
 from tauseq.lattice import parse_matrix, quotient_map
 from tauseq.recurrence import (BASE_POINT, BilinearRecurrence,
-                               PermutationAction, UnsolvableError,
-                               act_permutation, canonicalize_pairs,
+                               UnsolvableError, canonicalize_pairs,
                                derive_recurrence, generate, octahedron_points,
-                               q_sigma, table_octahedron_residual,
                                term_str)
 
 SQUARE_BASIS = parse_matrix("5,-2,-2,-1;1,1,-1,-1")
@@ -156,16 +156,6 @@ def test_generate_validates_arguments():
         generate(rec, 24, init=[1, 1])
 
 
-# ------------------------------------------------------- permutation action
-
-
-def inverse(sigma: PermutationAction) -> PermutationAction:
-    inv = [0] * len(sigma.sigma)
-    for alpha, target in enumerate(sigma.sigma):
-        inv[target - 1] = alpha + 1
-    return PermutationAction(tuple(inv))
-
-
 def test_term_str_int_fast_path_matches_general_path():
     def general(t):
         if isinstance(t, Fraction) and t.denominator != 1:
@@ -178,6 +168,18 @@ def test_term_str_int_fast_path_matches_general_path():
     if limit:  # CPython's digit limit still applies to plain ints
         with pytest.raises(ValueError):
             term_str(10 ** limit)
+
+
+# ------------------------------------------------------- permutation action
+# The tau-table path in tests/reference_fock.py, which the permutation
+# oracle's differential test (tests/test_fock.py) compares against.
+
+
+def inverse(sigma: PermutationAction) -> PermutationAction:
+    inv = [0] * len(sigma.sigma)
+    for alpha, target in enumerate(sigma.sigma):
+        inv[target - 1] = alpha + 1
+    return PermutationAction(tuple(inv))
 
 
 def test_permutation_validation_and_inverse():
