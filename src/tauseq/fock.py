@@ -71,7 +71,7 @@ def vacuum(n: Sequence[int], window: Window) -> Wedge:
     """Basis wedge where component c occupies exactly {p < n_c}."""
     window.check_headroom(n)
     return tuple(
-        tuple(range(min(nc, window.cutoff) - 1, -window.cutoff - 1, -1))
+        tuple(range(nc - 1, -window.cutoff - 1, -1))
         for nc in n
     )
 

@@ -89,21 +89,22 @@ class MayaDiagram:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MayaDiagram":
         try:
-            return cls(
-                charge=int(obj["charge"]),
-                added=frozenset(parse_half(p) for p in obj["added"]),
-                removed=frozenset(parse_half(p) for p in obj["removed"]),
-            )
+            charge = obj["charge"]
+            added = frozenset(parse_half(p) for p in obj["added"])
+            removed = frozenset(parse_half(p) for p in obj["removed"])
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError('Maya JSON must be {"charge": c, "added": '
                              '[half-integers], "removed": '
                              '[half-integers]}') from exc
+        # bool is an int subclass; floats and strings are not converted
+        if type(charge) is not int:
+            raise ValueError(f"charge must be an integer, got {charge!r}")
+        return cls(charge=charge, added=added, removed=removed)
 
 
 def maya_from_young_charge(lam: Partition, charge: int) -> MayaDiagram:
     """Maya diagram whose occupied set is {charge + lam_k - k + 1/2 : k >= 1}."""
     occupied_high = set()
-    k = 0
     for k, part in enumerate(lam.parts, start=1):
         occupied_high.add(charge + part - k)  # stored-int position
     n_parts = len(lam.parts)
@@ -118,12 +119,9 @@ def maya_from_young_charge(lam: Partition, charge: int) -> MayaDiagram:
 
 def young_charge_from_maya(m: MayaDiagram) -> tuple[Partition, int]:
     """Inverse of maya_from_young_charge."""
-    if m.added or m.removed:
-        low = min(m.removed, default=m.charge)
-        low = min(low, min(m.added, default=m.charge))
-    else:
-        low = m.charge
-    # occupied positions from the top down to where the pattern is pure vacuum
+    # occupied positions from the top down to where the pattern is pure
+    # vacuum: the lowest removed one, as added ones lie at or above the charge
+    low = min(m.removed, default=m.charge)
     positions = sorted(
         (p for p in range(low, m.charge) if m.occupied(p)),
         reverse=True,

@@ -27,7 +27,7 @@ w = (p23, -p13, p12, 0) the spreads are p23 + p14 for (12|34), N for the
 minus pair (13|24), and p34 - p12 for (14|23); the first and last are
 each a difference x - y of positive x, y with x + y = N, so |x - y| < N.
 The minus pair thus holds the largest and the smallest offset alone, and
-canonicalize_pairs keeps it in the middle.  Each step divides a sum of
+pairs_from_spreads keeps it in the middle.  Each step divides a sum of
 products of earlier terms by an earlier term, so the run stays positive.
 The recurrence is a projection of the octahedron recurrence (Speyer,
 J. Algebraic Combin. 25, 2007), which is Laurent with positive
@@ -38,13 +38,12 @@ e2 || e4 (p12 = p23).  tests/test_properties.py checks the statement on
 random quadrilaterals with coordinates up to 50.
 
 The scan's key.  Up to p <-> N - p and q <-> N - q, (N, p, q) =
-(p12 + p13 + p23, p12, p12 + p13), and a plus pair T(n-p) T(n-N+p) is
-the offsets (-(N-s)/2, -(N+s)/2) with spread s = |N - 2p|, beside the
-minus pair (0, -N).  Reflection, translation and the plus-pair swap keep
-the spreads, so (N, s_lo, s_hi), the plus spreads in order, fixes the
-canonical pairs: scan.scan_one keys each cycle by it.  tests/test_scan.py
-checks on every cycle at bounds 0-6 that the key gives derive_recurrence's
-pairs, or that both skip the cycle as torsion.
+(p12 + p13 + p23, p12, p12 + p13); the minus pair (0, -N) has spread N and
+a plus pair T(n-p) T(n-N+p) has spread |N - 2p|.  So (N, s_lo, s_hi), the
+plus spreads in order, is the argument of pairs_from_spreads, and
+scan.scan_one keys each cycle by it.  tests/test_scan.py checks on every
+cycle at bounds 0-6 that the key gives derive_recurrence's pairs, or that
+both skip the cycle as torsion.
 """
 
 from __future__ import annotations
@@ -129,30 +128,23 @@ class BilinearRecurrence:
         return cls(pairs)  # type: ignore[arg-type]
 
 
-def canonicalize_pairs(raw: Sequence[Sequence[int]]) -> tuple[Pair, Pair, Pair]:
-    """Canonical form of an offset-pair triple.
+def pairs_from_spreads(minus: int, plus_a: int, plus_b: int
+                       ) -> tuple[Pair, Pair, Pair]:
+    """The canonical pairs of the triple whose minus pair has spread
+    `minus` and whose plus pairs have spreads `plus_a`, `plus_b`.
 
-    Freedoms used: ordering inside a pair, swapping the two plus-sign pairs,
-    reflection l -> -l, and translation.  The translation is chosen so the
-    common pair-sum is zero when it is even (centered form, as the printed
-    Somos relations) and so the minimum offset is zero otherwise.
+    The three pairs of an octahedral triple share one sum, so each is fixed
+    by its spread s = p - q >= 0, and every spread has that sum's parity.
+    Ordering inside a pair, swapping the plus pairs, reflection l -> -l and
+    translation keep the spreads.  The canonical form centres each pair,
+    (s/2, -s/2), when the spreads are even (as the printed Somos relations)
+    and puts the least offset at 0, ((S + s)/2, (S - s)/2) with S the
+    largest spread, when they are odd; the plus pairs go in spread order.
     """
-    def orient(pairs):
-        pairs = [tuple(sorted(p, reverse=True)) for p in pairs]
-        plus = sorted([pairs[0], pairs[2]])
-        return (plus[0], pairs[1], plus[1])
-
-    def translate(pairs):
-        total = pairs[0][0] + pairs[0][1]  # common to all three pairs
-        if total % 2 == 0:
-            shift = -total // 2
-        else:
-            shift = -min(x for pair in pairs for x in pair)
-        return tuple((p + shift, q + shift) for p, q in pairs)
-
-    reflected = [(-q, -p) for p, q in raw]
-    candidates = [translate(orient(raw)), translate(orient(reflected))]
-    return min(candidates)
+    top = max(minus, plus_a, plus_b) if minus % 2 else 0
+    lo, hi = sorted((plus_a, plus_b))
+    pair = lambda s: ((top + s) // 2, (top - s) // 2)
+    return pair(lo), pair(minus), pair(hi)
 
 
 def octahedron_points(w: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
@@ -172,8 +164,8 @@ def octahedron_points(w: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
 def derive_recurrence(basis: SublatticeBasis) -> BilinearRecurrence:
     """Compile the octahedral relation through the quotient of a basis."""
     idx = [index for _, index in octahedron_points(quotient_map(basis))]
-    return BilinearRecurrence(canonicalize_pairs(
-        list(zip(idx[::2], idx[1::2]))))
+    plus_a, minus, plus_b = (abs(p - q) for p, q in zip(idx[::2], idx[1::2]))
+    return BilinearRecurrence(pairs_from_spreads(minus, plus_a, plus_b))
 
 
 @dataclass

@@ -35,11 +35,13 @@ class ScanConfig:
             raise ValueError("coordinate bound must be >= 0")
         if self.terms < 16:
             raise ValueError("terms per sequence must be >= 16")
+        MatchPolicy(min_match_terms=self.min_match_terms)  # oeis's floor of 4
 
 
 Edge = tuple[int, int]
 Cycle = tuple[Edge, Edge, Edge, Edge]
-# Gale-Robinson coordinates (N, s_lo, s_hi) of a cycle's recurrence
+# Gale-Robinson coordinates (N, s_lo, s_hi) of a cycle's recurrence, the
+# arguments of recurrence.pairs_from_spreads
 Key = tuple[int, int, int]
 
 
@@ -83,7 +85,9 @@ def enumerate_edge_cycles(bound: int, start: int = 0, step: int = 1
 
 def scan_one(edges: Cycle) -> Key | str:
     """The key (N, s_lo, s_hi) of the recurrence a convex cycle derives, or
-    "torsion", from p_ij = cross(e_i, e_j); see the recurrence module
+    "torsion", from p_ij = cross(e_i, e_j): the spreads of its minus pair
+    and of its plus pairs in order, so the recurrence's pairs are
+    recurrence.pairs_from_spreads(*key); see the recurrence module
     docstring.  Equal keys are equal recurrences."""
     (x1, y1), (x2, y2), (x3, y3), _ = edges
     p12 = x1 * y2 - y1 * x2

@@ -132,15 +132,15 @@ def _acted_value(tau, sigma, n: tuple[int, ...]) -> int:
 def verify_permutation(trials: int, seed: int, cutoff: int | None = None,
                        **unused) -> dict:
     cutoff = 4 if cutoff is None else cutoff
+    if cutoff < 3:  # every degree -2 base has an entry -1
+        raise ValueError(f"permutation needs cutoff >= 3, got {cutoff}: "
+                         "no base point fits in its headroom")
     window = fock.Window(cutoff, 4)
     rng = random.Random(seed)
     # a base's raised points, and so their images, need |n_c| <= cutoff - 2
     top = min(1, cutoff - 3)
     bases = [n for n in itertools.product(range(-1, top + 1), repeat=4)
              if sum(n) == -2]
-    if not bases:
-        raise ValueError(f"permutation needs cutoff >= 3, got {cutoff}: "
-                         "no raised base point fits in its tau table")
     failures = []
     for trial in range(trials):
         g = fock.random_group_element(window, rng)

@@ -1,8 +1,10 @@
 """Reference quotient map: the integer kernel / Bezout / Smith-form path
 that `tauseq.lattice.quotient_map` replaced with the closed form from the
 six 2x2 minors, with the (w, m, torsion_free) map and the point-by-point
-projection it returned.  Tests compare the closed form against it and use
-its 2-unknown solve as the sublattice-membership oracle.
+projection it returned, and the search `canonicalize_pairs` that
+`tauseq.recurrence.pairs_from_spreads` replaced with the closed form from
+the three spreads.  Tests compare the closed forms against them and use
+the 2-unknown solve as the sublattice-membership oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Sequence
 from tauseq.lattice import (LatticeError, RankError, SublatticeBasis,
                             TorsionError)
 from tauseq.recurrence import (BASE_POINT, PAIRINGS, BilinearRecurrence,
-                               canonicalize_pairs)
+                               Pair)
 
 Matrix = Sequence[Sequence[int]]
 
@@ -193,6 +195,32 @@ def quotient_map(basis: SublatticeBasis) -> QuotientMap:
     if (d1, d2) != (1, 1):
         raise TorsionError((d1, d2))
     return QuotientMap(w=tuple(w), m=m, torsion_free=True)
+
+
+def canonicalize_pairs(raw: Sequence[Sequence[int]]) -> tuple[Pair, Pair, Pair]:
+    """Canonical form of an offset-pair triple.
+
+    Freedoms used: ordering inside a pair, swapping the two plus-sign pairs,
+    reflection l -> -l, and translation.  The translation is chosen so the
+    common pair-sum is zero when it is even (centered form, as the printed
+    Somos relations) and so the minimum offset is zero otherwise.
+    """
+    def orient(pairs):
+        pairs = [tuple(sorted(p, reverse=True)) for p in pairs]
+        plus = sorted([pairs[0], pairs[2]])
+        return (plus[0], pairs[1], plus[1])
+
+    def translate(pairs):
+        total = pairs[0][0] + pairs[0][1]  # common to all three pairs
+        if total % 2 == 0:
+            shift = -total // 2
+        else:
+            shift = -min(x for pair in pairs for x in pair)
+        return tuple((p + shift, q + shift) for p, q in pairs)
+
+    reflected = [(-q, -p) for p, q in raw]
+    candidates = [translate(orient(raw)), translate(orient(reflected))]
+    return min(candidates)
 
 
 def derive_recurrence(qmap: QuotientMap) -> BilinearRecurrence:

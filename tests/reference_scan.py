@@ -4,9 +4,10 @@ Every cycle builds its basis and derives its recurrence (on a pool that
 receives the bases, when workers > 1), the derived recurrences are walked
 in enumeration order, and the first of each recurrence is completed.
 Tests compare the keyed scan against it, and map `scan_one`'s keys back
-to recurrences with `from_key`.  `reference_enumerate_edge_cycles` is the
-enumeration whose e3 loop walks every later vector and only then tests
-that e4 lies in the box; tests compare the pruned loop against it.
+to recurrences with `tauseq.recurrence.pairs_from_spreads(*key)`.
+`reference_enumerate_edge_cycles` is the enumeration whose e3 loop walks
+every later vector and only then tests that e4 lies in the box; tests
+compare the pruned loop against it.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Iterable, Iterator
 from tauseq.lattice import (LatticeError, RankError, SublatticeBasis,
                             TorsionError, edges_to_basis)
 from tauseq.oeis import StrippedDb
-from tauseq.recurrence import (BilinearRecurrence, Pair, UnsolvableError,
-                               canonicalize_pairs, derive_recurrence)
+from tauseq.recurrence import (BilinearRecurrence, UnsolvableError,
+                               derive_recurrence)
 from tauseq.scan import (Cycle, ScanConfig, complete_record,
                          enumerate_edge_cycles)
 
@@ -63,14 +64,6 @@ def reference_scan_one(basis: SublatticeBasis) -> BilinearRecurrence | str:
         return "rank"
     except LatticeError as exc:  # pragma: no cover - defensive
         return f"lattice: {exc}"
-
-
-def from_key(n: int, lo: int, hi: int) -> tuple[Pair, Pair, Pair]:
-    """The canonical pairs of the Gale-Robinson recurrence with window n
-    and plus-pair spreads lo <= hi: the minus pair (0, -n) and the two
-    plus pairs with the same sum -n and those spreads."""
-    return canonicalize_pairs([(-(n - lo) // 2, -(n + lo) // 2), (0, -n),
-                               (-(n - hi) // 2, -(n + hi) // 2)])
 
 
 def reference_bases(cfg: ScanConfig) -> Iterator[SublatticeBasis]:

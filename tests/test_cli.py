@@ -315,10 +315,14 @@ def test_scan_output_files(capsys, tmp_path):
      '{"pairs": [[0,0],[4,-4],[3,-3]], "signs": [1, -1, "1"]}'],
     ["maya", "--from-maya", "[1]"],
     ["maya", "--from-maya", '{"charge": 0}'],
+    ["maya", "--from-maya", '{"charge": 1e999, "added": [], "removed": []}'],
+    ["maya", "--from-maya", '{"charge": 0.5, "added": [], "removed": []}'],
+    ["maya", "--from-maya", '{"charge": true, "added": [], "removed": []}'],
     ["match", "--terms-list", "2,3,4,5,9,18,34,93,180,348",
      "--oeis", "TRUNCATED"],
     ["scan", "--bound", "1", "--oeis", "TRUNCATED"],
     ["scan", "--bound", "1", "--output", "MISSING"],
+    ["scan", "--bound", "0", "--min-match", "3"],
     ["verify", "octahedron", "--cutoff", "0"],
     ["verify", "octahedron", "--cutoff", "2", "--trials", "0"],
     ["verify", "octahedron", "--cutoff", "2", "--trials", "1"],

@@ -8,9 +8,11 @@ SublatticeBasis and the Gram-determinant check of the Plucker draws
 against a Fraction Gaussian-elimination rank.  The text-index OEIS match is
 checked against the per-entry slice scan it replaced, and the OEIS loader,
 which keeps canonical rows as text, against the int-parsing loader it
-replaced (tests/reference_oeis.py).  canonicalize_pairs
-is checked for its declared invariances, and BilinearRecurrence for
-accepting exactly the triples generate can iterate.  Every torsion-free
+replaced (tests/reference_oeis.py).  The closed form pairs_from_spreads
+is checked against the search canonicalize_pairs it replaced (kept in
+tests/reference_lattice.py), canonicalize_pairs for its declared
+invariances, and BilinearRecurrence for accepting exactly the triples
+generate can iterate.  Every torsion-free
 strictly convex quadrilateral is checked to give a positive Gale-Robinson
 recurrence (the statement is in the recurrence module docstring), and the
 scan's key of its edge cycle to map back to that recurrence, or both to
@@ -32,7 +34,7 @@ from hypothesis import strategies as st
 import reference_kp
 import reference_lattice
 import reference_oeis
-from reference_scan import from_key
+from reference_lattice import canonicalize_pairs
 from tauseq.fock import (Window, _independent, octahedron_residual,
                          random_group_element)
 from tauseq.kp import kp_bilinear_residual, schur
@@ -43,8 +45,8 @@ from tauseq.maya import Partition
 from tauseq.oeis import (MatchPolicy, QueryTooShort, load_stripped,
                          match_sequence, trim_query)
 from tauseq.recurrence import (SIGNS, BilinearRecurrence, SequenceRun,
-                               UnsolvableError, canonicalize_pairs,
-                               derive_recurrence, generate)
+                               UnsolvableError, derive_recurrence, generate,
+                               pairs_from_spreads)
 from tauseq.scan import scan_one
 
 
@@ -417,6 +419,21 @@ def test_canonicalize_pairs_invariances(raw, shift):
                                for p, q in raw]) == canon
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-20, 20), st.lists(st.integers(-20, 20), min_size=3,
+                                      max_size=3))
+@example(0, [0, 4, 3])  # even sum: centred pairs
+@example(1, [1, 5, 4])  # odd sum: least offset 0
+@example(1, [9, 0, 4])  # a plus spread is the largest
+@example(-3, [2, 2, -5])  # coinciding spreads
+def test_pairs_from_spreads_matches_canonicalize(total, firsts):
+    # three pairs (p, total - p) with the common sum, each in either order
+    raw = [(p, total - p) for p in firsts]
+    (p1, q1), (p2, q2), (p3, q3) = raw
+    assert pairs_from_spreads(abs(p2 - q2), abs(p1 - q1), abs(p3 - q3)) \
+        == canonicalize_pairs(raw)
+
+
 # ------------------------------------------------------ Gale-Robinson
 
 
@@ -474,7 +491,7 @@ def test_scan_key_maps_to_derived_recurrence(vertices):
     except TorsionError:
         assert key == "torsion"
         return
-    assert from_key(*key) == rec.pairs
+    assert pairs_from_spreads(*key) == rec.pairs
 
 
 # ------------------------------------------------------------ octahedron

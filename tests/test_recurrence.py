@@ -6,12 +6,12 @@ import pytest
 
 from reference_fock import (PermutationAction, act_permutation, q_sigma,
                             table_octahedron_residual, tau_table)
+from reference_lattice import canonicalize_pairs
 from tauseq.fock import Window, random_group_element
 from tauseq.lattice import parse_matrix, quotient_map
 from tauseq.recurrence import (BASE_POINT, BilinearRecurrence,
-                               UnsolvableError, canonicalize_pairs,
-                               derive_recurrence, generate, octahedron_points,
-                               term_str)
+                               UnsolvableError, derive_recurrence, generate,
+                               octahedron_points, term_str)
 
 SQUARE_BASIS = parse_matrix("5,-2,-2,-1;1,1,-1,-1")
 HEX_BASIS = parse_matrix("1,3,-3,-1;0,1,2,-3")

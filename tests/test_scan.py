@@ -5,8 +5,9 @@ import pytest
 
 from tauseq.lattice import edges_to_basis
 from tauseq.oeis import load_fixture
-from tauseq.recurrence import derive_recurrence, generate, term_str
-from reference_scan import (from_key, reference_bases,
+from tauseq.recurrence import (derive_recurrence, generate,
+                               pairs_from_spreads, term_str)
+from reference_scan import (reference_bases,
                             reference_enumerate_edge_cycles, reference_scan,
                             reference_scan_one)
 from tauseq.scan import (ScanConfig, complete_record, enumerate_edge_cycles,
@@ -215,7 +216,7 @@ def test_scan_one_keys_match_reference_derive():
             if isinstance(want, str):
                 assert key == want, edges
                 continue
-            assert from_key(*key) == want.pairs, edges
+            assert pairs_from_spreads(*key) == want.pairs, edges
             keys.add(key)
             recs.add(want)
     assert checked == 120872
