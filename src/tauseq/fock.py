@@ -6,6 +6,9 @@ choice of occupied positions in each component.  A Fock vector is a sparse
 dict of int coefficients, combined by kp's add and scale; minors are ints
 too, and every check below is an exact identity, never approximate.
 
+A group element g enters only through <Omega| g, so it is held as its
+covacuum block (Block): the s*K rows of g on the neutral-vacuum slots.
+
 Conventions (all signs derive from these two choices):
   * positions are stored as ints via p -> p - 1/2 (as in tauseq.maya);
   * the global slot order is component ascending, then position descending,
@@ -28,6 +31,7 @@ from .recurrence import octahedral_combination
 Component = tuple[int, ...]
 Wedge = tuple[Component, ...]
 FockVector = dict[Wedge, int]
+Block = tuple[tuple[int, ...], ...]  # s*K rows of 2sK entries
 
 
 @dataclass(frozen=True)
@@ -132,31 +136,17 @@ def apply_p(component: int, k: int, vec: FockVector,
                  for i in window.positions if i + k in window.positions))
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """Invertible integer matrix indexed by global slots."""
-
-    matrix: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.matrix)
-        if any(len(row) != n for row in self.matrix):
-            raise ValueError("matrix must be square")
-        if det_exact(self.matrix) == 0:
-            raise ValueError("matrix must be invertible")
-
-
 def random_group_element(window: Window, rng: random.Random,
-                         bound: int = 3) -> GroupElement:
-    """Random invertible integer matrix, entries uniform in [-bound, bound]."""
-    n = window.size
-    while True:
-        m = tuple(tuple(rng.randint(-bound, bound) for _ in range(n))
-                  for _ in range(n))
-        try:
-            return GroupElement(m)  # its check is the one determinant
-        except ValueError:
-            continue
+                         bound: int = 3) -> Block:
+    """The covacuum rows of a random integer g, row r on the r-th
+    neutral-vacuum slot, drawn row by row with entries in [-bound, bound].
+
+    Every tau value is a maximal minor of these rows, and the relations
+    among those minors are Grassmann-Plucker identities that hold for every
+    integer block (Fulton, Young Tableaux 9.1): no other row of g is read,
+    and g need not be invertible, so nothing checks that it is."""
+    return tuple(tuple(rng.randint(-bound, bound) for _ in range(window.size))
+                 for _ in range(window.components * window.cutoff))
 
 
 def _wedge_slots(wedge: Wedge, window: Window) -> list[int]:
@@ -167,53 +157,48 @@ def _wedge_slots(wedge: Wedge, window: Window) -> list[int]:
     return slots
 
 
-def _covacuum_minor(g: GroupElement, wedge: Wedge, window: Window) -> int:
-    """<Omega| g |wedge>: the minor of g on the neutral-vacuum rows and the
-    wedge's columns, both in global slot order."""
-    rows = _wedge_slots(vacuum((0,) * window.components, window), window)
+def _covacuum_minor(g: Block, wedge: Wedge, window: Window) -> int:
+    """<Omega| g |wedge>: the minor of the covacuum block g on the wedge's
+    columns, in global slot order."""
     cols = _wedge_slots(wedge, window)
-    return det_exact([[g.matrix[i][j] for j in cols] for i in rows])
+    return det_exact([[row[j] for j in cols] for row in g])
 
 
-def tau_discrete(g: GroupElement, n: Sequence[int],
-                 window: Window) -> int:
-    """Discrete tau value <Omega| g |n> as a minor of g.
-
-    Rows are the neutral-vacuum slots, columns the slots of vacuum(n); both
-    sets have size s*K, so the minor is square.
-    """
+def tau_discrete(g: Block, n: Sequence[int], window: Window) -> int:
+    """Discrete tau value <Omega| g |n> as a maximal minor of the covacuum
+    block g: its s*K rows on the s*K columns of vacuum(n)."""
     if sum(n) != 0:
         raise ValueError("charge vector must have degree 0")
     return _covacuum_minor(g, vacuum(n, window), window)
 
 
-def tau_with_insertions(g: GroupElement, n: Sequence[int],
+def tau_with_insertions(g: Block, n: Sequence[int],
                         window: Window) -> dict[tuple[int, int], int]:
     """{(alpha, beta): <g| psi_{alpha, n_alpha+1/2} psi_{beta, n_beta+1/2} |n>}
     for every pair of components 1 <= alpha < beta <= s, exact; deg(n) = -2.
 
     Each insertion fills the free slot n_c on top of its component, so a
-    value is the covacuum minor of g on the slots of vacuum(n) followed by
-    the two inserted slots: the wedge v_alpha v_beta |n> with its two front
-    vectors moved past the s*K - 2 vacuum slots, an even permutation.  All
-    those minors share the vacuum columns and come from one elimination.
+    value is the minor of the covacuum block g on the slots of vacuum(n)
+    followed by the two inserted slots: the wedge v_alpha v_beta |n> with
+    its two front vectors moved past the s*K - 2 vacuum slots, an even
+    permutation.  All those minors share the vacuum columns and come from
+    one elimination.
     """
     if sum(n) != -2:
         raise ValueError("charge vector must have degree -2")
     cols = _wedge_slots(vacuum(n, window), window)  # checks the headroom
     cols += [window.slot(c, nc) for c, nc in enumerate(n)]
-    rows = _wedge_slots(vacuum((0,) * window.components, window), window)
-    minors = pair_minors([[g.matrix[i][j] for j in cols] for i in rows])
+    minors = pair_minors([[row[j] for j in cols] for row in g])
     return {(i + 1, j + 1): value for (i, j), value in minors.items()}
 
 
-def octahedron_residual(g: GroupElement, n: Sequence[int],
-                        window: Window) -> int:
+def octahedron_residual(g: Block, n: Sequence[int], window: Window) -> int:
     """Exact residual of the three-term octahedral identity at base n, from
     the six insertion values of tau_with_insertions.
 
-    Zero for every invertible g — this is the discrete Hirota/Plucker
-    identity the rest of the package builds on.
+    Zero for every integer block g: the identity is a Grassmann-Plucker
+    relation among its maximal minors (Fulton, Young Tableaux 9.1), the
+    discrete Hirota/Plucker identity the rest of the package builds on.
     """
     values = tau_with_insertions(g, n, window)
     return octahedral_combination(values.__getitem__)

@@ -181,7 +181,9 @@ def _poly_det(entries: list[list[MultiPoly]], m: int) -> MultiPoly:
         memo[cols] = acc = add(*terms)
         return acc
 
-    return minor(tuple(range(ell)))
+    det = minor(tuple(range(ell)))
+    del minor  # it refers to itself: free memo now, not at a full collection
+    return det
 
 
 def kp_bilinear_residual(tau: MultiPoly, m: int = DEFAULT_VARS) -> MultiPoly:

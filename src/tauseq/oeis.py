@@ -3,11 +3,12 @@ live search client.
 
 The stripped format is one sequence per line: "A000045 ,0,1,1,2,3,...,".
 Loading keeps each entry as its canonical row text ",t0,t1,...,": a line
-already in that form is stored as it stands, and any other accepted form
+already in that form is stored as it stands, and any other accepted line
 (leading zeros, "+5", "-0", spaces, "_" separators, empty fields, no
-trailing comma) goes through int() and str() once, at load.  A query is
-matched by one text search: the first match against a snapshot joins the
-rows, in A-number order, into one text, and every query then looks for
+trailing comma) is made canonical once, at load: a plain ASCII term as
+text, any other term through int() and str().  A query is matched by one
+text search: the first match against a snapshot joins the rows, in
+A-number order, into one text, and every query then looks for
 ",q0,q1,...," in it.
 Matching is hermetic by design; the online client is advisory only and is
 never consulted by tests or acceptance runs.
@@ -33,6 +34,7 @@ A_NUMBER_RE = re.compile(r"A[0-9]{6}")
 # a whole stripped line whose terms are already canonical: 0, or an
 # optional minus and digits without a leading zero
 CANONICAL_LINE_RE = re.compile(r"(A[0-9]{6}) (,(?:(?:0|-?[1-9][0-9]*),)+)")
+ASCII_TERM_RE = re.compile(r"[+-]?[0-9]+")
 DEFAULT_ENDPOINT = "https://oeis.org/search"
 
 
@@ -92,6 +94,15 @@ class MatchPolicy:
             raise ValueError("min_match_terms must be >= 4")
 
 
+def _canonical_term(field: str) -> str:
+    """str(int(field)), by text for a plain ASCII term: int() is quadratic."""
+    term = field.strip()
+    if not ASCII_TERM_RE.fullmatch(term):
+        return str(int(field))
+    digits = term.lstrip("+-").lstrip("0") or "0"
+    return "-" + digits if term[0] == "-" and digits != "0" else digits
+
+
 def load_stripped(source: BinaryIO | bytes | str) -> StrippedDb:
     """Parse a stripped file; gzip input is detected by magic bytes.
 
@@ -127,8 +138,8 @@ def load_stripped(source: BinaryIO | bytes | str) -> StrippedDb:
             continue
         try:
             with exact_int_str():
-                row = ",".join(str(int(x)) for x in rest.rstrip(",").split(",")
-                               if x != "")
+                row = ",".join(_canonical_term(x)
+                               for x in rest.rstrip(",").split(",") if x != "")
         except ValueError:
             malformed.append((lineno, line))
             continue

@@ -7,7 +7,7 @@ use; a `cutoff` or `dim` left as None takes the oracle's own default.
 fock and kp are called through their module attributes, so that a caller
 who wraps those attributes sees every call.  The permutation oracle needs
 no tau table: it reads each acted value tau'(n) = (-1)^q tau(sigma n) where
-a probe needs it, from fock.tau_discrete memoised per group element.
+a probe needs it, from fock.tau_discrete memoised per covacuum block.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def verify_kp(max_weight: int = 6, **unused) -> dict:
     return _report("kp", len(lams), failures, max_weight=max_weight)
 
 
-SIGMAS = 5  # permutations drawn per group element
+SIGMAS = 5  # permutations drawn per covacuum block
 PROBES = 100  # base points probed per permutation
 
 

@@ -1,11 +1,15 @@
-"""Reference fermionic insertions, one pair of components at a time, for
-`tauseq.fock.tau_with_insertions`, which reads all pairs off one shared
-elimination.  Tests compare it against both paths it replaced:
+"""Reference paths for `tauseq.fock`'s covacuum minors and insertions.
 
-* `engine_insertion`, the Fock-engine path: the vacuum |n> is a one-term
-  Fock vector, the two psi operators act on it through `fock.apply_psi`
-  (beta first, then alpha), and the one wedge left is read off as a minor
-  of g on the neutral-vacuum rows, built here from the matrix entries;
+* `square_tau` and `square_insertion`, the full-square-matrix path that
+  fock took before it drew only the covacuum block: select the
+  neutral-vacuum rows of a 2sK x 2sK matrix g, then take the minor.
+  `covacuum_block` reads those rows off, and `pad` puts a block back on
+  them with any filler in the other rows, so the two paths can be
+  compared on one block;
+* `engine_insertion`, the Fock-engine path for one pair of components:
+  the vacuum |n> is a one-term Fock vector, the two psi operators act on
+  it through `fock.apply_psi` (beta first, then alpha), and the one wedge
+  left is read off as a minor of the block, built here from its entries;
 * `closed_form_insertion`, the per-pair closed form: one covacuum minor of
   the raised wedge times the sign of moving each psi past the occupied
   slots of every earlier component.
@@ -23,10 +27,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from tauseq.fock import (FockVector, GroupElement, Window, _covacuum_minor,
+from tauseq.fock import (Block, FockVector, Wedge, Window, _covacuum_minor,
                          _wedge_slots, apply_psi, tau_discrete, vacuum)
 from tauseq.intlinalg import det_exact
 from tauseq.recurrence import Pair, octahedral_combination
+
+Matrix = Sequence[Sequence[int]]
 
 TauTable = dict[tuple[int, ...], int]
 
@@ -39,7 +45,47 @@ def _check(n: Sequence[int], pair: tuple[int, int], window: Window) -> None:
         raise ValueError("charge vector must have degree -2")
 
 
-def engine_insertion(g: GroupElement, n: Sequence[int],
+def vacuum_rows(window: Window) -> list[int]:
+    """Global slots of the neutral vacuum, in global order."""
+    return _wedge_slots(vacuum((0,) * window.components, window), window)
+
+
+def covacuum_block(g: Matrix, window: Window) -> Block:
+    """The rows of a 2sK x 2sK matrix g on the neutral-vacuum slots."""
+    return tuple(tuple(g[i]) for i in vacuum_rows(window))
+
+
+def pad(block: Block, filler: Matrix, window: Window) -> list[list[int]]:
+    """The square g with the block on the neutral-vacuum rows and the rows
+    of filler, in order, on the other slots."""
+    rows = dict(zip(vacuum_rows(window), block))
+    spare = iter(filler)
+    return [list(rows[i]) if i in rows else list(next(spare))
+            for i in range(window.size)]
+
+
+def square_minor(g: Matrix, wedge: Wedge, window: Window) -> int:
+    """<Omega| g |wedge> of a square g: the minor on the neutral-vacuum
+    rows and the wedge's columns, both in global slot order."""
+    cols = _wedge_slots(wedge, window)
+    return det_exact([[g[i][j] for j in cols] for i in vacuum_rows(window)])
+
+
+def square_tau(g: Matrix, n: Sequence[int], window: Window) -> int:
+    if sum(n) != 0:
+        raise ValueError("charge vector must have degree 0")
+    return square_minor(g, vacuum(n, window), window)
+
+
+def _check(n: Sequence[int], pair: tuple[int, int], window: Window) -> None:
+    alpha, beta = pair
+    if not 1 <= alpha < beta <= window.components:
+        raise ValueError("need 1 <= alpha < beta <= s")
+    if sum(n) != -2:
+        raise ValueError("charge vector must have degree -2")
+
+
+def engine_insertion(g: Block, n: Sequence[int],
                      pair: tuple[int, int], window: Window) -> int:
     """<g| psi_{alpha, n_alpha+1/2} psi_{beta, n_beta+1/2} |n> by the
     operator engine."""
@@ -52,19 +98,15 @@ def engine_insertion(g: GroupElement, n: Sequence[int],
     if not vec:
         return 0
     (wedge, coeff), = vec.items()
-    rows = _wedge_slots(vacuum((0,) * window.components, window), window)
     cols = _wedge_slots(wedge, window)
-    return coeff * det_exact([[g.matrix[i][j] for j in cols] for i in rows])
+    return coeff * det_exact([[row[j] for j in cols] for row in g])
 
 
-def closed_form_insertion(g: GroupElement, n: Sequence[int],
-                          pair: tuple[int, int], window: Window) -> int:
-    """The same value as one covacuum minor times a closed-form sign.
-
-    Each insertion fills the free slot n_c on top of its component, so the
-    value is the covacuum minor of that wedge times the sign of moving each
-    psi past the n_c + K occupied slots of every earlier component c.
-    """
+def _raised(n: Sequence[int], pair: tuple[int, int],
+            window: Window) -> tuple[Wedge, int]:
+    """The wedge psi_alpha psi_beta |n> with each psi moved to the top of
+    its component, and the sign of moving each psi past the n_c + K
+    occupied slots of every earlier component c."""
     _check(n, pair, window)
     alpha, beta = pair
     wedge = list(vacuum(n, window))  # checks the headroom
@@ -72,15 +114,29 @@ def closed_form_insertion(g: GroupElement, n: Sequence[int],
         wedge[c] = (n[c],) + wedge[c]
     passed = (sum(n[:alpha - 1]) + sum(n[:beta - 1])
               + window.cutoff * (alpha + beta - 2))
-    sign = -1 if passed % 2 else 1
-    return sign * _covacuum_minor(g, tuple(wedge), window)
+    return tuple(wedge), -1 if passed % 2 else 1
+
+
+def closed_form_insertion(g: Block, n: Sequence[int],
+                          pair: tuple[int, int], window: Window) -> int:
+    """The same value as one covacuum minor times a closed-form sign:
+    each insertion fills the free slot n_c on top of its component."""
+    wedge, sign = _raised(n, pair, window)
+    return sign * _covacuum_minor(g, wedge, window)
+
+
+def square_insertion(g: Matrix, n: Sequence[int],
+                     pair: tuple[int, int], window: Window) -> int:
+    """closed_form_insertion on a square g, by the square path's minor."""
+    wedge, sign = _raised(n, pair, window)
+    return sign * square_minor(g, wedge, window)
 
 
 # ---------------------------------------------------------------------------
 # permutation action on tau tables
 # ---------------------------------------------------------------------------
 
-def tau_table(g: GroupElement, window: Window,
+def tau_table(g: Block, window: Window,
               bound: int | None = None) -> TauTable:
     """All tau values on degree-0 charge vectors with |n_c| <= bound."""
     if bound is None:

@@ -144,7 +144,7 @@ def test_criterion_07_permutation_action(capsys):
     ok = (result["trials"], result["sigmas"], result["probes"],
           result["failures"]) == (20, 5, 100, 0)
     report(capsys, 7, "permutation action preserves the octahedral relation",
-           ok, "20 group elements x 5 permutations x 100 probes")
+           ok, "20 covacuum blocks x 5 permutations x 100 probes")
 
 
 def test_criterion_08_maya_roundtrip(capsys):
@@ -176,7 +176,7 @@ def test_criterion_09_cross_oracle(capsys):
         if signed != 0:
             failures += 1
     report(capsys, 9, "derived index bookkeeping agrees with determinantal tau",
-           failures == 0, "50 random group elements at cutoff 6")
+           failures == 0, "50 random covacuum blocks at cutoff 6")
 
 
 BOUND5_SHA256 = \

@@ -3,18 +3,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import reference_fock
 from tauseq import fock
-from tauseq.fock import (FockVector, GroupElement, Window, apply_p,
+from tauseq.fock import (Block, FockVector, Window, apply_p,
                          apply_psi, apply_psi_star, octahedron_residual,
                          plucker3_residual, plucker4_residuals,
                          random_group_element, tau_discrete,
                          tau_with_insertions, vacuum, verify_state_identities)
-from tauseq.intlinalg import det_exact
 from tauseq.kp import add, scale
+from tauseq.recurrence import octahedral_combination
 from tauseq.verify import _acted_value
 
 ONE = 1
@@ -24,9 +24,10 @@ def basis_vec(wedge) -> FockVector:
     return {wedge: ONE}
 
 
-def identity_element(w: Window) -> GroupElement:
-    return GroupElement(tuple(tuple(int(i == j) for j in range(w.size))
-                              for i in range(w.size)))
+def identity_element(w: Window) -> Block:
+    """The covacuum block of the identity matrix."""
+    return reference_fock.covacuum_block(
+        [[int(i == j) for j in range(w.size)] for i in range(w.size)], w)
 
 
 # ---------------------------------------------------------------- vacuum
@@ -215,40 +216,82 @@ def test_state_identities_window_too_small():
         verify_state_identities(Window(2, 1))
 
 
-# ------------------------------------------------------- group elements
-
-
-def double_check_draw(window: Window, rng: random.Random,
-                      bound: int) -> tuple[GroupElement, int]:
-    """The draw loop that tested invertibility before GroupElement tested
-    it again, with the number of singular draws it rejected."""
-    n, rejected = window.size, 0
-    while True:
-        m = tuple(tuple(rng.randint(-bound, bound) for _ in range(n))
-                  for _ in range(n))
-        if det_exact(m) != 0:
-            return GroupElement(m), rejected
-        rejected += 1
+# ------------------------------------------------------- covacuum blocks
 
 
 @pytest.mark.parametrize("bound", [1, 3])
-def test_random_group_element_draws_as_double_check(bound):
-    rejected = 0
+def test_random_group_element_draws_rows_in_order(bound):
+    # s*K rows of 2sK entries, drawn row by row: one seed gives one block
+    # and leaves the generator in one state
     for window in (Window(2, 1), Window(2, 2), Window(3, 4)):
-        for seed in range(6):
-            fast, slow = random.Random(seed), random.Random(seed)
-            for _ in range(4):
-                g, skipped = double_check_draw(window, slow, bound)
-                assert random_group_element(window, fast, bound) == g
-                rejected += skipped
-            assert fast.getstate() == slow.getstate()
-    if bound == 1:
-        assert rejected > 0  # the retry path was taken
+        for seed in range(4):
+            rng, again = random.Random(seed), random.Random(seed)
+            g = random_group_element(window, rng, bound)
+            assert g == random_group_element(window, again, bound)
+            assert rng.getstate() == again.getstate()
+            rows = random.Random(seed)
+            assert g == tuple(
+                tuple(rows.randint(-bound, bound) for _ in range(window.size))
+                for _ in range(window.components * window.cutoff))
+            assert rng.getstate() == rows.getstate()
 
 
-def test_group_element_rejects_singular_matrix():
-    with pytest.raises(ValueError, match="invertible"):
-        GroupElement(((1, 2), (2, 4)))
+@st.composite
+def degenerate_blocks(draw):
+    """A window over four components; a drawn block with some rows zeroed
+    or repeated, so often rank-deficient; filler rows that complete it to
+    a square g (zero, repeated or random, so g is often singular); a
+    degree -2 base whose raised points stay within the headroom; and a
+    permutation of the components."""
+    w = Window(draw(st.sampled_from([3, 4])), 4)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    bound = draw(st.integers(1, 3))
+    block = [list(row) for row in random_group_element(w, rng, bound)]
+    height = len(block)
+    for _ in range(draw(st.integers(0, 3))):
+        target = draw(st.integers(0, height - 1))
+        if draw(st.booleans()):
+            block[target] = [0] * w.size
+        else:
+            block[target] = list(block[draw(st.integers(0, height - 1))])
+    fill = draw(st.sampled_from(["zero", "repeat", "random"]))
+    filler = [[0] * w.size if fill == "zero" else
+              block[r % height] if fill == "repeat" else
+              [rng.randint(-bound, bound) for _ in range(w.size)]
+              for r in range(w.size - height)]
+    room = st.integers(2 - w.cutoff, w.cutoff - 3)
+    n = draw(st.lists(room, min_size=3, max_size=3))
+    n.append(-2 - sum(n))
+    if not 2 - w.cutoff <= n[3] <= w.cutoff - 3:
+        reject()
+    sigma = draw(st.permutations([1, 2, 3, 4]))
+    return w, tuple(map(tuple, block)), filler, tuple(n), sigma
+
+
+@settings(max_examples=150, deadline=None)
+@given(degenerate_blocks())
+def test_block_minors_match_square_path(case):
+    # the relations are identities in the block's entries: they hold on
+    # rank-deficient blocks and on blocks with no invertible completion,
+    # and every value is the square path's value on the padded g
+    w, block, filler, n, sigma = case
+    square = reference_fock.pad(block, filler, w)
+    assert reference_fock.covacuum_block(square, w) == block
+    assert octahedron_residual(block, n, w) == 0
+    assert tau_with_insertions(block, n, w) == {
+        pair: reference_fock.square_insertion(square, n, pair, w)
+        for pair in PAIRS}
+
+    def tau(point):
+        value = tau_discrete(block, point, w)
+        assert value == reference_fock.square_tau(square, point, w)
+        return value
+
+    def acted(pair):
+        raised = tuple(x + (c in pair) for c, x in enumerate(n, 1))
+        return _acted_value(tau, sigma, raised)
+
+    assert octahedral_combination(acted) == 0
 
 
 # ------------------------------------------------------------ tau minors
@@ -301,12 +344,14 @@ def brute_force_tau(g, n, w) -> int:
     for c in range(w.components):
         for p in w.positions:
             slot_to_pos[w.slot(c, p)] = (c, p)
+    # g e_col = sum_i g[i][col] e_i, and only the terms on the block's
+    # neutral-vacuum rows can reach the covacuum
     empty = (() ,) * w.components
     vec: FockVector = {empty: ONE}
     for col in cols:
         new: FockVector = {}
-        for i in range(w.size):
-            coeff = g.matrix[i][col]
+        for i, row in zip(reference_fock.vacuum_rows(w), g):
+            coeff = row[col]
             if coeff == 0:
                 continue
             c, p = slot_to_pos[i]
@@ -336,10 +381,8 @@ def test_tau_multilinear_in_rows():
     w = Window(3, 2)
     rng = random.Random(5)
     g = random_group_element(w, rng)
-    scaled = [list(row) for row in g.matrix]
-    row = w.slot(0, -1)  # a row the covacuum minor actually selects
-    scaled[row] = [3 * x for x in scaled[row]]
-    g2 = fock.GroupElement(tuple(tuple(r) for r in scaled))
+    assert reference_fock.vacuum_rows(w)[0] == w.slot(0, -1)
+    g2 = (tuple(3 * x for x in g[0]),) + g[1:]
     for n in [(0, 0), (1, -1)]:
         assert tau_discrete(g2, n, w) == 3 * tau_discrete(g, n, w)
 

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from fractions import Fraction
@@ -161,6 +162,22 @@ def test_schur_weight_grading():
         weight = sum(lam.parts)
         for exp in poly:
             assert sum((i + 1) * e for i, e in enumerate(exp)) == weight
+
+
+def test_schur_leaves_no_cyclic_garbage():
+    # the determinant's memo of minors is freed when schur returns, not
+    # kept alive by a reference cycle until the next full collection
+    h_series(5, M)  # the shared series is built once and kept on purpose
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for lam in partitions_up_to(5):
+            schur(lam, M)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ------------------------------------------------------------ kp residual

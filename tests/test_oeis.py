@@ -104,7 +104,7 @@ def test_index_holds_terms_past_int_str_digit_limit():
 
 @pytest.mark.parametrize("big", ["1" + "0" * 4300, "+01" + "0" * 4300])
 def test_load_stripped_terms_past_int_str_digit_limit(big):
-    # canonical text is kept as it stands; "+01..." goes through int()
+    # canonical text is kept as it stands; "+01..." is rewritten as text
     limit = sys.get_int_max_str_digits()
     db = load_stripped(f"A000001 ,2,3,4,5,{big},\n")
     assert db.malformed == []

@@ -17,7 +17,7 @@ strictly convex quadrilateral is checked to give a positive Gale-Robinson
 recurrence (the statement is in the recurrence module docstring), and the
 scan's key of its edge cycle to map back to that recurrence, or both to
 say torsion.  The octahedral relation is checked to hold exactly for
-random group elements.  The integer KP path (Schur functions and the
+random covacuum blocks.  The integer KP path (Schur functions and the
 bilinear residual) is checked against the all-Fraction oracle it replaced
 (tests/reference_kp.py).
 """
@@ -405,6 +405,32 @@ def test_load_matches_int_reference(lines, final_newline, compress):
     assert db._index == reference_oeis.index(entries)
 
 
+# mostly ASCII digits, and now and then one int() reads from another script
+DIGIT_FIELD = st.builds(
+    lambda blank, sign, zeros, digits, tail: blank + sign + zeros + digits
+    + tail,
+    st.sampled_from(["", " ", "\t"]), st.sampled_from(["", "+", "-", "+-"]),
+    st.sampled_from(["", "0", "000"]),
+    st.one_of(st.text("0123456789", max_size=12),
+              st.text("0123456789\u0660\u0665", max_size=4),
+              st.sampled_from(["1" * 4301, "0" * 4301, "9" + "0" * 4400])),
+    st.sampled_from(["", "", " ", " 1", "x"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(DIGIT_FIELD, min_size=1, max_size=6), max_size=6))
+def test_load_ascii_terms_by_text_match_int_reference(rows):
+    # a line with a non-canonical term takes the slow path, which rewrites
+    # plain ASCII terms as text; every term, line number and malformed
+    # line must come out as int() and str() would give them
+    text = "".join(f"A{i:06d} ,{','.join(fields)},\n"
+                   for i, fields in enumerate(rows))
+    db = load_stripped(text)
+    entries, malformed = reference_oeis.load_stripped(text)
+    assert db.malformed == malformed
+    assert db._index == reference_oeis.index(entries)
+
+
 # ------------------------------------------------------- canonicalize
 
 
@@ -499,7 +525,7 @@ def test_scan_key_maps_to_derived_recurrence(vertices):
 
 @st.composite
 def octahedron_cases(draw):
-    """A window of cutoff 3 or 4 over four components, a group element
+    """A window of cutoff 3 or 4 over four components, a covacuum block
     drawn from a seed and an entry bound, and a degree -2 base point
     within the headroom |n_c| <= K - 2."""
     window = Window(draw(st.sampled_from([3, 4])), 4)
