@@ -157,11 +157,11 @@ def cmd_scan(args) -> int:
                           min_match_terms=args.min_match)
     records, summary = scan.run_scan(cfg, _load_db(args),
                                      workers=args.workers)
-    if args.output:  # before stdout, so a bad path leaves no records there
-        scan.write_jsonl(records, args.output)
+    if args.output:  # both files open before stdout: a bad path prints no record
         scan.write_summary(summary, args.output + ".summary.json")
-    for record in records:
-        sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+        scan.write_jsonl(records, args.output, echo=sys.stdout)
+    else:
+        sys.stdout.writelines(map(scan.jsonl_line, records))
     print(json.dumps(summary, sort_keys=True), file=sys.stderr)
     return EXIT_OK
 

@@ -1,50 +1,47 @@
-"""Sparse multivariate polynomials, Schur-polynomial tau functions, and the
-bilinear KP residual, all exact.
+"""Schur-polynomial tau functions and the bilinear KP residual, all exact.
 
 A polynomial in variables t_1..t_m is a dict mapping length-m exponent
-tuples to nonzero coefficients.  The helpers (`add`, `scale`, `mul`,
-`diff`, ...) keep the type of the coefficients they are given; `add` and
-`scale` treat keys as opaque, so they also serve tauseq.fock's vectors.
-`schur` and `kp_bilinear_residual` return Fraction coefficients, but work
-on ints in between: `schur` expands an integer-scaled Jacobi-Trudi
-determinant and divides once at the end, and `kp_bilinear_residual` clears
-tau's denominators once on the way in and divides once on the way out.
-Those two divisions are the only places Fraction is left.
+tuples to nonzero coefficients; `schur` returns one and
+`kp_bilinear_residual` takes and returns one, with Fraction coefficients.
+`add` and `scale` keep the type of the coefficients they are given and
+treat keys as opaque, so they also serve tauseq.fock's vectors.
 
 The variable convention throughout maps the bosonic operator p_k to
-k * t_k, so the Jacobi-Trudi output for the partition (2) is t_1^2/2 + t_2,
-directly comparable to the Fock states.
+k * t_k.  The character expansion s_lambda = sum_mu chi^lambda(mu) p_mu /
+z_mu (Macdonald, Symmetric Functions and Hall Polynomials, I.7), with
+z_mu = prod_k k^m_k m_k! and m_k the number of parts of mu equal to k, then
+puts chi^lambda(mu) / prod_k m_k! on the monomial prod_k t_k^m_k, so
+s_(2) = t_1^2/2 + t_2.  These are the boson images s_lambda <-> |lambda>
+of the Fock states (Miwa-Jimbo-Date, Solitons, ch. 9).  `schur` reads each
+coefficient off a character from the Murnaghan-Nakayama rule and
+multiplies no polynomial.
+
+The residual runs on packed keys and int coefficients.  `pack` puts the
+exponent of t_k in bits [16(k-1), 16k) of one int, so `mul` multiplies two
+monomials by adding their keys, and `diff` reads and decrements one field.
+tau's exponents must stay below 2^15, so a sum of two never carries into
+the next field.  tau's denominators are cleared once on the way in and
+divided out once on the way out, with keys unpacked to tuples.  That
+division and the character quotients of `schur` are the only places
+Fraction is left.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
+from functools import cache
 from math import factorial, lcm, prod
 
 from .maya import Partition
 
 Exponent = tuple[int, ...]
 MultiPoly = dict[Exponent, int | Fraction]
+PackedPoly = dict[int, int]  # packed exponent key -> int coefficient
 
 DEFAULT_VARS = 8
-
-
-def zero() -> MultiPoly:
-    return {}
-
-
-def const(value: int | Fraction, m: int = DEFAULT_VARS) -> MultiPoly:
-    return {(0,) * m: value} if value else {}
-
-
-def variable(idx: int, m: int = DEFAULT_VARS) -> MultiPoly:
-    """The polynomial t_idx (1-based variable index)."""
-    if not 1 <= idx <= m:
-        raise ValueError(f"variable index {idx} out of range 1..{m}")
-    exp = [0] * m
-    exp[idx - 1] = 1
-    return {tuple(exp): 1}
+_BITS = 16  # width of one exponent field of a packed key
+_FIELD = (1 << _BITS) - 1
+_LIMIT = 1 << _BITS - 1  # bound on tau's exponents: a product never carries
 
 
 def add(*polys: MultiPoly) -> MultiPoly:
@@ -63,34 +60,38 @@ def scale(p: MultiPoly, c: int | Fraction) -> MultiPoly:
     return {exp: c * x for exp, x in p.items()} if c else {}
 
 
-def sub(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    return add(p, scale(q, -1))
+def pack(exp: Exponent) -> int:
+    """The packed key of an exponent tuple: t_k's exponent in bits
+    [16(k-1), 16k)."""
+    key = 0
+    for e in reversed(exp):
+        if not 0 <= e < _LIMIT:
+            raise ValueError(f"exponent {e} outside [0, {_LIMIT})")
+        key = key << _BITS | e
+    return key
 
 
-def mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    out: MultiPoly = {}
-    get, plus = out.get, operator.add
+def unpack(key: int, width: int) -> Exponent:
+    return tuple(key >> _BITS * i & _FIELD for i in range(width))
+
+
+def mul(p: PackedPoly, q: PackedPoly) -> PackedPoly:
+    out: PackedPoly = {}
+    get = out.get
     for ea, ca in p.items():
         for eb, cb in q.items():
-            exp = tuple(map(plus, ea, eb))
+            exp = ea + eb
             out[exp] = get(exp, 0) + ca * cb
     return {exp: c for exp, c in out.items() if c}
 
 
-def diff(p: MultiPoly, var: int, order: int = 1) -> MultiPoly:
-    """Exact partial derivative d^order / dt_var^order (1-based var)."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    for _ in range(order):
-        # distinct exponents stay distinct, so nothing collides or cancels
-        p = {exp[:var - 1] + (exp[var - 1] - 1,) + exp[var:]: c * exp[var - 1]
-             for exp, c in p.items() if exp[var - 1]}
-    return p
-
-
-def divide(p: MultiPoly, d: int) -> MultiPoly:
-    """p / d with Fraction coefficients: the way out of the int kernels."""
-    return {exp: Fraction(c, d) for exp, c in p.items()}
+def diff(p: PackedPoly, var: int) -> PackedPoly:
+    """Exact partial derivative d/dt_var (1-based var) on packed keys."""
+    shift = _BITS * (var - 1)
+    one = 1 << shift
+    # distinct keys stay distinct, so nothing collides or cancels
+    return {key - one: c * e for key, c in p.items()
+            if (e := key >> shift & _FIELD)}
 
 
 def render(p: MultiPoly) -> str:
@@ -113,77 +114,46 @@ def render(p: MultiPoly) -> str:
     return " + ".join(pieces).replace("+ -", "- ")
 
 
-# m -> H_0..H_n; a longer series is stored as a new list, never extended
-_H_SERIES: dict[int, list[MultiPoly]] = {}
+@cache
+def character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """chi^lam(mu) for partitions lam, mu of one weight, by the
+    Murnaghan-Nakayama rule, removing mu's first part k.
 
-
-def h_series(max_n: int, m: int = DEFAULT_VARS) -> list[MultiPoly]:
-    """Integer series H_n = n! * h_n for n = 0..max_n, in t_1..t_m.
-
-    The complete homogeneous h_n are defined by
-    sum_n h_n z^n = exp(sum_{k<=m} t_k z^k).  Their derivative recurrence
-    n*h_n = sum_k k*t_k*h_{n-k}, multiplied by (n-1)!, becomes
-    H_n = sum_k k*(n-1)!/(n-k)! * t_k * H_{n-k}, which stays on ints.
-    Each H_n is built once per m and shared: callers must not change it.
+    On the beta-numbers b_i = lam_i + ell - i, removing a rim hook of size
+    k moves one bead from b to b - k, onto an empty place, with sign
+    (-1)^(number of beads it jumps).
     """
-    if m < 1:
-        raise ValueError("need at least one variable")
-    hs = list(_H_SERIES.get(m, [const(1, m)]))
-    for n in range(len(hs), max_n + 1):
-        acc = zero()
-        falling = 1  # (n-1)!/(n-k)!
-        for k in range(1, min(n, m) + 1):
-            acc = add(acc, scale(mul(variable(k, m), hs[n - k]), k * falling))
-            falling *= n - k
-        hs.append(acc)
-    _H_SERIES[m] = hs
-    return hs[:max_n + 1]
+    if not mu:
+        return 1
+    k, rest = mu[0], mu[1:]
+    ell = len(lam)
+    beads = [part + ell - i for i, part in enumerate(lam, 1)]
+    total = 0
+    for b in beads:
+        if b < k or b - k in beads:
+            continue
+        moved = sorted([c for c in beads if c != b] + [b - k], reverse=True)
+        smaller = tuple(c + i - ell for i, c in enumerate(moved, 1))
+        sign = -1 if sum(b - k < c < b for c in beads) % 2 else 1
+        total += sign * character(tuple(p for p in smaller if p), rest)
+    return total
 
 
 def schur(lam: Partition, m: int = DEFAULT_VARS) -> MultiPoly:
-    """Schur polynomial via the Jacobi-Trudi determinant det(h_{lam_i-i+j}).
-
-    Row i is scaled by N_i! with N_i = lam_i - i + ell, the row's largest
-    index, so its entry h_n becomes the integer (N_i!/n!) * H_n.  The
-    determinant is expanded on ints and divided once by prod N_i!.
-    """
-    if m < lam.size and lam.parts:
+    """Schur polynomial s_lambda in t_1..t_m: the monomial prod_k t_k^m_k
+    of each mu |- |lambda| with m_k parts k has coefficient
+    chi^lambda(mu) / prod_k m_k!."""
+    if m < lam.size:
         raise ValueError(f"need m >= |lambda| = {lam.size}")
-    ell = len(lam.parts)
-    if ell == 0:
-        return const(Fraction(1), m)
-    tops = [lam.part(i) - i + ell for i in range(1, ell + 1)]
-    hs = h_series(max(tops), m)
-    entries = [[scale(hs[n], factorial(top) // factorial(n)) if n >= 0
-                else zero() for n in range(top - ell + 1, top + 1)]
-               for top in tops]
-    return divide(_poly_det(entries, m), prod(map(factorial, tops)))
-
-
-def _poly_det(entries: list[list[MultiPoly]], m: int) -> MultiPoly:
-    """Determinant of a polynomial matrix, Laplace expansion with memo.
-
-    A zero entry is skipped, so its complementary minor is never built.
-    """
-    ell = len(entries)
-    memo: dict[tuple[int, ...], MultiPoly] = {(): const(1, m)}
-
-    def minor(cols: tuple[int, ...]) -> MultiPoly:
-        if cols in memo:
-            return memo[cols]
-        row = ell - len(cols)
-        terms = []
-        for pos, col in enumerate(cols):
-            if not entries[row][col]:
-                continue
-            term = mul(entries[row][col], minor(cols[:pos] + cols[pos + 1:]))
-            terms.append(term if pos % 2 == 0 else scale(term, -1))
-        memo[cols] = acc = add(*terms)
-        return acc
-
-    det = minor(tuple(range(ell)))
-    del minor  # it refers to itself: free memo now, not at a full collection
-    return det
+    out: MultiPoly = {}
+    for mu in _partitions_of(lam.size):
+        chi = character(lam.parts, mu)
+        if chi:
+            exp = [0] * m
+            for part in mu:
+                exp[part - 1] += 1
+            out[tuple(exp)] = Fraction(chi, prod(map(factorial, exp)))
+    return out
 
 
 def kp_bilinear_residual(tau: MultiPoly, m: int = DEFAULT_VARS) -> MultiPoly:
@@ -197,8 +167,10 @@ def kp_bilinear_residual(tau: MultiPoly, m: int = DEFAULT_VARS) -> MultiPoly:
     """
     if m < 3:
         raise ValueError("tau must use at least 3 variables")
-    denom = lcm(*(c.denominator for c in tau.values()))
-    t = {exp: c.numerator * (denom // c.denominator)
+    # a list, not a generator: CPython builds a tuple of a generator by
+    # resizing, which strands tuples on its free lists, so peak RSS creeps
+    denom = lcm(*[c.denominator for c in tau.values()])
+    t = {pack(exp): c.numerator * (denom // c.denominator)
          for exp, c in tau.items()}
     t_x, t_y, t_t = diff(t, 1), diff(t, 2), diff(t, 3)
     t_xx = diff(t_x, 1)
@@ -208,10 +180,13 @@ def kp_bilinear_residual(tau: MultiPoly, m: int = DEFAULT_VARS) -> MultiPoly:
     residual = add(
         mul(t, add(diff(t_xxx, 1), scale(diff(t_x, 3), -4),
                    scale(diff(t_y, 2), 3))),
-        scale(mul(t_x, sub(t_xxx, t_t)), -4),
-        scale(sub(mul(t_xx, t_xx), mul(t_y, t_y)), 3),
+        scale(mul(t_x, add(t_xxx, scale(t_t, -1))), -4),
+        scale(add(mul(t_xx, t_xx), scale(mul(t_y, t_y), -1)), 3),
     )
-    return divide(residual, denom * denom)
+    width = len(next(iter(tau), ()))
+    square = denom * denom
+    return {unpack(key, width): Fraction(c, square)
+            for key, c in residual.items()}
 
 
 def partitions_up_to(max_weight: int) -> list[Partition]:

@@ -5,11 +5,11 @@ The stripped format is one sequence per line: "A000045 ,0,1,1,2,3,...,".
 Loading keeps each entry as its canonical row text ",t0,t1,...,": a line
 already in that form is stored as it stands, and any other accepted line
 (leading zeros, "+5", "-0", spaces, "_" separators, empty fields, no
-trailing comma) is made canonical once, at load: a plain ASCII term as
-text, any other term through int() and str().  A query is matched by one
-text search: the first match against a snapshot joins the rows, in
-A-number order, into one text, and every query then looks for
-",q0,q1,...," in it.
+trailing comma, Unicode digits) is made canonical once, at load, as text:
+int() never reads a term, because it is quadratic in the term's length.
+A query is matched by one text search: the first match against a
+snapshot joins the rows, in A-number order, into one text, and every
+query then looks for ",q0,q1,...," in it.
 Matching is hermetic by design; the online client is advisory only and is
 never consulted by tests or acceptance runs.
 """
@@ -23,6 +23,7 @@ import json
 import re
 import sys
 import time
+import unicodedata
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -34,7 +35,7 @@ A_NUMBER_RE = re.compile(r"A[0-9]{6}")
 # a whole stripped line whose terms are already canonical: 0, or an
 # optional minus and digits without a leading zero
 CANONICAL_LINE_RE = re.compile(r"(A[0-9]{6}) (,(?:(?:0|-?[1-9][0-9]*),)+)")
-ASCII_TERM_RE = re.compile(r"[+-]?[0-9]+")
+INT_TERM_RE = re.compile(r"[+-]?\d+(?:_\d+)*")  # what int() reads
 DEFAULT_ENDPOINT = "https://oeis.org/search"
 
 
@@ -95,10 +96,18 @@ class MatchPolicy:
 
 
 def _canonical_term(field: str) -> str:
-    """str(int(field)), by text for a plain ASCII term: int() is quadratic."""
+    """str(int(field)), by text: int() is quadratic in the term's length.
+
+    A term int() accepts, with `_` between digits or Unicode digits, is
+    brought to ASCII digits first; any other term is malformed.
+    """
     term = field.strip()
-    if not ASCII_TERM_RE.fullmatch(term):
-        return str(int(field))
+    if not INT_TERM_RE.fullmatch(term):
+        raise ValueError("malformed term")
+    term = term.replace("_", "")
+    if not term.isascii():
+        term = "".join(ch if ch in "+-" else str(unicodedata.decimal(ch))
+                       for ch in term)
     digits = term.lstrip("+-").lstrip("0") or "0"
     return "-" + digits if term[0] == "-" and digits != "0" else digits
 
@@ -137,9 +146,8 @@ def load_stripped(source: BinaryIO | bytes | str) -> StrippedDb:
             malformed.append((lineno, line))
             continue
         try:
-            with exact_int_str():
-                row = ",".join(_canonical_term(x)
-                               for x in rest.rstrip(",").split(",") if x != "")
+            row = ",".join(_canonical_term(x)
+                           for x in rest.rstrip(",").split(",") if x != "")
         except ValueError:
             malformed.append((lineno, line))
             continue

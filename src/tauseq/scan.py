@@ -17,7 +17,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable
+from typing import Iterable, TextIO
 
 from .lattice import edges_to_basis
 from .oeis import MatchPolicy, QueryTooShort, StrippedDb, match_sequence
@@ -194,10 +194,20 @@ def run_scan(cfg: ScanConfig, db: StrippedDb,
     return merge_slices(slices, cfg, db)
 
 
-def write_jsonl(records: list[dict], path: str) -> None:
+def jsonl_line(record: dict) -> str:
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+def write_jsonl(records: list[dict], path: str,
+                echo: TextIO | None = None) -> None:
+    """Write the records as JSON lines, each line also to `echo` if given,
+    so a record is serialised once for both."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            line = jsonl_line(record)
+            fh.write(line)
+            if echo is not None:
+                echo.write(line)
 
 
 def write_summary(summary: dict, path: str) -> None:

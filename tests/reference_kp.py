@@ -1,5 +1,6 @@
-"""Reference KP oracle: the all-Fraction path that `tauseq.kp` replaced
-with integer coefficients and one division at each end.  The complete
+"""Reference KP oracle: the all-Fraction Jacobi-Trudi path on exponent
+tuples, which `tauseq.kp` replaced with Schur coefficients read off the
+character table and a residual on packed keys and ints.  The complete
 homogeneous h_n come from n*h_n = sum_k k*t_k*h_{n-k} with a Fraction
 division at every step, the Jacobi-Trudi determinant is expanded on
 Fraction polynomials, and the residual builds each derivative where it is

@@ -126,12 +126,9 @@ def test_criterion_06_kp_residual(capsys):
     lams = kp.partitions_up_to(6)
     failures = [lam for lam in lams
                 if kp.kp_bilinear_residual(kp.schur(lam)) != {}]
-    t1 = kp.variable(1)
-    control = kp.kp_bilinear_residual(kp.add(kp.const(1),
-                                             kp.mul(kp.mul(t1, t1),
-                                                    kp.mul(t1, t1))))
-    expected = kp.add(kp.const(24),
-                      kp.scale(kp.mul(kp.mul(t1, t1), kp.mul(t1, t1)), 72))
+    one, t1_4 = (0,) * kp.DEFAULT_VARS, (4,) + (0,) * (kp.DEFAULT_VARS - 1)
+    control = kp.kp_bilinear_residual({one: Fraction(1), t1_4: Fraction(1)})
+    expected = {one: 24, t1_4: 72}
     elapsed = time.perf_counter() - start
     ok = (len(lams) == 30 and not failures and control == expected
           and elapsed < 60.0)

@@ -295,6 +295,30 @@ def test_scan_output_files(capsys, tmp_path):
     assert summary["total"] > 0
 
 
+def test_scan_output_file_is_stdout_serialised_once(capsys, tmp_path,
+                                                    monkeypatch):
+    # each record is turned into JSON once, and the --output file holds
+    # exactly the bytes printed on stdout
+    dumped = []  # the dicts serialised; the scan also dumps list keys
+    dumps = json.dumps
+
+    def counting_dumps(obj, **kwargs):
+        if isinstance(obj, dict):
+            dumped.append(obj)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    out_path = tmp_path / "scan.jsonl"
+    code, out, _ = run(capsys, "scan", "--bound", "2", "--terms", "16",
+                       "--output", str(out_path))
+    assert code == 0
+    assert out_path.read_bytes() == out.encode("utf-8")
+    records = out.splitlines()
+    assert records
+    # one per record, plus the summary file and the stderr summary
+    assert len(dumped) == len(records) + 2
+
+
 # ------------------------------------------------------ error handling
 
 

@@ -1,35 +1,37 @@
 import gc
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from tauseq import kp
-from tauseq.kp import (add, const, diff, divide, h_series,
-                       kp_bilinear_residual, mul, partitions_up_to, render,
-                       scale, schur, sub, variable, zero)
+import reference_kp as ref
+from tauseq.kp import (add, character, diff, kp_bilinear_residual, mul, pack,
+                       partitions_up_to, render, scale, schur, unpack)
 from tauseq.maya import Partition
 
 M = 6
+ONE = {pack((0,) * M): 1}
 
 
 def t(idx):
-    return variable(idx, M)
+    """The packed polynomial t_idx."""
+    return {pack(tuple(int(k == idx) for k in range(1, M + 1))): 1}
 
 
 def rand_poly(rng, m=M, terms=4, deg=3):
-    out = zero()
+    out = {}
     for _ in range(terms):
         exp = [0] * m
         for _ in range(rng.randint(0, deg)):
             exp[rng.randrange(m)] += 1
-        out = add(out, scale({tuple(exp): Fraction(1)},
-                             Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+        out = add(out, {pack(tuple(exp)): Fraction(rng.randint(-5, 5),
+                                                   rng.randint(1, 4))})
     return out
 
 
-# ------------------------------------------------------------- arithmetic
+# --------------------------------------------------- packed-key arithmetic
 
 
 def test_ring_axioms_randomized():
@@ -40,16 +42,17 @@ def test_ring_axioms_randomized():
         assert mul(a, b) == mul(b, a)
         assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
         assert mul(mul(a, b), c) == mul(a, mul(b, c))
-        assert sub(a, a) == zero()
-        assert mul(a, const(1, M)) == a
-        assert mul(a, zero()) == zero()
+        assert add(a, scale(a, -1)) == {}
+        assert mul(a, ONE) == a
+        assert mul(a, {}) == {}
 
 
 def test_no_zero_coefficients_stored():
     rng = random.Random(8)
     for _ in range(20):
         a, b = rand_poly(rng), rand_poly(rng)
-        for poly in (add(a, scale(a, -1)), sub(mul(a, b), mul(b, a))):
+        for poly in (add(a, scale(a, -1)),
+                     add(mul(a, b), scale(mul(b, a), -1))):
             assert all(c != 0 for c in poly.values())
 
 
@@ -58,9 +61,9 @@ def test_diff_examples():
     p = mul(mul(t(1), t(1)), t(2))
     assert diff(p, 1) == scale(mul(t(1), t(2)), 2)
     assert diff(p, 2) == mul(t(1), t(1))
-    assert diff(p, 3) == zero()
-    assert diff(p, 1, order=2) == scale(t(2), 2)
-    assert diff(const(7, M), 1) == zero()
+    assert diff(p, 3) == {}
+    assert diff(diff(p, 1), 1) == scale(t(2), 2)
+    assert diff(scale(ONE, 7), 1) == {}
 
 
 def test_diff_commutes():
@@ -79,81 +82,117 @@ def test_diff_leibniz():
         assert lhs == rhs
 
 
+def test_packed_keys_hold_exponents_below_two_to_the_fifteen():
+    top = 2 ** 15 - 1
+    exp = (top, 0, 3, top, 1, top)
+    assert unpack(pack(exp), M) == exp
+    # the largest product stays inside each field: no carry
+    square = mul({pack(exp): 1}, {pack(exp): 1})
+    assert [unpack(key, M) for key in square] == [tuple(2 * e for e in exp)]
+    assert unpack(next(iter(diff(square, 6))), M) == \
+        (2 * top, 0, 6, 2 * top, 2, 2 * top - 1)
+    for bad in (2 ** 15, -1):
+        with pytest.raises(ValueError):
+            pack((0, bad, 0))
+        with pytest.raises(ValueError):
+            kp_bilinear_residual({(0, 0, 0, bad): Fraction(1)}, 4)
+
+
 def test_render_deterministic():
-    p = add(scale(mul(mul(t(1), t(1)), t(3)), Fraction(3, 2)), t(2))
+    p = {(2, 0, 1, 0, 0, 0): Fraction(3, 2), (0, 1, 0, 0, 0, 0): Fraction(1)}
     assert render(p) == "3/2*t1^2*t3 + t2"
-    assert render(zero()) == "0"
+    assert render({}) == "0"
 
 
-# ----------------------------------------------------- complete homogeneous
-# h_series gives the integer series H_n = n! * h_n; h(n) divides it back.
-
-
-def h(n):
-    return divide(h_series(n, M)[n], math.factorial(n))
+# ------------------------------------- complete homogeneous (reference path)
 
 
 def test_h_series_small():
-    hs = h_series(3, M)
-    assert hs[0] == const(1, M)
-    assert hs[1] == t(1)
+    def v(idx):
+        return ref.variable(idx, M)
+
+    hs = ref.h_series(3, M)
+    assert hs[0] == ref.const(1, M)
+    assert hs[1] == v(1)
     # h2 = t1^2/2 + t2 ; h3 = t1^3/6 + t1 t2 + t3
-    assert hs[2] == scale(add(scale(mul(t(1), t(1)), Fraction(1, 2)), t(2)),
-                          2)
-    assert hs[3] == scale(add(scale(mul(mul(t(1), t(1)), t(1)),
-                                    Fraction(1, 6)),
-                              mul(t(1), t(2)), t(3)), 6)
-    assert all(type(c) is int for poly in hs for c in poly.values())
-
-
-def test_h_series_prefix_is_its_own_list():
-    # a series is built once per variable count and shared between calls:
-    # a shorter call after a longer one gets exactly its prefix, and a
-    # caller that edits the returned list leaves later calls unchanged
-    long = h_series(6, 7)
-    short = h_series(2, 7)
-    assert short == long[:3]
-    short.append(zero())
-    short[0] = zero()
-    assert h_series(6, 7) == long
+    assert hs[2] == ref.add(ref.scale(ref.mul(v(1), v(1)), Fraction(1, 2)),
+                            v(2))
+    assert hs[3] == ref.add(ref.scale(ref.mul(ref.mul(v(1), v(1)), v(1)),
+                                      Fraction(1, 6)),
+                            ref.mul(v(1), v(2)), v(3))
 
 
 def test_h_series_matches_truncated_exponential():
     # sum_n h_n z^n = exp(sum_k t_k z^k): compare coefficient of z^n with
     # the explicit exponential expansion sum over compositions
     n_max = 8
-    hs = h_series(n_max, n_max)
+    hs = ref.h_series(n_max, n_max)
     # exp(sum_k t_k z^k) = prod_k (sum_a t_k^a z^{k a} / a!), built by
     # convolving one exponential factor at a time
-    expected = [const(1, n_max)] + [zero() for _ in range(n_max)]
+    expected = [ref.const(1, n_max)] + [{} for _ in range(n_max)]
     for k in range(1, n_max + 1):
-        nxt = [zero() for _ in range(n_max + 1)]
+        nxt = [{} for _ in range(n_max + 1)]
         for n in range(n_max + 1):
-            power = const(1, n_max)
+            power = ref.const(1, n_max)
             fact = Fraction(1)
             a = 0
             while k * a <= n:
-                nxt[n] = add(nxt[n],
-                             scale(mul(expected[n - k * a], power), fact))
+                nxt[n] = ref.add(nxt[n], ref.scale(
+                    ref.mul(expected[n - k * a], power), fact))
                 a += 1
-                power = mul(power, variable(k, n_max))
+                power = ref.mul(power, ref.variable(k, n_max))
                 fact /= a
         expected = nxt
-    for n in range(n_max + 1):
-        assert hs[n] == scale(expected[n], math.factorial(n))
+    assert hs == expected
+
+
+# ------------------------------------------------------------ characters
+
+
+def partitions_of(n):
+    return [lam.parts for lam in partitions_up_to(n) if lam.size == n]
+
+
+def z(mu):
+    return math.prod(k ** m * math.factorial(m)
+                     for k, m in Counter(mu).items())
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_character_columns_are_orthogonal(n):
+    # sum_lambda chi^lambda(mu) chi^lambda(nu) = z_mu delta_{mu nu}
+    lams = partitions_of(n)
+    for mu in lams:
+        for nu in lams:
+            total = sum(character(lam, mu) * character(lam, nu)
+                        for lam in lams)
+            assert total == (z(mu) if mu == nu else 0), (mu, nu)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_character_of_identity_is_hook_length_count(n):
+    for lam in partitions_of(n):
+        conj = [sum(part > j for part in lam) for j in range(lam[0])] \
+            if lam else []
+        hooks = math.prod(part - j + conj[j] - i - 1
+                          for i, part in enumerate(lam) for j in range(part))
+        assert character(lam, (1,) * n) == math.factorial(n) // hooks, lam
 
 
 # ---------------------------------------------------------------- schur
 
 
 def test_schur_small_partitions():
-    assert schur(Partition(()), M) == const(1, M)
+    def h(n):
+        return ref.h_series(n, M)[n]
+
+    assert schur(Partition(()), M) == {(0,) * M: 1}
     assert schur(Partition((2,)), M) == h(2)
     # s_{11} = h1^2 - h2 = t1^2/2 - t2
-    assert schur(Partition((1, 1)), M) == sub(mul(t(1), t(1)), h(2))
+    assert schur(Partition((1, 1)), M) == ref.sub(ref.mul(h(1), h(1)), h(2))
     # s_{22} = h2^2 - h3 h1
-    assert schur(Partition((2, 2)), M) == sub(mul(h(2), h(2)),
-                                              mul(h(3), h(1)))
+    assert schur(Partition((2, 2)), M) == ref.sub(ref.mul(h(2), h(2)),
+                                                  ref.mul(h(3), h(1)))
 
 
 def test_schur_weight_grading():
@@ -165,9 +204,10 @@ def test_schur_weight_grading():
 
 
 def test_schur_leaves_no_cyclic_garbage():
-    # the determinant's memo of minors is freed when schur returns, not
-    # kept alive by a reference cycle until the next full collection
-    h_series(5, M)  # the shared series is built once and kept on purpose
+    # a Schur function leaves nothing behind for the cycle collector; the
+    # character cache is built on the first pass and kept on purpose
+    for lam in partitions_up_to(5):
+        schur(lam, M)
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
@@ -185,15 +225,13 @@ def test_schur_leaves_no_cyclic_garbage():
 
 def test_kp_residual_vanishes_on_schur():
     for lam in partitions_up_to(6):
-        assert kp_bilinear_residual(schur(lam, M), M) == zero()
+        assert kp_bilinear_residual(schur(lam, M), M) == {}
 
 
 def test_kp_residual_negative_control():
-    tau = add(const(1, M), mul(mul(t(1), t(1)), mul(t(1), t(1))))
-    residual = kp_bilinear_residual(tau, M)
-    expected = add(const(24, M),
-                   scale(mul(mul(t(1), t(1)), mul(t(1), t(1))), 72))
-    assert residual == expected
+    one, t1_4 = (0,) * M, (4,) + (0,) * (M - 1)
+    residual = kp_bilinear_residual({one: Fraction(1), t1_4: Fraction(1)}, M)
+    assert residual == {one: 24, t1_4: 72}
 
 
 def test_kp_residual_bilinearity_in_scale():

@@ -8,6 +8,7 @@ import urllib.request
 import pytest
 
 from reference_oeis import stripped_db
+from tauseq import oeis
 from tauseq.oeis import (MatchPolicy, OeisError, QueryTooShort, StrippedDb,
                          load_fixture, load_stripped, match_sequence,
                          search_online, trim_query)
@@ -212,3 +213,16 @@ def test_search_online_network_failure(monkeypatch):
     monkeypatch.setattr("time.sleep", lambda s: None)
     with pytest.raises(OeisError, match="network failure"):
         search_online([1, 2, 3], retries=1, delay=0)
+
+
+def test_load_stripped_long_terms_by_text(monkeypatch):
+    # a term with "_" loads as its digits and a malformed one is rejected,
+    # both without int(), which is quadratic in the term's length
+    def no_int(*args):
+        raise AssertionError(f"int() called on a {len(args[0])}-char term")
+
+    monkeypatch.setattr(oeis, "int", no_int, raising=False)
+    ones = "1" * 200_000
+    db = load_stripped(f"A000001 ,2,{ones}_1,\nA000002 ,2,{ones}x,\n")
+    assert db.entries == {"A000001": f",2,{ones}1,"}
+    assert [lineno for lineno, _ in db.malformed] == [2]

@@ -17,9 +17,9 @@ strictly convex quadrilateral is checked to give a positive Gale-Robinson
 recurrence (the statement is in the recurrence module docstring), and the
 scan's key of its edge cycle to map back to that recurrence, or both to
 say torsion.  The octahedral relation is checked to hold exactly for
-random covacuum blocks.  The integer KP path (Schur functions and the
-bilinear residual) is checked against the all-Fraction oracle it replaced
-(tests/reference_kp.py).
+random covacuum blocks.  The KP path (Schur functions read off the
+character table, the bilinear residual on packed keys) is checked against
+the all-Fraction Jacobi-Trudi oracle (tests/reference_kp.py).
 """
 
 import gzip
@@ -37,7 +37,7 @@ import reference_oeis
 from reference_lattice import canonicalize_pairs
 from tauseq.fock import (Window, _independent, octahedron_residual,
                          random_group_element)
-from tauseq.kp import kp_bilinear_residual, schur
+from tauseq.kp import kp_bilinear_residual, partitions_up_to, schur
 from tauseq.lattice import (EdgePolygon, LatticeError, RankError,
                             SublatticeBasis, TorsionError, edges_to_basis,
                             quotient_map)
@@ -568,15 +568,25 @@ def test_schur_matches_fraction_reference(case):
     assert all(type(c) is Fraction for c in poly.values())
 
 
+def test_schur_matches_fraction_reference_through_weight_12():
+    for lam in partitions_up_to(12):
+        for m in (lam.size, lam.size + 2):
+            assert schur(lam, m) == reference_kp.schur(lam, m), (lam, m)
+
+
 COEFFS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 
 @st.composite
 def tau_polys(draw):
-    """A polynomial in m in [3, 6] variables with up to 6 terms, exponents
-    up to 4 and Fraction coefficients of mixed denominators."""
+    """A polynomial in m in [3, 6] variables with up to 6 terms and Fraction
+    coefficients of mixed denominators.  The differentiated t1..t3 take
+    exponents up to 4; t4..t6, which are only multiplied, take any exponent
+    a packed key holds, up to 2^15 - 1, so a carry between key fields
+    would show."""
     m = draw(st.integers(3, 6))
-    exps = st.tuples(*[st.integers(0, 4)] * m)
+    exps = st.tuples(*[st.integers(0, 4)] * 3,
+                     *[st.integers(0, 2 ** 15 - 1)] * (m - 3))
     terms = draw(st.dictionaries(exps, COEFFS, max_size=6))
     return {exp: c for exp, c in terms.items() if c}, m
 
@@ -586,6 +596,8 @@ def tau_polys(draw):
 @example(({}, 3))
 @example(({(0, 0, 0): Fraction(-7, 3)}, 3))
 @example(({(0, 0, 0, 0): Fraction(5)}, 4))
+@example(({(1, 0, 0, 2 ** 15 - 1): Fraction(1),
+           (2, 1, 1, 2 ** 15 - 1): Fraction(-3, 2)}, 4))
 def test_kp_residual_matches_fraction_reference(case):
     tau, m = case
     residual = kp_bilinear_residual(tau, m)
