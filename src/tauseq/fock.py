@@ -5,6 +5,8 @@ half-integer positions per component; with s components a basis wedge is a
 choice of occupied positions in each component.  A Fock vector is a sparse
 dict of int coefficients, combined by kp's add and scale; minors are ints
 too, and every check below is an exact identity, never approximate.
+tauseq.verify builds the boson-fermion states s_lambda(p_k / k)|0> from
+chains of apply_p on the single-component vacuum.
 
 A group element g enters only through <Omega| g, so it is held as its
 covacuum block (Block): the s*K rows of g on the neutral-vacuum slots.
@@ -17,13 +19,12 @@ Conventions (all signs derive from these two choices):
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
 
 from .intlinalg import det_exact, pair_minors
-from .kp import add, scale
+from .kp import add
 from .recurrence import octahedral_combination
 
 # One component's occupied positions, descending; a wedge is one tuple per
@@ -202,67 +203,6 @@ def octahedron_residual(g: Block, n: Sequence[int], window: Window) -> int:
     """
     values = tau_with_insertions(g, n, window)
     return octahedral_combination(values.__getitem__)
-
-
-# ---------------------------------------------------------------------------
-# boson-fermion state identities (single component)
-# ---------------------------------------------------------------------------
-
-def _wedge_over_l(top: tuple[int, int], window: Window) -> Wedge:
-    """v_a v_b |L> (a > b) with |L> occupying every position below -3/2."""
-    return (top + tuple(range(-3, -window.cutoff - 1, -1)),)
-
-
-def _ratio_str(num: int, den: int) -> str:
-    """num/den in lowest terms, as str(Fraction(num, den)) prints it."""
-    g = math.gcd(num, den)
-    num, den = num // g, den // g
-    return str(num) if den == 1 else f"{num}/{den}"
-
-
-def verify_state_identities(window: Window) -> list[dict]:
-    """Check the six vacuum-descendant identities exactly.
-
-    Each bosonic polynomial in the p_k operators must reproduce a single
-    wedge state v_a v_b |L>.  Requires K >= 6 so no term leaves the window.
-    An identity state = P(p)|0> / d is checked on ints as
-    d * state == d * v_a v_b |L>.
-    """
-    if window.cutoff < 6:
-        raise ValueError("window too small: need K >= 6")
-    w = Window(window.cutoff, 1)
-    v0: FockVector = {vacuum((0,), w): 1}
-    p = lambda k, v: apply_p(0, k, v, w)
-
-    p1, p2, p3 = (p(k, v0) for k in (1, 2, 3))
-    p11 = p(1, p1)
-    # (identity, denominator d, d * state, target's top positions a, b).
-    # Pairings as the operator algebra derives them: the hook expansion of
-    # p_2 gives (p1^2+p2)/2 |0> = v_{3/2} v_{-3/2} |L> (the one-row state)
-    # and (p1^2-p2)/2 |0> = v_{1/2} v_{-1/2} |L> (the one-column state).
-    identities = [
-        ("vacuum", 1, v0, (-1, -2)),                    # v_{-1/2} v_{-3/2}
-        ("p1", 1, p1, (0, -2)),                         # v_{1/2} v_{-3/2}
-        ("(p1^2+p2)/2", 2, add(p11, p2), (1, -2)),      # v_{3/2} v_{-3/2}
-        ("(p1^2-p2)/2", 2, add(p11, scale(p2, -1)),
-         (0, -1)),                                      # v_{1/2} v_{-1/2}
-        ("(p1^3-p3)/3", 3, add(p(1, p11), scale(p3, -1)),
-         (1, -1)),                                      # v_{3/2} v_{-1/2}
-        ("(p1^4+3p2^2-4p1p3)/12", 12,
-         add(p(1, p(1, p11)), scale(p(2, p2), 3), scale(p(1, p3), -4)),
-         (1, 0)),                                       # v_{3/2} v_{1/2}
-    ]
-    report = []
-    for name, d, state, top in identities:
-        diff = add(state, {_wedge_over_l(top, w): -d})
-        report.append({
-            "identity": name,
-            "ok": not diff,
-            "diff": [{"wedge": [list(c) for c in wdg],
-                      "coeff": _ratio_str(x, d)}
-                     for wdg, x in sorted(diff.items())],
-        })
-    return report
 
 
 # ---------------------------------------------------------------------------

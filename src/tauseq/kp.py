@@ -11,10 +11,11 @@ k * t_k.  The character expansion s_lambda = sum_mu chi^lambda(mu) p_mu /
 z_mu (Macdonald, Symmetric Functions and Hall Polynomials, I.7), with
 z_mu = prod_k k^m_k m_k! and m_k the number of parts of mu equal to k, then
 puts chi^lambda(mu) / prod_k m_k! on the monomial prod_k t_k^m_k, so
-s_(2) = t_1^2/2 + t_2.  These are the boson images s_lambda <-> |lambda>
-of the Fock states (Miwa-Jimbo-Date, Solitons, ch. 9).  `schur` reads each
-coefficient off a character from the Murnaghan-Nakayama rule and
-multiplies no polynomial.
+s_(2) = t_1^2/2 + t_2.  These are the boson images s_lambda(p_k / k)|0>
+= |lambda> of the Fock states (Miwa-Jimbo-Date, Solitons, ch. 9), which
+tauseq.verify's states oracle checks.  `schur` reads each coefficient off
+a character from the Murnaghan-Nakayama rule and multiplies no
+polynomial.
 
 The residual runs on packed keys and int coefficients.  `pack` puts the
 exponent of t_k in bits [16(k-1), 16k) of one int, so `mul` multiplies two
@@ -197,11 +198,13 @@ def partitions_up_to(max_weight: int) -> list[Partition]:
     return out
 
 
-def _partitions_of(n: int, cap: int | None = None) -> list[tuple[int, ...]]:
+@cache
+def _partitions_of(n: int, cap: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """The partitions of n with parts at most cap (default n), in
+    decreasing lexicographic order; a tuple, so the cached value is
+    shared safely."""
     cap = n if cap is None else cap
     if n == 0:
-        return [()]
-    result = []
-    for first in range(min(n, cap), 0, -1):
-        result.extend((first,) + rest for rest in _partitions_of(n - first, first))
-    return result
+        return ((),)
+    return tuple((first,) + rest for first in range(min(n, cap), 0, -1)
+                 for rest in _partitions_of(n - first, first))

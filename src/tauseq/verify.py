@@ -8,12 +8,15 @@ fock and kp are called through their module attributes, so that a caller
 who wraps those attributes sees every call.  The permutation oracle needs
 no tau table: it reads each acted value tau'(n) = (-1)^q tau(sigma n) where
 a probe needs it, from fock.tau_discrete memoised per covacuum block.
+The states oracle turns each kp.schur polynomial into fock.apply_p chains
+on the vacuum and compares the result with the partition's wedge.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 
 from . import fock, kp
@@ -88,18 +91,68 @@ def verify_plucker4(trials: int, seed: int, dim: int | None = None,
                    verbatim_failures=len(verbatim_failures), verdict=verdict)
 
 
-def verify_states(cutoff: int | None = None, **unused) -> dict:
-    cutoff = 6 if cutoff is None else cutoff
-    report = fock.verify_state_identities(fock.Window(cutoff, 1))
-    failures = [r for r in report if not r["ok"]]
-    return _report("states", len(report), failures, cutoff=cutoff,
-                   identities=[{"identity": r["identity"], "ok": r["ok"]}
-                               for r in report])
+def _check_max_weight(max_weight: int) -> None:
+    if max_weight < 0:
+        raise ValueError(f"--max-weight must be >= 0, got {max_weight}")
+
+
+def _boson_fermion_states(lams, cutoff: int):
+    """Yield (lam, n!, n! * s_lam(p_k / k)|0>, the wedge |lam>) for each
+    partition lam, n = |lam|, in the one-component window K = cutoff.
+
+    Each monomial prod_k t_k^m_k of kp.schur(lam) with coefficient c is the
+    chain p_mu|0> of the partition mu with m_k parts k, scaled by the int
+    n! c / prod_k k^m_k = n! chi^lam(mu) / z_mu (class size times
+    character), so no Fraction is formed.  |lam> occupies the positions
+    lam_i - i.  K >= n is exact: p_k takes a state of weight w to weight
+    w + k <= n, so nothing lands at K or above, and a particle below -K
+    would need a jump k > K - w >= n - w to reach a hole, all of which lie
+    at or above -w.
+    """
+    window = fock.Window(cutoff, 1)
+
+    @functools.cache
+    def p_chain(mu: tuple[int, ...]) -> fock.FockVector:
+        """p_mu|0>, built on the memoised chain of mu's suffix."""
+        if not mu:
+            return {fock.vacuum((0,), window): 1}
+        return fock.apply_p(0, mu[0], p_chain(mu[1:]), window)
+
+    for lam in lams:
+        n = lam.size
+        fact = math.factorial(n)
+        terms = []
+        for exp, c in kp.schur(lam, max(n, 1)).items():
+            mu = tuple(k for k in range(len(exp), 0, -1)
+                       for _ in range(exp[k - 1]))
+            weight = fact * c.numerator // (
+                c.denominator * math.prod(k ** e for k, e in enumerate(exp, 1)))
+            terms.append(kp.scale(p_chain(mu), weight))
+        target = (tuple(lam.part(i) - i for i in range(1, cutoff + 1)),)
+        yield lam, fact, kp.add(*terms), target
+
+
+def verify_states(max_weight: int = 6, **unused) -> dict:
+    """The boson-fermion correspondence s_lam(p_k / k)|0> = |lam> for every
+    partition of weight <= max_weight, checked as n! times both sides in
+    the window K = max(max_weight, 2), which is exact."""
+    _check_max_weight(max_weight)
+    lams = kp.partitions_up_to(max_weight)
+    failures = []
+    for lam, scale, state, target in _boson_fermion_states(
+            lams, max(max_weight, 2)):
+        diff = kp.add(state, {target: -scale})
+        if diff:
+            failures.append({"partition": list(lam.parts), "scale": scale,
+                             "diff": [{"wedge": [list(c) for c in wedge],
+                                       "coeff": x}
+                                      for wedge, x in sorted(diff.items())]})
+    return _report("states", len(lams), failures, max_weight=max_weight,
+                   partitions=[list(lam.parts) for lam in lams])
 
 
 def verify_kp(max_weight: int = 6, **unused) -> dict:
-    if max_weight < 0:
-        raise ValueError(f"--max-weight must be >= 0, got {max_weight}")
+    _check_max_weight(max_weight)
     # weight w needs t_1..t_w, and the residual differentiates in t_1..t_3
     m = max(max_weight, 3)
     failures = []

@@ -19,6 +19,10 @@ It also keeps the tau-table path of the permutation oracle, for
 needs: `tau_table` holds every degree-0 value inside the headroom,
 `act_permutation` builds the whole acted table, and
 `table_octahedron_residual` reads the octahedral relation off it.
+
+`state_identities` is the hand-written table of six boson-fermion
+identities that `verify states` checked before it read every state off
+`kp.schur`.
 """
 
 from __future__ import annotations
@@ -28,8 +32,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from tauseq.fock import (Block, FockVector, Wedge, Window, _covacuum_minor,
-                         _wedge_slots, apply_psi, tau_discrete, vacuum)
+                         _wedge_slots, apply_p, apply_psi, tau_discrete,
+                         vacuum)
 from tauseq.intlinalg import det_exact
+from tauseq.kp import add, scale
 from tauseq.recurrence import Pair, octahedral_combination
 
 Matrix = Sequence[Sequence[int]]
@@ -201,3 +207,43 @@ def table_octahedron_residual(table: TauTable,
         return table[tuple(n)]
 
     return octahedral_combination(at)
+
+
+# ---------------------------------------------------------------------------
+# the six hand-written boson-fermion state identities
+# ---------------------------------------------------------------------------
+
+StateIdentity = tuple[str, tuple[int, ...], int, FockVector, tuple[int, int]]
+
+
+def state_identities(window: Window) -> list[StateIdentity]:
+    """(identity, partition, denominator d, d * state, target's top
+    positions a > b) for six states P(p)|0> / d = v_a v_b |L>, where |L>
+    occupies every position below -3/2 of the one-component window.
+
+    Pairings as the operator algebra derives them: the hook expansion of
+    p_2 gives (p1^2+p2)/2 |0> = v_{3/2} v_{-3/2} |L> (the one-row state)
+    and (p1^2-p2)/2 |0> = v_{1/2} v_{-1/2} |L> (the one-column state).
+    """
+    w = Window(window.cutoff, 1)
+    v0: FockVector = {vacuum((0,), w): 1}
+    p = lambda k, v: apply_p(0, k, v, w)
+    p1, p2, p3 = (p(k, v0) for k in (1, 2, 3))
+    p11 = p(1, p1)
+    return [
+        ("vacuum", (), 1, v0, (-1, -2)),                    # v_{-1/2} v_{-3/2}
+        ("p1", (1,), 1, p1, (0, -2)),                       # v_{1/2} v_{-3/2}
+        ("(p1^2+p2)/2", (2,), 2, add(p11, p2), (1, -2)),    # v_{3/2} v_{-3/2}
+        ("(p1^2-p2)/2", (1, 1), 2, add(p11, scale(p2, -1)),
+         (0, -1)),                                          # v_{1/2} v_{-1/2}
+        ("(p1^3-p3)/3", (2, 1), 3, add(p(1, p11), scale(p3, -1)),
+         (1, -1)),                                          # v_{3/2} v_{-1/2}
+        ("(p1^4+3p2^2-4p1p3)/12", (2, 2), 12,
+         add(p(1, p(1, p11)), scale(p(2, p2), 3), scale(p(1, p3), -4)),
+         (1, 0)),                                           # v_{3/2} v_{1/2}
+    ]
+
+
+def wedge_over_l(top: tuple[int, int], window: Window) -> Wedge:
+    """v_a v_b |L> (a > b) with |L> occupying every position below -3/2."""
+    return (top + tuple(range(-3, -window.cutoff - 1, -1)),)

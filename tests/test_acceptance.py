@@ -109,16 +109,16 @@ def test_criterion_04_plucker_oracles(capsys):
 
 
 def test_criterion_05_state_identities(capsys):
-    results = fock.verify_state_identities(fock.Window(6, 1))
-    all_hold = len(results) == 6 and all(r["ok"] for r in results)
-    try:
-        fock.verify_state_identities(fock.Window(2, 1))
-        small_errors = False
-    except ValueError:
-        small_errors = True
-    ok = all_hold and small_errors
-    report(capsys, 5, "six operator-state identities at cutoff 6; cutoff 2 errors",
-           ok)
+    results = verify.verify_states(max_weight=6)
+    all_hold = results["trials"] == 30 and results["failures"] == 0
+    # one position short of the window K = 6, some partition fails
+    small_fails = any(
+        kp.add(state, {target: -n_fact})
+        for _, n_fact, state, target
+        in verify._boson_fermion_states(kp.partitions_up_to(6), 5))
+    ok = all_hold and small_fails
+    report(capsys, 5, "boson-fermion states of all 30 partitions of weight "
+           "<= 6 at cutoff 6; cutoff 5 fails", ok)
 
 
 def test_criterion_06_kp_residual(capsys):

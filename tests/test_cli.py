@@ -180,7 +180,8 @@ def test_verify_global_seed_flows_to_subcommand(capsys):
 def test_verify_states(capsys):
     code, obj = run_json(capsys, "verify", "states")
     assert code == 0
-    assert len(obj["identities"]) == 6
+    assert obj["trials"] == len(obj["partitions"]) == 30
+    assert obj["failures"] == 0
 
 
 def test_verify_plucker4_verdict(capsys):
@@ -350,7 +351,7 @@ def test_scan_output_file_is_stdout_serialised_once(capsys, tmp_path,
     ["verify", "octahedron", "--cutoff", "0"],
     ["verify", "octahedron", "--cutoff", "2", "--trials", "0"],
     ["verify", "octahedron", "--cutoff", "2", "--trials", "1"],
-    ["verify", "states", "--cutoff", "0"],
+    ["verify", "states", "--max-weight", "-1"],
     ["verify", "permutation", "--cutoff", "0"],
     ["verify", "permutation", "--cutoff", "2"],
     ["verify", "plucker", "--dim", "0"],
@@ -453,7 +454,9 @@ TRANSCRIPT = [
     (["verify", "plucker4", "--trials", "3", "--seed", "1"],
      "1181eaf718d4b4b637cde215b480ee665c8a613bea3eb51ff17a87cd568a864f"),
     (["verify", "states"],
-     "829c5c943f24e87e3d595009e1068e2d3c394845ff694f6470962de524023965"),
+     "3c82ca34828928e3d9074cc6962b1e6a104aaf5e4d07cfd7fd417c4ab1b01301"),
+    (["verify", "states", "--max-weight", "8"],
+     "1f319de866a38e93d0ba942d1cf9a33a992b81ebb12189bdf4357a2ff243e09c"),
     (["verify", "kp", "--max-weight", "3"],
      "839ffe5ad73e9efd80ab2449835b559a597216a400f85ad6251e8935e4299e67"),
     (["verify", "permutation", "--trials", "1", "--seed", "2"],
@@ -461,7 +464,7 @@ TRANSCRIPT = [
     (["verify", "plucker", "--cutoff", "9", "--trials", "2"],
      "dccf88b220d783cfe29374cb92ccce29c92b18998bfbe0d91dbff22ffe05a6c9"),
     (["verify", "states", "--cutoff", "2"],
-     "83dedeaaa477f29551f098f8d715e9a810750836a0577675f7d5ddaaaf66ff91"),
+     "3c82ca34828928e3d9074cc6962b1e6a104aaf5e4d07cfd7fd417c4ab1b01301"),
     (["match", "--terms-list",
       "1,1,1,1,1,1,1,1,2,3,4,5,9,18,34,93,180,348,724,3033"],
      "9de77c1b2f1ae7c0fe8d25ee9684e7c7278bab7ed3c48868af9b7bcf1a55e14b"),

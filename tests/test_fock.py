@@ -1,19 +1,19 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import reference_fock
-from tauseq import fock
+from tauseq import fock, kp, verify
 from tauseq.fock import (Block, FockVector, Window, apply_p,
                          apply_psi, apply_psi_star, octahedron_residual,
                          plucker3_residual, plucker4_residuals,
                          random_group_element, tau_discrete,
-                         tau_with_insertions, vacuum, verify_state_identities)
+                         tau_with_insertions, vacuum)
 from tauseq.kp import add, scale
+from tauseq.maya import Partition
 from tauseq.recurrence import octahedral_combination
 from tauseq.verify import _acted_value
 
@@ -179,9 +179,9 @@ def test_fock_engine_is_linear(vec, component, pos, k):
 
 
 def test_state_identities_k6():
-    report = verify_state_identities(Window(6, 1))
-    assert len(report) == 6
-    assert all(r["ok"] for r in report)
+    report = verify.verify_states(max_weight=6)
+    assert report["trials"] == len(report["partitions"]) == 30
+    assert report["failures"] == 0
 
 
 def test_fock_vectors_hold_ints():
@@ -192,28 +192,50 @@ def test_fock_vectors_hold_ints():
     assert state and all(type(x) is int for x in state.values())
 
 
-def test_failing_identity_reports_reduced_coefficients(monkeypatch):
-    # every target moved to the vacuum's wedge: each identity but the
-    # first leaves d at its own wedge and -d at the vacuum's, which print
-    # reduced by the denominator d as 1 and -1
+def test_schur_states_reproduce_hand_written_table():
+    # the loop's n! * state is (n!/d) * (d * state) of the old table
     w = Window(6, 1)
-    monkeypatch.setattr(fock, "_wedge_over_l",
-                        lambda top, window: vacuum((0,), window))
-    report = verify_state_identities(w)
-    assert [r["ok"] for r in report] == [True] + [False] * 5
-    for r in report[1:]:
-        assert sorted(d["coeff"] for d in r["diff"]) == ["-1", "1"]
+    table = reference_fock.state_identities(w)
+    lams = [Partition(lam) for _, lam, _, _, _ in table]
+    for (name, _, d, d_state, top), (_, n_fact, state, target) in zip(
+            table, verify._boson_fermion_states(lams, w.cutoff),
+            strict=True):
+        assert n_fact % d == 0, name
+        assert state == scale(d_state, n_fact // d), name
+        assert target == reference_fock.wedge_over_l(top, w), name
 
 
-def test_ratio_str_prints_as_fraction():
-    for num in range(-30, 31):
-        for den in (1, 2, 3, 12):
-            assert fock._ratio_str(num, den) == str(Fraction(num, den))
+def conjugate(lam: Partition) -> Partition:
+    return Partition(tuple(sum(p > i for p in lam.parts)
+                           for i in range(lam.part(1))))
+
+
+def test_failing_partition_reports_scaled_diff(monkeypatch):
+    # each state built from the conjugate's Schur function: the four
+    # partitions of weight <= 3 that are not self-conjugate fail, and
+    # their diffs are ints on the n!-scaled states
+    schur = kp.schur
+    monkeypatch.setattr(kp, "schur", lambda lam, m: schur(conjugate(lam), m))
+    report = verify.verify_states(max_weight=3)
+    assert (report["trials"], report["failures"]) == (7, 4)
+    assert report["first_failure"] == {
+        "partition": [2], "scale": 2,
+        "diff": [{"wedge": [[0, -1, -3]], "coeff": 2},
+                 {"wedge": [[1, -2, -3]], "coeff": -2}]}
+
+
+def test_state_window_of_max_weight_is_exact():
+    for max_weight in range(9):
+        assert verify.verify_states(max_weight=max_weight)["failures"] == 0
 
 
 def test_state_identities_window_too_small():
-    with pytest.raises(ValueError, match="window too small"):
-        verify_state_identities(Window(2, 1))
+    # one position short of K = W, some partition of weight <= W fails
+    for max_weight in range(3, 9):
+        lams = kp.partitions_up_to(max_weight)
+        assert any(add(state, {target: -n_fact})
+                   for _, n_fact, state, target
+                   in verify._boson_fermion_states(lams, max_weight - 1))
 
 
 # ------------------------------------------------------- covacuum blocks
