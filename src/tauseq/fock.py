@@ -11,6 +11,13 @@ chains of apply_p on the single-component vacuum.
 A group element g enters only through <Omega| g, so it is held as its
 covacuum block (Block): the s*K rows of g on the neutral-vacuum slots.
 
+The Plucker oracles read brackets, maximal minors of a random integer
+draw: common vectors followed by the inserted ones.  The Grassmann-Plucker
+relations hold among the maximal minors of every integer matrix (Fulton,
+Young Tableaux 9.1), so no draw is checked or redrawn; a dependent common
+block makes every bracket 0.  The three-term relation reads its six
+brackets off one elimination, as the octahedron oracle does.
+
 Conventions (all signs derive from these two choices):
   * positions are stored as ints via p -> p - 1/2 (as in tauseq.maya);
   * the global slot order is component ascending, then position descending,
@@ -206,50 +213,34 @@ def octahedron_residual(g: Block, n: Sequence[int], window: Window) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Plucker relations by brute-force determinants
+# Plucker relations among the maximal minors of a random draw
 # ---------------------------------------------------------------------------
 
-def _bracket(l_prime: list[list[int]], inserted: list[list[int]],
-             l_space: list[list[int]]) -> int:
-    """<L'| u_1 ... u_r |L> as the determinant with those rows in order."""
-    return det_exact(l_prime + inserted + l_space)
-
-
-def _random_vec(dim: int, rng: random.Random, bound: int = 5) -> list[int]:
-    return [rng.randint(-bound, bound) for _ in range(dim)]
-
-
-def _independent(vecs: list[list[int]]) -> bool:
-    """Rows independent over Q, i.e. their Gram determinant is nonzero."""
-    return det_exact([[sum(x * y for x, y in zip(u, v)) for v in vecs]
-                      for u in vecs]) != 0
-
-
-def _draw_spaces(dim: int, codim: int, rng: random.Random,
-                 max_retries: int = 50) -> tuple[list[list[int]], list[list[int]]]:
-    """Random L', L with L' + L of full rank dim - codim."""
-    total = dim - codim
-    l_prime_size = total // 2
-    for _ in range(max_retries):
-        vecs = [_random_vec(dim, rng) for _ in range(total)]
-        if _independent(vecs):
-            return vecs[:l_prime_size], vecs[l_prime_size:]
-    raise RuntimeError("could not draw non-degenerate spaces")
+def _draw(dim: int, count: int, rng: random.Random) -> list[list[int]]:
+    """count vectors of length dim, drawn row by row, entries in [-5, 5]."""
+    return [[rng.randint(-5, 5) for _ in range(dim)] for _ in range(count)]
 
 
 def plucker3_residual(dim: int, seed: int) -> int:
-    """Exact residual of the 3-term Plucker relation on a random draw."""
+    """Exact residual of the three-term Plucker relation
+    br(a,b) br(c,d) - br(a,c) br(b,d) + br(a,d) br(b,c) on a random draw of
+    dim - 2 common vectors and then a, b, c, d, where br(u, v) is the
+    determinant of the common vectors followed by u and v.
+
+    The six brackets are the pair minors of the transposed draw, from one
+    elimination, and the relation is their octahedral combination.
+    """
     if dim < 6:
         raise ValueError("need ambient dimension >= 6")
-    rng = random.Random(seed)
-    l_prime, l_space = _draw_spaces(dim, 2, rng)
-    a, b, c, d = (_random_vec(dim, rng) for _ in range(4))
-    br = lambda u, v: _bracket(l_prime, [u, v], l_space)
-    return br(a, b) * br(c, d) - br(a, c) * br(b, d) + br(a, d) * br(b, c)
+    rows = _draw(dim, dim + 2, random.Random(seed))
+    minors = pair_minors(list(zip(*rows)))  # columns: common, then a, b, c, d
+    return octahedral_combination(lambda p: minors[p[0] - 1, p[1] - 1])
 
 
 def plucker4_residuals(dim: int, seed: int) -> dict:
-    """Four-term generalized relation on a random draw, two readings.
+    """Four-term generalized relation on a random draw of dim - 3 common
+    vectors and then a, b, c, x, y, z, two readings, where br(u, v, w) is
+    the determinant of the common vectors followed by u, v and w.
 
     "verbatim" evaluates the printed form, which repeats the vector a in the
     second factor of the 2nd and 4th terms; "symmetric" replaces that a by c,
@@ -258,10 +249,8 @@ def plucker4_residuals(dim: int, seed: int) -> dict:
     """
     if dim < 9:
         raise ValueError("need ambient dimension >= 9")
-    rng = random.Random(seed)
-    l_prime, l_space = _draw_spaces(dim, 3, rng)
-    a, b, c, x, y, z = (_random_vec(dim, rng) for _ in range(6))
-    br = lambda u, v, w: _bracket(l_prime, [u, v, w], l_space)
+    *common, a, b, c, x, y, z = _draw(dim, dim + 3, random.Random(seed))
+    br = lambda u, v, w: det_exact(common + [u, v, w])
     verbatim = (br(a, b, c) * br(x, y, z)
                 - br(a, b, x) * br(a, y, z)
                 + br(a, b, y) * br(c, x, z)

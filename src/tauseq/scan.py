@@ -8,7 +8,8 @@ and keeps the first edge cycle of each distinct key.  The parent merges
 the slices by keeping, per key, the smallest edge cycle, which is the one a
 serial walk in enumeration order meets first.  So 1-worker and N-worker
 runs are byte-identical.  The parent then builds the record of each kept
-key once, which is where it is derived, generated and matched.
+key once: its recurrence is pairs_from_spreads(*key), generated and
+matched.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, TextIO
 
-from .lattice import edges_to_basis
 from .oeis import MatchPolicy, QueryTooShort, StrippedDb, match_sequence
-from .recurrence import derive_recurrence, generate, term_str
+from .recurrence import (BilinearRecurrence, generate, pairs_from_spreads,
+                         term_str)
 
 
 @dataclass(frozen=True)
@@ -100,10 +101,11 @@ def scan_one(edges: Cycle) -> Key | str:
     return (n, s1, s3) if s1 <= s3 else (n, s3, s1)
 
 
-def complete_record(edges: Cycle, cfg: ScanConfig, db: StrippedDb) -> dict:
-    """The output record of a kept edge cycle: basis, derived recurrence,
-    dedup key (the JSON text of the canonical pairs), generate status,
-    terms and OEIS matches.
+def complete_record(edges: Cycle, rec: BilinearRecurrence, cfg: ScanConfig,
+                    db: StrippedDb) -> dict:
+    """The output record of a kept edge cycle and its recurrence: basis
+    (the edges as columns), recurrence, dedup key (the JSON text of the
+    canonical pairs), generate status, terms and OEIS matches.
 
     The run has max(cfg.terms, rec.window) terms from the all-ones window,
     so a recurrence whose window is at least cfg.terms takes no step: its
@@ -111,10 +113,8 @@ def complete_record(edges: Cycle, cfg: ScanConfig, db: StrippedDb) -> dict:
     counts it as integral, and its query is usually too short to match
     (657 and 855 of the 940 bound-5 records at 24 terms).
     """
-    basis = edges_to_basis(edges)
-    rec = derive_recurrence(basis)
     recurrence = rec.to_json_dict()
-    record = {"basis": [list(basis.a), list(basis.b)],
+    record = {"basis": [list(row) for row in zip(*edges)],
               "recurrence": recurrence,
               "dedup_key": json.dumps(recurrence["pairs"])}
     run = generate(rec, max(cfg.terms, rec.window))
@@ -171,9 +171,10 @@ def merge_slices(slices: Iterable[Slice], cfg: ScanConfig,
         for key, edges in firsts.items():
             if key not in kept or edges < kept[key]:
                 kept[key] = edges
-    records = sorted((complete_record(edges, cfg, db)
-                      for edges in kept.values()),
-                     key=lambda record: record["dedup_key"])
+    records = sorted(
+        (complete_record(edges, BilinearRecurrence(pairs_from_spreads(*key)),
+                         cfg, db) for key, edges in kept.items()),
+        key=lambda record: record["dedup_key"])
     for record in records:
         summary[_STATUS_COUNTER.get(record["status"], "degenerate")] += 1
         summary["matched" if record["matches"] else "unmatched"] += 1

@@ -20,6 +20,14 @@ needs: `tau_table` holds every degree-0 value inside the headroom,
 `act_permutation` builds the whole acted table, and
 `table_octahedron_residual` reads the octahedral relation off it.
 
+It keeps the bracket path the Plucker oracles took before they read
+unchecked draws: `draw_spaces` redraws until a Gram determinant says the
+common vectors are independent and splits them into L' and L, and
+`bracket` is the determinant <L'| u_1 ... u_r |L> with those rows in
+order.  `plucker3_combination` and `plucker4_combinations` evaluate the
+relations on such brackets, and `plucker3_residual` and
+`plucker4_residuals` on the seeded, Gram-checked draws.
+
 `state_identities` is the hand-written table of six boson-fermion
 identities that `verify states` checked before it read every state off
 `kp.schur`.
@@ -28,6 +36,7 @@ identities that `verify states` checked before it read every state off
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -81,14 +90,6 @@ def square_tau(g: Matrix, n: Sequence[int], window: Window) -> int:
     if sum(n) != 0:
         raise ValueError("charge vector must have degree 0")
     return square_minor(g, vacuum(n, window), window)
-
-
-def _check(n: Sequence[int], pair: tuple[int, int], window: Window) -> None:
-    alpha, beta = pair
-    if not 1 <= alpha < beta <= window.components:
-        raise ValueError("need 1 <= alpha < beta <= s")
-    if sum(n) != -2:
-        raise ValueError("charge vector must have degree -2")
 
 
 def engine_insertion(g: Block, n: Sequence[int],
@@ -247,3 +248,73 @@ def state_identities(window: Window) -> list[StateIdentity]:
 def wedge_over_l(top: tuple[int, int], window: Window) -> Wedge:
     """v_a v_b |L> (a > b) with |L> occupying every position below -3/2."""
     return (top + tuple(range(-3, -window.cutoff - 1, -1)),)
+
+
+# ---------------------------------------------------------------------------
+# Plucker brackets on checked draws
+# ---------------------------------------------------------------------------
+
+Vectors = list[list[int]]
+
+
+def _independent(vecs: Vectors) -> bool:
+    """Rows independent over Q, i.e. their Gram determinant is nonzero."""
+    return det_exact([[sum(x * y for x, y in zip(u, v)) for v in vecs]
+                      for u in vecs]) != 0
+
+
+def draw_spaces(dim: int, codim: int, rng: random.Random,
+                max_retries: int = 50) -> tuple[Vectors, Vectors]:
+    """Random L', L with L' + L of full rank dim - codim, entries in
+    [-5, 5], drawn row by row."""
+    total = dim - codim
+    for _ in range(max_retries):
+        vecs = [[rng.randint(-5, 5) for _ in range(dim)]
+                for _ in range(total)]
+        if _independent(vecs):
+            return vecs[:total // 2], vecs[total // 2:]
+    raise RuntimeError("could not draw non-degenerate spaces")
+
+
+def bracket(l_prime: Vectors, inserted: Vectors, l_space: Vectors) -> int:
+    """<L'| u_1 ... u_r |L> as the determinant with those rows in order."""
+    return det_exact(l_prime + inserted + l_space)
+
+
+def plucker3_combination(l_prime: Vectors, l_space: Vectors,
+                         extras: Vectors) -> int:
+    a, b, c, d = extras
+    br = lambda u, v: bracket(l_prime, [u, v], l_space)
+    return br(a, b) * br(c, d) - br(a, c) * br(b, d) + br(a, d) * br(b, c)
+
+
+def plucker4_combinations(l_prime: Vectors, l_space: Vectors,
+                          extras: Vectors) -> dict[str, int]:
+    a, b, c, x, y, z = extras
+    br = lambda u, v, w: bracket(l_prime, [u, v, w], l_space)
+    verbatim = (br(a, b, c) * br(x, y, z)
+                - br(a, b, x) * br(a, y, z)
+                + br(a, b, y) * br(c, x, z)
+                - br(a, b, z) * br(a, x, y))
+    symmetric = (br(a, b, c) * br(x, y, z)
+                 - br(a, b, x) * br(c, y, z)
+                 + br(a, b, y) * br(c, x, z)
+                 - br(a, b, z) * br(c, x, y))
+    return {"verbatim": verbatim, "symmetric": symmetric}
+
+
+def _seeded(dim: int, codim: int, seed: int) -> tuple[Vectors, Vectors,
+                                                      Vectors]:
+    rng = random.Random(seed)
+    l_prime, l_space = draw_spaces(dim, codim, rng)
+    extras = [[rng.randint(-5, 5) for _ in range(dim)]
+              for _ in range(2 * codim)]
+    return l_prime, l_space, extras
+
+
+def plucker3_residual(dim: int, seed: int) -> int:
+    return plucker3_combination(*_seeded(dim, 2, seed))
+
+
+def plucker4_residuals(dim: int, seed: int) -> dict[str, int]:
+    return plucker4_combinations(*_seeded(dim, 3, seed))

@@ -88,7 +88,7 @@ def collect(derived: Iterable[tuple[tuple, BilinearRecurrence | str]],
         if rec in kept:
             summary["duplicates"] += 1
             continue
-        kept[rec] = record = complete_record(edges, cfg, db)
+        kept[rec] = record = complete_record(edges, rec, cfg, db)
         summary[_STATUS_COUNTER.get(record["status"], "degenerate")] += 1
         summary["matched" if record["matches"] else "unmatched"] += 1
     summary["unique"] = len(kept)

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 from tauseq import fock, kp, verify
+from tauseq.intlinalg import det_exact
 from tauseq.lattice import parse_matrix, quotient_map
 from tauseq.maya import (Partition, maya_from_young_charge,
                          young_charge_from_maya)
@@ -82,11 +83,9 @@ def test_criterion_04_plucker_oracles(capsys):
         1 for seed in range(100) if fock.plucker3_residual(8, seed) != 0)
 
     # trivial vanishing: a vector inside the codim-2 sum kills each bracket
-    rng = random.Random(1)
-    l_prime, l_space = fock._draw_spaces(8, 2, rng)
-    inside = [sum(v[i] for v in l_prime + l_space) for i in range(8)]
-    partner = fock._random_vec(8, rng)
-    trivial_ok = fock._bracket(l_prime, [inside, partner], l_space) == 0
+    *common, partner = fock._draw(8, 7, random.Random(1))
+    inside = [sum(column) for column in zip(*common)]
+    trivial_ok = det_exact(common + [inside, partner]) == 0
 
     symmetric_failures = verbatim_failures = 0
     arithmetic_ok = True

@@ -5,13 +5,17 @@ A definition counts as used when its name occurs, as a name or as an
 attribute, somewhere in src/tauseq/ outside its own body; a module-level
 name (a constant or a type alias) outside the statement that assigns it.
 Dunders are used by Python itself, and cli.main is the console entry point.
+
+No module under src/tauseq/ or tests/ binds one top-level def or class
+name twice: the later definition would silently replace the earlier one.
 """
 
 import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "tauseq"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "tauseq"
 ENTRY_POINTS = {"cli.main"}
 
 
@@ -93,3 +97,30 @@ def test_unused_module_name_is_found():
         "b": "from a import f\nf({})\n",
     }
     assert unused_definitions(sources) == ["a.RIGHT", "a.SPARE"]
+
+
+def redefined_names(source: str) -> list[str]:
+    """The top-level def and class names a module binds more than once."""
+    names = Counter(node.name for node in ast.parse(source).body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                         ast.ClassDef)))
+    return sorted(name for name, count in names.items() if count > 1)
+
+
+def test_no_module_defines_a_name_twice():
+    redefined = {}
+    for path in sorted([*SRC.rglob("*.py"), *TESTS.rglob("*.py")]):
+        names = redefined_names(path.read_text(encoding="utf-8"))
+        if names:
+            redefined[str(path.relative_to(TESTS.parent))] = names
+    assert redefined == {}
+
+
+def test_redefined_name_is_found():
+    source = ("def f():\n    return 1\n"
+              "class Box:\n    def f(self):\n        return 2\n"
+              "    def g(self):\n        return 3\n"
+              "    def g(self):\n        return 4\n"
+              "class Box:\n    pass\n"
+              "def f():\n    return 5\n")
+    assert redefined_names(source) == ["Box", "f"]

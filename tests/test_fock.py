@@ -12,6 +12,7 @@ from tauseq.fock import (Block, FockVector, Window, apply_p,
                          plucker3_residual, plucker4_residuals,
                          random_group_element, tau_discrete,
                          tau_with_insertions, vacuum)
+from tauseq.intlinalg import det_exact, pair_minors
 from tauseq.kp import add, scale
 from tauseq.maya import Partition
 from tauseq.recurrence import octahedral_combination
@@ -544,13 +545,11 @@ def test_plucker3_dimension_check():
 
 
 def test_plucker3_vector_inside_sum_vanishes_termwise():
-    rng = random.Random(9)
-    l_prime, l_space = fock._draw_spaces(8, 2, rng)
-    inside = [sum(v[i] for v in l_prime + l_space) for i in range(8)]
-    b, c, d = (fock._random_vec(8, rng) for _ in range(3))
-    assert fock._bracket(l_prime, [inside, b], l_space) == 0
-    assert fock._bracket(l_prime, [inside, c], l_space) == 0
-    assert fock._bracket(l_prime, [inside, d], l_space) == 0
+    *common, b, c, d = fock._draw(8, 9, random.Random(9))
+    inside = [sum(column) for column in zip(*common)]
+    minors = pair_minors(list(zip(*common, inside, b, c, d)))
+    assert minors[0, 1] == minors[0, 2] == minors[0, 3] == 0
+    assert minors[1, 2] != 0
 
 
 def test_plucker4_symmetric_holds_verbatim_fails():
@@ -564,8 +563,5 @@ def test_plucker4_symmetric_holds_verbatim_fails():
 
 
 def test_plucker4_bracket_antisymmetry():
-    rng = random.Random(4)
-    l_prime, l_space = fock._draw_spaces(9, 3, rng)
-    a, y, z = (fock._random_vec(9, rng) for _ in range(3))
-    assert fock._bracket(l_prime, [a, y, z], l_space) == \
-        -fock._bracket(l_prime, [a, z, y], l_space)
+    *common, a, y, z = fock._draw(9, 9, random.Random(4))
+    assert det_exact(common + [a, y, z]) == -det_exact(common + [a, z, y])

@@ -3,21 +3,23 @@
 The closed-form quotient map is checked against the kernel / Bezout /
 Smith-form path it replaced (kept in tests/reference_lattice.py).  Each
 integer fast path is checked against the Fraction reference it replaced:
-integer `generate` against the Fraction loop, the 2x2-minors rank check of
-SublatticeBasis and the Gram-determinant check of the Plucker draws
-against a Fraction Gaussian-elimination rank.  The text-index OEIS match is
-checked against the per-entry slice scan it replaced, and the OEIS loader,
-which keeps canonical rows as text, against the int-parsing loader it
-replaced (tests/reference_oeis.py).  The closed form pairs_from_spreads
-is checked against the search canonicalize_pairs it replaced (kept in
-tests/reference_lattice.py), canonicalize_pairs for its declared
-invariances, and BilinearRecurrence for accepting exactly the triples
-generate can iterate.  Every torsion-free
-strictly convex quadrilateral is checked to give a positive Gale-Robinson
-recurrence (the statement is in the recurrence module docstring), and the
-scan's key of its edge cycle to map back to that recurrence, or both to
-say torsion.  The octahedral relation is checked to hold exactly for
-random covacuum blocks.  The KP path (Schur functions read off the
+integer `generate` against the Fraction loop, and the 2x2-minors rank check
+of SublatticeBasis against a Fraction Gaussian-elimination rank.  The
+text-index OEIS match is checked against the per-entry slice scan it
+replaced, and the OEIS loader, which keeps canonical rows as text, against
+the int-parsing loader it replaced (tests/reference_oeis.py).  The closed
+form pairs_from_spreads is checked against the search canonicalize_pairs it
+replaced (kept in tests/reference_lattice.py), canonicalize_pairs for its
+declared invariances, and BilinearRecurrence for accepting exactly the
+triples generate can iterate.  Every torsion-free strictly convex
+quadrilateral is checked to give a positive Gale-Robinson recurrence (the
+statement is in the recurrence module docstring), and the scan's key of its
+edge cycle to map back to that recurrence, or both to say torsion.  The
+octahedral relation is checked to hold exactly for random covacuum blocks.
+The Plucker oracles' unchecked draws, with the three-term brackets read off
+one elimination, are checked against the per-bracket determinants of the
+Gram-checked draws they replaced (tests/reference_fock.py), common blocks
+with a dependent row included.  The KP path (Schur functions read off the
 character table, the bilinear residual on packed keys) is checked against
 the all-Fraction Jacobi-Trudi oracle (tests/reference_kp.py).
 """
@@ -26,17 +28,20 @@ import gzip
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+import reference_fock
 import reference_kp
 import reference_lattice
 import reference_oeis
 from reference_lattice import canonicalize_pairs
-from tauseq.fock import (Window, _independent, octahedron_residual,
-                         random_group_element)
+from tauseq import fock
+from tauseq.fock import Window, octahedron_residual, random_group_element
 from tauseq.kp import kp_bilinear_residual, partitions_up_to, schur
 from tauseq.lattice import (EdgePolygon, LatticeError, RankError,
                             SublatticeBasis, TorsionError, edges_to_basis,
@@ -46,7 +51,7 @@ from tauseq.oeis import (MatchPolicy, QueryTooShort, load_stripped,
                          match_sequence, trim_query)
 from tauseq.recurrence import (SIGNS, BilinearRecurrence, SequenceRun,
                                UnsolvableError, derive_recurrence, generate,
-                               pairs_from_spreads)
+                               octahedral_combination, pairs_from_spreads)
 from tauseq.scan import scan_one
 
 
@@ -199,22 +204,6 @@ def test_basis_minors_check_matches_fraction_rank(rows):
     except RankError:
         independent = False
     assert independent == (fraction_rank([a, b]) == 2)
-
-
-@st.composite
-def integer_matrices(draw):
-    k, d = draw(st.integers(1, 5)), draw(st.integers(1, 6))
-    m = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
-                      min_size=k, max_size=k))
-    if k >= 3 and draw(st.booleans()):  # force a dependent row
-        m[-1] = [x - 2 * y for x, y in zip(m[0], m[1])]
-    return m
-
-
-@settings(max_examples=300, deadline=None)
-@given(integer_matrices())
-def test_gram_check_matches_fraction_rank(m):
-    assert _independent(m) == (fraction_rank(m) == len(m))
 
 
 # --------------------------------------------------------- quotient map
@@ -543,6 +532,73 @@ def octahedron_cases(draw):
 @given(octahedron_cases())
 def test_octahedron_residual_vanishes(case):
     assert octahedron_residual(*case) == 0
+
+
+# --------------------------------------------------------------- plucker
+
+
+@st.composite
+def plucker_draws(draw, codim: int, dims: range):
+    """(dim, rows, forced): dim - codim common vectors, the last of them
+    forced to depend on the first two when forced, then 2 * codim extras,
+    entries in [-5, 5] like fock's draws."""
+    dim = draw(st.sampled_from(dims))
+    vec = st.lists(st.integers(-5, 5), min_size=dim, max_size=dim)
+    rows = draw(st.lists(vec, min_size=dim + codim, max_size=dim + codim))
+    forced = draw(st.booleans())
+    if forced:
+        rows[dim - codim - 1] = [x - 2 * y for x, y in zip(rows[0], rows[1])]
+    return dim, rows, forced
+
+
+def drawing(rows):
+    """A stand-in for fock._draw that returns the given rows."""
+    def fake(dim, count, rng):
+        assert (dim, count) == (len(rows[0]), len(rows))
+        return rows
+    return fake
+
+
+def checked_split(dim: int, codim: int, rows):
+    """The reference's (L', L, extras) of the same rows."""
+    total = dim - codim
+    return rows[:total // 2], rows[total // 2:total], rows[total:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(plucker_draws(2, range(6, 11)), st.integers(0, 2**32))
+def test_plucker3_brackets_match_checked_draw_reference(case, seed):
+    dim, rows, forced = case
+    seen = {}
+
+    def recording(t):
+        seen.update((p, t(p)) for p in combinations(range(1, 5), 2))
+        return octahedral_combination(t)
+
+    with patch.object(fock, "_draw", drawing(rows)), \
+            patch.object(fock, "octahedral_combination", recording):
+        assert fock.plucker3_residual(dim, seed) == 0
+    l_prime, l_space, extras = checked_split(dim, 2, rows)
+    assert seen == {
+        (i, j): reference_fock.bracket(
+            l_prime, [extras[i - 1], extras[j - 1]], l_space)
+        for i, j in combinations(range(1, 5), 2)}
+    assert not forced or not any(seen.values())
+    assert reference_fock.plucker3_combination(l_prime, l_space, extras) == 0
+    assert fock.plucker3_residual(dim, seed) == 0
+    assert reference_fock.plucker3_residual(dim, seed) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(plucker_draws(3, range(9, 12)), st.integers(0, 2**32))
+def test_plucker4_residuals_match_checked_draw_reference(case, seed):
+    dim, rows, _ = case
+    with patch.object(fock, "_draw", drawing(rows)):
+        residuals = fock.plucker4_residuals(dim, seed)
+    assert residuals == reference_fock.plucker4_combinations(
+        *checked_split(dim, 3, rows))
+    assert fock.plucker4_residuals(dim, seed) == \
+        reference_fock.plucker4_residuals(dim, seed)
 
 
 # -------------------------------------------------------------------- kp

@@ -5,8 +5,8 @@ import pytest
 
 from tauseq.lattice import edges_to_basis
 from tauseq.oeis import load_fixture
-from tauseq.recurrence import (derive_recurrence, generate,
-                               pairs_from_spreads, term_str)
+from tauseq.recurrence import (BilinearRecurrence, derive_recurrence,
+                               generate, pairs_from_spreads, term_str)
 from reference_scan import (reference_bases,
                             reference_enumerate_edge_cycles, reference_scan,
                             reference_scan_one)
@@ -120,7 +120,8 @@ def test_scan_one_reference_basis():
     cfg = ScanConfig(bound=5, terms=24)
     edges = ((5, 1), (-2, 1), (-2, -1), (-1, -1))
     assert scan_one(edges) == (8, 0, 6)
-    record = complete_record(edges, cfg, load_fixture())
+    rec = BilinearRecurrence(pairs_from_spreads(8, 0, 6))
+    record = complete_record(edges, rec, cfg, load_fixture())
     assert record["basis"] == [[5, -2, -2, -1], [1, 1, -1, -1]]
     assert record["dedup_key"] == "[[0, 0], [4, -4], [3, -3]]"
     assert record["status"] == "ok"
