@@ -3,10 +3,11 @@
 The infinite semi-infinite-wedge space is truncated to a window of 2K
 half-integer positions per component; with s components a basis wedge is a
 choice of occupied positions in each component.  A Fock vector is a sparse
-dict of int coefficients, combined by kp's add and scale; minors are ints
-too, and every check below is an exact identity, never approximate.
-tauseq.verify builds the boson-fermion states s_lambda(p_k / k)|0> from
-chains of apply_p on the single-component vacuum.
+dict of int coefficients; minors are ints too, and every check below is an
+exact identity, never approximate.  The one Fock operator is the current
+p_k, applied as particle hops on one-component vectors: tauseq.verify
+builds the boson-fermion states s_lambda(p_k / k)|0> from chains of apply_p
+on the vacuum.
 
 A group element g enters only through <Omega| g, so it is held as its
 covacuum block (Block): the s*K rows of g on the neutral-vacuum slots.
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .intlinalg import det_exact, pair_minors
-from .kp import add
 from .recurrence import octahedral_combination
 
 # One component's occupied positions, descending; a wedge is one tuple per
@@ -88,60 +88,30 @@ def vacuum(n: Sequence[int], window: Window) -> Wedge:
     )
 
 
-def _preceding(wedge: Wedge, component: int, pos: int) -> int:
-    """Occupied slots strictly before (component, pos) in the global order."""
-    count = sum(len(wedge[c]) for c in range(component))
-    return count + sum(1 for q in wedge[component] if q > pos)
+def apply_p(k: int, vec: FockVector, window: Window) -> FockVector:
+    """Current operator p_k = sum_i psi_{i+k} psi*_i on one-component
+    vectors: each term's particle at i hops to an empty j = i + k, with
+    sign (-1)^(particles strictly between i and j).
 
-
-def apply_psi(component: int, pos: int, vec: FockVector,
-              window: Window) -> FockVector:
-    """Wedge the basis vector (component, pos) onto each term, with sign."""
-    if pos not in window.positions:
-        raise ValueError(f"position {pos} outside window")
-    out: FockVector = {}
-    for wedge, coeff in vec.items():
-        occ = wedge[component]
-        if pos in occ:
-            continue  # v wedge v = 0
-        sign = -1 if _preceding(wedge, component, pos) % 2 else 1
-        new_comp = tuple(sorted(occ + (pos,), reverse=True))
-        new_wedge = wedge[:component] + (new_comp,) + wedge[component + 1:]
-        # adding a fixed position keeps distinct wedges apart: no collision
-        out[new_wedge] = sign * coeff
-    return out
-
-
-def apply_psi_star(component: int, pos: int, vec: FockVector,
-                   window: Window) -> FockVector:
-    """Contract the basis vector (component, pos) out of each term."""
-    if pos not in window.positions:
-        raise ValueError(f"position {pos} outside window")
-    out: FockVector = {}
-    for wedge, coeff in vec.items():
-        occ = wedge[component]
-        if pos not in occ:
-            continue
-        sign = -1 if _preceding(wedge, component, pos) % 2 else 1
-        new_comp = tuple(q for q in occ if q != pos)
-        new_wedge = wedge[:component] + (new_comp,) + wedge[component + 1:]
-        # removing a fixed position keeps distinct wedges apart: no collision
-        out[new_wedge] = sign * coeff
-    return out
-
-
-def apply_p(component: int, k: int, vec: FockVector,
-            window: Window) -> FockVector:
-    """Current operator sum_i psi_{i+k} psi*_i on one component.
-
-    Terms whose target position leaves the window are dropped (truncation
-    policy); callers must keep enough headroom for the identity they check.
+    Hops that leave the window are dropped (truncation policy); callers
+    must keep enough headroom for the identity they check.
     """
     if k == 0 or abs(k) > 2 * window.cutoff:
         raise ValueError("k must be nonzero with |k| <= 2K")
-    return add(*(apply_psi(component, i + k,
-                           apply_psi_star(component, i, vec, window), window)
-                 for i in window.positions if i + k in window.positions))
+    out: FockVector = {}
+    for (occ,), coeff in vec.items():
+        for i in occ:
+            j = i + k
+            if j in occ or j not in window.positions:
+                continue
+            lo, hi = min(i, j), max(i, j)
+            passed = sum(1 for q in occ if lo < q < hi)
+            hopped = (tuple(sorted([q for q in occ if q != i] + [j],
+                                   reverse=True)),)
+            out[hopped] = out.get(hopped, 0) + (-coeff if passed % 2
+                                                else coeff)
+    # two hops can land on one wedge and cancel
+    return {wedge: c for wedge, c in out.items() if c}
 
 
 def random_group_element(window: Window, rng: random.Random,

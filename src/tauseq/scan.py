@@ -132,23 +132,23 @@ def complete_record(edges: Cycle, rec: BilinearRecurrence, cfg: ScanConfig,
     return record
 
 
-# one slice's (total, skip counts by reason, {key: first edge cycle})
-Slice = tuple[int, dict[str, int], dict[Key, Cycle]]
+# one slice's (total, torsion count, {key: first edge cycle})
+Slice = tuple[int, int, dict[Key, Cycle]]
 
 
 def scan_slice(bound: int, start: int = 0, step: int = 1) -> Slice:
     """Enumerate and key the cycles whose first edge is in the slice
     vectors[start::step]; keep the first edge cycle of each key."""
-    skipped: dict[str, int] = {}
+    torsion = 0
     firsts: dict[Key, Cycle] = {}
     cycles = enumerate_edge_cycles(bound, start, step)
     for edges in cycles:
         key = scan_one(edges)
-        if isinstance(key, str):
-            skipped[key] = skipped.get(key, 0) + 1
+        if key == "torsion":
+            torsion += 1
         else:
             firsts.setdefault(key, edges)
-    return len(cycles), skipped, firsts
+    return len(cycles), torsion, firsts
 
 
 # generate status -> summary counter; any other status is "degenerate"
@@ -159,15 +159,11 @@ def merge_slices(slices: Iterable[Slice], cfg: ScanConfig,
                  db: StrippedDb) -> tuple[list[dict], dict]:
     """Sum the slices' counts, keep the least edge cycle per key, and
     complete each kept cycle once, sorted by dedup key."""
-    summary = {"total": 0, "skipped": {}, "integral": 0, "non_integral": 0,
-               "degenerate": 0, "matched": 0, "unmatched": 0,
-               "duplicates": 0, "unique": 0}
+    total = torsion = 0
     kept: dict[Key, Cycle] = {}
-    for total, skipped, firsts in slices:
-        summary["total"] += total
-        for reason, count in skipped.items():
-            summary["skipped"][reason] = \
-                summary["skipped"].get(reason, 0) + count
+    for slice_total, slice_torsion, firsts in slices:
+        total += slice_total
+        torsion += slice_torsion
         for key, edges in firsts.items():
             if key not in kept or edges < kept[key]:
                 kept[key] = edges
@@ -175,12 +171,15 @@ def merge_slices(slices: Iterable[Slice], cfg: ScanConfig,
         (complete_record(edges, BilinearRecurrence(pairs_from_spreads(*key)),
                          cfg, db) for key, edges in kept.items()),
         key=lambda record: record["dedup_key"])
+    summary = {"total": total,
+               "skipped": {"torsion": torsion} if torsion else {},
+               "integral": 0, "non_integral": 0, "degenerate": 0,
+               "matched": 0, "unmatched": 0, "duplicates": 0, "unique": 0}
     for record in records:
         summary[_STATUS_COUNTER.get(record["status"], "degenerate")] += 1
         summary["matched" if record["matches"] else "unmatched"] += 1
     summary["unique"] = len(records)
-    summary["duplicates"] = (summary["total"] - len(records)
-                             - sum(summary["skipped"].values()))
+    summary["duplicates"] = total - len(records) - torsion
     return records, summary
 
 

@@ -40,13 +40,20 @@ def _random_base_point(rng: random.Random, s: int) -> tuple[int, ...]:
             return n
 
 
+def _four_component_window(check: str, cutoff: int | None) -> fock.Window:
+    """The window of the octahedron and permutation oracles, cutoff 4 by
+    default.  Every degree -2 base over four components has a negative entry,
+    and the headroom |n_c| <= K - 2 admits it only from cutoff 3 on."""
+    cutoff = 4 if cutoff is None else cutoff
+    if cutoff < 3:
+        raise ValueError(f"{check} needs cutoff >= 3, got {cutoff}: "
+                         "no base point fits in its headroom")
+    return fock.Window(cutoff, 4)
+
+
 def verify_octahedron(trials: int, seed: int, cutoff: int | None = None,
                       **unused) -> dict:
-    cutoff = 4 if cutoff is None else cutoff
-    if cutoff < 3:  # a drawn base has entries in {-1, 0, 1}
-        raise ValueError(f"octahedron needs cutoff >= 3, got {cutoff}: "
-                         "no base point fits in its headroom")
-    window = fock.Window(cutoff, 4)
+    window = _four_component_window("octahedron", cutoff)
     rng = random.Random(seed)
     failures = []
     for trial in range(trials):
@@ -56,7 +63,8 @@ def verify_octahedron(trials: int, seed: int, cutoff: int | None = None,
         if residual != 0:
             failures.append({"trial": trial, "base": list(n),
                              "residual": str(residual)})
-    return _report("octahedron", trials, failures, seed=seed, cutoff=cutoff)
+    return _report("octahedron", trials, failures, seed=seed,
+                   cutoff=window.cutoff)
 
 
 def verify_plucker(trials: int, seed: int, dim: int | None = None,
@@ -116,7 +124,7 @@ def _boson_fermion_states(lams, cutoff: int):
         """p_mu|0>, built on the memoised chain of mu's suffix."""
         if not mu:
             return {fock.vacuum((0,), window): 1}
-        return fock.apply_p(0, mu[0], p_chain(mu[1:]), window)
+        return fock.apply_p(mu[0], p_chain(mu[1:]), window)
 
     for lam in lams:
         n = lam.size
@@ -184,14 +192,10 @@ def _acted_value(tau, sigma, n: tuple[int, ...]) -> int:
 
 def verify_permutation(trials: int, seed: int, cutoff: int | None = None,
                        **unused) -> dict:
-    cutoff = 4 if cutoff is None else cutoff
-    if cutoff < 3:  # every degree -2 base has an entry -1
-        raise ValueError(f"permutation needs cutoff >= 3, got {cutoff}: "
-                         "no base point fits in its headroom")
-    window = fock.Window(cutoff, 4)
+    window = _four_component_window("permutation", cutoff)
     rng = random.Random(seed)
     # a base's raised points, and so their images, need |n_c| <= cutoff - 2
-    top = min(1, cutoff - 3)
+    top = min(1, window.cutoff - 3)
     bases = [n for n in itertools.product(range(-1, top + 1), repeat=4)
              if sum(n) == -2]
     failures = []
@@ -211,8 +215,8 @@ def verify_permutation(trials: int, seed: int, cutoff: int | None = None,
                     failures.append({"trial": trial, "sigma": perm,
                                      "base": list(base),
                                      "residual": str(residual)})
-    return _report("permutation", trials, failures, seed=seed, cutoff=cutoff,
-                   sigmas=SIGMAS, probes=PROBES)
+    return _report("permutation", trials, failures, seed=seed,
+                   cutoff=window.cutoff, sigmas=SIGMAS, probes=PROBES)
 
 
 ORACLES = {

@@ -1,4 +1,5 @@
-"""Reference paths for `tauseq.fock`'s covacuum minors and insertions.
+"""Reference paths for `tauseq.fock`'s covacuum minors, insertions and
+current operator.
 
 * `square_tau` and `square_insertion`, the full-square-matrix path that
   fock took before it drew only the covacuum block: select the
@@ -6,10 +7,16 @@
   `covacuum_block` reads those rows off, and `pad` puts a block back on
   them with any filler in the other rows, so the two paths can be
   compared on one block;
+* the two-operator engine that `fock.apply_p` was built from before it
+  moved particles in one pass: `apply_psi` wedges a basis vector onto each
+  term and `apply_psi_star` contracts one out, each with the sign of the
+  occupied slots before it in the global order, and
+  `engine_apply_p(component, k, vec, window)` is the current
+  sum_i psi_{i+k} psi*_i on one component, the sum of its 2K passes;
 * `engine_insertion`, the Fock-engine path for one pair of components:
   the vacuum |n> is a one-term Fock vector, the two psi operators act on
-  it through `fock.apply_psi` (beta first, then alpha), and the one wedge
-  left is read off as a minor of the block, built here from its entries;
+  it through `apply_psi` (beta first, then alpha), and the one wedge left
+  is read off as a minor of the block, built here from its entries;
 * `closed_form_insertion`, the per-pair closed form: one covacuum minor of
   the raised wedge times the sign of moving each psi past the occupied
   slots of every earlier component.
@@ -30,7 +37,7 @@ relations on such brackets, and `plucker3_residual` and
 
 `state_identities` is the hand-written table of six boson-fermion
 identities that `verify states` checked before it read every state off
-`kp.schur`.
+`kp.schur`, built with `engine_apply_p`.
 """
 
 from __future__ import annotations
@@ -41,8 +48,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from tauseq.fock import (Block, FockVector, Wedge, Window, _covacuum_minor,
-                         _wedge_slots, apply_p, apply_psi, tau_discrete,
-                         vacuum)
+                         _wedge_slots, tau_discrete, vacuum)
 from tauseq.intlinalg import det_exact
 from tauseq.kp import add, scale
 from tauseq.recurrence import Pair, octahedral_combination
@@ -90,6 +96,62 @@ def square_tau(g: Matrix, n: Sequence[int], window: Window) -> int:
     if sum(n) != 0:
         raise ValueError("charge vector must have degree 0")
     return square_minor(g, vacuum(n, window), window)
+
+
+def _preceding(wedge: Wedge, component: int, pos: int) -> int:
+    """Occupied slots strictly before (component, pos) in the global order."""
+    count = sum(len(wedge[c]) for c in range(component))
+    return count + sum(1 for q in wedge[component] if q > pos)
+
+
+def apply_psi(component: int, pos: int, vec: FockVector,
+              window: Window) -> FockVector:
+    """Wedge the basis vector (component, pos) onto each term, with sign."""
+    if pos not in window.positions:
+        raise ValueError(f"position {pos} outside window")
+    out: FockVector = {}
+    for wedge, coeff in vec.items():
+        occ = wedge[component]
+        if pos in occ:
+            continue  # v wedge v = 0
+        sign = -1 if _preceding(wedge, component, pos) % 2 else 1
+        new_comp = tuple(sorted(occ + (pos,), reverse=True))
+        new_wedge = wedge[:component] + (new_comp,) + wedge[component + 1:]
+        # adding a fixed position keeps distinct wedges apart: no collision
+        out[new_wedge] = sign * coeff
+    return out
+
+
+def apply_psi_star(component: int, pos: int, vec: FockVector,
+                   window: Window) -> FockVector:
+    """Contract the basis vector (component, pos) out of each term."""
+    if pos not in window.positions:
+        raise ValueError(f"position {pos} outside window")
+    out: FockVector = {}
+    for wedge, coeff in vec.items():
+        occ = wedge[component]
+        if pos not in occ:
+            continue
+        sign = -1 if _preceding(wedge, component, pos) % 2 else 1
+        new_comp = tuple(q for q in occ if q != pos)
+        new_wedge = wedge[:component] + (new_comp,) + wedge[component + 1:]
+        # removing a fixed position keeps distinct wedges apart: no collision
+        out[new_wedge] = sign * coeff
+    return out
+
+
+def engine_apply_p(component: int, k: int, vec: FockVector,
+                   window: Window) -> FockVector:
+    """Current operator sum_i psi_{i+k} psi*_i on one component.
+
+    Terms whose target position leaves the window are dropped (truncation
+    policy); callers must keep enough headroom for the identity they check.
+    """
+    if k == 0 or abs(k) > 2 * window.cutoff:
+        raise ValueError("k must be nonzero with |k| <= 2K")
+    return add(*(apply_psi(component, i + k,
+                           apply_psi_star(component, i, vec, window), window)
+                 for i in window.positions if i + k in window.positions))
 
 
 def engine_insertion(g: Block, n: Sequence[int],
@@ -228,7 +290,7 @@ def state_identities(window: Window) -> list[StateIdentity]:
     """
     w = Window(window.cutoff, 1)
     v0: FockVector = {vacuum((0,), w): 1}
-    p = lambda k, v: apply_p(0, k, v, w)
+    p = lambda k, v: engine_apply_p(0, k, v, w)
     p1, p2, p3 = (p(k, v0) for k in (1, 2, 3))
     p11 = p(1, p1)
     return [

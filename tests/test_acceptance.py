@@ -13,8 +13,7 @@ from fractions import Fraction
 from tauseq import fock, kp, verify
 from tauseq.intlinalg import det_exact
 from tauseq.lattice import parse_matrix, quotient_map
-from tauseq.maya import (Partition, maya_from_young_charge,
-                         young_charge_from_maya)
+from tauseq.maya import maya_from_young_charge, young_charge_from_maya
 from tauseq.oeis import load_fixture
 from tauseq.recurrence import derive_recurrence, generate, octahedron_points
 from tauseq.scan import ScanConfig, run_scan, write_jsonl

@@ -6,12 +6,12 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import reference_fock
+from reference_fock import apply_psi, apply_psi_star, engine_apply_p
 from tauseq import fock, kp, verify
 from tauseq.fock import (Block, FockVector, Window, apply_p,
-                         apply_psi, apply_psi_star, octahedron_residual,
-                         plucker3_residual, plucker4_residuals,
-                         random_group_element, tau_discrete,
-                         tau_with_insertions, vacuum)
+                         octahedron_residual, plucker3_residual,
+                         plucker4_residuals, random_group_element,
+                         tau_discrete, tau_with_insertions, vacuum)
 from tauseq.intlinalg import det_exact, pair_minors
 from tauseq.kp import add, scale
 from tauseq.maya import Partition
@@ -119,13 +119,13 @@ def test_car_relations_exhaustive():
 def test_p1_on_vacuum_single_box_state():
     # p_1|0> = v_{1/2} v_{-3/2} |L>
     w = Window(4, 1)
-    v = apply_p(0, 1, basis_vec(vacuum((0,), w)), w)
+    v = apply_p(1, basis_vec(vacuum((0,), w)), w)
     assert v == {((0, -2, -3, -4),): ONE}
 
 
 def test_p_on_zero_vector():
     w = Window(4, 1)
-    assert apply_p(0, 2, {}, w) == {}
+    assert apply_p(2, {}, w) == {}
 
 
 def test_charge_operator_eigenvalue():
@@ -142,38 +142,71 @@ def test_charge_operator_eigenvalue():
 
 
 def test_pm_commutator_on_interior_states():
-    # [p_m, p_{-m}] = m on states far enough from the window boundary
+    # Heisenberg relations [p_m, p_n] = -m delta_{m+n,0} (p_k with k > 0
+    # raises the weight) on states far enough from the window boundary
     w = Window(6, 1)
     v0 = basis_vec(vacuum((0,), w))
-    states = [v0, apply_p(0, 1, v0, w), apply_p(0, 2, v0, w)]
-    for m in (1, 2):
-        for state in states:
-            ab = apply_p(0, -m, apply_p(0, m, state, w), w)
-            ba = apply_p(0, m, apply_p(0, -m, state, w), w)
-            comm = add(ab, scale(ba, -1))
-            assert comm == scale(state, m)
+    p1 = apply_p(1, v0, w)
+    states = [v0, p1, apply_p(2, v0, w), apply_p(1, p1, w)]
+    modes = (-3, -2, -1, 1, 2, 3)
+    for m, n, state in itertools.product(modes, modes, states):
+        comm = add(apply_p(m, apply_p(n, state, w), w),
+                   scale(apply_p(n, apply_p(m, state, w), w), -1))
+        assert comm == (scale(state, -m) if m + n == 0 else {}), (m, n)
+
+
+def components(window: Window):
+    """One component's occupied positions in the window, descending."""
+    return st.frozensets(st.sampled_from(list(window.positions))).map(
+        lambda occ: tuple(sorted(occ, reverse=True)))
+
+
+def multi_term(wedges):
+    return st.dictionaries(wedges, st.integers(-5, 5).filter(bool),
+                           min_size=2, max_size=8)
 
 
 LINEAR = Window(2, 2)
-COMPONENT = st.frozensets(st.sampled_from(list(LINEAR.positions))).map(
-    lambda occ: tuple(sorted(occ, reverse=True)))
-MULTI_TERM = st.dictionaries(st.tuples(COMPONENT, COMPONENT),
-                             st.integers(-5, 5).filter(bool),
-                             min_size=2, max_size=8)
+SINGLE = Window(LINEAR.cutoff)
 
 
 @settings(max_examples=300, deadline=None)
-@given(MULTI_TERM, st.integers(0, 1), st.sampled_from(list(LINEAR.positions)),
+@given(multi_term(st.tuples(components(LINEAR), components(LINEAR))),
+       multi_term(st.tuples(components(SINGLE))), st.integers(0, 1),
+       st.sampled_from(list(LINEAR.positions)),
        st.sampled_from([k for k in range(-4, 5) if k]))
-# p_1 moves both wedges of component 0 to (1, -1): the terms must add up
-@example({((1, -2), (-1, -2)): 1, ((0, -1), (-1, -2)): 1}, 0, 0, 1)
-def test_fock_engine_is_linear(vec, component, pos, k):
+# p_1 moves both wedges to (1, -1): the terms must add up
+@example({((1, -2), (-1, -2)): 1, ((0, -1), (-1, -2)): 1},
+         {((1, -2),): 1, ((0, -1),): 1}, 0, 0, 1)
+def test_fock_engine_is_linear(vec, single, component, pos, k):
     # psi and psi* write each output term once, without summing: a fixed
     # position added or removed never maps two wedges to one
     for op in (lambda v: apply_psi(component, pos, v, LINEAR),
-               lambda v: apply_psi_star(component, pos, v, LINEAR),
-               lambda v: apply_p(component, k, v, LINEAR)):
+               lambda v: apply_psi_star(component, pos, v, LINEAR)):
         assert op(vec) == add(*(op({wedge: c}) for wedge, c in vec.items()))
+    hop = lambda v: apply_p(k, v, SINGLE)
+    assert hop(single) == add(*(hop({wedge: c})
+                                for wedge, c in single.items()))
+
+
+@st.composite
+def one_component_vectors(draw):
+    window = Window(draw(st.sampled_from([2, 3, 4])))
+    return window, draw(multi_term(st.tuples(components(window))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_component_vectors())
+# p_1 hops both terms onto the wedge (1, -1): their coefficients add up
+@example((Window(2), {((1, -2),): 1, ((0, -1),): 1}))
+def test_apply_p_matches_engine(case):
+    # the one-pass hop against the psi / psi* engine it replaced, for
+    # every current the window admits
+    window, vec = case
+    for k in range(-2 * window.cutoff, 2 * window.cutoff + 1):
+        if k:
+            assert apply_p(k, vec, window) == engine_apply_p(
+                0, k, vec, window), k
 
 
 # ------------------------------------------------------- state identities
@@ -188,8 +221,8 @@ def test_state_identities_k6():
 def test_fock_vectors_hold_ints():
     w = Window(6, 1)
     v0 = basis_vec(vacuum((0,), w))
-    state = add(apply_p(0, 1, apply_p(0, 1, v0, w), w),
-                scale(apply_p(0, 2, v0, w), -1))
+    state = add(apply_p(1, apply_p(1, v0, w), w),
+                scale(apply_p(2, v0, w), -1))
     assert state and all(type(x) is int for x in state.values())
 
 
@@ -488,7 +521,7 @@ def test_insertion_into_occupied_slot_is_zero():
     # is encoded by a base that already occupies the target
     n = (-1, -1, 0, 0)
     vec = {vacuum(n, w): ONE}
-    out = fock.apply_psi(0, -2, vec, w)  # -2 < charge -1: occupied
+    out = apply_psi(0, -2, vec, w)  # -2 < charge -1: occupied
     assert out == {}
 
 

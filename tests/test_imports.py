@@ -1,6 +1,6 @@
-"""Every import under src/tauseq/ is used by the module that makes it,
-every annotation there names something the module can resolve, and only
-the two modules with a rational end import fractions."""
+"""Every import under src/tauseq/ and tests/ is used by the module that
+makes it, every annotation under src/tauseq/ names something the module can
+resolve, and only the two modules with a rational end import fractions."""
 
 import ast
 import importlib
@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "tauseq"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "tauseq"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -26,8 +27,10 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path", [*sorted(SRC.glob("*.py")), *sorted(TESTS.glob("*.py"))],
+    ids=lambda path: (path.name if path.parent == SRC
+                      else f"tests/{path.name}"))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
