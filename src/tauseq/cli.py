@@ -82,6 +82,13 @@ def _parse_partition(text: str) -> Partition:
     return Partition(tuple(int(x) for x in text.split(",")))
 
 
+def _json_arg(text: str):
+    try:  # nesting too deep to decode is a parse error, not an internal one
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("JSON argument nested too deeply") from exc
+
+
 def _basis_from_args(args) -> SublatticeBasis:
     if args.matrix:
         return parse_matrix(args.matrix)
@@ -92,7 +99,7 @@ def _basis_from_args(args) -> SublatticeBasis:
 
 def cmd_maya(args) -> int:
     if args.from_maya:
-        diagram = MayaDiagram.from_json_dict(json.loads(args.from_maya))
+        diagram = MayaDiagram.from_json_dict(_json_arg(args.from_maya))
         lam, charge = young_charge_from_maya(diagram)
         _emit({"young": list(lam.parts), "charge": charge})
     else:
@@ -119,7 +126,7 @@ def cmd_derive(args) -> int:
 def cmd_generate(args) -> int:
     if args.recurrence_json:
         rec = BilinearRecurrence.from_json_dict(
-            json.loads(args.recurrence_json))
+            _json_arg(args.recurrence_json))
     else:
         rec = derive_recurrence(_basis_from_args(args))
     init = [int(x) for x in args.init.split(",")] if args.init else None

@@ -4,11 +4,8 @@ quotient projection to the integers.
 A sublattice basis is a 2 x s integer matrix whose rows a, b each sum to
 zero (so they lie in A_{s-1} = {n : sum n_i = 0}).  When the quotient
 A_{s-1}/<a,b> is free of rank 1 it is identified with Z by one primitive
-covector w: index(n) = w . n for degree-0 n.
-
-For s = 4 the 2x2 minors p_ij = a_i b_j - a_j b_i decide everything: the
-quotient is torsion-free exactly when their gcd is 1, and then w is the
-cross product (p_23, -p_13, p_12, 0) of columns 1-3.
+covector w: index(n) = w . n for degree-0 n.  For s = 4 the 2x2 minors
+p_ij = a_i b_j - a_j b_i decide everything (minors).
 """
 
 from __future__ import annotations
@@ -90,21 +87,12 @@ def edges_to_basis(edges: tuple[tuple[int, int], ...]) -> SublatticeBasis:
     return SublatticeBasis(a, b)
 
 
-def quotient_map(basis: SublatticeBasis) -> tuple[int, ...]:
-    """The canonical covector w of the quotient A_{s-1}/<a,b>, from the
-    2x2 minors; a degree-0 point n has index w . n.
-
-    With p_ij = a_i b_j - a_j b_i, the invariant factors of <a,b> inside
-    A_3 are (d1, g / d1), where d1 is the gcd of the eight entries and g the
-    gcd of the six minors, so the quotient is torsion-free exactly when
-    g = 1.  The rows have degree 0, so p_14 = -p_12 - p_13,
-    p_24 = p_12 - p_23 and p_34 = p_13 + p_23, and g is already the gcd of
-    p_12, p_13, p_23.  The cross product of columns 1-3, (p_23, -p_13,
-    p_12, 0), annihilates both rows, and when g = 1 it is the primitive w
-    with w_4 = 0.  No step divides w . n: the kernel lattice
-    {v : v.a = v.b = 0} is saturated and contains the all-ones vector, so
-    {ones, w} is a basis of it and the differences of w have gcd 1.
-    """
+def minors(basis: SublatticeBasis) -> tuple[int, int, int]:
+    """The minors (p_12, p_13, p_23) of a basis whose quotient is Z; the
+    one rank and torsion gate.  <a,b> in A_3 has invariant factors
+    (d1, g / d1), d1 the gcd of the entries and g that of the six minors, so
+    it has torsion exactly when g != 1; degree 0 makes g the gcd of these
+    three (p_14 = -p_12 - p_13, p_24 = p_12 - p_23, p_34 = p_13 + p_23)."""
     s = basis.s
     if s != 4:
         raise RankError(f"unsupported rank: quotient of A_{s - 1} by a rank-2 "
@@ -113,10 +101,20 @@ def quotient_map(basis: SublatticeBasis) -> tuple[int, ...]:
     p12 = a[0] * b[1] - a[1] * b[0]
     p13 = a[0] * b[2] - a[2] * b[0]
     p23 = a[1] * b[2] - a[2] * b[1]
-    g = gcd(p12, p13, p23)
-    if g != 1:
+    if (g := gcd(p12, p13, p23)) != 1:
         d1 = gcd(*a, *b)
         raise TorsionError((d1, g // d1))
+    return p12, p13, p23
+
+
+def quotient_map(basis: SublatticeBasis) -> tuple[int, ...]:
+    """The canonical covector w: the cross product (p_23, -p_13, p_12, 0)
+    of columns 1-3, which annihilates both rows and is primitive, up to sign
+    and the all-ones vector.  A degree-0 point n has index w . n, and no
+    step divides it: the kernel {v : v.a = v.b = 0} is saturated and holds
+    the all-ones vector, so {ones, w} is its basis and w has coprime
+    differences."""
+    p12, p13, p23 = minors(basis)
     return _normalize_w([p23, -p13, p12, 0])
 
 

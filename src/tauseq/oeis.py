@@ -201,11 +201,10 @@ def match_sequence(db: StrippedDb, terms: list[int],
 
 def search_online(terms: list[int], endpoint: str = DEFAULT_ENDPOINT,
                   retries: int = 2, delay: float = 1.0) -> dict:
-    """Query the live OEIS JSON search endpoint.  Advisory only.
-
-    Network failures, non-success statuses and malformed payloads raise
-    distinct errors; retries are bounded with a politeness delay.
-    """
+    """Query the live OEIS JSON search endpoint, advisory only.  Network
+    failures, non-success statuses and payloads not of the shape
+    {"results": [{"number": int, ...}, ...] or null, ...} raise distinct
+    errors; retries are bounded with a politeness delay."""
     import urllib.request
     from http.client import HTTPException
     from urllib.error import HTTPError
@@ -230,16 +229,17 @@ def search_online(terms: list[int], endpoint: str = DEFAULT_ENDPOINT,
             continue
         try:
             payload = json.loads(body)
-        except ValueError as exc:
+            results = payload.get("results") or []
+            hits = [r for r in results if "number" in r]
+            if type(results) is not list or any(type(r["number"]) is not int
+                                                for r in hits):
+                raise TypeError("results are not [{'number': int, ...}]")
+        except (ValueError, TypeError, AttributeError, RecursionError) as exc:
             raise OeisError(f"malformed search payload: {exc}") from exc
-        results = payload.get("results") or []
-        return {
-            "advisory": True,
-            "count": payload.get("count", len(results)),
-            "matches": [{"a_number": f"A{r['number']:06d}",
-                         "name": r.get("name", "")}
-                        for r in results if "number" in r],
-        }
+        return {"advisory": True,
+                "count": payload.get("count", len(results)),
+                "matches": [{"a_number": f"A{r['number']:06d}",
+                             "name": r.get("name", "")} for r in hits]}
     raise last_error  # type: ignore[misc]
 
 

@@ -1,49 +1,26 @@
 """Bilinear three-term recurrences compiled from the octahedral relation.
 
-derive_recurrence projects the six octahedron points around a fixed
-degree-(-2) base through a lattice quotient's covector w; the indices w . n
-form the three offset pairs of
-T(l+p1)T(l+q1) - T(l+p2)T(l+q2) + T(l+p3)T(l+q3) = 0.
-generate runs such a recurrence forward over plain Python ints; a term
-becomes an exact rational only where a division leaves a remainder, which
-the Laurent phenomenon makes the uncommon case.
+derive_recurrence reads the offset pairs of
+T(l+p1)T(l+q1) - T(l+p2)T(l+q2) + T(l+p3)T(l+q3) = 0 that a lattice
+quotient gives the six octahedron points off the basis's three 2x2 minors
+(spreads).  generate runs such a recurrence forward over plain Python ints;
+a term becomes an exact rational only where a division leaves a remainder,
+which the Laurent phenomenon makes the uncommon case.
 
-Convex polygons give positive Gale-Robinson recurrences.  Let e1..e4 be the
-edges of a strictly convex ccw quadrilateral whose basis is torsion-free,
-and p_ij = cross(e_i, e_j).  Then the derived recurrence has its top offset
-in the minus pair pairs[1] only, and reads
+Convex polygons give positive Gale-Robinson recurrences (spreads proves
+it): a strictly convex ccw quadrilateral whose basis is torsion-free, with
+p_ij = cross(e_i, e_j), derives, with its top offset in the minus pair
+pairs[1] only,
 
     T(n) T(n-N) = T(n-p) T(n-N+p) + T(n-q) T(n-N+q),   0 < p, q < N,
 
-the three-term Gale-Robinson recurrence, with N = p12 + p34 = twice the
-area.  Its all-ones run is a sequence of positive integers.
-
-Proof sketch.  Convexity gives p12, p23, p34 > 0 and p14 < 0, and
-e4 = -(e1 + e2 + e3) gives p34 = p13 + p23 and -p14 = p12 + p13, so
-p12 + p34 = p23 - p14 = N.  The pair (alpha beta | gamma delta) has the
-common sum of all pairs and the spread w_alpha + w_beta - w_gamma - w_delta
-up to sign, which adding the all-ones vector to w leaves unchanged.  With
-w = (p23, -p13, p12, 0) the spreads are p23 + p14 for (12|34), N for the
-minus pair (13|24), and p34 - p12 for (14|23); the first and last are
-each a difference x - y of positive x, y with x + y = N, so |x - y| < N.
-The minus pair thus holds the largest and the smallest offset alone, and
-pairs_from_spreads keeps it in the middle.  Each step divides a sum of
-products of earlier terms by an earlier term, so the run stays positive.
-The recurrence is a projection of the octahedron recurrence (Speyer,
-J. Algebraic Combin. 25, 2007), which is Laurent with positive
-coefficients, so the run is integral (for p != q this is Fomin-Zelevinsky,
-Adv. Appl. Math. 28, 2002).  The plus pairs coincide, giving
-T(n) T(n-N) = 2 T(n-p) T(n-N+p), exactly when e1 || e3 (p13 = 0) or
-e2 || e4 (p12 = p23).  tests/test_properties.py checks the statement on
-random quadrilaterals with coordinates up to 50.
-
-The scan's key.  Up to p <-> N - p and q <-> N - q, (N, p, q) =
-(p12 + p13 + p23, p12, p12 + p13); the minus pair (0, -N) has spread N and
-a plus pair T(n-p) T(n-N+p) has spread |N - 2p|.  So (N, s_lo, s_hi), the
-plus spreads in order, is the argument of pairs_from_spreads, and
-scan.scan_one keys each cycle by it.  tests/test_scan.py checks on every
-cycle at bounds 0-6 that the key gives derive_recurrence's pairs, or that
-both skip the cycle as torsion.
+where N = p12 + p34 is twice the area, p = p12 and q = p12 + p13.  Its
+all-ones run is positive, as each step divides a sum of products of
+earlier terms by an earlier term, and integral, as the recurrence is a
+projection of the octahedron recurrence (Speyer, J. Algebraic Combin. 25,
+2007), which is Laurent with positive coefficients (for p != q this is
+Fomin-Zelevinsky, Adv. Appl. Math. 28, 2002).  tests/test_properties.py
+checks the statement on random quadrilaterals with coordinates up to 50.
 """
 
 from __future__ import annotations
@@ -52,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .lattice import LatticeError, SublatticeBasis, quotient_map
+from .lattice import LatticeError, SublatticeBasis, minors
 
 Pair = tuple[int, int]
 SIGNS = (1, -1, 1)
@@ -161,11 +138,34 @@ def octahedron_points(w: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
     return points
 
 
+def spreads(p12: int, p13: int, p23: int) -> tuple[int, int, int]:
+    """The spreads (|N|, s_lo, s_hi) of the recurrence, pairs_from_spreads'
+    arguments, of a basis with minors p12, p13, p23 (lattice.minors):
+    N = p12 + p13 + p23, then |N - 2 p12| and |N - 2 p12 - 2 p13| in order.
+
+    The pairs (alpha beta | gamma delta) of octahedron points share one sum
+    and have the spreads |w_alpha + w_beta - w_gamma - w_delta|, unchanged
+    by adding the all-ones vector to w = (p23, -p13, p12, 0).  A strictly
+    convex ccw quadrilateral has p12, p23, p34 > 0 and p14 < 0, with
+    p34 = p13 + p23 and -p14 = p12 + p13, so N = p12 + p34 = p23 - p14 > 0,
+    and its plus spreads |p34 - p12|, |p23 + p14| are each |x - y| < N for
+    positive x, y with x + y = N: the minus pair holds the largest and the
+    smallest offset alone, and pairs_from_spreads keeps it in the middle.
+    The plus pairs coincide, T(n) T(n-N) = 2 T(n-p) T(n-N+p), exactly when
+    e1 || e3 (p13 = 0) or e2 || e4 (p12 = p23).  Conversely, every
+    0 < p, q < N with gcd(N, p, q) = 1 comes from a quadrilateral: a basis
+    of w^perp in A_3, w = (N - q, p - q, p, 0), oriented so that p12 > 0,
+    has minors (p, q - p, N - q) and its columns as edges.  The torsion
+    gate is gcd(N, p, q) = 1, as that equals gcd(p, q - p, N - q).
+    """
+    n = p12 + p13 + p23
+    s_a, s_b = abs(n - 2 * p12), abs(n - 2 * (p12 + p13))
+    return (abs(n), s_a, s_b) if s_a <= s_b else (abs(n), s_b, s_a)
+
+
 def derive_recurrence(basis: SublatticeBasis) -> BilinearRecurrence:
     """Compile the octahedral relation through the quotient of a basis."""
-    idx = [index for _, index in octahedron_points(quotient_map(basis))]
-    plus_a, minus, plus_b = (abs(p - q) for p, q in zip(idx[::2], idx[1::2]))
-    return BilinearRecurrence(pairs_from_spreads(minus, plus_a, plus_b))
+    return BilinearRecurrence(pairs_from_spreads(*spreads(*minors(basis))))
 
 
 @dataclass

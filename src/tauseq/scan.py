@@ -1,4 +1,4 @@
-"""Scan 4-edge convex lattice polygons: key, dedup, derive, generate, match.
+"""Scan 4-edge convex lattice polygons: key, dedup, generate, match.
 
 Each piece of work happens once.  The enumeration emits one polygon per
 rotation class, in lexicographic order of its edge cycle.  The unit of
@@ -22,7 +22,7 @@ from typing import Iterable, TextIO
 
 from .oeis import MatchPolicy, QueryTooShort, StrippedDb, match_sequence
 from .recurrence import (BilinearRecurrence, generate, pairs_from_spreads,
-                         term_str)
+                         spreads, term_str)
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,8 @@ class ScanConfig:
 
 Edge = tuple[int, int]
 Cycle = tuple[Edge, Edge, Edge, Edge]
-# Gale-Robinson coordinates (N, s_lo, s_hi) of a cycle's recurrence, the
-# arguments of recurrence.pairs_from_spreads
+# Gale-Robinson coordinates (N, s_lo, s_hi) of a cycle's recurrence, from
+# recurrence.spreads, the arguments of recurrence.pairs_from_spreads
 Key = tuple[int, int, int]
 
 
@@ -85,20 +85,15 @@ def enumerate_edge_cycles(bound: int, start: int = 0, step: int = 1
 
 
 def scan_one(edges: Cycle) -> Key | str:
-    """The key (N, s_lo, s_hi) of the recurrence a convex cycle derives, or
-    "torsion", from p_ij = cross(e_i, e_j): the spreads of its minus pair
-    and of its plus pairs in order, so the recurrence's pairs are
-    recurrence.pairs_from_spreads(*key); see the recurrence module
-    docstring.  Equal keys are equal recurrences."""
+    """The key recurrence.spreads of a convex cycle's minors
+    p_ij = cross(e_i, e_j), or "torsion" when their gcd is not 1."""
     (x1, y1), (x2, y2), (x3, y3), _ = edges
     p12 = x1 * y2 - y1 * x2
     p13 = x1 * y3 - y1 * x3
     p23 = x2 * y3 - y2 * x3
     if gcd(p12, p13, p23) != 1:
         return "torsion"
-    n = p12 + p13 + p23
-    s3, s1 = abs(n - 2 * p12), abs(n - 2 * (p12 + p13))
-    return (n, s1, s3) if s1 <= s3 else (n, s3, s1)
+    return spreads(p12, p13, p23)
 
 
 def complete_record(edges: Cycle, rec: BilinearRecurrence, cfg: ScanConfig,

@@ -3,8 +3,11 @@ that `tauseq.lattice.quotient_map` replaced with the closed form from the
 six 2x2 minors, with the (w, m, torsion_free) map and the point-by-point
 projection it returned, and the search `canonicalize_pairs` that
 `tauseq.recurrence.pairs_from_spreads` replaced with the closed form from
-the three spreads.  Tests compare the closed forms against them and use
-the 2-unknown solve as the sublattice-membership oracle.
+the three spreads.  `derive_through_points` is the route that
+`tauseq.recurrence.derive_recurrence` replaced with
+`spreads(*minors(basis))`: the covector w, the six octahedron points and
+the differences of their indices.  Tests compare the closed forms against
+them and use the 2-unknown solve as the sublattice-membership oracle.
 """
 
 from __future__ import annotations
@@ -13,10 +16,11 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
+from tauseq import lattice
 from tauseq.lattice import (LatticeError, RankError, SublatticeBasis,
                             TorsionError)
 from tauseq.recurrence import (BASE_POINT, PAIRINGS, BilinearRecurrence,
-                               Pair)
+                               Pair, octahedron_points, pairs_from_spreads)
 
 Matrix = Sequence[Sequence[int]]
 
@@ -235,3 +239,11 @@ def derive_recurrence(qmap: QuotientMap) -> BilinearRecurrence:
             indices.append(project(qmap, tuple(n)))
         raw_pairs.append(tuple(indices))
     return BilinearRecurrence(canonicalize_pairs(raw_pairs))
+
+
+def derive_through_points(basis: SublatticeBasis) -> BilinearRecurrence:
+    """Compile the octahedral relation through the quotient of a basis."""
+    w = lattice.quotient_map(basis)
+    idx = [index for _, index in octahedron_points(w)]
+    plus_a, minus, plus_b = (abs(p - q) for p, q in zip(idx[::2], idx[1::2]))
+    return BilinearRecurrence(pairs_from_spreads(minus, plus_a, plus_b))

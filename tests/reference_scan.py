@@ -1,8 +1,10 @@
 """Reference scan: the per-basis derive and the ordered walk that
 `tauseq.scan.run_scan` replaced with keyed, merged first-edge slices.
-Every cycle builds its basis and derives its recurrence (on a pool that
-receives the bases, when workers > 1), the derived recurrences are walked
-in enumeration order, and the first of each recurrence is completed.
+Every cycle builds its basis and derives its recurrence through the six
+octahedron points (`reference_lattice.derive_through_points`, on a pool
+that receives the bases, when workers > 1), the derived recurrences are
+walked in enumeration order, and the first of each recurrence is
+completed.
 Tests compare the keyed scan against it, and map `scan_one`'s keys back
 to recurrences with `tauseq.recurrence.pairs_from_spreads(*key)`.
 `reference_enumerate_edge_cycles` is the enumeration whose e3 loop walks
@@ -15,11 +17,11 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Iterator
 
+from reference_lattice import derive_through_points
 from tauseq.lattice import (LatticeError, RankError, SublatticeBasis,
                             TorsionError, edges_to_basis)
 from tauseq.oeis import StrippedDb
-from tauseq.recurrence import (BilinearRecurrence, UnsolvableError,
-                               derive_recurrence)
+from tauseq.recurrence import BilinearRecurrence, UnsolvableError
 from tauseq.scan import (Cycle, ScanConfig, complete_record,
                          enumerate_edge_cycles)
 
@@ -52,10 +54,10 @@ def reference_enumerate_edge_cycles(bound: int, start: int = 0,
 
 
 def reference_scan_one(basis: SublatticeBasis) -> BilinearRecurrence | str:
-    """Derive a basis: its canonical recurrence, or the reason it is
-    skipped."""
+    """Derive a basis through the octahedron points: its canonical
+    recurrence, or the reason it is skipped."""
     try:
-        return derive_recurrence(basis)
+        return derive_through_points(basis)
     except TorsionError:
         return "torsion"
     except UnsolvableError:

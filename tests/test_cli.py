@@ -2,12 +2,13 @@ import hashlib
 import json
 import os
 import sys
+import urllib.request
 
 import pytest
 
 from tauseq import oeis, verify
 from tauseq.cli import main
-from test_oeis import SAMPLE
+from test_oeis import MALFORMED_PAYLOADS, SAMPLE, FakeResponse
 
 SQUARE = "5,-2,-2,-1;1,1,-1,-1"
 HEX = "1,3,-3,-1;0,1,2,-3"
@@ -254,6 +255,19 @@ def test_match_online_failure_is_advisory(capsys, monkeypatch):
     assert obj["online_error"] == "network failure: offline"
 
 
+@pytest.mark.parametrize("body", MALFORMED_PAYLOADS.values(),
+                         ids=MALFORMED_PAYLOADS.keys())
+def test_match_online_malformed_payload_is_advisory(capsys, monkeypatch,
+                                                    body):
+    monkeypatch.setattr(urllib.request, "urlopen",
+                        lambda *a, **k: FakeResponse(body=body))
+    code, obj = run_json(capsys, "match", "--terms-list",
+                         "2,3,4,5,9,18,34,93,180,348", "--online")
+    assert code == 0
+    assert {"a_number": "A018896", "position": 8} in obj["matches"]
+    assert obj["online_error"].startswith("malformed search payload: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["match", "--terms-list", "1,2,3,5,8,13,21,34,55,89", "--min-match", "8"],
     ["scan", "--bound", "1", "--terms", "16"],
@@ -369,6 +383,16 @@ def test_malformed_input_is_usage_error(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert "error" in json.loads(out)  # the only document on stdout
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["generate", "--recurrence-json"],
+                                  ["maya", "--from-maya"]],
+                         ids=lambda argv: argv[0])
+def test_deeply_nested_json_argument_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "[" * 100_000)
+    assert code == 2
+    assert json.loads(out) == {"error": "JSON argument nested too deeply"}
     assert "Traceback" not in err
 
 

@@ -514,9 +514,8 @@ def test_insertions_reject_wrong_degree():
         tau_with_insertions(identity_element(w), (0, 0, 0, -1), w)
 
 
-def test_insertion_into_occupied_slot_is_zero():
+def test_reference_psi_into_occupied_slot_is_zero():
     w = Window(4, 4)
-    g = identity_element(w)
     # component 1 sits at charge 1; inserting at its own top slot again
     # is encoded by a base that already occupies the target
     n = (-1, -1, 0, 0)

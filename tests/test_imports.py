@@ -93,3 +93,55 @@ def test_annotations_resolve(path):
     module = importlib.import_module(f"tauseq.{path.stem}")
     for obj in annotated_callables(module):
         typing.get_type_hints(obj)  # raises NameError on an unknown name
+
+
+# the modules of tauseq each module imports; cli, on top, imports any of
+# them and no module imports cli.  The scan keys cycles from minors it
+# computes itself, so it never reaches lattice.
+LAYERS = {
+    "__init__": set(),
+    "intlinalg": set(),
+    "lattice": set(),
+    "maya": set(),
+    "oeis": set(),
+    "recurrence": {"lattice"},
+    "scan": {"oeis", "recurrence"},
+    "fock": {"intlinalg", "recurrence"},
+    "kp": {"maya"},
+    "verify": {"fock", "kp", "recurrence"},
+}
+
+
+def package_imports(source: str) -> set[str]:
+    """The tauseq modules a module's from-imports name, relative
+    ("from .lattice import ...") or absolute ("from tauseq import lattice")."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom) or node.level > 1:
+            continue
+        module = node.module or ""
+        if node.level == 0:
+            package, _, module = module.partition(".")
+            if package != "tauseq":
+                continue
+        found |= ({module.split(".")[0]} if module
+                  else {alias.name for alias in node.names})
+    return found
+
+
+def test_every_module_has_a_layer():
+    assert {path.stem for path in SRC.glob("*.py")} == {*LAYERS, "cli"}
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_package_imports_follow_the_layers(module):
+    source = (SRC / f"{module}.py").read_text(encoding="utf-8")
+    assert package_imports(source) == LAYERS[module]
+
+
+def test_package_imports_are_found():
+    source = "from . import oeis, scan\nfrom .lattice import minors\n"
+    assert package_imports(source) == {"oeis", "scan", "lattice"}
+    source = "from tauseq import lattice\nfrom tauseq.kp import schur\n"
+    assert package_imports(source) == {"lattice", "kp"}
+    assert package_imports("from fractions import Fraction\n") == set()

@@ -149,9 +149,9 @@ def test_match_empty_db():
 class FakeResponse:
     """Stands in for the response object urllib.request.urlopen returns."""
 
-    def __init__(self, payload=None, bad_json=False):
+    def __init__(self, payload=None, body=None):
         self.status = 200
-        self._body = b"{not json" if bad_json else json.dumps(payload).encode()
+        self._body = json.dumps(payload).encode() if body is None else body
 
     def read(self):
         return self._body
@@ -198,11 +198,24 @@ def test_search_online_retries_then_fails(monkeypatch):
     assert len(attempts) == 3
 
 
+# search bodies not of the shape {"results": [{"number": int, ...}, ...]}
+MALFORMED_PAYLOADS = {
+    "not-json": b"{not json",
+    "list": b"[]",
+    "int-result": b'{"results": [5]}',
+    "deep": b"[" * 100_000,
+    "str-number": b'{"results": [{"number": "x"}]}',
+    "bool-number": b'{"results": [{"number": true}]}',
+    "str-results": b'{"results": "number"}',
+}
+
+
 def test_search_online_malformed_payload(monkeypatch):
-    monkeypatch.setattr(urllib.request, "urlopen",
-                        lambda *a, **k: FakeResponse(bad_json=True))
-    with pytest.raises(OeisError, match="malformed"):
-        search_online([1, 2, 3], retries=0)
+    for body in MALFORMED_PAYLOADS.values():
+        monkeypatch.setattr(urllib.request, "urlopen",
+                            lambda *a, body=body, **k: FakeResponse(body=body))
+        with pytest.raises(OeisError, match="malformed search payload"):
+            search_online([1, 2, 3], retries=0)
 
 
 def test_search_online_network_failure(monkeypatch):

@@ -1,7 +1,10 @@
 """Property-based differential tests.
 
 The closed-form quotient map is checked against the kernel / Bezout /
-Smith-form path it replaced (kept in tests/reference_lattice.py).  Each
+Smith-form path it replaced, and derive_recurrence, the closed form from
+the three minors, against the route through the octahedron points it
+replaced (both kept in tests/reference_lattice.py).  Every coprime triple
+(N, p, q) is checked to be the recurrence of a convex quadrilateral.  Each
 integer fast path is checked against the Fraction reference it replaced:
 integer `generate` against the Fraction loop, and the 2x2-minors rank check
 of SublatticeBasis against a Fraction Gaussian-elimination rank.  The
@@ -45,7 +48,7 @@ from tauseq.fock import Window, octahedron_residual, random_group_element
 from tauseq.kp import kp_bilinear_residual, partitions_up_to, schur
 from tauseq.lattice import (EdgePolygon, LatticeError, RankError,
                             SublatticeBasis, TorsionError, edges_to_basis,
-                            quotient_map)
+                            minors, quotient_map)
 from tauseq.maya import Partition
 from tauseq.oeis import (MatchPolicy, QueryTooShort, load_stripped,
                          match_sequence, trim_query)
@@ -256,6 +259,66 @@ def test_quotient_map_matches_kernel_reference(rows):
     assert list(got) == reference_lattice.canonical_sign(want.w)
     got_rec = _outcome(derive_recurrence, basis)
     assert got_rec == _outcome(reference_lattice.derive_recurrence, want)
+
+
+@st.composite
+def small_bases(draw):
+    """Rows of 3 to 5 entries in [-6, 6] summing to 0, mostly 4, convex or
+    not: b independent of a, or one time in ten a multiple of it."""
+    s = draw(st.sampled_from([4] * 8 + [3, 5]))
+    row = st.lists(st.integers(-6, 6), min_size=s - 1, max_size=s - 1).filter(
+        lambda xs: abs(sum(xs)) <= 6).map(lambda xs: (*xs, -sum(xs)))
+    a = draw(row)
+    if draw(st.sampled_from(["free"] * 9 + ["multiple"])) == "multiple":
+        k = draw(st.sampled_from([-1, 0, 1]))
+        return a, tuple(k * x for x in a)
+    return a, draw(row.filter(lambda b: fraction_rank([a, b]) == 2))
+
+
+@settings(max_examples=500, deadline=None)
+@given(small_bases())
+@example(((2, 0, 1, -3), (-1, 0, -1, 2)))  # UnsolvableError
+@example(((2, -2, 0, 0), (0, 0, 1, -1)))  # TorsionError
+@example(((1, 0, -1), (0, 1, -1)))  # RankError: s = 3
+@example(((1, -1, 0, 0), (-1, 1, 0, 0)))  # RankError: dependent rows
+def test_derive_matches_octahedron_point_route(rows):
+    # the closed form from the three minors against the covector w, the
+    # six octahedron points and their index differences
+    def outcome(derive):
+        return _outcome(lambda: derive(SublatticeBasis(*rows)))
+
+    assert outcome(derive_recurrence) == \
+        outcome(reference_lattice.derive_through_points)
+
+
+@st.composite
+def coprime_triples(draw):
+    """(N, p, q) with N <= 60, 0 < p, q < N and gcd(N, p, q) = 1."""
+    n = draw(st.integers(2, 60))
+    p, q = draw(st.tuples(st.integers(1, n - 1), st.integers(1, n - 1))
+                .filter(lambda pq: math.gcd(n, *pq) == 1))
+    return n, p, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(coprime_triples())
+@example((2, 1, 1))
+@example((60, 59, 1))
+def test_coprime_triple_is_a_convex_quadrilateral(triple):
+    # the realisability theorem of the recurrence.spreads docstring: an
+    # oriented basis of w^perp in A_3, w = (N - q, p - q, p, 0), has minors
+    # (p, q - p, N - q) and convex edges, and gives (N, p, q)'s recurrence
+    n, p, q = triple
+    a, b = reference_lattice.kernel_basis([[1, 1, 1, 1], [n - q, p - q, p, 0]])
+    if a[0] * b[1] - a[1] * b[0] < 0:
+        a = [-x for x in a]
+    basis = SublatticeBasis(tuple(a), tuple(b))
+    assert minors(basis) == (p, q - p, n - q)
+    edges = tuple(zip(basis.a, basis.b))
+    EdgePolygon(tuple((sum(a[:k]), sum(b[:k])) for k in range(4)))
+    want = pairs_from_spreads(n, abs(n - 2 * p), abs(n - 2 * q))
+    assert derive_recurrence(basis).pairs == want
+    assert pairs_from_spreads(*scan_one(edges)) == want
 
 
 # ----------------------------------------------------------- OEIS match

@@ -205,9 +205,9 @@ def test_dedup_key_determines_terms():
 
 
 def test_scan_one_keys_match_reference_derive():
-    # the key of every cycle at bounds 0-6 maps back to the recurrence the
-    # per-basis derive gives, or both skip it for the same reason, and
-    # distinct keys are distinct recurrences
+    # the key of every cycle at bounds 0-6 maps back to the recurrence its
+    # basis gives through the six octahedron points, or both skip it for
+    # the same reason, and distinct keys are distinct recurrences
     keys, recs, checked = set(), set(), 0
     for bound in range(7):
         for edges in enumerate_edge_cycles(bound):
