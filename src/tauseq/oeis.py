@@ -202,9 +202,9 @@ def match_sequence(db: StrippedDb, terms: list[int],
 def search_online(terms: list[int], endpoint: str = DEFAULT_ENDPOINT,
                   retries: int = 2, delay: float = 1.0) -> dict:
     """Query the live OEIS JSON search endpoint, advisory only.  Network
-    failures, non-success statuses and payloads not of the shape
-    {"results": [{"number": int, ...}, ...] or null, ...} raise distinct
-    errors; retries are bounded with a politeness delay."""
+    failures, non-success statuses and payloads not of the shape {"count":
+    int, "results": [{"number": int, "name": str, ...}] or null} raise
+    distinct errors; retries are bounded with a politeness delay."""
     import urllib.request
     from http.client import HTTPException
     from urllib.error import HTTPError
@@ -231,13 +231,15 @@ def search_online(terms: list[int], endpoint: str = DEFAULT_ENDPOINT,
             payload = json.loads(body)
             results = payload.get("results") or []
             hits = [r for r in results if "number" in r]
-            if type(results) is not list or any(type(r["number"]) is not int
-                                                for r in hits):
-                raise TypeError("results are not [{'number': int, ...}]")
+            count = payload.get("count", len(results))
+            if type(results) is not list or type(count) is not int or any(
+                    type(r["number"]) is not int
+                    or type(r.get("name", "")) is not str for r in hits):
+                raise TypeError("not {'count': int, 'results': "
+                                "[{'number': int, 'name': str, ...}]}")
         except (ValueError, TypeError, AttributeError, RecursionError) as exc:
             raise OeisError(f"malformed search payload: {exc}") from exc
-        return {"advisory": True,
-                "count": payload.get("count", len(results)),
+        return {"advisory": True, "count": count,
                 "matches": [{"a_number": f"A{r['number']:06d}",
                              "name": r.get("name", "")} for r in hits]}
     raise last_error  # type: ignore[misc]

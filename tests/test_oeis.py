@@ -207,6 +207,11 @@ MALFORMED_PAYLOADS = {
     "str-number": b'{"results": [{"number": "x"}]}',
     "bool-number": b'{"results": [{"number": true}]}',
     "str-results": b'{"results": "number"}',
+    "int-name-str-count": b'{"results": [{"number": 5, "name": 7}], '
+                          b'"count": "x"}',
+    "int-name": b'{"results": [{"number": 5, "name": 7}], "count": 1}',
+    "str-count": b'{"results": [{"number": 5, "name": "a"}], "count": "1"}',
+    "bool-count": b'{"results": null, "count": false}',
 }
 
 

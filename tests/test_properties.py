@@ -6,8 +6,12 @@ the three minors, against the route through the octahedron points it
 replaced (both kept in tests/reference_lattice.py).  Every coprime triple
 (N, p, q) is checked to be the recurrence of a convex quadrilateral.  Each
 integer fast path is checked against the Fraction reference it replaced:
-integer `generate` against the Fraction loop, and the 2x2-minors rank check
-of SublatticeBasis against a Fraction Gaussian-elimination rank.  The
+integer `generate` against the Fraction loop (windows scaled by 2 000-10 000
+bit ints included, so that big steps take the recursive division), and the
+2x2-minors rank check of SublatticeBasis against a Fraction
+Gaussian-elimination rank.  The recursive division `recurrence._divmod` is
+checked against the builtin divmod, and for recursing exactly when the
+divisor and the quotient both pass its cutoff.  The
 text-index OEIS match is checked against the per-entry slice scan it
 replaced, and the OEIS loader, which keeps canonical rows as text, against
 the int-parsing loader it replaced (tests/reference_oeis.py).  The closed
@@ -43,7 +47,7 @@ import reference_kp
 import reference_lattice
 import reference_oeis
 from reference_lattice import canonicalize_pairs
-from tauseq import fock
+from tauseq import fock, recurrence
 from tauseq.fock import Window, octahedron_residual, random_group_element
 from tauseq.kp import kp_bilinear_residual, partitions_up_to, schur
 from tauseq.lattice import (EdgePolygon, LatticeError, RankError,
@@ -138,6 +142,12 @@ def _iterable(pairs) -> bool:
     return len(owners) == 1 and owners[0] != (top, top)
 
 
+def exact_bits(draw, bits) -> int:
+    """A random positive int of exactly `bits` bits (0 for bits = 0)."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return rng.getrandbits(bits) | (1 << bits >> 1)
+
+
 @st.composite
 def runs(draw):
     rec = BilinearRecurrence(draw(st.tuples(PAIRS, PAIRS, PAIRS)
@@ -146,6 +156,19 @@ def runs(draw):
     init = draw(st.none() | st.lists(st.integers(-30, 30),
                                      min_size=rec.window,
                                      max_size=rec.window))
+    if init is not None and draw(st.booleans()):
+        # the recurrence is homogeneous, so a window scaled by a 2 000-10 000
+        # bit m runs m times the small run: its steps fall on both sides of
+        # the recursive division's cutoff, exact and inexact, negative
+        # divisors included.  An offset d != 0 makes nearly every big step
+        # inexact, and as the Fractions then grow fast, that run stops
+        # after 4 steps
+        m = exact_bits(draw, draw(st.integers(2000, 10_000)))
+        d = draw(st.sampled_from((0, 0, 1, -1)))
+        init = [c * m + d for c in draw(st.lists(st.sampled_from((1, -1, 2)),
+                                                 min_size=rec.window,
+                                                 max_size=rec.window))]
+        count = min(count, rec.window + 4) if d else count
     return rec, count, init
 
 
@@ -159,6 +182,40 @@ def test_generate_matches_fraction_reference(case):
     assert [type(t) for t in got.terms] == [type(t) for t in want.terms]
     assert (got.status, got.status_index) == (want.status, want.status_index)
     assert got.seed_window == want.seed_window
+
+
+CUTOFF = recurrence._FAST_DIV_BITS
+DIV_BITS = (st.integers(0, 64) | st.integers(CUTOFF - 3, CUTOFF + 3)
+            | st.integers(CUTOFF + 4, 3 * CUTOFF))
+
+
+@st.composite
+def divisions(draw):
+    """(a, b) with a = q b + r: divisor and quotient lengths, odd and even,
+    on both sides of the cutoff, quotients up to 12 times the cutoff, and
+    r from 0, 1, b // 3 and b - 1."""
+    b = exact_bits(draw, draw(DIV_BITS.filter(bool)))
+    q = exact_bits(draw, draw(DIV_BITS | st.integers(8 * CUTOFF,
+                                                     12 * CUTOFF)))
+    r = draw(st.sampled_from((0, 1, b - 1, b // 3)))
+    return q * b + r, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(divisions())
+# all-ones b saturates the digit estimate from b's top half (random b don't)
+@example((((1 << 6001) - 1) * ((1 << 4001) - 1), (1 << 4001) - 1))
+@example((((1 << 5000) + 1) * ((1 << 3000) + 3) + 7, (1 << 3000) + 3))
+@example((1 << 30001, (1 << CUTOFF + 1) - 1))  # quotient 14 times b
+@example((1 << 30001, 3))  # long quotient, short divisor: builtin
+def test_recursive_divmod_matches_builtin(case):
+    a, b = case
+    n = b.bit_length()
+    with patch.object(recurrence, "_div2n1n",
+                      wraps=recurrence._div2n1n) as recursive:
+        assert recurrence._divmod(a, b) == divmod(a, b)
+    # recursive only when the divisor and the quotient both pass the cutoff
+    assert recursive.called == (n > CUTOFF and a.bit_length() - n > CUTOFF)
 
 
 @st.composite

@@ -1,12 +1,18 @@
+import hashlib
+import json
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
 from reference_fock import (PermutationAction, act_permutation, q_sigma,
                             table_octahedron_residual, tau_table)
 from reference_lattice import canonicalize_pairs
+from reference_recurrence import divmod_generate
+from tauseq import recurrence
 from tauseq.fock import Window, random_group_element
 from tauseq.lattice import parse_matrix, quotient_map
 from tauseq.recurrence import (BASE_POINT, BilinearRecurrence,
@@ -154,6 +160,41 @@ def test_generate_validates_arguments():
         generate(rec, 4)
     with pytest.raises(ValueError):
         generate(rec, 24, init=[1, 1])
+
+
+# the Somos-type reference recurrence and the HEX matrix's recurrence
+REFERENCE_PAIRS = (((0, 0), (4, -4), (3, -3)), ((3, -3), (6, -6), (5, -5)))
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+
+
+@pytest.mark.parametrize("pairs", REFERENCE_PAIRS, ids=["somos", "hex"])
+def test_generate_matches_divmod_reference(pairs):
+    rec = BilinearRecurrence(pairs)
+    with patch.object(recurrence, "_div2n1n",
+                      wraps=recurrence._div2n1n) as recursive:
+        got = generate(rec, 500)
+    assert recursive.called  # last terms of 11 827 and 6 998 bits
+    want = divmod_generate(rec, 500)
+    assert got == want
+    assert all(type(t) is int for t in got.terms)
+
+
+def test_generate_matches_benchmark_golden_residues():
+    # residues modulo 2^61 - 1, as the benchmark digests them, so no big
+    # term goes through str()
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)["generate_long"]
+    assert [tuple(map(tuple, g["pairs"])) for g in golden] == list(
+        REFERENCE_PAIRS)
+    prime = (1 << 61) - 1
+    for pairs, g in zip(REFERENCE_PAIRS, golden):
+        run = generate(BilinearRecurrence(pairs), 1000)
+        assert run.status == "ok" and len(run.terms) == 1000
+        assert all(type(t) is int for t in run.terms)
+        digest = hashlib.sha256(b"".join((t % prime).to_bytes(8, "big")
+                                         for t in run.terms)).hexdigest()
+        assert digest == g["residues_sha256"]
+        assert max(t.bit_length() for t in run.terms) == g["max_bits"]
 
 
 def test_term_str_int_fast_path_matches_general_path():
