@@ -275,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oeis", help="stripped db path (default: fixture)")
     p.add_argument("--output", help="JSONL output path")
     p.add_argument("--workers", type=_worker_count, default=1,
-                   help="derive processes, 1 to the CPU count")
+                   help="processes that enumerate and key the cycles, "
+                   "1 to the CPU count")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("match", help="match terms against the offline db")

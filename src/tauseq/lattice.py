@@ -131,19 +131,28 @@ def _normalize_w(w: list[int]) -> tuple[int, ...]:
 
 
 def parse_matrix(text: str) -> SublatticeBasis:
-    """Parse "5,-2,-2,-1;1,1,-1,-1" into a sublattice basis."""
-    rows = text.strip().split(";")
+    """Parse "5,-2,-2,-1;1,1,-1,-1" into a sublattice basis.  An empty
+    entry is named by row and place; a non-integer one by int()'s error."""
+    rows = [row.split(",") for row in text.strip().split(";")]
     if len(rows) != 2:
         raise ValueError("matrix must have exactly two ';'-separated rows")
-    a = tuple(int(x) for x in rows[0].split(","))
-    b = tuple(int(x) for x in rows[1].split(","))
+    for i, row in enumerate(rows, 1):
+        for j, entry in enumerate(row, 1):
+            if not entry.strip():
+                raise ValueError(f"bad matrix entry {entry!r} at row {i}, "
+                                 f"place {j}: expected a,b,...;c,d,...")
+    a, b = (tuple(int(x) for x in row) for row in rows)
     return SublatticeBasis(a, b)
 
 
 def parse_polygon(text: str) -> EdgePolygon:
-    """Parse a vertex list "x1,y1 x2,y2 ..." into a polygon."""
+    """Parse a vertex list "x1,y1 x2,y2 ..." into a polygon.  A vertex that
+    is not two comma-separated coordinates is named; a non-integer
+    coordinate by int()'s error."""
     verts = []
     for chunk in text.split():
-        x, y = chunk.split(",")
-        verts.append((int(x), int(y)))
+        coords = chunk.split(",")
+        if len(coords) != 2 or not all(c.strip() for c in coords):
+            raise ValueError(f"bad vertex {chunk!r}: expected x,y")
+        verts.append((int(coords[0]), int(coords[1])))
     return EdgePolygon(tuple(verts))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd
 from typing import Iterable, TextIO
 
@@ -56,31 +57,44 @@ def enumerate_edge_cycles(bound: int, start: int = 0, step: int = 1
     the lexicographically smallest rotation is the one that starts at the
     smallest edge.  Emitting only cycles whose first edge is the smallest
     yields each class once, and the nested loops emit them in order.
+
+    Fixing e1, e2 and x3 fixes x4, and each remaining test is linear in
+    y3: the box, e1 < e3, e1 < e4, and a*y3 > b for the crosses (e2, e3),
+    (e3, e4) and (e4, e1).  So each column x3 is one interval of y3, cut by
+    floor division; a zero a keeps the column if b < 0, else empties it.
     """
     coords = range(-bound, bound + 1)
     grid = [[(x, y) for y in coords] for x in coords]  # grid[x + B][y + B]
     vectors = [v for column in grid for v in column if v != (0, 0)]
-    cross = lambda u, v: u[0] * v[1] - u[1] * v[0]
     cycles = []
     for i in range(start, len(vectors), step):
         e1 = vectors[i]
         x1, y1 = e1
         for e2 in vectors[i + 1:]:
-            if cross(e1, e2) <= 0:
+            x2, y2 = e2
+            if x1 * y2 - y1 * x2 <= 0:
                 continue
-            # e3 runs over the vectors after e1 that keep
-            # e4 = -(e1 + e2 + e3) in the box, in lexicographic order
-            sx, sy = x1 + e2[0], y1 + e2[1]
-            lo, hi = max(-bound, -bound - sy), min(bound, bound - sy)
-            for x3 in range(max(x1, -bound - sx), min(bound, bound - sx) + 1):
-                first = lo if x3 > x1 else max(lo, y1 + 1)
-                for e3 in grid[x3 + bound][first + bound:hi + bound + 1]:
-                    if cross(e2, e3) <= 0:  # also drops e3 = (0, 0)
-                        continue
-                    e4 = (-sx - x3, -sy - e3[1])
-                    if e4 <= e1 or cross(e3, e4) <= 0 or cross(e4, e1) <= 0:
-                        continue
-                    cycles.append((e1, e2, e3, e4))
+            sx, sy = x1 + x2, y1 + y2
+            box_lo, box_hi = max(-bound, -bound - sy), min(bound, bound - sy)
+            for x3 in range(max(x1, -bound - sx),
+                            min(bound, bound - sx, -sx - x1) + 1):
+                x4 = -sx - x3
+                lo = box_lo if x3 > x1 else max(box_lo, y1 + 1)
+                hi = box_hi if x4 > x1 else min(box_hi, -sy - y1 - 1)
+                for a, b in ((x2, y2 * x3), (sx, sy * x3),
+                             (x1, (sx + x3) * y1 - sy * x1)):
+                    if a > 0:
+                        lo = max(lo, b // a + 1)
+                    elif a < 0:
+                        hi = min(hi, (-b - 1) // -a)
+                    elif b >= 0:
+                        hi = lo - 1
+                if lo <= hi:  # e4's y runs down as y3 runs up
+                    cycles.extend(zip(
+                        repeat(e1), repeat(e2),
+                        grid[x3 + bound][lo + bound:hi + bound + 1],
+                        reversed(grid[x4 + bound][-sy - hi + bound:
+                                                  -sy - lo + bound + 1])))
     return cycles
 
 

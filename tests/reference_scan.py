@@ -8,8 +8,10 @@ completed.
 Tests compare the keyed scan against it, and map `scan_one`'s keys back
 to recurrences with `tauseq.recurrence.pairs_from_spreads(*key)`.
 `reference_enumerate_edge_cycles` is the enumeration whose e3 loop walks
-every later vector and only then tests that e4 lies in the box; tests
-compare the pruned loop against it.
+every later vector and only then tests that e4 lies in the box, and
+`pruned_enumerate_edge_cycles` the one whose e3 loop walks the box columns
+that keep e4 in bounds and tests each candidate; tests compare the
+y-interval enumeration against both.
 """
 
 from __future__ import annotations
@@ -50,6 +52,37 @@ def reference_enumerate_edge_cycles(bound: int, start: int = 0,
                 if cross(e3, e4) <= 0 or cross(e4, e1) <= 0:
                     continue
                 cycles.append((e1, e2, e3, e4))
+    return cycles
+
+
+def pruned_enumerate_edge_cycles(bound: int, start: int = 0, step: int = 1
+                                 ) -> list[Cycle]:
+    """`enumerate_edge_cycles` with an e3 loop that filters the candidates
+    of each box column one by one."""
+    coords = range(-bound, bound + 1)
+    grid = [[(x, y) for y in coords] for x in coords]  # grid[x + B][y + B]
+    vectors = [v for column in grid for v in column if v != (0, 0)]
+    cross = lambda u, v: u[0] * v[1] - u[1] * v[0]
+    cycles = []
+    for i in range(start, len(vectors), step):
+        e1 = vectors[i]
+        x1, y1 = e1
+        for e2 in vectors[i + 1:]:
+            if cross(e1, e2) <= 0:
+                continue
+            # e3 runs over the vectors after e1 that keep
+            # e4 = -(e1 + e2 + e3) in the box, in lexicographic order
+            sx, sy = x1 + e2[0], y1 + e2[1]
+            lo, hi = max(-bound, -bound - sy), min(bound, bound - sy)
+            for x3 in range(max(x1, -bound - sx), min(bound, bound - sx) + 1):
+                first = lo if x3 > x1 else max(lo, y1 + 1)
+                for e3 in grid[x3 + bound][first + bound:hi + bound + 1]:
+                    if cross(e2, e3) <= 0:  # also drops e3 = (0, 0)
+                        continue
+                    e4 = (-sx - x3, -sy - e3[1])
+                    if e4 <= e1 or cross(e3, e4) <= 0 or cross(e4, e1) <= 0:
+                        continue
+                    cycles.append((e1, e2, e3, e4))
     return cycles
 
 

@@ -77,6 +77,25 @@ def test_derive_parse_exit_code(capsys):
     assert "error" in obj
 
 
+def test_derive_bad_vertex_is_named(capsys):
+    # a vertex with three coordinates, one or empty ones is a usage error
+    # that names the vertex, not Python's unpack text
+    for polygon, vertex in (("0,0,1 1,0 1,1", "0,0,1"), ("1", "1"),
+                            ("0,0 , 1,1", ",")):
+        code, obj = run_json(capsys, "derive", "--polygon", polygon)
+        assert code == 2
+        assert obj["error"] == f"bad vertex {vertex!r}: expected x,y"
+
+
+def test_derive_empty_matrix_entry_is_named(capsys):
+    for matrix, where in (("1,,2,3;1,2,3,4", "row 1, place 2"),
+                          ("1,2,3,4;5,6,7,", "row 2, place 4")):
+        code, obj = run_json(capsys, "derive", "--matrix", matrix)
+        assert code == 2
+        assert obj["error"] == \
+            f"bad matrix entry '' at {where}: expected a,b,...;c,d,..."
+
+
 # ------------------------------------------------------------ generate
 
 

@@ -22,6 +22,8 @@ triples generate can iterate.  Every torsion-free strictly convex
 quadrilateral is checked to give a positive Gale-Robinson recurrence (the
 statement is in the recurrence module docstring), and the scan's key of its
 edge cycle to map back to that recurrence, or both to say torsion.  The
+scan's enumeration, one y3 interval per column, is checked slice by slice
+against the per-candidate filter it replaced (tests/reference_scan.py).  The
 octahedral relation is checked to hold exactly for random covacuum blocks.
 The Plucker oracles' unchecked draws, with the three-term brackets read off
 one elimination, are checked against the per-bracket determinants of the
@@ -46,6 +48,7 @@ import reference_fock
 import reference_kp
 import reference_lattice
 import reference_oeis
+import reference_scan
 from reference_lattice import canonicalize_pairs
 from tauseq import fock, recurrence
 from tauseq.fock import Window, octahedron_residual, random_group_element
@@ -59,7 +62,7 @@ from tauseq.oeis import (MatchPolicy, QueryTooShort, load_stripped,
 from tauseq.recurrence import (SIGNS, BilinearRecurrence, SequenceRun,
                                UnsolvableError, derive_recurrence, generate,
                                octahedral_combination, pairs_from_spreads)
-from tauseq.scan import scan_one
+from tauseq.scan import enumerate_edge_cycles, scan_one
 
 
 def fraction_rank(matrix) -> int:
@@ -627,6 +630,35 @@ def test_scan_key_maps_to_derived_recurrence(vertices):
         assert key == "torsion"
         return
     assert pairs_from_spreads(*key) == rec.pairs
+
+
+@st.composite
+def enumeration_slices(draw):
+    """(bound, start, step): a bound 0-7, a step 1-4 and any start among
+    the bound's nonzero vectors."""
+    bound = draw(st.integers(0, 7))
+    step = draw(st.integers(1, 4))
+    start = draw(st.integers(0, max(0, (2 * bound + 1) ** 2 - 2)))
+    return bound, start, step
+
+
+# Each example's slice reaches one branch of the y3 interval step and,
+# but for x1 == 0, loses or gains a cycle if that branch is dropped or off
+# by one.  An e1 with x1 == 0 reaches no column: an e2 > e1 with
+# cross(e1, e2) > 0 has x2 > 0, and x3 would run from x1 = 0 to
+# -sx - x1 = -x2 < 0.
+@settings(max_examples=60, deadline=None)
+@given(enumeration_slices())
+@example((1, 3, 1))  # e1 = (0, -1) and on: x1 == 0, no cycle
+@example((1, 2, 4))  # e1 = (-1, 1), e2 = (0, -1): x2 == 0
+@example((1, 0, 4))  # e1 = (-1, -1), e2 = (1, -1): sx == 0
+@example((1, 1, 4))  # e1 = (-1, 0), e2 = (1, -1), x3 = 1: x4 == x1
+@example((5, 43, 4))  # e1 = (-2, 5), e2 = (-1, -1), x3 = -2: x3 == x1
+@example((2, 4, 4))  # e1 = (-2, 2): x1 and sx as low as -3, b // a inexact
+def test_enumerate_slice_matches_pruned_loop(case):
+    bound, start, step = case
+    assert enumerate_edge_cycles(bound, start, step) == \
+        reference_scan.pruned_enumerate_edge_cycles(bound, start, step)
 
 
 # ------------------------------------------------------------ octahedron

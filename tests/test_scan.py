@@ -7,7 +7,7 @@ from tauseq.lattice import edges_to_basis
 from tauseq.oeis import load_fixture
 from tauseq.recurrence import (BilinearRecurrence, derive_recurrence,
                                generate, pairs_from_spreads, term_str)
-from reference_scan import (reference_bases,
+from reference_scan import (pruned_enumerate_edge_cycles, reference_bases,
                             reference_enumerate_edge_cycles, reference_scan,
                             reference_scan_one)
 from tauseq.scan import (ScanConfig, complete_record, enumerate_edge_cycles,
@@ -92,8 +92,9 @@ def test_enumerate_matches_reference(bound):
 
 @pytest.mark.parametrize("bound", range(8))
 def test_enumerate_matches_unpruned_loop(bound):
-    # the e3 loop over the box that keeps e4 in bounds gives the same list
-    # as the loop over every later vector, for the whole run and each slice
+    # the y3 intervals of the box columns that keep e4 in bounds give the
+    # same list as the loop over every later vector, for the whole run and
+    # each slice
     assert enumerate_edge_cycles(bound) == \
         reference_enumerate_edge_cycles(bound)
     if bound <= 5:
@@ -101,6 +102,23 @@ def test_enumerate_matches_unpruned_loop(bound):
             for start in range(step):
                 assert enumerate_edge_cycles(bound, start, step) == \
                     reference_enumerate_edge_cycles(bound, start, step)
+
+
+@pytest.mark.parametrize("bound", range(10))
+def test_enumerate_matches_pruned_loop(bound):
+    # one y3 interval per column gives the same list as the per-candidate
+    # filter of each column it replaced, for the whole run and, to bound 7,
+    # every slice with step 2-4
+    assert enumerate_edge_cycles(bound) == pruned_enumerate_edge_cycles(bound)
+    if bound <= 7:
+        for step in (2, 3, 4):
+            for start in range(step):
+                assert enumerate_edge_cycles(bound, start, step) == \
+                    pruned_enumerate_edge_cycles(bound, start, step)
+
+
+def test_enumerate_bound_eight_count():
+    assert len(enumerate_edge_cycles(8)) == 421280
 
 
 def test_enumerate_one_representative_per_rotation():
