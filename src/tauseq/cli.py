@@ -21,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-import traceback
 
 from . import oeis, scan, verify
 from .lattice import (LatticeError, RankError, SublatticeBasis, TorsionError,
@@ -68,6 +67,7 @@ def _fail(exc: Exception) -> int:
     if isinstance(exc, TorsionError):
         error["invariant_factors"] = list(exc.invariant_factors)
     if code == EXIT_INTERNAL:
+        import traceback
         traceback.print_exc()
         error["error"] = f"internal error: {type(exc).__name__}: {exc}"
     _emit(error)

@@ -16,7 +16,10 @@ The Plucker oracles read brackets, maximal minors of a random integer
 draw: common vectors followed by the inserted ones.  The Grassmann-Plucker
 relations hold among the maximal minors of every integer matrix (Fulton,
 Young Tableaux 9.1), so no draw is checked or redrawn; a dependent common
-block makes every bracket 0.  The three-term relation reads its six
+block makes every bracket 0.  Blocks and draws take all their entries from
+one batched getrandbits rejection pass (_uniform_ints), whose values and
+generator state equal one rng.randint per entry: a seed draws the same
+integers as it always has.  The three-term relation reads its six
 brackets off one elimination, as the octahedron oracle does.
 
 Conventions (all signs derive from these two choices):
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 from .intlinalg import det_exact, pair_minors
@@ -114,6 +118,27 @@ def apply_p(k: int, vec: FockVector, window: Window) -> FockVector:
     return {wedge: c for wedge, c in out.items() if c}
 
 
+def _uniform_ints(rng: random.Random, bound: int, count: int) -> list[int]:
+    """[rng.randint(-bound, bound) for _ in range(count)], and the same
+    generator state after it, without randint's three Python frames per
+    value.
+
+    randint(-bound, bound) is -bound + r for the first r = getrandbits(k)
+    below width = 2 bound + 1, k = width.bit_length(), drawing again while
+    r >= width.  Each batch here draws exactly the values still missing and
+    keeps those below width in order, so the last draw is the last accepted
+    value and the stream is used exactly as randint uses it."""
+    width = 2 * bound + 1
+    k = width.bit_length()
+    getrandbits = rng.getrandbits
+    values: list[int] = []
+    while len(values) < count:
+        values += [r - bound for r in map(getrandbits,
+                                           repeat(k, count - len(values)))
+                   if r < width]
+    return values
+
+
 def random_group_element(window: Window, rng: random.Random,
                          bound: int = 3) -> Block:
     """The covacuum rows of a random integer g, row r on the r-th
@@ -122,9 +147,15 @@ def random_group_element(window: Window, rng: random.Random,
     Every tau value is a maximal minor of these rows, and the relations
     among those minors are Grassmann-Plucker identities that hold for every
     integer block (Fulton, Young Tableaux 9.1): no other row of g is read,
-    and g need not be invertible, so nothing checks that it is."""
-    return tuple(tuple(rng.randint(-bound, bound) for _ in range(window.size))
-                 for _ in range(window.components * window.cutoff))
+    and g need not be invertible, so nothing checks that it is.
+
+    The entries come from one _uniform_ints pass cut into rows, the same
+    values and generator state as one rng.randint(-bound, bound) per entry."""
+    size = window.size
+    entries = _uniform_ints(rng, bound,
+                            window.components * window.cutoff * size)
+    return tuple(tuple(entries[i:i + size])
+                 for i in range(0, len(entries), size))
 
 
 def _wedge_slots(wedge: Wedge, window: Window) -> list[int]:
@@ -187,8 +218,11 @@ def octahedron_residual(g: Block, n: Sequence[int], window: Window) -> int:
 # ---------------------------------------------------------------------------
 
 def _draw(dim: int, count: int, rng: random.Random) -> list[list[int]]:
-    """count vectors of length dim, drawn row by row, entries in [-5, 5]."""
-    return [[rng.randint(-5, 5) for _ in range(dim)] for _ in range(count)]
+    """count vectors of length dim, drawn row by row, entries in [-5, 5]:
+    one _uniform_ints pass cut into rows, the same values and generator
+    state as one rng.randint(-5, 5) per entry."""
+    entries = _uniform_ints(rng, 5, dim * count)
+    return [entries[i:i + dim] for i in range(0, dim * count, dim)]
 
 
 def plucker3_residual(dim: int, seed: int) -> int:

@@ -17,18 +17,14 @@ never consulted by tests or acceptance runs.
 from __future__ import annotations
 
 import bisect
-import gzip
 import itertools
 import json
 import re
 import sys
 import time
-import unicodedata
-import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from importlib import resources
 from typing import BinaryIO
 
 A_NUMBER_RE = re.compile(r"A[0-9]{6}")
@@ -106,6 +102,7 @@ def _canonical_term(field: str) -> str:
         raise ValueError("malformed term")
     term = term.replace("_", "")
     if not term.isascii():
+        import unicodedata
         term = "".join(ch if ch in "+-" else str(unicodedata.decimal(ch))
                        for ch in term)
     digits = term.lstrip("+-").lstrip("0") or "0"
@@ -125,6 +122,8 @@ def load_stripped(source: BinaryIO | bytes | str) -> StrippedDb:
     else:
         data = source.read()
     if data[:2] == b"\x1f\x8b":
+        import gzip
+        import zlib
         try:
             data = gzip.decompress(data)
         except (EOFError, zlib.error) as exc:  # truncated or corrupt
@@ -160,6 +159,7 @@ def load_stripped(source: BinaryIO | bytes | str) -> StrippedDb:
 
 def load_fixture() -> StrippedDb:
     """The small vendored snapshot used by hermetic tests and scans."""
+    from importlib import resources
     data = resources.files("tauseq.data").joinpath("oeis_fixture.txt").read_bytes()
     return load_stripped(data)
 

@@ -15,7 +15,6 @@ matched.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from math import gcd
@@ -197,6 +196,7 @@ def run_scan(cfg: ScanConfig, db: StrippedDb,
     """Scan every enumerated cycle; return (sorted records, summary)."""
     if workers <= 1:
         return merge_slices([scan_slice(cfg.bound)], cfg, db)
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         slices = list(pool.map(scan_slice, [cfg.bound] * workers,
                                range(workers), [workers] * workers))

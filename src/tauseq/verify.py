@@ -35,7 +35,7 @@ def _report(check: str, trials: int, failures: list, **extra) -> dict:
 
 def _random_base_point(rng: random.Random, s: int) -> tuple[int, ...]:
     while True:
-        n = tuple(rng.randint(-1, 1) for _ in range(s))
+        n = tuple(fock._uniform_ints(rng, 1, s))
         if sum(n) == -2:
             return n
 

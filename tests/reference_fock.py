@@ -38,6 +38,11 @@ relations on such brackets, and `plucker3_residual` and
 `state_identities` is the hand-written table of six boson-fermion
 identities that `verify states` checked before it read every state off
 `kp.schur`, built with `engine_apply_p`.
+
+`random_group_element`, `draw` and `random_base_point` are the per-entry
+`rng.randint` draws that `fock.random_group_element`, `fock._draw` and
+`verify._random_base_point` made before they took their entries from one
+`fock._uniform_ints` pass; the two must agree in values and generator state.
 """
 
 from __future__ import annotations
@@ -380,3 +385,24 @@ def plucker3_residual(dim: int, seed: int) -> int:
 
 def plucker4_residuals(dim: int, seed: int) -> dict[str, int]:
     return plucker4_combinations(*_seeded(dim, 3, seed))
+
+
+# ---------------------------------------------------------------------------
+# Per-entry randint draws
+# ---------------------------------------------------------------------------
+
+def random_group_element(window: Window, rng: random.Random,
+                         bound: int = 3) -> Block:
+    return tuple(tuple(rng.randint(-bound, bound) for _ in range(window.size))
+                 for _ in range(window.components * window.cutoff))
+
+
+def draw(dim: int, count: int, rng: random.Random) -> list[list[int]]:
+    return [[rng.randint(-5, 5) for _ in range(dim)] for _ in range(count)]
+
+
+def random_base_point(rng: random.Random, s: int) -> tuple[int, ...]:
+    while True:
+        n = tuple(rng.randint(-1, 1) for _ in range(s))
+        if sum(n) == -2:
+            return n

@@ -292,6 +292,59 @@ def test_random_group_element_draws_rows_in_order(bound):
             assert rng.getstate() == rows.getstate()
 
 
+def _oracle_calls(oracle, seed, monkeypatch, reference):
+    """The report of a 3-trial oracle run and the (function, block, base)
+    of every call it makes to fock.octahedron_residual and
+    fock.tau_discrete, with the per-entry randint draws of
+    tests/reference_fock.py patched in when reference."""
+    calls = []
+
+    def recording(name):
+        real = getattr(fock, name)
+
+        def wrapper(g, n, window):
+            calls.append((name, g, tuple(n)))
+            return real(g, n, window)
+        return wrapper
+
+    with monkeypatch.context() as m:
+        for name in ("octahedron_residual", "tau_discrete"):
+            m.setattr(fock, name, recording(name))
+        if reference:
+            m.setattr(fock, "random_group_element",
+                      reference_fock.random_group_element)
+            m.setattr(verify, "_random_base_point",
+                      reference_fock.random_base_point)
+        report = oracle(trials=3, seed=seed)
+    return report, calls
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("oracle", [verify.verify_octahedron,
+                                    verify.verify_permutation])
+def test_oracle_draws_match_per_entry_randint(oracle, seed, monkeypatch):
+    # the batched draw hands fock the same blocks and bases, in the same
+    # order, as one randint per entry did
+    report, calls = _oracle_calls(oracle, seed, monkeypatch, False)
+    assert report["failures"] == 0 and calls
+    assert (report, calls) == _oracle_calls(oracle, seed, monkeypatch, True)
+
+
+def test_plucker_draws_match_per_entry_randint(monkeypatch):
+    drawn = []
+    real = fock._draw
+
+    def recording(dim, count, rng):
+        rows = real(dim, count, rng)
+        drawn.append(rows)
+        return rows
+
+    monkeypatch.setattr(fock, "_draw", recording)
+    for seed in range(100):
+        plucker3_residual(8, seed)
+        assert drawn.pop() == reference_fock.draw(8, 10, random.Random(seed))
+
+
 @st.composite
 def degenerate_blocks(draw):
     """A window over four components; a drawn block with some rows zeroed

@@ -1,10 +1,15 @@
 """Every import under src/tauseq/ and tests/ is used by the module that
 makes it, every annotation under src/tauseq/ names something the module can
-resolve, and only the two modules with a rational end import fractions."""
+resolve, and only the two modules with a rational end import fractions.
+A fresh `import tauseq.cli` loads no stdlib module that only one branch
+uses (the process pool, gzip, Unicode digits, the internal-error
+traceback)."""
 
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -145,3 +150,20 @@ def test_package_imports_are_found():
     source = "from tauseq import lattice\nfrom tauseq.kp import schur\n"
     assert package_imports(source) == {"lattice", "kp"}
     assert package_imports("from fractions import Fraction\n") == set()
+
+
+# each is imported inside the one branch that uses it: scan.run_scan's
+# pool, load_stripped's gzip input, _canonical_term's non-ASCII digits and
+# cli._fail's exit 70
+DEFERRED = ("concurrent.futures", "multiprocessing", "gzip", "unicodedata",
+            "traceback")
+
+
+def test_cli_import_defers_branch_only_modules():
+    # -S keeps site's own imports out of sys.modules
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); "
+            "import tauseq.cli; "
+            f"print(sorted(set({DEFERRED!r}) & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

@@ -25,6 +25,8 @@ edge cycle to map back to that recurrence, or both to say torsion.  The
 scan's enumeration, one y3 interval per column, is checked slice by slice
 against the per-candidate filter it replaced (tests/reference_scan.py).  The
 octahedral relation is checked to hold exactly for random covacuum blocks.
+fock's batched draw `_uniform_ints` is checked against one randint per
+value, in the values and in the generator state it leaves.
 The Plucker oracles' unchecked draws, with the three-term brackets read off
 one elimination, are checked against the per-bracket determinants of the
 Gram-checked draws they replaced (tests/reference_fock.py), common blocks
@@ -684,6 +686,17 @@ def octahedron_cases(draw):
 @given(octahedron_cases())
 def test_octahedron_residual_vanishes(case):
     assert octahedron_residual(*case) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 6), st.integers(0, 500))
+@example(0, 1, 0)
+def test_uniform_ints_match_per_entry_randint(seed, bound, count):
+    # bounds 1-6 reject 1/8 (bound 3) to 7/16 (bound 4) of the draws
+    rng, reference = random.Random(seed), random.Random(seed)
+    assert fock._uniform_ints(rng, bound, count) == \
+        [reference.randint(-bound, bound) for _ in range(count)]
+    assert rng.getstate() == reference.getstate()
 
 
 # --------------------------------------------------------------- plucker
