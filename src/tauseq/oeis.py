@@ -2,11 +2,12 @@
 live search client.
 
 The stripped format is one sequence per line: "A000045 ,0,1,1,2,3,...,".
-Loading keeps each entry as its canonical row text ",t0,t1,...,": a line
-already in that form is stored as it stands, and any other accepted line
-(leading zeros, "+5", "-0", spaces, "_" separators, empty fields, no
-trailing comma, Unicode digits) is made canonical once, at load, as text:
-int() never reads a term, because it is quadratic in the term's length.
+Loading keeps each entry as its canonical row text ",t0,t1,...,". One
+regex pass over the text stores every line already in that form as it
+stands; only the lines between two such lines go one by one through the
+slow path, which makes any other accepted line (leading zeros, "+5", "-0",
+spaces, "_" separators, empty fields, no trailing comma, Unicode digits)
+canonical as text: int() never reads a term, being quadratic in its length.
 A query is matched by one text search: the first match against a
 snapshot joins the rows, in A-number order, into one text, and every
 query then looks for ",q0,q1,...," in it.
@@ -28,9 +29,11 @@ from functools import cached_property
 from typing import BinaryIO
 
 A_NUMBER_RE = re.compile(r"A[0-9]{6}")
-# a whole stripped line whose terms are already canonical: 0, or an
-# optional minus and digits without a leading zero
-CANONICAL_LINE_RE = re.compile(r"(A[0-9]{6}) (,(?:(?:0|-?[1-9][0-9]*),)+)")
+# a whole stripped line, "\r\n" ends too, whose terms are already
+# canonical: 0, or an optional minus and digits without a leading zero
+# (possessive: a term never gives digits back, so the pass is faster)
+CANONICAL_LINE_RE = re.compile(
+    r"^(A[0-9]{6}) (,(?:[1-9][0-9]*+,|0,|-[1-9][0-9]*+,)++)\r?$", re.MULTILINE)
 INT_TERM_RE = re.compile(r"[+-]?\d+(?:_\d+)*")  # what int() reads
 DEFAULT_ENDPOINT = "https://oeis.org/search"
 
@@ -45,17 +48,15 @@ class QueryTooShort(OeisError):
 
 @contextmanager
 def exact_int_str():
-    """Lift CPython's int <-> str digit limit (3.10.7+, 4300 digits by
-    default) for the block, so an int of any size converts exactly; the old
-    limit is restored afterwards."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
+    """Lift CPython's int <-> str digit limit (4300 digits by default) for
+    the block, so an int of any size converts exactly; the old limit is
+    restored afterwards."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         yield
     finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 @dataclass
@@ -112,27 +113,43 @@ def _canonical_term(field: str) -> str:
 def load_stripped(source: BinaryIO | bytes | str) -> StrippedDb:
     """Parse a stripped file; gzip input is detected by magic bytes.
 
-    Malformed lines are recorded with their line numbers and skipped.
-    Terms of any size are accepted.
+    One `finditer` stores the canonical lines, the others take the per-line
+    path. Malformed lines (a byte that is not UTF-8 makes one) are recorded
+    with their line numbers and skipped. Terms of any size are accepted.
     """
     if isinstance(source, str):
-        data = source.encode()
-    elif isinstance(source, bytes):
-        data = source
+        text = source
     else:
-        data = source.read()
-    if data[:2] == b"\x1f\x8b":
-        import gzip
-        import zlib
-        try:
-            data = gzip.decompress(data)
-        except (EOFError, zlib.error) as exc:  # truncated or corrupt
-            raise ValueError(f"unreadable gzip snapshot: {exc}") from exc
+        data = source if isinstance(source, bytes) else source.read()
+        if data[:2] == b"\x1f\x8b":
+            import gzip
+            import zlib
+            try:
+                data = gzip.decompress(data)
+            except (EOFError, zlib.error) as exc:  # truncated or corrupt
+                raise ValueError(f"unreadable gzip snapshot: {exc}") from exc
+        # U+FFFD, never a digit, makes the line of a bad byte malformed
+        text = data.decode("utf-8", errors="replace")
     entries: dict[str, str] = {}
     malformed: list[tuple[int, str]] = []
     # split on "\n" only: splitlines() would also split at "\r", "\x85",
     # "\u2028" and others, and so move the line numbers of malformed lines
-    for lineno, raw in enumerate(data.decode("utf-8").split("\n"), start=1):
+    lineno, start = 1, 0  # number and offset of the first line not yet read
+    for canonical in CANONICAL_LINE_RE.finditer(text):
+        if canonical.start() > start:  # whole lines, each ended by a "\n"
+            gap = text[start:canonical.start() - 1].split("\n")
+            _load_lines(gap, lineno, entries, malformed)
+            lineno += len(gap)
+        entries[canonical[1]] = canonical[2]
+        lineno, start = lineno + 1, canonical.end() + 1
+    _load_lines(text[start:].split("\n"), lineno, entries, malformed)
+    return StrippedDb(entries=entries, malformed=malformed)
+
+
+def _load_lines(lines: list[str], lineno: int, entries: dict[str, str],
+                malformed: list[tuple[int, str]]) -> None:
+    """The per-line path: store or record each line, numbered from lineno."""
+    for lineno, raw in enumerate(lines, start=lineno):
         line = raw.strip()
         canonical = CANONICAL_LINE_RE.fullmatch(line)
         if canonical:
@@ -154,7 +171,6 @@ def load_stripped(source: BinaryIO | bytes | str) -> StrippedDb:
             malformed.append((lineno, line))
             continue
         entries[head] = "," + row + ","
-    return StrippedDb(entries=entries, malformed=malformed)
 
 
 def load_fixture() -> StrippedDb:

@@ -6,6 +6,10 @@ A-number is six ASCII digits, and int() and str() run without CPython's
 int <-> str digit limit.  `tauseq.oeis.load_stripped` keeps canonical rows
 as text instead, and the tests compare the two.  `stripped_db` builds a
 db from int rows for tests that need hand-made entries.
+
+`load_stripped_by_line` is the text loader that fullmatched every stripped
+line on its own, before one regex pass over the whole text found the
+canonical lines; the tests compare it with `tauseq.oeis.load_stripped`.
 """
 
 import gzip
@@ -17,6 +21,7 @@ from tauseq import oeis
 from tauseq.oeis import StrippedDb, exact_int_str
 
 A_NUMBER_RE = re.compile(r"^A[0-9]{6}$")
+CANONICAL_LINE_RE = re.compile(r"(A[0-9]{6}) (,(?:(?:0|-?[1-9][0-9]*),)+)")
 
 
 def load_stripped(source) -> tuple[dict[str, list[int]],
@@ -74,3 +79,45 @@ def stripped_db(rows: dict[str, list[int]]) -> StrippedDb:
         text = "".join(f"{a} ,{','.join(map(str, terms))},\n"
                        for a, terms in rows.items())
     return oeis.load_stripped(text)
+
+
+def load_stripped_by_line(source) -> StrippedDb:
+    """The text loader with one fullmatch per stripped line."""
+    if isinstance(source, str):
+        data = source.encode()
+    elif isinstance(source, bytes):
+        data = source
+    else:
+        data = source.read()
+    if data[:2] == b"\x1f\x8b":
+        try:
+            data = gzip.decompress(data)
+        except (EOFError, zlib.error) as exc:  # truncated or corrupt
+            raise ValueError(f"unreadable gzip snapshot: {exc}") from exc
+    entries: dict[str, str] = {}
+    malformed: list[tuple[int, str]] = []
+    # split on "\n" only: splitlines() would also split at "\r", "\x85",
+    # "\u2028" and others, and so move the line numbers of malformed lines
+    for lineno, raw in enumerate(data.decode("utf-8").split("\n"), start=1):
+        line = raw.strip()
+        canonical = CANONICAL_LINE_RE.fullmatch(line)
+        if canonical:
+            entries[canonical[1]] = canonical[2]
+            continue
+        if not line or line.startswith("#"):
+            continue
+        head, sep, rest = line.partition(" ,")
+        if not sep or not oeis.A_NUMBER_RE.fullmatch(head):
+            malformed.append((lineno, line))
+            continue
+        try:
+            row = ",".join(oeis._canonical_term(x)
+                           for x in rest.rstrip(",").split(",") if x != "")
+        except ValueError:
+            malformed.append((lineno, line))
+            continue
+        if not row:
+            malformed.append((lineno, line))
+            continue
+        entries[head] = "," + row + ","
+    return StrippedDb(entries=entries, malformed=malformed)

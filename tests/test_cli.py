@@ -305,6 +305,19 @@ def test_skipped_malformed_lines_reported_on_stderr(capsys, tmp_path, argv):
     assert "oeis:" not in want_err
 
 
+def test_byte_not_utf8_skips_its_line(capsys, tmp_path):
+    dirty = tmp_path / "dirty.txt"
+    dirty.write_bytes(b"A000045 ,0,1,1,2,3,5,8,13,21,34,55,89,144,\n"
+                      b"A000290 ,0,1,4,\xff9,16,\n")
+    code, out, err = run(capsys, "match", "--terms-list",
+                         "1,2,3,5,8,13,21,34,55,89", "--min-match", "8",
+                         "--oeis", str(dirty))
+    assert code == 0
+    assert [hit["a_number"] for hit in json.loads(out)["matches"]] == \
+        ["A000045"]
+    assert err == "oeis: skipped 1 malformed line (first: line 2)\n"
+
+
 def test_match_too_short_exit_code(capsys):
     code, _ = run_json(capsys, "match", "--terms-list", "1,1,1,1,2,3")
     assert code == 2

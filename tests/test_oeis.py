@@ -115,6 +115,16 @@ def test_load_stripped_terms_past_int_str_digit_limit(big):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_byte_not_utf8_makes_one_malformed_line():
+    data = (b"A000045 ,0,1,1,2,3,5,8,13,\n"
+            b"A000290 ,0,1,4,\xff9,16,\n"
+            b"A000079 ,1,2,4,8,16,\n")
+    db = load_stripped(data)
+    assert db.entries == {"A000045": ",0,1,1,2,3,5,8,13,",
+                          "A000079": ",1,2,4,8,16,"}
+    assert db.malformed == [(2, "A000290 ,0,1,4,\ufffd9,16,")]
+
+
 def test_a_number_digits_are_ascii():
     text = ("A000045 ,0,1,1,2,3,5,8,13,21,34,55,89,\n"
             "A٠٠٠٠٤٥ ,1,2,3,5,8,13,21,34,55,89,\n")

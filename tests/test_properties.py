@@ -14,7 +14,9 @@ checked against the builtin divmod, and for recursing exactly when the
 divisor and the quotient both pass its cutoff.  The
 text-index OEIS match is checked against the per-entry slice scan it
 replaced, and the OEIS loader, which keeps canonical rows as text, against
-the int-parsing loader it replaced (tests/reference_oeis.py).  The closed
+the int-parsing loader it replaced and, for its one regex pass over the
+whole text, against the loop that fullmatched each line on its own (both
+in tests/reference_oeis.py).  The closed
 form pairs_from_spreads is checked against the search canonicalize_pairs it
 replaced (kept in tests/reference_lattice.py), canonicalize_pairs for its
 declared invariances, and BilinearRecurrence for accepting exactly the
@@ -543,6 +545,41 @@ def test_load_ascii_terms_by_text_match_int_reference(rows):
     entries, malformed = reference_oeis.load_stripped(text)
     assert db.malformed == malformed
     assert db._index == reference_oeis.index(entries)
+
+
+# what str.strip removes around a line but "^" and "$" do not skip
+STRIP_ONLY = st.sampled_from(["", "", "", "\r", "\x0b", "\x0c", "\x1c",
+                              "\x85", "\u2028", " ", "  ", "\t"])
+
+
+@st.composite
+def snapshot_lines(draw):
+    a_number = "A{:06d}".format(draw(st.integers(0, 5)))  # duplicates too
+    terms = draw(st.lists(st.sampled_from(
+        ["0", "1", "-1", "12", "-305"] * 3
+        + ["007", "+5", "-0", " 4", "1_0", "\u0665", "x", ""]), max_size=5))
+    line = draw(st.sampled_from(
+        [f"{a_number} ," + ",".join(terms) + ","] * 6
+        + [f"{a_number} ," + ",".join(terms), "# comment ,1,2,", "",
+           f"{a_number[:-1]} ,1,2,", f"{a_number} 1,2,"]))
+    return draw(STRIP_ONLY) + line + draw(STRIP_ONLY)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(snapshot_lines(), max_size=12), st.booleans(), st.booleans())
+@example([], False, False)  # empty input
+@example(["A000001 ,1,2,"], False, False)  # one line, no newline
+@example(["A000001 ,1,2,", ""], True, True)  # ends in "\n\n"
+def test_load_one_pass_matches_per_line_reference(lines, final_newline,
+                                                  as_bytes):
+    # canonical lines are found by one pass over the text, the others take
+    # the per-line path: entries, their order, last-wins duplicates and
+    # malformed line numbers must be those of one fullmatch per line
+    text = "\n".join(lines) + "\n" * final_newline
+    db = load_stripped(text.encode() if as_bytes else text)
+    reference = reference_oeis.load_stripped_by_line(text)
+    assert list(db.entries.items()) == list(reference.entries.items())
+    assert db.malformed == reference.malformed
 
 
 # ------------------------------------------------------- canonicalize
