@@ -1,22 +1,20 @@
 """Scan 4-edge convex lattice polygons: key, dedup, generate, match.
 
-Each piece of work happens once.  The enumeration emits one polygon per
-rotation class, in lexicographic order of its edge cycle.  The unit of
-parallel work is a slice of first edges taken by stride: a slice
-enumerates its own cycles, keys each one by three 2x2 minors of its edges,
-and keeps the first edge cycle of each distinct key.  The parent merges
-the slices by keeping, per key, the smallest edge cycle, which is the one a
-serial walk in enumeration order meets first.  So 1-worker and N-worker
-runs are byte-identical.  The parent then builds the record of each kept
-key once: its recurrence is pairs_from_spreads(*key), generated and
-matched.
+Each piece of work happens once.  The unit of parallel work is a slice of
+first edges taken by stride.  A slice walks its polygons, one per
+rotation class, in lexicographic order of the edge cycle, and keys each by
+three 2x2 minors of its edges without building the cycle; it builds the
+edge cycle only of a key's first polygon.  The parent merges the slices by
+keeping, per key, the smallest edge cycle, which is the one a serial walk
+in enumeration order meets first.  So 1-worker and N-worker runs are
+byte-identical.  The parent then builds the record of each kept key once:
+its recurrence is pairs_from_spreads(*key), generated and matched.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import repeat
 from math import gcd
 from typing import Iterable, TextIO
 
@@ -44,69 +42,6 @@ Cycle = tuple[Edge, Edge, Edge, Edge]
 # Gale-Robinson coordinates (N, s_lo, s_hi) of a cycle's recurrence, from
 # recurrence.spreads, the arguments of recurrence.pairs_from_spreads
 Key = tuple[int, int, int]
-
-
-def enumerate_edge_cycles(bound: int, start: int = 0, step: int = 1
-                          ) -> list[Cycle]:
-    """All 4-edge strictly convex ccw cycles with coordinates in [-B, B],
-    one representative per cyclic rotation class, in lexicographic order;
-    only those whose first edge is in vectors[start::step].
-
-    The edges of a strictly convex cycle point in distinct directions, so
-    the lexicographically smallest rotation is the one that starts at the
-    smallest edge.  Emitting only cycles whose first edge is the smallest
-    yields each class once, and the nested loops emit them in order.
-
-    Fixing e1, e2 and x3 fixes x4, and each remaining test is linear in
-    y3: the box, e1 < e3, e1 < e4, and a*y3 > b for the crosses (e2, e3),
-    (e3, e4) and (e4, e1).  So each column x3 is one interval of y3, cut by
-    floor division; a zero a keeps the column if b < 0, else empties it.
-    """
-    coords = range(-bound, bound + 1)
-    grid = [[(x, y) for y in coords] for x in coords]  # grid[x + B][y + B]
-    vectors = [v for column in grid for v in column if v != (0, 0)]
-    cycles = []
-    for i in range(start, len(vectors), step):
-        e1 = vectors[i]
-        x1, y1 = e1
-        for e2 in vectors[i + 1:]:
-            x2, y2 = e2
-            if x1 * y2 - y1 * x2 <= 0:
-                continue
-            sx, sy = x1 + x2, y1 + y2
-            box_lo, box_hi = max(-bound, -bound - sy), min(bound, bound - sy)
-            for x3 in range(max(x1, -bound - sx),
-                            min(bound, bound - sx, -sx - x1) + 1):
-                x4 = -sx - x3
-                lo = box_lo if x3 > x1 else max(box_lo, y1 + 1)
-                hi = box_hi if x4 > x1 else min(box_hi, -sy - y1 - 1)
-                for a, b in ((x2, y2 * x3), (sx, sy * x3),
-                             (x1, (sx + x3) * y1 - sy * x1)):
-                    if a > 0:
-                        lo = max(lo, b // a + 1)
-                    elif a < 0:
-                        hi = min(hi, (-b - 1) // -a)
-                    elif b >= 0:
-                        hi = lo - 1
-                if lo <= hi:  # e4's y runs down as y3 runs up
-                    cycles.extend(zip(
-                        repeat(e1), repeat(e2),
-                        grid[x3 + bound][lo + bound:hi + bound + 1],
-                        reversed(grid[x4 + bound][-sy - hi + bound:
-                                                  -sy - lo + bound + 1])))
-    return cycles
-
-
-def scan_one(edges: Cycle) -> Key | str:
-    """The key recurrence.spreads of a convex cycle's minors
-    p_ij = cross(e_i, e_j), or "torsion" when their gcd is not 1."""
-    (x1, y1), (x2, y2), (x3, y3), _ = edges
-    p12 = x1 * y2 - y1 * x2
-    p13 = x1 * y3 - y1 * x3
-    p23 = x2 * y3 - y2 * x3
-    if gcd(p12, p13, p23) != 1:
-        return "torsion"
-    return spreads(p12, p13, p23)
 
 
 def complete_record(edges: Cycle, rec: BilinearRecurrence, cfg: ScanConfig,
@@ -145,18 +80,63 @@ Slice = tuple[int, int, dict[Key, Cycle]]
 
 
 def scan_slice(bound: int, start: int = 0, step: int = 1) -> Slice:
-    """Enumerate and key the cycles whose first edge is in the slice
-    vectors[start::step]; keep the first edge cycle of each key."""
-    torsion = 0
+    """Enumerate and key the 4-edge strictly convex ccw cycles with
+    coordinates in [-B, B] whose first edge is in vectors[start::step]:
+    their count, the count of torsion skips, and for each key the first
+    edge cycle, in lexicographic order, that gives it.
+
+    The edges of a strictly convex cycle point in distinct directions, so
+    the lexicographically smallest rotation is the one that starts at the
+    smallest edge.  Walking only cycles whose first edge is the smallest
+    meets each rotation class once, and the nested loops meet them in
+    order.
+
+    Fixing e1, e2 and x3 fixes x4, and each remaining test is linear in
+    y3: the box, e1 < e3, e1 < e4, and a*y3 > b for the crosses (e2, e3),
+    (e3, e4) and (e4, e1).  So each column x3 is one interval of y3, cut by
+    floor division; a zero a keeps the column if b < 0, else empties it.
+    Over a column p12 is fixed and p13, p23 are affine in y3, so each y3 is
+    keyed by recurrence.spreads of the three minors, or skipped as torsion
+    when their gcd is not 1; its edge cycle is built only for a new key.
+    """
+    coords = range(-bound, bound + 1)
+    vectors = [(x, y) for x in coords for y in coords if (x, y) != (0, 0)]
+    total = torsion = 0
     firsts: dict[Key, Cycle] = {}
-    cycles = enumerate_edge_cycles(bound, start, step)
-    for edges in cycles:
-        key = scan_one(edges)
-        if key == "torsion":
-            torsion += 1
-        else:
-            firsts.setdefault(key, edges)
-    return len(cycles), torsion, firsts
+    for i in range(start, len(vectors), step):
+        e1 = vectors[i]
+        x1, y1 = e1
+        for e2 in vectors[i + 1:]:
+            x2, y2 = e2
+            p12 = x1 * y2 - y1 * x2
+            if p12 <= 0:
+                continue
+            sx, sy = x1 + x2, y1 + y2
+            box_lo, box_hi = max(-bound, -bound - sy), min(bound, bound - sy)
+            for x3 in range(max(x1, -bound - sx),
+                            min(bound, bound - sx, -sx - x1) + 1):
+                x4 = -sx - x3
+                lo = box_lo if x3 > x1 else max(box_lo, y1 + 1)
+                hi = box_hi if x4 > x1 else min(box_hi, -sy - y1 - 1)
+                for a, b in ((x2, y2 * x3), (sx, sy * x3),
+                             (x1, (sx + x3) * y1 - sy * x1)):
+                    if a > 0:
+                        lo = max(lo, b // a + 1)
+                    elif a < 0:
+                        hi = min(hi, (-b - 1) // -a)
+                    elif b >= 0:
+                        hi = lo - 1
+                total += max(0, hi - lo + 1)
+                for y3 in range(lo, hi + 1):
+                    p13 = x1 * y3 - y1 * x3
+                    p23 = x2 * y3 - y2 * x3
+                    if gcd(p12, p13, p23) != 1:
+                        torsion += 1
+                        continue
+                    key = spreads(p12, p13, p23)
+                    if key not in firsts:
+                        firsts[key] = (e1, e2, (x3, y3), (x4, -sy - y3))
+    return total, torsion, firsts
 
 
 # generate status -> summary counter; any other status is "degenerate"

@@ -24,8 +24,12 @@ triples generate can iterate.  Every torsion-free strictly convex
 quadrilateral is checked to give a positive Gale-Robinson recurrence (the
 statement is in the recurrence module docstring), and the scan's key of its
 edge cycle to map back to that recurrence, or both to say torsion.  The
-scan's enumeration, one y3 interval per column, is checked slice by slice
-against the per-candidate filter it replaced (tests/reference_scan.py).  The
+scan's slice, which keys each y3 of a column's interval and builds an edge
+cycle only for a new key, is checked against the list of the slice's
+cycles keyed one by one that it replaced (tests/reference_scan.py).
+Every Gale-Robinson key with N <= 24 and every bound-5 scanned recurrence
+is checked for the Laurent property, run from a window of primes, with a
+broken pair sum as the negative control.  The
 octahedral relation is checked to hold exactly for random covacuum blocks.
 fock's batched draw `_uniform_ints` is checked against one randint per
 value, in the values and in the generator state it leaves.
@@ -52,7 +56,6 @@ import reference_fock
 import reference_kp
 import reference_lattice
 import reference_oeis
-import reference_scan
 from reference_lattice import canonicalize_pairs
 from tauseq import fock, recurrence
 from tauseq.fock import Window, octahedron_residual, random_group_element
@@ -66,7 +69,8 @@ from tauseq.oeis import (MatchPolicy, QueryTooShort, load_stripped,
 from tauseq.recurrence import (SIGNS, BilinearRecurrence, SequenceRun,
                                UnsolvableError, derive_recurrence, generate,
                                octahedral_combination, pairs_from_spreads)
-from tauseq.scan import enumerate_edge_cycles, scan_one
+from reference_scan import reference_slice, scan_one
+from tauseq.scan import scan_slice
 
 
 def fraction_rank(matrix) -> int:
@@ -356,9 +360,9 @@ def test_derive_matches_octahedron_point_route(rows):
 
 
 @st.composite
-def coprime_triples(draw):
-    """(N, p, q) with N <= 60, 0 < p, q < N and gcd(N, p, q) = 1."""
-    n = draw(st.integers(2, 60))
+def coprime_triples(draw, top=60):
+    """(N, p, q) with N <= top, 0 < p, q < N and gcd(N, p, q) = 1."""
+    n = draw(st.integers(2, top))
     p, q = draw(st.tuples(st.integers(1, n - 1), st.integers(1, n - 1))
                 .filter(lambda pq: math.gcd(n, *pq) == 1))
     return n, p, q
@@ -683,7 +687,7 @@ def enumeration_slices(draw):
 
 # Each example's slice reaches one branch of the y3 interval step and,
 # but for x1 == 0, loses or gains a cycle if that branch is dropped or off
-# by one.  An e1 with x1 == 0 reaches no column: an e2 > e1 with
+# by one; the first cycle with x3 == x1 and y3 == y1 + 1 needs bound 8.  An e1 with x1 == 0 reaches no column: an e2 > e1 with
 # cross(e1, e2) > 0 has x2 > 0, and x3 would run from x1 = 0 to
 # -sx - x1 = -x2 < 0.
 @settings(max_examples=60, deadline=None)
@@ -694,10 +698,83 @@ def enumeration_slices(draw):
 @example((1, 1, 4))  # e1 = (-1, 0), e2 = (1, -1), x3 = 1: x4 == x1
 @example((5, 43, 4))  # e1 = (-2, 5), e2 = (-1, -1), x3 = -2: x3 == x1
 @example((2, 4, 4))  # e1 = (-2, 2): x1 and sx as low as -3, b // a inexact
+@example((8, 94, 4))  # e1 = (-3, 1), e2 = (8, -4), e3 = (-3, 2): y3 == y1 + 1
 def test_enumerate_slice_matches_pruned_loop(case):
-    bound, start, step = case
-    assert enumerate_edge_cycles(bound, start, step) == \
-        reference_scan.pruned_enumerate_edge_cycles(bound, start, step)
+    assert scan_slice(*case) == reference_slice(*case)
+
+
+# -------------------------------------------------------------- Laurent
+
+
+PRIMES_BELOW_2000 = [p for p in range(2, 2000)
+                     if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+def laurent_escape(rec: BilinearRecurrence) -> int | None:
+    """The index of the first term whose denominator has a prime factor
+    outside the seed window, or None through 3 * window + 20 terms.
+
+    The window is of distinct primes below 2 000 drawn with
+    random.Random(1).  By the Laurent property every term is a Laurent
+    polynomial in the seeds, so only seeds divide its denominator.  The
+    first window steps divide by seeds alone, hence a run of several
+    windows.  The run goes a window at a time and stops at the first
+    escape, before a non-Laurent run's fractions grow large.
+    """
+    window = rec.window
+    terms = random.Random(1).sample(PRIMES_BELOW_2000, window)
+    seeds = math.prod(terms)
+    count = 3 * window + 20
+    while len(terms) < count:
+        run = generate(rec, min(2 * window, count - len(terms) + window),
+                       terms[-window:])
+        for t in run.terms[window:]:
+            d = Fraction(t).denominator
+            while (g := math.gcd(d, seeds)) > 1:
+                d //= g
+            if d != 1:
+                return len(terms)
+            terms.append(t)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(coprime_triples(24))
+@example((2, 1, 1))  # window 2, 26 terms: the most steps per window
+@example((24, 23, 1))
+def test_gale_robinson_keys_are_laurent(triple):
+    # (N, |N - 2p|, |N - 2q|) is the key of a convex quadrilateral (see
+    # test_coprime_triple_is_a_convex_quadrilateral)
+    n, p, q = triple
+    rec = BilinearRecurrence(pairs_from_spreads(n, abs(n - 2 * p),
+                                                abs(n - 2 * q)))
+    assert laurent_escape(rec) is None
+
+
+def test_scanned_recurrences_are_laurent():
+    keys = scan_slice(5)[2]
+    assert len(keys) == 940
+    escaped = [key for key in keys
+               if laurent_escape(BilinearRecurrence(pairs_from_spreads(*key)))
+               is not None]
+    assert escaped == []
+
+
+def test_laurent_check_catches_broken_pair_sums():
+    # negative control: raising the larger offset of the smaller-spread
+    # plus pair breaks the shared pair sum; of 200 bound-5 keys, 199 stay
+    # solvable and the check sees the break in all but 5 (windows 4-12)
+    keys = random.Random(1).sample(sorted(scan_slice(5)[2]), 200)
+    solvable = escaped = 0
+    for key in keys:
+        (p, q), minus, plus = pairs_from_spreads(*key)
+        try:
+            rec = BilinearRecurrence(((p + 1, q), minus, plus))
+        except UnsolvableError:
+            continue
+        solvable += 1
+        escaped += laurent_escape(rec) is not None
+    assert (solvable, escaped) == (199, 194)
 
 
 # ------------------------------------------------------------ octahedron

@@ -7,12 +7,12 @@ from tauseq.lattice import edges_to_basis
 from tauseq.oeis import load_fixture
 from tauseq.recurrence import (BilinearRecurrence, derive_recurrence,
                                generate, pairs_from_spreads, term_str)
-from reference_scan import (pruned_enumerate_edge_cycles, reference_bases,
+from reference_scan import (enumerate_edge_cycles,
+                            pruned_enumerate_edge_cycles, reference_bases,
                             reference_enumerate_edge_cycles, reference_scan,
-                            reference_scan_one)
-from tauseq.scan import (ScanConfig, complete_record, enumerate_edge_cycles,
-                         merge_slices, run_scan, scan_one, scan_slice,
-                         write_jsonl, write_summary)
+                            reference_scan_one, reference_slice, scan_one)
+from tauseq.scan import (ScanConfig, complete_record, merge_slices, run_scan,
+                         scan_slice, write_jsonl, write_summary)
 
 
 def reference_edge_cycles(bound):
@@ -70,6 +70,7 @@ def test_config_validation():
 
 def test_enumerate_bound_zero_empty():
     assert enumerate_edge_cycles(0) == []
+    assert scan_slice(0) == (0, 0, {})
 
 
 def test_enumerate_bound_one():
@@ -119,6 +120,18 @@ def test_enumerate_matches_pruned_loop(bound):
 
 def test_enumerate_bound_eight_count():
     assert len(enumerate_edge_cycles(8)) == 421280
+    assert scan_slice(8)[0] == 421280
+
+
+@pytest.mark.parametrize("step", range(1, 5))
+@pytest.mark.parametrize("bound", range(9))
+def test_scan_slice_matches_keyed_cycle_list(bound, step):
+    # keying each column's y3 and building a cycle only for a new key gives
+    # the counts and first cycles of the listed, one-by-one keyed slice: at
+    # bounds 0-6 for every start, past that for start 0
+    for start in range(step) if bound <= 6 else [0]:
+        assert scan_slice(bound, start, step) == \
+            reference_slice(bound, start, step), start
 
 
 def test_enumerate_one_representative_per_rotation():
