@@ -181,9 +181,11 @@ def cmd_match(args) -> int:
     hits = oeis.match_sequence(db, terms, policy)
     result = {"matches": [{"a_number": a, "position": p} for a, p in hits]}
     if args.online:
-        result.update(oeis.advisory_search(
-            terms, os.environ.get("TAUSEQ_OEIS_ENDPOINT",
-                                  oeis.DEFAULT_ENDPOINT)))
+        try:
+            result["online"] = oeis.search_online(terms, os.environ.get(
+                "TAUSEQ_OEIS_ENDPOINT", oeis.DEFAULT_ENDPOINT))
+        except oeis.OeisError as exc:
+            result["online_error"] = str(exc)
     _emit(result)
     return EXIT_OK
 
@@ -270,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="enumerate polygons and classify")
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--terms", type=int, default=24)
-    p.add_argument("--min-match", type=int, default=10)
+    p.add_argument("--terms", type=int, default=scan.ScanConfig.terms)
+    p.add_argument("--min-match", type=int, default=oeis.MatchPolicy.min_match_terms)
     p.add_argument("--oeis", help="stripped db path (default: fixture)")
     p.add_argument("--output", help="JSONL output path")
     p.add_argument("--workers", type=_worker_count, default=1,
@@ -284,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated integers; write "
                    "--terms-list=-1,... when they start with a minus")
     p.add_argument("--oeis", help="stripped db path (default: fixture)")
-    p.add_argument("--min-match", type=int, default=10)
+    p.add_argument("--min-match", type=int, default=oeis.MatchPolicy.min_match_terms)
     p.add_argument("--no-trim", action="store_true",
                    help="do not trim leading ones")
     p.add_argument("--online", action="store_true",

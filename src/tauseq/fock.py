@@ -44,6 +44,7 @@ Component = tuple[int, ...]
 Wedge = tuple[Component, ...]
 FockVector = dict[Wedge, int]
 Block = tuple[tuple[int, ...], ...]  # s*K rows of 2sK entries
+PLUCKER3_DIM, PLUCKER4_DIM = 6, 9  # the least ambient dimension of each draw
 
 
 @dataclass(frozen=True)
@@ -217,6 +218,12 @@ def octahedron_residual(g: Block, n: Sequence[int], window: Window) -> int:
 # Plucker relations among the maximal minors of a random draw
 # ---------------------------------------------------------------------------
 
+def check_dim(dim: int, least: int) -> int:
+    if dim < least:
+        raise ValueError(f"need ambient dimension >= {least}")
+    return dim
+
+
 def _draw(dim: int, count: int, rng: random.Random) -> list[list[int]]:
     """count vectors of length dim, drawn row by row, entries in [-5, 5]:
     one _uniform_ints pass cut into rows, the same values and generator
@@ -234,8 +241,7 @@ def plucker3_residual(dim: int, seed: int) -> int:
     The six brackets are the pair minors of the transposed draw, from one
     elimination, and the relation is their octahedral combination.
     """
-    if dim < 6:
-        raise ValueError("need ambient dimension >= 6")
+    check_dim(dim, PLUCKER3_DIM)
     rows = _draw(dim, dim + 2, random.Random(seed))
     minors = pair_minors(list(zip(*rows)))  # columns: common, then a, b, c, d
     return octahedral_combination(lambda p: minors[p[0] - 1, p[1] - 1])
@@ -251,8 +257,7 @@ def plucker4_residuals(dim: int, seed: int) -> dict:
     the exchange pattern suggested by the 3rd term.  Both residuals are
     returned so the empirical verdict can be reported rather than assumed.
     """
-    if dim < 9:
-        raise ValueError("need ambient dimension >= 9")
+    check_dim(dim, PLUCKER4_DIM)
     *common, a, b, c, x, y, z = _draw(dim, dim + 3, random.Random(seed))
     br = lambda u, v, w: det_exact(common + [u, v, w])
     verbatim = (br(a, b, c) * br(x, y, z)

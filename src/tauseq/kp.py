@@ -39,7 +39,6 @@ Exponent = tuple[int, ...]
 MultiPoly = dict[Exponent, int | Fraction]
 PackedPoly = dict[int, int]  # packed exponent key -> int coefficient
 
-DEFAULT_VARS = 8
 _BITS = 16  # width of one exponent field of a packed key
 _FIELD = (1 << _BITS) - 1
 _LIMIT = 1 << _BITS - 1  # bound on tau's exponents: a product never carries
@@ -96,9 +95,7 @@ def diff(p: PackedPoly, var: int) -> PackedPoly:
 
 
 def render(p: MultiPoly) -> str:
-    """Deterministic human-readable form, e.g. "3/2*t1^2*t3 + t2"."""
-    if not p:
-        return "0"
+    """Deterministic form of a nonzero p, e.g. "3/2*t1^2*t3 + t2"."""
     pieces = []
     for exp in sorted(p, key=lambda e: (sum(e), e), reverse=True):
         c = p[exp]
@@ -140,7 +137,7 @@ def character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     return total
 
 
-def schur(lam: Partition, m: int = DEFAULT_VARS) -> MultiPoly:
+def schur(lam: Partition, m: int) -> MultiPoly:
     """Schur polynomial s_lambda in t_1..t_m: the monomial prod_k t_k^m_k
     of each mu |- |lambda| with m_k parts k has coefficient
     chi^lambda(mu) / prod_k m_k!."""
@@ -157,7 +154,7 @@ def schur(lam: Partition, m: int = DEFAULT_VARS) -> MultiPoly:
     return out
 
 
-def kp_bilinear_residual(tau: MultiPoly, m: int = DEFAULT_VARS) -> MultiPoly:
+def kp_bilinear_residual(tau: MultiPoly, m: int) -> MultiPoly:
     """Exact bilinear KP combination in x = t_1, y = t_2, t = t_3.
 
     tau*tau_xxxx - 4 tau_xxx tau_x + 3 tau_xx^2

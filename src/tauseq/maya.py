@@ -72,13 +72,6 @@ class MayaDiagram:
         if len(self.added) != len(self.removed):
             raise ValueError("added and removed must have equal size")
 
-    def occupied(self, pos: int) -> bool:
-        if pos in self.added:
-            return True
-        if pos in self.removed:
-            return False
-        return pos < self.charge
-
     def to_json_dict(self) -> dict:
         return {
             "charge": self.charge,
@@ -118,19 +111,12 @@ def maya_from_young_charge(lam: Partition, charge: int) -> MayaDiagram:
 
 
 def young_charge_from_maya(m: MayaDiagram) -> tuple[Partition, int]:
-    """Inverse of maya_from_young_charge."""
-    # occupied positions from the top down to where the pattern is pure
-    # vacuum: the lowest removed one, as added ones lie at or above the charge
+    """Inverse of maya_from_young_charge: the k-th occupied position pos
+    from the top gives the part pos - charge + k.  Above the least removed
+    position low they are the added ones and the unremoved charge - 1 ...
+    low + 1; as |added| = |removed| they number charge - low: no part is 0."""
     low = min(m.removed, default=m.charge)
-    positions = sorted(
-        (p for p in range(low, m.charge) if m.occupied(p)),
-        reverse=True,
-    )
-    positions = sorted(m.added, reverse=True) + positions
-    parts = []
-    for k, pos in enumerate(positions, start=1):
-        part = pos - m.charge + k
-        if part == 0:
-            break
-        parts.append(part)
-    return Partition(tuple(parts)), m.charge
+    positions = sorted(m.added, reverse=True) + [
+        p for p in range(m.charge - 1, low, -1) if p not in m.removed]
+    return Partition(tuple(pos - m.charge + k for k, pos
+                           in enumerate(positions, start=1))), m.charge

@@ -110,26 +110,23 @@ def _canonical_term(field: str) -> str:
     return "-" + digits if term[0] == "-" and digits != "0" else digits
 
 
-def load_stripped(source: BinaryIO | bytes | str) -> StrippedDb:
+def load_stripped(source: BinaryIO | bytes) -> StrippedDb:
     """Parse a stripped file; gzip input is detected by magic bytes.
 
     One `finditer` stores the canonical lines, the others take the per-line
     path. Malformed lines (a byte that is not UTF-8 makes one) are recorded
     with their line numbers and skipped. Terms of any size are accepted.
     """
-    if isinstance(source, str):
-        text = source
-    else:
-        data = source if isinstance(source, bytes) else source.read()
-        if data[:2] == b"\x1f\x8b":
-            import gzip
-            import zlib
-            try:
-                data = gzip.decompress(data)
-            except (EOFError, zlib.error) as exc:  # truncated or corrupt
-                raise ValueError(f"unreadable gzip snapshot: {exc}") from exc
-        # U+FFFD, never a digit, makes the line of a bad byte malformed
-        text = data.decode("utf-8", errors="replace")
+    data = source if isinstance(source, bytes) else source.read()
+    if data[:2] == b"\x1f\x8b":
+        import gzip
+        import zlib
+        try:
+            data = gzip.decompress(data)
+        except (EOFError, zlib.error) as exc:  # truncated or corrupt
+            raise ValueError(f"unreadable gzip snapshot: {exc}") from exc
+    # U+FFFD, never a digit, makes the line of a bad byte malformed
+    text = data.decode("utf-8", errors="replace")
     entries: dict[str, str] = {}
     malformed: list[tuple[int, str]] = []
     # split on "\n" only: splitlines() would also split at "\r", "\x85",
@@ -148,13 +145,10 @@ def load_stripped(source: BinaryIO | bytes | str) -> StrippedDb:
 
 def _load_lines(lines: list[str], lineno: int, entries: dict[str, str],
                 malformed: list[tuple[int, str]]) -> None:
-    """The per-line path: store or record each line, numbered from lineno."""
+    """The per-line path: store or record each line, numbered from lineno;
+    a canonical line reaches it only padded, and gets the same row here."""
     for lineno, raw in enumerate(lines, start=lineno):
         line = raw.strip()
-        canonical = CANONICAL_LINE_RE.fullmatch(line)
-        if canonical:
-            entries[canonical[1]] = canonical[2]
-            continue
         if not line or line.startswith("#"):
             continue
         head, sep, rest = line.partition(" ,")
@@ -195,13 +189,11 @@ def trim_query(terms: list[int], policy: MatchPolicy) -> list[int]:
 
 
 def match_sequence(db: StrippedDb, terms: list[int],
-                   policy: MatchPolicy | None = None
-                   ) -> list[tuple[str, int]]:
+                   policy: MatchPolicy) -> list[tuple[str, int]]:
     """All (A-number, position) whose entry contains the query contiguously.
 
     Each entry gives its first position, and hits come in A-number order.
     """
-    policy = policy or MatchPolicy()
     query = trim_query(terms, policy)
     with exact_int_str():
         needle = "," + ",".join(map(str, query)) + ","
@@ -215,7 +207,7 @@ def match_sequence(db: StrippedDb, terms: list[int],
     return hits
 
 
-def search_online(terms: list[int], endpoint: str = DEFAULT_ENDPOINT,
+def search_online(terms: list[int], endpoint: str,
                   retries: int = 2, delay: float = 1.0) -> dict:
     """Query the live OEIS JSON search endpoint, advisory only.  Network
     failures, non-success statuses and payloads not of the shape {"count":
@@ -259,13 +251,3 @@ def search_online(terms: list[int], endpoint: str = DEFAULT_ENDPOINT,
                 "matches": [{"a_number": f"A{r['number']:06d}",
                              "name": r.get("name", "")} for r in hits]}
     raise last_error  # type: ignore[misc]
-
-
-def advisory_search(terms: list[int], endpoint: str = DEFAULT_ENDPOINT
-                    ) -> dict:
-    """search_online as an advisory: {"online": result} or, when the search
-    fails, {"online_error": message}."""
-    try:
-        return {"online": search_online(terms, endpoint)}
-    except OeisError as exc:
-        return {"online_error": str(exc)}

@@ -193,11 +193,10 @@ class SequenceRun:
 
 
 def term_str(t: int | Fraction) -> str:
+    """An int's digits, else numerator/denominator: a run's Fraction is never whole."""
     if type(t) is int:  # skips Fraction's costly ABC instance check
         return str(t)
-    if isinstance(t, Fraction) and t.denominator != 1:
-        return f"{t.numerator}/{t.denominator}"
-    return str(int(t))
+    return f"{t.numerator}/{t.denominator}"
 
 
 # Bits that a divisor and its quotient must both pass before _divmod

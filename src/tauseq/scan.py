@@ -27,7 +27,7 @@ from .recurrence import (BilinearRecurrence, generate, pairs_from_spreads,
 class ScanConfig:
     bound: int
     terms: int = 24
-    min_match_terms: int = 10
+    min_match_terms: int = MatchPolicy.min_match_terms
 
     def __post_init__(self) -> None:
         if self.bound < 0:

@@ -69,7 +69,7 @@ def verify_octahedron(trials: int, seed: int, cutoff: int | None = None,
 
 def verify_plucker(trials: int, seed: int, dim: int | None = None,
                    **unused) -> dict:
-    dim = 8 if dim is None else dim
+    dim = fock.check_dim(8 if dim is None else dim, fock.PLUCKER3_DIM)
     failures = []
     for trial in range(trials):
         residual = fock.plucker3_residual(dim, seed + trial)
@@ -80,7 +80,7 @@ def verify_plucker(trials: int, seed: int, dim: int | None = None,
 
 def verify_plucker4(trials: int, seed: int, dim: int | None = None,
                     **unused) -> dict:
-    dim = 9 if dim is None else dim
+    dim = fock.check_dim(9 if dim is None else dim, fock.PLUCKER4_DIM)
     verbatim_failures = []
     failures = []
     for trial in range(trials):
@@ -140,7 +140,7 @@ def _boson_fermion_states(lams, cutoff: int):
         yield lam, fact, kp.add(*terms), target
 
 
-def verify_states(max_weight: int = 6, **unused) -> dict:
+def verify_states(max_weight: int, **unused) -> dict:
     """The boson-fermion correspondence s_lam(p_k / k)|0> = |lam> for every
     partition of weight <= max_weight, checked as n! times both sides in
     the window K = max(max_weight, 2), which is exact."""
@@ -159,7 +159,7 @@ def verify_states(max_weight: int = 6, **unused) -> dict:
                    partitions=[list(lam.parts) for lam in lams])
 
 
-def verify_kp(max_weight: int = 6, **unused) -> dict:
+def verify_kp(max_weight: int, **unused) -> dict:
     _check_max_weight(max_weight)
     # weight w needs t_1..t_w, and the residual differentiates in t_1..t_3
     m = max(max_weight, 3)

@@ -78,7 +78,7 @@ def stripped_db(rows: dict[str, list[int]]) -> StrippedDb:
     with exact_int_str():
         text = "".join(f"{a} ,{','.join(map(str, terms))},\n"
                        for a, terms in rows.items())
-    return oeis.load_stripped(text)
+    return oeis.load_stripped(text.encode())
 
 
 def load_stripped_by_line(source) -> StrippedDb:

@@ -122,10 +122,12 @@ def test_criterion_05_state_identities(capsys):
 def test_criterion_06_kp_residual(capsys):
     start = time.perf_counter()
     lams = kp.partitions_up_to(6)
+    m = 8  # variables t_1..t_8
     failures = [lam for lam in lams
-                if kp.kp_bilinear_residual(kp.schur(lam)) != {}]
-    one, t1_4 = (0,) * kp.DEFAULT_VARS, (4,) + (0,) * (kp.DEFAULT_VARS - 1)
-    control = kp.kp_bilinear_residual({one: Fraction(1), t1_4: Fraction(1)})
+                if kp.kp_bilinear_residual(kp.schur(lam, m), m) != {}]
+    one, t1_4 = (0,) * m, (4,) + (0,) * (m - 1)
+    control = kp.kp_bilinear_residual({one: Fraction(1), t1_4: Fraction(1)},
+                                      m)
     expected = {one: 24, t1_4: 72}
     elapsed = time.perf_counter() - start
     ok = (len(lams) == 30 and not failures and control == expected

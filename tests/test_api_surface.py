@@ -6,6 +6,12 @@ attribute, somewhere in src/tauseq/ outside its own body; a module-level
 name (a constant or a type alias) outside the statement that assigns it.
 Dunders are used by Python itself, and cli.main is the console entry point.
 
+Every parameter default of a function under src/tauseq/ is relied on:
+some direct call in src/ or perfbench/ whose callee has the function's
+name leaves that argument out.  A function no direct call names, such as
+an oracle reached through verify.ORACLES or scan_slice through pool.map,
+is left out, and so is the entry point cli.main.
+
 No module under src/tauseq/ or tests/ binds one top-level def or class
 name twice: the later definition would silently replace the earlier one.
 """
@@ -16,6 +22,7 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "tauseq"
+PERFBENCH = TESTS.parent / "perfbench"
 ENTRY_POINTS = {"cli.main"}
 
 
@@ -97,6 +104,89 @@ def test_unused_module_name_is_found():
         "b": "from a import f\nf({})\n",
     }
     assert unused_definitions(sources) == ["a.RIGHT", "a.SPARE"]
+
+
+def defaulted_parameters(node: ast.FunctionDef, method: bool):
+    """(position or None, name) of each parameter with a default; a
+    method's position counts from after self or cls."""
+    args = node.args
+    positional = [*args.posonlyargs, *args.args][method:]
+    for i, arg in enumerate(positional):
+        if i >= len(positional) - len(args.defaults):
+            yield i, arg.arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def leaves_out(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether the call leaves the parameter to its default; a call that
+    unpacks *args or **kwargs may leave out any of them."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or \
+            any(keyword.arg is None for keyword in call.keywords):
+        return True
+    if position is not None and position < len(call.args):
+        return False
+    return all(keyword.arg != name for keyword in call.keywords)
+
+
+def unrelied_defaults(sources: dict[str, str],
+                      callers: dict[str, str]) -> list[str]:
+    """"module.function(parameter)" of each default in sources that every
+    direct call in sources or callers, matched by the callee's name,
+    passes."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in [*trees.values(), *map(ast.parse, callers.values())]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else \
+                    func.attr if isinstance(func, ast.Attribute) else None
+                calls.setdefault(name, []).append(node)
+    unrelied = []
+    for module, tree in trees.items():
+        methods = {id(node) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for node in cls.body}
+        for qualified, short, node in definitions(tree, module):
+            if not isinstance(node, ast.FunctionDef) \
+                    or qualified in ENTRY_POINTS or short not in calls:
+                continue
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            method = id(node) in methods and not static
+            for position, name in defaulted_parameters(node, method):
+                if not any(leaves_out(call, position, name)
+                           for call in calls[short]):
+                    unrelied.append(f"{qualified}({name})")
+    return sorted(unrelied)
+
+
+def test_every_default_is_relied_on():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    callers = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PERFBENCH.glob("*.py"))}
+    assert unrelied_defaults(sources, callers) == []
+
+
+def test_unrelied_default_is_found():
+    sources = {
+        "a": "class Box:\n"
+             "    def put(self, item, count=1, *, tag=None):\n"
+             "        return item\n"
+             "def dispatched(x=0):\n    return x\n"
+             "def spread(x, y=0, z=0):\n    return x\n"
+             "TABLE = {'d': dispatched}\n",
+        "cli": "def main(argv=None):\n    return argv\n",
+    }
+    callers = {
+        "b": "from a import Box, spread\n"
+             "Box().put(1, 2)\nBox().put(1, tag='t', count=3)\n"
+             "spread(*[1, 2])\n"
+             "import cli\ncli.main(['x'])\n",
+    }
+    assert unrelied_defaults(sources, callers) == ["a.Box.put(count)"]
 
 
 def redefined_names(source: str) -> list[str]:

@@ -402,6 +402,8 @@ def test_scan_output_file_is_stdout_serialised_once(capsys, tmp_path,
     ["verify", "permutation", "--cutoff", "2"],
     ["verify", "plucker", "--dim", "0"],
     ["verify", "plucker4", "--dim", "0"],
+    ["verify", "plucker", "--trials", "0", "--dim", "5"],
+    ["verify", "plucker4", "--trials", "0", "--dim", "5"],
     ["verify", "plucker", "--trials", "-5"],
     ["verify", "kp", "--trials", "-1"],
     ["verify", "kp", "--max-weight", "-1"],

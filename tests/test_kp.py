@@ -101,7 +101,6 @@ def test_packed_keys_hold_exponents_below_two_to_the_fifteen():
 def test_render_deterministic():
     p = {(2, 0, 1, 0, 0, 0): Fraction(3, 2), (0, 1, 0, 0, 0, 0): Fraction(1)}
     assert render(p) == "3/2*t1^2*t3 + t2"
-    assert render({}) == "0"
 
 
 # ------------------------------------- complete homogeneous (reference path)

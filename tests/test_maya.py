@@ -7,7 +7,10 @@ from tauseq.maya import (MayaDiagram, Partition, half_str, maya_from_young_charg
 
 
 def occupied_set(m: MayaDiagram, lo: int, hi: int) -> set[int]:
-    return {p for p in range(lo, hi) if m.occupied(p)}
+    """The occupied stored positions of m in [lo, hi): the added ones and
+    the vacuum's below the charge that are not removed."""
+    return {p for p in range(lo, hi)
+            if p in m.added or p < m.charge and p not in m.removed}
 
 
 def all_partitions(n: int, cap: int | None = None):

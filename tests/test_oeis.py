@@ -26,16 +26,22 @@ A111111 ,,
 
 
 def test_load_stripped_parses_and_records_malformed():
-    db = load_stripped(SAMPLE)
+    db = load_stripped(SAMPLE.encode())
     assert set(db.entries) == {"A000045", "A000290"}
     assert db.entries["A000045"].startswith(",0,1,1,2,3,")
     assert [lineno for lineno, _ in db.malformed] == [5, 6, 7, 8]
     # lines end at "\n" only: "\r\n" ends and a "\x85" or "\r" inside a
     # line leave the line numbers as they are
     odd = SAMPLE.replace("\n", "\r\n").replace("not a line", "not\x85a\rline")
-    again = load_stripped(odd)
+    again = load_stripped(odd.encode())
     assert again.entries == db.entries
     assert [lineno for lineno, _ in again.malformed] == [5, 6, 7, 8]
+    # a canonical line padded with blanks takes the per-line path to the
+    # same row as the bare line
+    line = SAMPLE.splitlines()[1]
+    padded = load_stripped(f" {line}\t\n".encode())
+    assert padded.entries == {"A000045": db.entries["A000045"]}
+    assert padded.malformed == []
 
 
 def test_load_stripped_gzip_detection():
@@ -51,8 +57,8 @@ def serialize(db: StrippedDb) -> str:
 
 
 def test_serialize_roundtrip():
-    db = load_stripped(SAMPLE)
-    again = load_stripped(serialize(db))
+    db = load_stripped(SAMPLE.encode())
+    again = load_stripped(serialize(db).encode())
     assert again.entries == db.entries
     assert again.malformed == []
     assert serialize(StrippedDb(entries={})) == ""
@@ -77,7 +83,7 @@ def test_trim_query_policy():
 
 
 def test_match_sequence_positions():
-    db = load_stripped(SAMPLE)
+    db = load_stripped(SAMPLE.encode())
     # the leading 1 is trimmed, so the query starts at 2 (position 3)
     hits = match_sequence(db, [1, 2, 3, 5, 8, 13, 21, 34, 55, 89],
                           MatchPolicy(min_match_terms=8))
@@ -107,7 +113,7 @@ def test_index_holds_terms_past_int_str_digit_limit():
 def test_load_stripped_terms_past_int_str_digit_limit(big):
     # canonical text is kept as it stands; "+01..." is rewritten as text
     limit = sys.get_int_max_str_digits()
-    db = load_stripped(f"A000001 ,2,3,4,5,{big},\n")
+    db = load_stripped(f"A000001 ,2,3,4,5,{big},\n".encode())
     assert db.malformed == []
     assert db.entries == {"A000001": ",2,3,4,5,1" + "0" * 4300 + ","}
     assert match_sequence(db, [3, 4, 5, 10 ** 4300],
@@ -128,7 +134,7 @@ def test_byte_not_utf8_makes_one_malformed_line():
 def test_a_number_digits_are_ascii():
     text = ("A000045 ,0,1,1,2,3,5,8,13,21,34,55,89,\n"
             "A٠٠٠٠٤٥ ,1,2,3,5,8,13,21,34,55,89,\n")
-    db = load_stripped(text)
+    db = load_stripped(text.encode())
     assert set(db.entries) == {"A000045"}
     assert db.malformed == [(2, text.splitlines()[1])]
     assert match_sequence(db, [1, 2, 3, 5, 8, 13, 21, 34, 55, 89],
@@ -147,13 +153,13 @@ def test_match_reference_sequence_in_fixture():
     db = load_fixture()
     terms = [1] * 8 + [2, 3, 4, 5, 9, 18, 34, 93, 180, 348, 724,
                        3033, 9666, 24986, 83761, 261033]
-    hits = match_sequence(db, terms)
+    hits = match_sequence(db, terms, MatchPolicy())
     assert ("A018896", 8) in hits
 
 
 def test_match_empty_db():
-    assert match_sequence(StrippedDb(entries={}),
-                          list(range(2, 20))) == []
+    assert match_sequence(StrippedDb(entries={}), list(range(2, 20)),
+                          MatchPolicy()) == []
 
 
 class FakeResponse:
@@ -204,7 +210,8 @@ def test_search_online_retries_then_fails(monkeypatch):
     monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
     monkeypatch.setattr("time.sleep", lambda s: None)
     with pytest.raises(OeisError, match="status 503"):
-        search_online([1, 2, 3], retries=2, delay=0)
+        search_online([1, 2, 3], "https://example.test", retries=2,
+                      delay=0)
     assert len(attempts) == 3
 
 
@@ -230,7 +237,7 @@ def test_search_online_malformed_payload(monkeypatch):
         monkeypatch.setattr(urllib.request, "urlopen",
                             lambda *a, body=body, **k: FakeResponse(body=body))
         with pytest.raises(OeisError, match="malformed search payload"):
-            search_online([1, 2, 3], retries=0)
+            search_online([1, 2, 3], "https://example.test", retries=0)
 
 
 def test_search_online_network_failure(monkeypatch):
@@ -240,7 +247,8 @@ def test_search_online_network_failure(monkeypatch):
     monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
     monkeypatch.setattr("time.sleep", lambda s: None)
     with pytest.raises(OeisError, match="network failure"):
-        search_online([1, 2, 3], retries=1, delay=0)
+        search_online([1, 2, 3], "https://example.test", retries=1,
+                      delay=0)
 
 
 def test_load_stripped_long_terms_by_text(monkeypatch):
@@ -251,6 +259,6 @@ def test_load_stripped_long_terms_by_text(monkeypatch):
 
     monkeypatch.setattr(oeis, "int", no_int, raising=False)
     ones = "1" * 200_000
-    db = load_stripped(f"A000001 ,2,{ones}_1,\nA000002 ,2,{ones}x,\n")
+    db = load_stripped(f"A000001 ,2,{ones}_1,\nA000002 ,2,{ones}x,\n".encode())
     assert db.entries == {"A000001": f",2,{ones}1,"}
     assert [lineno for lineno, _ in db.malformed] == [2]

@@ -42,6 +42,7 @@ the all-Fraction Jacobi-Trudi oracle (tests/reference_kp.py).
 """
 
 import gzip
+import io
 import math
 import random
 from fractions import Fraction
@@ -545,7 +546,7 @@ def test_load_ascii_terms_by_text_match_int_reference(rows):
     # line must come out as int() and str() would give them
     text = "".join(f"A{i:06d} ,{','.join(fields)},\n"
                    for i, fields in enumerate(rows))
-    db = load_stripped(text)
+    db = load_stripped(text.encode())
     entries, malformed = reference_oeis.load_stripped(text)
     assert db.malformed == malformed
     assert db._index == reference_oeis.index(entries)
@@ -575,12 +576,13 @@ def snapshot_lines(draw):
 @example(["A000001 ,1,2,"], False, False)  # one line, no newline
 @example(["A000001 ,1,2,", ""], True, True)  # ends in "\n\n"
 def test_load_one_pass_matches_per_line_reference(lines, final_newline,
-                                                  as_bytes):
+                                                  as_file):
     # canonical lines are found by one pass over the text, the others take
     # the per-line path: entries, their order, last-wins duplicates and
     # malformed line numbers must be those of one fullmatch per line
     text = "\n".join(lines) + "\n" * final_newline
-    db = load_stripped(text.encode() if as_bytes else text)
+    db = load_stripped(io.BytesIO(text.encode()) if as_file
+                       else text.encode())
     reference = reference_oeis.load_stripped_by_line(text)
     assert list(db.entries.items()) == list(reference.entries.items())
     assert db.malformed == reference.malformed

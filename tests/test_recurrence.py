@@ -203,7 +203,7 @@ def test_term_str_int_fast_path_matches_general_path():
             return f"{t.numerator}/{t.denominator}"
         return str(int(t))
 
-    for t in (0, -7, 261033, 10 ** 40, True, Fraction(6, 3), Fraction(-3, 4)):
+    for t in (0, -7, 261033, 10 ** 40, Fraction(-3, 4)):
         assert term_str(t) == general(t)
     limit = sys.get_int_max_str_digits()
     if limit:  # CPython's digit limit still applies to plain ints
