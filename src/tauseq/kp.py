@@ -160,11 +160,14 @@ def kp_bilinear_residual(tau: MultiPoly, m: int) -> MultiPoly:
     tau*tau_xxxx - 4 tau_xxx tau_x + 3 tau_xx^2
       - 4 (tau*tau_xt - tau_x tau_t) + 3 (tau*tau_yy - tau_y^2)
 
-    The residual is bilinear in tau, so it is computed on D * tau, where D
-    is the lcm of tau's coefficient denominators, and divided by D^2.
+    tau's exponent tuples all have length m >= 3.  The residual is bilinear
+    in tau, so it is computed on D * tau, where D is the lcm of tau's
+    coefficient denominators, and divided by D^2.
     """
     if m < 3:
         raise ValueError("tau must use at least 3 variables")
+    if set(map(len, tau)) - {m}:
+        raise ValueError(f"tau's exponent tuples must have length {m}")
     # a list, not a generator: CPython builds a tuple of a generator by
     # resizing, which strands tuples on its free lists, so peak RSS creeps
     denom = lcm(*[c.denominator for c in tau.values()])
@@ -181,9 +184,8 @@ def kp_bilinear_residual(tau: MultiPoly, m: int) -> MultiPoly:
         scale(mul(t_x, add(t_xxx, scale(t_t, -1))), -4),
         scale(add(mul(t_xx, t_xx), scale(mul(t_y, t_y), -1)), 3),
     )
-    width = len(next(iter(tau), ()))
     square = denom * denom
-    return {unpack(key, width): Fraction(c, square)
+    return {unpack(key, m): Fraction(c, square)
             for key, c in residual.items()}
 
 

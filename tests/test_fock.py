@@ -6,6 +6,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import reference_fock
+import reference_intlinalg
 from reference_fock import apply_psi, apply_psi_star, engine_apply_p
 from tauseq import fock, kp, verify
 from tauseq.fock import (Block, FockVector, Window, apply_p,
@@ -328,6 +329,53 @@ def test_oracle_draws_match_per_entry_randint(oracle, seed, monkeypatch):
     report, calls = _oracle_calls(oracle, seed, monkeypatch, False)
     assert report["failures"] == 0 and calls
     assert (report, calls) == _oracle_calls(oracle, seed, monkeypatch, True)
+
+
+def _recorded_values(name, run, monkeypatch):
+    """The (arguments, value) of every call that run() makes to fock.name."""
+    calls = []
+    real = getattr(fock, name)
+
+    def wrapper(*args):
+        value = real(*args)
+        calls.append((args, value))
+        return value
+
+    with monkeypatch.context() as m:
+        m.setattr(fock, name, wrapper)
+        run()
+    return calls
+
+
+def _entrywise_elimination(monkeypatch):
+    monkeypatch.setattr(fock, "pair_minors", reference_intlinalg.pair_minors)
+    monkeypatch.setattr(fock, "det_exact", reference_intlinalg.det_exact)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("cutoff", [3, 4, 5, 6])
+def test_octahedron_insertions_match_entrywise_elimination(cutoff, seed,
+                                                            monkeypatch):
+    # the residual is 0 on either kernel, so compare the minors themselves
+    calls = _recorded_values(
+        "tau_with_insertions",
+        lambda: verify.verify_octahedron(trials=10, seed=seed, cutoff=cutoff),
+        monkeypatch)
+    _entrywise_elimination(monkeypatch)
+    assert len(calls) == 10 and any(any(v.values()) for _, v in calls)
+    for args, value in calls:
+        assert fock.tau_with_insertions(*args) == value
+
+
+def test_permutation_taus_match_entrywise_elimination(monkeypatch):
+    calls = _recorded_values(
+        "tau_discrete",
+        lambda: verify.verify_permutation(trials=2, seed=1, cutoff=4),
+        monkeypatch)
+    _entrywise_elimination(monkeypatch)
+    assert calls and any(value for _, value in calls)
+    for args, value in calls:
+        assert fock.tau_discrete(*args) == value
 
 
 def test_plucker_draws_match_per_entry_randint(monkeypatch):

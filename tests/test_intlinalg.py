@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_intlinalg as ref
 from reference_lattice import (kernel_basis, snf_invariants_2rows,
                                solve_2unknowns)
 from tauseq.intlinalg import det_exact, pair_minors
@@ -57,17 +59,27 @@ def test_det_against_leibniz():
 
 @st.composite
 def bordered_matrices(draw):
-    """An r x (r - 2 + e) matrix, r = 2..8 and e = 2..5, of small entries,
-    mostly zero; half the time one common column is a multiple of another
-    (or zero), so the common block is rank deficient."""
-    r, e = draw(st.integers(2, 8)), draw(st.integers(2, 5))
-    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3])
+    """An r x (r - 2 + e) matrix, r = 2..14 and e = 2..6, whose entries
+    are mostly 0, 1, -1 and other small values, or values up to 50, or
+    such small values mixed with values up to 10^30.  Half the time one
+    common column is a multiple of another (or zero, or a repeat), so the
+    common block is rank deficient; sometimes the first pivot is 0 and a
+    later row holds that column's nonzero entry, so the elimination swaps."""
+    r, e = draw(st.integers(2, 14)), draw(st.integers(2, 6))
+    small = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3])
+    entry = draw(st.sampled_from([
+        small, st.integers(-50, 50),
+        st.one_of(small, st.integers(-10 ** 30, 10 ** 30))]))
     cols = [draw(st.lists(entry, min_size=r, max_size=r))
             for _ in range(r - 2 + e)]
     if r > 2 and draw(st.booleans()):
         k, src = draw(st.integers(0, r - 3)), draw(st.integers(0, r - 3))
         factor = draw(st.integers(-2, 2)) if src != k else 0
         cols[k] = [factor * x for x in cols[src]]
+    if r > 2 and draw(st.booleans()):
+        cols[0][0] = 0
+        cols[0][draw(st.integers(1, r - 1))] = draw(
+            entry.filter(bool) | st.just(1))
     return [list(row) for row in zip(*cols)]
 
 
@@ -78,10 +90,14 @@ def bordered_matrices(draw):
 @example([[0, 1, 2, 3], [1, 0, 1, 1], [0, 2, 0, 5]])
 def test_pair_minors_equal_their_determinants(m):
     # det_exact is pair_minors' one-minor case, so the rational elimination
-    # is the independent reference
+    # is the independent reference; the loop over entries that the packed
+    # rows replaced is the reference for every minor and determinant
     common = len(m) - 2
     extras = len(m[0]) - common
     minors = pair_minors(m)
+    assert minors == ref.pair_minors(m)
+    leading = [row[:len(m)] for row in m]
+    assert det_exact(leading) == ref.det_exact(leading)
     assert list(minors) == [(i, j) for i in range(extras)
                             for j in range(i + 1, extras)]
     for (i, j), value in minors.items():
@@ -89,6 +105,28 @@ def test_pair_minors_equal_their_determinants(m):
         square = [[row[c] for c in cols] for row in m]
         assert type(value) is int
         assert value == det_exact(square) == fraction_det(square)
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+@pytest.mark.parametrize("e", [2, 3])
+@pytest.mark.parametrize("diagonal", [2 ** 40, -2 ** 40, 3 << 38])
+def test_pair_minors_at_the_edge_of_the_field_width(r, e, diagonal):
+    # diagonal on the first r - 1 rows, the last row (0, ..., 0, 1): the
+    # second-last row ends on the leading (r - 1)-minor, a field read with
+    # more than half the magnitude the bound on the fields allows (the
+    # Hadamard product over every row but the one of least norm, which is
+    # the last), so a field one bit narrower than the signed width for
+    # that bound misreads it
+    m = [[diagonal * (i == j) for j in range(r - 2 + e)]
+         for i in range(r - 1)]
+    m.append([0] * (r - 3 + e) + [1])
+    norms = [isqrt(sum(x * x for x in row)) + 1 for row in m]
+    bound = prod(norms) // min(norms)
+    largest = ref.det_exact([row[:r - 1] for row in m[:-1]])
+    assert abs(largest).bit_length() == bound.bit_length()
+    minors = pair_minors(m)
+    assert minors == ref.pair_minors(m)
+    assert minors[0, e - 1] == largest != 0
 
 
 def test_kernel_contains_and_spans():

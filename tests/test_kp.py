@@ -233,6 +233,17 @@ def test_kp_residual_negative_control():
     assert residual == {one: 24, t1_4: 72}
 
 
+def test_kp_residual_rejects_exponents_of_another_width():
+    # m is the width of tau's exponent tuples, not only a lower bound
+    two_vars = {(0, 0): Fraction(1), (4, 0): Fraction(1)}
+    with pytest.raises(ValueError):
+        kp_bilinear_residual(two_vars, 3)
+    with pytest.raises(ValueError):
+        kp_bilinear_residual({(0,) * M: Fraction(1),
+                              (4,) + (0,) * M: Fraction(1)}, M)
+    assert kp_bilinear_residual({}, 3) == {}
+
+
 def test_kp_residual_bilinearity_in_scale():
     # residual is quadratic in tau: scaling tau by c scales it by c^2
     tau = schur(Partition((3, 1)), M)
