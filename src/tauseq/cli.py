@@ -50,17 +50,11 @@ EXIT_CODES = (
 )
 
 
-_RESOLVED_CONFIG: dict | None = None
+Result = tuple[int, dict | None]  # exit code, the one JSON document
 
 
-def _emit(obj: dict) -> None:
-    if _RESOLVED_CONFIG is not None:
-        obj = {**obj, "config": _RESOLVED_CONFIG}
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
-def _fail(exc: Exception) -> int:
-    """Emit the error document of exc and return its exit code."""
+def _fail(exc: Exception) -> Result:
+    """The exit code and error document of exc."""
     code = next((code for types, code in EXIT_CODES
                  if isinstance(exc, types)), EXIT_INTERNAL)
     error = {"error": str(exc)}
@@ -70,9 +64,8 @@ def _fail(exc: Exception) -> int:
         import traceback
         traceback.print_exc()
         error["error"] = f"internal error: {type(exc).__name__}: {exc}"
-    _emit(error)
     print(error["error"], file=sys.stderr)
-    return code
+    return code, error
 
 
 def _parse_partition(text: str) -> Partition:
@@ -97,21 +90,19 @@ def _basis_from_args(args) -> SublatticeBasis:
     return edges_to_basis(parse_polygon(args.polygon).edges)
 
 
-def cmd_maya(args) -> int:
+def cmd_maya(args) -> Result:
     if args.from_maya:
         diagram = MayaDiagram.from_json_dict(_json_arg(args.from_maya))
         lam, charge = young_charge_from_maya(diagram)
-        _emit({"young": list(lam.parts), "charge": charge})
-    else:
-        lam = _parse_partition(args.young)
-        _emit(maya_from_young_charge(lam, args.charge).to_json_dict())
-    return EXIT_OK
+        return EXIT_OK, {"young": list(lam.parts), "charge": charge}
+    lam = _parse_partition(args.young)
+    return EXIT_OK, maya_from_young_charge(lam, args.charge).to_json_dict()
 
 
-def cmd_derive(args) -> int:
+def cmd_derive(args) -> Result:
     basis = _basis_from_args(args)
     w = quotient_map(basis)
-    _emit({
+    return EXIT_OK, {
         "basis": [list(basis.a), list(basis.b)],
         # literals: quotient_map raises on torsion, and w . n is the index
         "quotient": {"w": list(w), "m": 1, "torsion_free": True},
@@ -119,11 +110,10 @@ def cmd_derive(args) -> int:
         "octahedron_points": [{"point": list(pt), "index": idx}
                               for pt, idx in octahedron_points(w)],
         "recurrence": derive_recurrence(basis).to_json_dict(),
-    })
-    return EXIT_OK
+    }
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> Result:
     if args.recurrence_json:
         rec = BilinearRecurrence.from_json_dict(
             _json_arg(args.recurrence_json))
@@ -132,19 +122,17 @@ def cmd_generate(args) -> int:
     init = [int(x) for x in args.init.split(",")] if args.init else None
     out = generate(rec, args.terms, init).to_json_dict()
     out["recurrence"] = rec.to_json_dict()
-    _emit(out)
-    return EXIT_OK
+    return EXIT_OK, out
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Result:
     if args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
     seed = args.seed if args.seed is not None else args.global_seed
     report = verify.ORACLES[args.oracle](
         trials=args.trials, seed=seed, cutoff=args.cutoff, dim=args.dim,
         max_weight=args.max_weight)
-    _emit(report)
-    return EXIT_OK if report["failures"] == 0 else EXIT_VERIFY_FAIL
+    return (EXIT_OK if report["failures"] == 0 else EXIT_VERIFY_FAIL), report
 
 
 def _load_db(args) -> oeis.StrippedDb:
@@ -159,7 +147,8 @@ def _load_db(args) -> oeis.StrippedDb:
     return db
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> Result:
+    """Streams its JSON Lines records itself, so returns no document."""
     cfg = scan.ScanConfig(bound=args.bound, terms=args.terms,
                           min_match_terms=args.min_match)
     records, summary = scan.run_scan(cfg, _load_db(args),
@@ -170,10 +159,10 @@ def cmd_scan(args) -> int:
     else:
         sys.stdout.writelines(map(scan.jsonl_line, records))
     print(json.dumps(summary, sort_keys=True), file=sys.stderr)
-    return EXIT_OK
+    return EXIT_OK, None
 
 
-def cmd_match(args) -> int:
+def cmd_match(args) -> Result:
     terms = [int(x) for x in args.terms_list.split(",")]
     db = _load_db(args)
     policy = oeis.MatchPolicy(min_match_terms=args.min_match,
@@ -186,8 +175,7 @@ def cmd_match(args) -> int:
                 "TAUSEQ_OEIS_ENDPOINT", oeis.DEFAULT_ENDPOINT))
         except oeis.OeisError as exc:
             result["online_error"] = str(exc)
-    _emit(result)
-    return EXIT_OK
+    return EXIT_OK, result
 
 
 def _set_config_defaults(parser: argparse.ArgumentParser, argv: list[str],
@@ -309,19 +297,19 @@ def main(argv: list[str] | None = None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_PARSE
     args = parser.parse_args(argv)
-    global _RESOLVED_CONFIG
-    _RESOLVED_CONFIG = None
-    if args.json:
-        _RESOLVED_CONFIG = {
-            k: v for k, v in sorted(vars(args).items())
-            if k not in ("func", "json") and v is not None
-        }
     # exact big-int text in and out for this command only
     with oeis.exact_int_str():
         try:
-            return args.func(args)
+            code, doc = args.func(args)
         except Exception as exc:
-            return _fail(exc)
+            code, doc = _fail(exc)
+        if doc is not None:  # scan has streamed its records already
+            if args.json:
+                doc["config"] = {k: v for k, v in vars(args).items()
+                                 if k not in ("func", "json")
+                                 and v is not None}
+            sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -26,13 +26,18 @@ Conventions (all signs derive from these two choices):
   * positions are stored as ints via p -> p - 1/2 (as in tauseq.maya);
   * the global slot order is component ascending, then position descending,
     matching the left-to-right wedge notation within one component.
+So position p of component c is column 2K c + K - 1 - p of a block:
+vacuum(n) fills the last K + n_c of component c's 2K columns, and the free
+slot n_c is the column just before them.  _vacuum_columns is the one place
+that reads columns off a charge vector.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Sequence
 
 from .intlinalg import det_exact, pair_minors
@@ -68,13 +73,6 @@ class Window:
     def size(self) -> int:
         """Total number of slots s * 2K."""
         return self.components * 2 * self.cutoff
-
-    def slot(self, component: int, pos: int) -> int:
-        """Global slot index of (component, position), 0-based component."""
-        k = self.cutoff
-        if not -k <= pos < k:
-            raise ValueError(f"position {pos} outside window K={k}")
-        return component * 2 * k + (k - 1 - pos)
 
     def check_headroom(self, n: Sequence[int]) -> None:
         if len(n) != self.components:
@@ -159,27 +157,23 @@ def random_group_element(window: Window, rng: random.Random,
                  for i in range(0, len(entries), size))
 
 
-def _wedge_slots(wedge: Wedge, window: Window) -> list[int]:
-    """Global slot indices of a wedge's occupied positions, in global order."""
-    slots = []
-    for c, occ in enumerate(wedge):
-        slots.extend(window.slot(c, p) for p in occ)
-    return slots
-
-
-def _covacuum_minor(g: Block, wedge: Wedge, window: Window) -> int:
-    """<Omega| g |wedge>: the minor of the covacuum block g on the wedge's
-    columns, in global slot order."""
-    cols = _wedge_slots(wedge, window)
-    return det_exact([[row[j] for j in cols] for row in g])
+def _vacuum_columns(n: Sequence[int], window: Window) -> list[range]:
+    """The columns of vacuum(n), one range per component c (the last
+    K + n_c of its 2K); the free slot n_c is the column before its range."""
+    window.check_headroom(n)
+    k = window.cutoff
+    return [range(2 * k * c + k - nc, 2 * k * (c + 1))
+            for c, nc in enumerate(n)]
 
 
 def tau_discrete(g: Block, n: Sequence[int], window: Window) -> int:
     """Discrete tau value <Omega| g |n> as a maximal minor of the covacuum
-    block g: its s*K rows on the s*K columns of vacuum(n)."""
+    block g: its s*K rows on the s*K columns of vacuum(n), which
+    _vacuum_columns reads straight off n."""
     if sum(n) != 0:
         raise ValueError("charge vector must have degree 0")
-    return _covacuum_minor(g, vacuum(n, window), window)
+    cols = [*chain.from_iterable(_vacuum_columns(n, window))]
+    return det_exact(list(map(itemgetter(*cols), g)))
 
 
 def tau_with_insertions(g: Block, n: Sequence[int],
@@ -187,18 +181,19 @@ def tau_with_insertions(g: Block, n: Sequence[int],
     """{(alpha, beta): <g| psi_{alpha, n_alpha+1/2} psi_{beta, n_beta+1/2} |n>}
     for every pair of components 1 <= alpha < beta <= s, exact; deg(n) = -2.
 
-    Each insertion fills the free slot n_c on top of its component, so a
-    value is the minor of the covacuum block g on the slots of vacuum(n)
-    followed by the two inserted slots: the wedge v_alpha v_beta |n> with
-    its two front vectors moved past the s*K - 2 vacuum slots, an even
+    Each insertion fills the free slot n_c on top of its component, the
+    column just before the component's vacuum columns, so a value is the
+    minor of the covacuum block g on the columns of vacuum(n) followed by
+    the two inserted columns: the wedge v_alpha v_beta |n> with its two
+    front vectors moved past the s*K - 2 vacuum slots, an even
     permutation.  All those minors share the vacuum columns and come from
     one elimination.
     """
     if sum(n) != -2:
         raise ValueError("charge vector must have degree -2")
-    cols = _wedge_slots(vacuum(n, window), window)  # checks the headroom
-    cols += [window.slot(c, nc) for c, nc in enumerate(n)]
-    minors = pair_minors([[row[j] for j in cols] for row in g])
+    ranges = _vacuum_columns(n, window)
+    cols = [*chain.from_iterable(ranges), *(r.start - 1 for r in ranges)]
+    minors = pair_minors(list(map(itemgetter(*cols), g)))
     return {(i + 1, j + 1): value for (i, j), value in minors.items()}
 
 

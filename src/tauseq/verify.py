@@ -7,7 +7,9 @@ use; a `cutoff` or `dim` left as None takes the oracle's own default.
 fock and kp are called through their module attributes, so that a caller
 who wraps those attributes sees every call.  The permutation oracle needs
 no tau table: it reads each acted value tau'(n) = (-1)^q tau(sigma n) where
-a probe needs it, from fock.tau_discrete memoised per covacuum block.
+a probe needs it, from fock.tau_discrete memoised per covacuum block, and
+computes each residual once per base and permutation: a permutation's 100
+probes draw from at most 10 bases.
 The states oracle turns each kp.schur polynomial into fock.apply_p chains
 on the vacuum and compares the result with the partition's wedge.
 """
@@ -205,12 +207,17 @@ def verify_permutation(trials: int, seed: int, cutoff: int | None = None,
         for _ in range(SIGMAS):
             perm = list(range(1, 5))
             rng.shuffle(perm)
-            for _ in range(PROBES):
-                base = rng.choice(bases)
+
+            @functools.cache
+            def residual_at(base: tuple[int, ...]) -> int:
                 # each value is read at the base raised in the pair's entries
-                residual = octahedral_combination(
+                return octahedral_combination(
                     lambda pair: _acted_value(tau, perm, tuple(
                         x + (c in pair) for c, x in enumerate(base, 1))))
+
+            for _ in range(PROBES):
+                base = rng.choice(bases)
+                residual = residual_at(base)
                 if residual != 0:
                     failures.append({"trial": trial, "sigma": perm,
                                      "base": list(base),

@@ -1,6 +1,13 @@
 """Reference paths for `tauseq.fock`'s covacuum minors, insertions and
 current operator.
 
+* the wedge -> slot translation that fock's tau path used before it read
+  its columns straight off the charge vector: `slot` maps one
+  (component, position) to its global slot, bounds-checked, `wedge_slots`
+  maps every occupied position of a wedge in global order, and
+  `covacuum_minor` is the minor of a covacuum block on a wedge's slots.
+  Every path below reads its columns through these, so none of them shares
+  `fock._vacuum_columns`;
 * `square_tau` and `square_insertion`, the full-square-matrix path that
   fock took before it drew only the covacuum block: select the
   neutral-vacuum rows of a 2sK x 2sK matrix g, then take the minor.
@@ -52,8 +59,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from tauseq.fock import (Block, FockVector, Wedge, Window, _covacuum_minor,
-                         _wedge_slots, tau_discrete, vacuum)
+from tauseq.fock import (Block, FockVector, Wedge, Window, tau_discrete,
+                         vacuum)
 from tauseq.intlinalg import det_exact
 from tauseq.kp import add, scale
 from tauseq.recurrence import Pair, octahedral_combination
@@ -71,9 +78,32 @@ def _check(n: Sequence[int], pair: tuple[int, int], window: Window) -> None:
         raise ValueError("charge vector must have degree -2")
 
 
+def slot(component: int, pos: int, window: Window) -> int:
+    """Global slot index of (component, position), 0-based component."""
+    k = window.cutoff
+    if not -k <= pos < k:
+        raise ValueError(f"position {pos} outside window K={k}")
+    return component * 2 * k + (k - 1 - pos)
+
+
+def wedge_slots(wedge: Wedge, window: Window) -> list[int]:
+    """Global slot indices of a wedge's occupied positions, in global order."""
+    slots = []
+    for c, occ in enumerate(wedge):
+        slots.extend(slot(c, p, window) for p in occ)
+    return slots
+
+
+def covacuum_minor(g: Block, wedge: Wedge, window: Window) -> int:
+    """<Omega| g |wedge>: the minor of the covacuum block g on the wedge's
+    columns, in global slot order."""
+    cols = wedge_slots(wedge, window)
+    return det_exact([[row[j] for j in cols] for row in g])
+
+
 def vacuum_rows(window: Window) -> list[int]:
     """Global slots of the neutral vacuum, in global order."""
-    return _wedge_slots(vacuum((0,) * window.components, window), window)
+    return wedge_slots(vacuum((0,) * window.components, window), window)
 
 
 def covacuum_block(g: Matrix, window: Window) -> Block:
@@ -93,7 +123,7 @@ def pad(block: Block, filler: Matrix, window: Window) -> list[list[int]]:
 def square_minor(g: Matrix, wedge: Wedge, window: Window) -> int:
     """<Omega| g |wedge> of a square g: the minor on the neutral-vacuum
     rows and the wedge's columns, both in global slot order."""
-    cols = _wedge_slots(wedge, window)
+    cols = wedge_slots(wedge, window)
     return det_exact([[g[i][j] for j in cols] for i in vacuum_rows(window)])
 
 
@@ -172,8 +202,7 @@ def engine_insertion(g: Block, n: Sequence[int],
     if not vec:
         return 0
     (wedge, coeff), = vec.items()
-    cols = _wedge_slots(wedge, window)
-    return coeff * det_exact([[row[j] for j in cols] for row in g])
+    return coeff * covacuum_minor(g, wedge, window)
 
 
 def _raised(n: Sequence[int], pair: tuple[int, int],
@@ -196,7 +225,7 @@ def closed_form_insertion(g: Block, n: Sequence[int],
     """The same value as one covacuum minor times a closed-form sign:
     each insertion fills the free slot n_c on top of its component."""
     wedge, sign = _raised(n, pair, window)
-    return sign * _covacuum_minor(g, wedge, window)
+    return sign * covacuum_minor(g, wedge, window)
 
 
 def square_insertion(g: Matrix, n: Sequence[int],

@@ -14,6 +14,10 @@ is left out, and so is the entry point cli.main.
 
 No module under src/tauseq/ or tests/ binds one top-level def or class
 name twice: the later definition would silently replace the earlier one.
+
+No reference path (tests/reference_*.py) imports a _-prefixed name from
+tauseq: a reference that shares a private helper of the code it checks
+cannot catch that helper's faults.
 """
 
 import ast
@@ -214,3 +218,34 @@ def test_redefined_name_is_found():
               "class Box:\n    pass\n"
               "def f():\n    return 5\n")
     assert redefined_names(source) == ["Box", "f"]
+
+
+def private_imports(source: str) -> list[str]:
+    """"module.name" of each _-prefixed name the source imports from the
+    tauseq package."""
+    return sorted(f"{node.module}.{alias.name}"
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.module
+                  and node.module.partition(".")[0] == "tauseq"
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def test_reference_paths_import_no_private_name():
+    found = {}
+    for path in sorted(TESTS.glob("reference_*.py")):
+        names = private_imports(path.read_text(encoding="utf-8"))
+        if names:
+            found[path.name] = names
+    assert found == {}
+
+
+def test_private_import_is_found():
+    source = ("from tauseq.fock import (Window,\n    _wedge_slots)\n"
+              "from tauseq import _hidden as shown, oeis\n"
+              "from tauseqx import _other\n"
+              "from fractions import _helper\n"
+              "import tauseq.fock\n"
+              "def f():\n    from tauseq.scan import _inner\n")
+    assert private_imports(source) == ["tauseq._hidden",
+                                       "tauseq.fock._wedge_slots",
+                                       "tauseq.scan._inner"]

@@ -496,11 +496,11 @@ def brute_force_tau(g, n, w) -> int:
     off the covacuum coefficient, never touching the determinant path."""
     # the rightmost factor of the psi product acts first, so apply the
     # columns back to front
-    cols = list(reversed(fock._wedge_slots(vacuum(n, w), w)))
+    cols = list(reversed(reference_fock.wedge_slots(vacuum(n, w), w)))
     slot_to_pos = {}
     for c in range(w.components):
         for p in w.positions:
-            slot_to_pos[w.slot(c, p)] = (c, p)
+            slot_to_pos[reference_fock.slot(c, p, w)] = (c, p)
     # g e_col = sum_i g[i][col] e_i, and only the terms on the block's
     # neutral-vacuum rows can reach the covacuum
     empty = (() ,) * w.components
@@ -538,7 +538,7 @@ def test_tau_multilinear_in_rows():
     w = Window(3, 2)
     rng = random.Random(5)
     g = random_group_element(w, rng)
-    assert reference_fock.vacuum_rows(w)[0] == w.slot(0, -1)
+    assert reference_fock.vacuum_rows(w)[0] == reference_fock.slot(0, -1, w)
     g2 = (tuple(3 * x for x in g[0]),) + g[1:]
     for n in [(0, 0), (1, -1)]:
         assert tau_discrete(g2, n, w) == 3 * tau_discrete(g, n, w)
@@ -564,8 +564,9 @@ def test_insertions_match_raised_tau():
             raised = list(n)
             raised[pair[0] - 1] += 1
             raised[pair[1] - 1] += 1
-            inserted = [w.slot(c - 1, n[c - 1]) for c in pair]
-            sign = sorting_sign(inserted + fock._wedge_slots(vacuum(n, w), w))
+            inserted = [reference_fock.slot(c - 1, n[c - 1], w) for c in pair]
+            sign = sorting_sign(
+                inserted + reference_fock.wedge_slots(vacuum(n, w), w))
             assert type(values[pair]) is int
             assert values[pair] == sign * tau_discrete(g, tuple(raised), w)
 
@@ -607,6 +608,31 @@ def test_insertions_match_closed_form_and_engine(cutoff):
                     g, n, pair, w)
                 assert got[pair] == reference_fock.engine_insertion(
                     g, n, pair, w)
+
+
+@pytest.mark.parametrize("components", [1, 2, 4])
+@pytest.mark.parametrize("cutoff", [2, 3, 4, 5, 6])
+def test_column_rule_matches_wedge_slots(components, cutoff):
+    # the columns read off the charge vector against the reference
+    # wedge -> slot translation, at every n within the headroom, and the
+    # minors of both tau functions against the reference minors
+    w = Window(cutoff, components)
+    g = random_group_element(w, random.Random(10 * cutoff + components))
+    room = range(2 - cutoff, cutoff - 1)
+    for n in itertools.product(room, repeat=components):
+        ranges = fock._vacuum_columns(n, w)
+        assert [j for r in ranges for j in r] == \
+            reference_fock.wedge_slots(vacuum(n, w), w)
+        assert [r.start - 1 for r in ranges] == \
+            [reference_fock.slot(c, nc, w) for c, nc in enumerate(n)]
+        if sum(n) == 0:
+            assert tau_discrete(g, n, w) == reference_fock.covacuum_minor(
+                g, vacuum(n, w), w)
+        if sum(n) == -2:
+            pairs = itertools.combinations(range(1, components + 1), 2)
+            assert tau_with_insertions(g, n, w) == {
+                pair: reference_fock.closed_form_insertion(g, n, pair, w)
+                for pair in pairs}
 
 
 def test_insertions_reject_wrong_degree():
