@@ -70,9 +70,7 @@ def _fail(exc: Exception) -> Result:
 
 def _parse_partition(text: str) -> Partition:
     text = text.strip()
-    if not text:
-        return Partition(())
-    return Partition(tuple(int(x) for x in text.split(",")))
+    return Partition(tuple(int(x) for x in text.split(",")) if text else ())
 
 
 def _json_arg(text: str):
@@ -83,7 +81,7 @@ def _json_arg(text: str):
 
 
 def _basis_from_args(args) -> SublatticeBasis:
-    if args.matrix:
+    if args.matrix is not None:
         return parse_matrix(args.matrix)
     if args.polygon is None:
         raise ValueError("need --matrix or --polygon")
@@ -91,7 +89,7 @@ def _basis_from_args(args) -> SublatticeBasis:
 
 
 def cmd_maya(args) -> Result:
-    if args.from_maya:
+    if args.from_maya is not None:
         diagram = MayaDiagram.from_json_dict(_json_arg(args.from_maya))
         lam, charge = young_charge_from_maya(diagram)
         return EXIT_OK, {"young": list(lam.parts), "charge": charge}
@@ -114,12 +112,12 @@ def cmd_derive(args) -> Result:
 
 
 def cmd_generate(args) -> Result:
-    if args.recurrence_json:
+    if args.recurrence_json is not None:
         rec = BilinearRecurrence.from_json_dict(
             _json_arg(args.recurrence_json))
     else:
         rec = derive_recurrence(_basis_from_args(args))
-    init = [int(x) for x in args.init.split(",")] if args.init else None
+    init = None if args.init is None else [*map(int, args.init.split(","))]
     out = generate(rec, args.terms, init).to_json_dict()
     out["recurrence"] = rec.to_json_dict()
     return EXIT_OK, out
@@ -136,7 +134,7 @@ def cmd_verify(args) -> Result:
 
 
 def _load_db(args) -> oeis.StrippedDb:
-    if not args.oeis:
+    if args.oeis is None:
         return oeis.load_fixture()
     with open(args.oeis, "rb") as fh:
         db = oeis.load_stripped(fh)
@@ -149,6 +147,8 @@ def _load_db(args) -> oeis.StrippedDb:
 
 def cmd_scan(args) -> Result:
     """Streams its JSON Lines records itself, so returns no document."""
+    if args.output == "":  # would write ".summary.json" before failing
+        raise ValueError("--output needs a path")
     cfg = scan.ScanConfig(bound=args.bound, terms=args.terms,
                           min_match_terms=args.min_match)
     records, summary = scan.run_scan(cfg, _load_db(args),
@@ -224,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="--config FILE, anywhere in the arguments, reads "
                "'key = value' defaults; flags on the command line win.")
     parser.add_argument("--json", action="store_true",
-                        help="echo the resolved configuration in the output")
+                        help="echo the resolved configuration in the JSON "
+                        "document (not scan's JSON Lines)")
     parser.add_argument("--seed", type=int, default=0, dest="global_seed",
                         help="default seed for randomized subcommands")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,13 +1,12 @@
 """Finite-window fermionic Fock spaces and brute-force identity checks.
 
 The infinite semi-infinite-wedge space is truncated to a window of 2K
-half-integer positions per component; with s components a basis wedge is a
-choice of occupied positions in each component.  A Fock vector is a sparse
-dict of int coefficients; minors are ints too, and every check below is an
-exact identity, never approximate.  The one Fock operator is the current
-p_k, applied as particle hops on one-component vectors: tauseq.verify
-builds the boson-fermion states s_lambda(p_k / k)|0> from chains of apply_p
-on the vacuum.
+half-integer positions per component.  A Fock vector is one-component: a
+sparse dict from the descending tuple of occupied positions to an int
+coefficient.  Minors are ints too, and every check below is an exact
+identity, never approximate.  The one Fock operator is the current p_k,
+applied as particle hops: tauseq.verify builds the boson-fermion states
+s_lambda(p_k / k)|0> from chains of apply_p on the vacuum.
 
 A group element g enters only through <Omega| g, so it is held as its
 covacuum block (Block): the s*K rows of g on the neutral-vacuum slots.
@@ -26,10 +25,11 @@ Conventions (all signs derive from these two choices):
   * positions are stored as ints via p -> p - 1/2 (as in tauseq.maya);
   * the global slot order is component ascending, then position descending,
     matching the left-to-right wedge notation within one component.
-So position p of component c is column 2K c + K - 1 - p of a block:
-vacuum(n) fills the last K + n_c of component c's 2K columns, and the free
-slot n_c is the column just before them.  _vacuum_columns is the one place
-that reads columns off a charge vector.
+So position p of component c is column 2K c + K - 1 - p of a block.  The
+vacuum |n> of a charge vector n occupies {p < n_c} in each component c,
+the last K + n_c of its 2K columns, and the free slot n_c is the column
+just before them.  _vacuum_columns is the one place that reads columns off
+a charge vector.
 """
 
 from __future__ import annotations
@@ -43,11 +43,7 @@ from typing import Sequence
 from .intlinalg import det_exact, pair_minors
 from .recurrence import octahedral_combination
 
-# One component's occupied positions, descending; a wedge is one tuple per
-# component.  Coefficients live in dict[Wedge, int] vectors.
-Component = tuple[int, ...]
-Wedge = tuple[Component, ...]
-FockVector = dict[Wedge, int]
+FockVector = dict[tuple[int, ...], int]  # occupied positions, descending
 Block = tuple[tuple[int, ...], ...]  # s*K rows of 2sK entries
 PLUCKER3_DIM, PLUCKER4_DIM = 6, 9  # the least ambient dimension of each draw
 
@@ -82,19 +78,10 @@ class Window:
                 f"charge vector {tuple(n)} exceeds headroom |n_c| <= K-2")
 
 
-def vacuum(n: Sequence[int], window: Window) -> Wedge:
-    """Basis wedge where component c occupies exactly {p < n_c}."""
-    window.check_headroom(n)
-    return tuple(
-        tuple(range(nc - 1, -window.cutoff - 1, -1))
-        for nc in n
-    )
-
-
 def apply_p(k: int, vec: FockVector, window: Window) -> FockVector:
-    """Current operator p_k = sum_i psi_{i+k} psi*_i on one-component
-    vectors: each term's particle at i hops to an empty j = i + k, with
-    sign (-1)^(particles strictly between i and j).
+    """Current operator p_k = sum_i psi_{i+k} psi*_i: each term's particle
+    at i hops to an empty j = i + k, with sign (-1)^(particles strictly
+    between i and j).
 
     Hops that leave the window are dropped (truncation policy); callers
     must keep enough headroom for the identity they check.
@@ -102,19 +89,19 @@ def apply_p(k: int, vec: FockVector, window: Window) -> FockVector:
     if k == 0 or abs(k) > 2 * window.cutoff:
         raise ValueError("k must be nonzero with |k| <= 2K")
     out: FockVector = {}
-    for (occ,), coeff in vec.items():
+    for occ, coeff in vec.items():
         for i in occ:
             j = i + k
             if j in occ or j not in window.positions:
                 continue
             lo, hi = min(i, j), max(i, j)
             passed = sum(1 for q in occ if lo < q < hi)
-            hopped = (tuple(sorted([q for q in occ if q != i] + [j],
-                                   reverse=True)),)
+            hopped = tuple(sorted([q for q in occ if q != i] + [j],
+                                  reverse=True))
             out[hopped] = out.get(hopped, 0) + (-coeff if passed % 2
                                                 else coeff)
-    # two hops can land on one wedge and cancel
-    return {wedge: c for wedge, c in out.items() if c}
+    # two hops can land on one state and cancel
+    return {occ: c for occ, c in out.items() if c}
 
 
 def _uniform_ints(rng: random.Random, bound: int, count: int) -> list[int]:
@@ -158,7 +145,7 @@ def random_group_element(window: Window, rng: random.Random,
 
 
 def _vacuum_columns(n: Sequence[int], window: Window) -> list[range]:
-    """The columns of vacuum(n), one range per component c (the last
+    """The columns of the vacuum |n>, one range per component c (the last
     K + n_c of its 2K); the free slot n_c is the column before its range."""
     window.check_headroom(n)
     k = window.cutoff
@@ -168,7 +155,7 @@ def _vacuum_columns(n: Sequence[int], window: Window) -> list[range]:
 
 def tau_discrete(g: Block, n: Sequence[int], window: Window) -> int:
     """Discrete tau value <Omega| g |n> as a maximal minor of the covacuum
-    block g: its s*K rows on the s*K columns of vacuum(n), which
+    block g: its s*K rows on the s*K columns of |n>, which
     _vacuum_columns reads straight off n."""
     if sum(n) != 0:
         raise ValueError("charge vector must have degree 0")
@@ -183,7 +170,7 @@ def tau_with_insertions(g: Block, n: Sequence[int],
 
     Each insertion fills the free slot n_c on top of its component, the
     column just before the component's vacuum columns, so a value is the
-    minor of the covacuum block g on the columns of vacuum(n) followed by
+    minor of the covacuum block g on the columns of |n> followed by
     the two inserted columns: the wedge v_alpha v_beta |n> with its two
     front vectors moved past the s*K - 2 vacuum slots, an even
     permutation.  All those minors share the vacuum columns and come from

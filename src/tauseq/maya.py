@@ -83,9 +83,9 @@ class MayaDiagram:
     def from_json_dict(cls, obj: dict) -> "MayaDiagram":
         try:
             charge = obj["charge"]
-            added = frozenset(parse_half(p) for p in obj["added"])
-            removed = frozenset(parse_half(p) for p in obj["removed"])
-        except (KeyError, TypeError, AttributeError) as exc:
+            added = _positions("added", obj["added"])
+            removed = _positions("removed", obj["removed"])
+        except (KeyError, TypeError) as exc:
             raise ValueError('Maya JSON must be {"charge": c, "added": '
                              '[half-integers], "removed": '
                              '[half-integers]}') from exc
@@ -93,6 +93,15 @@ class MayaDiagram:
         if type(charge) is not int:
             raise ValueError(f"charge must be an integer, got {charge!r}")
         return cls(charge=charge, added=added, removed=removed)
+
+
+def _positions(name: str, value) -> frozenset[int]:
+    """The stored positions of a JSON array of distinct half-integers."""
+    if type(value) is not list or not all(type(p) is str for p in value):
+        raise ValueError(f"{name} must be an array of half-integer strings")
+    if len(positions := frozenset(map(parse_half, value))) < len(value):
+        raise ValueError(f"{name} lists a position twice")
+    return positions
 
 
 def maya_from_young_charge(lam: Partition, charge: int) -> MayaDiagram:

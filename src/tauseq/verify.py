@@ -11,7 +11,7 @@ a probe needs it, from fock.tau_discrete memoised per covacuum block, and
 computes each residual once per base and permutation: a permutation's 100
 probes draw from at most 10 bases.
 The states oracle turns each kp.schur polynomial into fock.apply_p chains
-on the vacuum and compares the result with the partition's wedge.
+on the vacuum and compares the result with the partition's state.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import math
 import random
 
 from . import fock, kp
+from .maya import Partition
 from .recurrence import octahedral_combination
 
 
@@ -106,26 +107,28 @@ def _check_max_weight(max_weight: int) -> None:
         raise ValueError(f"--max-weight must be >= 0, got {max_weight}")
 
 
-def _boson_fermion_states(lams, cutoff: int):
-    """Yield (lam, n!, n! * s_lam(p_k / k)|0>, the wedge |lam>) for each
+def _boson_fermion_states(lams: list[Partition], cutoff: int):
+    """Yield (lam, n!, n! * s_lam(p_k / k)|0>, the state |lam>) for each
     partition lam, n = |lam|, in the one-component window K = cutoff.
 
     Each monomial prod_k t_k^m_k of kp.schur(lam) with coefficient c is the
     chain p_mu|0> of the partition mu with m_k parts k, scaled by the int
     n! c / prod_k k^m_k = n! chi^lam(mu) / z_mu (class size times
     character), so no Fraction is formed.  |lam> occupies the positions
-    lam_i - i.  K >= n is exact: p_k takes a state of weight w to weight
-    w + k <= n, so nothing lands at K or above, and a particle below -K
-    would need a jump k > K - w >= n - w to reach a hole, all of which lie
-    at or above -w.
+    lam_i - i for i = 1..K, and the vacuum |0> is |()>.  K >= n is exact:
+    p_k takes a state of weight w to weight w + k <= n, so nothing lands at
+    K or above, and a particle below -K would need a jump k > K - w >= n - w
+    to reach a hole, all of which lie at or above -w.
     """
     window = fock.Window(cutoff, 1)
+    occupied = lambda lam: tuple(lam.part(i) - i
+                                 for i in range(1, cutoff + 1))
 
     @functools.cache
     def p_chain(mu: tuple[int, ...]) -> fock.FockVector:
         """p_mu|0>, built on the memoised chain of mu's suffix."""
         if not mu:
-            return {fock.vacuum((0,), window): 1}
+            return {occupied(Partition()): 1}
         return fock.apply_p(mu[0], p_chain(mu[1:]), window)
 
     for lam in lams:
@@ -138,8 +141,7 @@ def _boson_fermion_states(lams, cutoff: int):
             weight = fact * c.numerator // (
                 c.denominator * math.prod(k ** e for k, e in enumerate(exp, 1)))
             terms.append(kp.scale(p_chain(mu), weight))
-        target = (tuple(lam.part(i) - i for i in range(1, cutoff + 1)),)
-        yield lam, fact, kp.add(*terms), target
+        yield lam, fact, kp.add(*terms), occupied(lam)
 
 
 def verify_states(max_weight: int, **unused) -> dict:
@@ -154,9 +156,8 @@ def verify_states(max_weight: int, **unused) -> dict:
         diff = kp.add(state, {target: -scale})
         if diff:
             failures.append({"partition": list(lam.parts), "scale": scale,
-                             "diff": [{"wedge": [list(c) for c in wedge],
-                                       "coeff": x}
-                                      for wedge, x in sorted(diff.items())]})
+                             "diff": [{"wedge": [list(occ)], "coeff": x}
+                                      for occ, x in sorted(diff.items())]})
     return _report("states", len(lams), failures, max_weight=max_weight,
                    partitions=[list(lam.parts) for lam in lams])
 

@@ -1,6 +1,13 @@
 """Reference paths for `tauseq.fock`'s covacuum minors, insertions and
 current operator.
 
+The Fock vectors here are multi-component: a `Wedge` is one descending
+tuple of occupied positions per component, a `FockVector` a dict from
+wedges to int coefficients, and `vacuum(n, window)` the basis wedge |n>
+where component c occupies {p < n_c}.  `tauseq.fock` keeps one-component
+vectors only (keyed by the bare position tuple), so a test that compares
+`fock.apply_p` with `engine_apply_p` wraps or unwraps that tuple.
+
 * the wedge -> slot translation that fock's tau path used before it read
   its columns straight off the charge vector: `slot` maps one
   (component, position) to its global slot, bounds-checked, `wedge_slots`
@@ -59,12 +66,16 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from tauseq.fock import (Block, FockVector, Wedge, Window, tau_discrete,
-                         vacuum)
+from tauseq.fock import Block, Window, tau_discrete
 from tauseq.intlinalg import det_exact
 from tauseq.kp import add, scale
 from tauseq.recurrence import Pair, octahedral_combination
 
+# One component's occupied positions, descending; a wedge is one tuple per
+# component.  Coefficients live in dict[Wedge, int] vectors.
+Component = tuple[int, ...]
+Wedge = tuple[Component, ...]
+FockVector = dict[Wedge, int]
 Matrix = Sequence[Sequence[int]]
 
 TauTable = dict[tuple[int, ...], int]
@@ -76,6 +87,15 @@ def _check(n: Sequence[int], pair: tuple[int, int], window: Window) -> None:
         raise ValueError("need 1 <= alpha < beta <= s")
     if sum(n) != -2:
         raise ValueError("charge vector must have degree -2")
+
+
+def vacuum(n: Sequence[int], window: Window) -> Wedge:
+    """Basis wedge where component c occupies exactly {p < n_c}."""
+    window.check_headroom(n)
+    return tuple(
+        tuple(range(nc - 1, -window.cutoff - 1, -1))
+        for nc in n
+    )
 
 
 def slot(component: int, pos: int, window: Window) -> int:

@@ -10,6 +10,8 @@ db from int rows for tests that need hand-made entries.
 `load_stripped_by_line` is the text loader that fullmatched every stripped
 line on its own, before one regex pass over the whole text found the
 canonical lines; the tests compare it with `tauseq.oeis.load_stripped`.
+Its other lines take each term as str(int(term)) without the digit limit,
+the rule the text loader's term canonicaliser is specified against.
 """
 
 import gzip
@@ -111,8 +113,9 @@ def load_stripped_by_line(source) -> StrippedDb:
             malformed.append((lineno, line))
             continue
         try:
-            row = ",".join(oeis._canonical_term(x)
-                           for x in rest.rstrip(",").split(",") if x != "")
+            with exact_int_str():
+                row = ",".join(str(int(x)) for x in rest.rstrip(",").split(",")
+                               if x != "")
         except ValueError:
             malformed.append((lineno, line))
             continue

@@ -16,8 +16,9 @@ No module under src/tauseq/ or tests/ binds one top-level def or class
 name twice: the later definition would silently replace the earlier one.
 
 No reference path (tests/reference_*.py) imports a _-prefixed name from
-tauseq: a reference that shares a private helper of the code it checks
-cannot catch that helper's faults.
+tauseq, or reads one as an attribute of a name it imported from tauseq: a
+reference that shares a private helper of the code it checks cannot catch
+that helper's faults.
 """
 
 import ast
@@ -220,14 +221,38 @@ def test_redefined_name_is_found():
     assert redefined_names(source) == ["Box", "f"]
 
 
+def private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
 def private_imports(source: str) -> list[str]:
     """"module.name" of each _-prefixed name the source imports from the
-    tauseq package."""
-    return sorted(f"{node.module}.{alias.name}"
-                  for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.ImportFrom) and node.module
-                  and node.module.partition(".")[0] == "tauseq"
-                  for alias in node.names if alias.name.startswith("_"))
+    tauseq package, and "module.name._attr" of each _-prefixed attribute
+    it reads off a name so imported."""
+    tree = ast.parse(source)
+    found, imported = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.partition(".")[0] == "tauseq":
+            for alias in node.names:
+                qualified = f"{node.module}.{alias.name}"
+                imported[alias.asname or alias.name] = qualified
+                if private(alias.name):
+                    found.append(qualified)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == "tauseq":
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    imported[bound] = alias.name if alias.asname else bound
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            path, value = [node.attr], node.value
+            while isinstance(value, ast.Attribute):
+                path.append(value.attr)
+                value = value.value
+            if isinstance(value, ast.Name) and value.id in imported:
+                found.append(".".join([imported[value.id], *reversed(path)]))
+    return sorted(found)
 
 
 def test_reference_paths_import_no_private_name():
@@ -241,11 +266,19 @@ def test_reference_paths_import_no_private_name():
 
 def test_private_import_is_found():
     source = ("from tauseq.fock import (Window,\n    _wedge_slots)\n"
-              "from tauseq import _hidden as shown, oeis\n"
+              "from tauseq import _hidden as shown, oeis, kp as poly\n"
               "from tauseqx import _other\n"
               "from fractions import _helper\n"
               "import tauseq.fock\n"
-              "def f():\n    from tauseq.scan import _inner\n")
+              "import tauseq.scan as sc\n"
+              "import fractions\n"
+              "def f():\n    from tauseq.scan import _inner\n"
+              "oeis._canonical_term, oeis.A_NUMBER_RE, poly.add.__name__\n"
+              "Window._cache, tauseq.fock._slot, sc._key, fractions._gcd\n")
     assert private_imports(source) == ["tauseq._hidden",
+                                       "tauseq.fock.Window._cache",
+                                       "tauseq.fock._slot",
                                        "tauseq.fock._wedge_slots",
-                                       "tauseq.scan._inner"]
+                                       "tauseq.oeis._canonical_term",
+                                       "tauseq.scan._inner",
+                                       "tauseq.scan._key"]

@@ -1,8 +1,11 @@
 import hashlib
 import json
 import os
+import shutil
+import subprocess
 import sys
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -420,6 +423,27 @@ def test_malformed_input_is_usage_error(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--init", "", "--matrix", SQUARE],
+    ["maya", "--from-maya", ""],
+    ["generate", "--recurrence-json", "", "--matrix", SQUARE],
+    ["derive", "--matrix", "", "--polygon", "0,0 1,0 4,1 1,3"],
+    ["match", "--terms-list", "2,3,4,5,9,18,34,93,180,348", "--oeis", ""],
+    ["scan", "--bound", "1", "--oeis", ""],
+    ["scan", "--bound", "1", "--output", ""],
+], ids=lambda argv: f"{argv[0]} {argv[argv.index('') - 1]}")
+def test_empty_option_value_is_usage_error(capsys, tmp_path, monkeypatch,
+                                           argv):
+    # an empty value is a value: it is not the option left out, and scan
+    # writes no file (".summary.json") before it fails
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "error" in json.loads(out)  # the only document on stdout
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [["generate", "--recurrence-json"],
                                   ["maya", "--from-maya"]],
                          ids=lambda argv: argv[0])
@@ -548,6 +572,49 @@ def test_golden_transcript(capsys):
         if hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() != digest:
             changed.append((argv, code, out[:200]))
     assert changed == []
+
+
+# feeds the argv lists on stdin to main, one digest of (code, stdout) a line
+TRANSCRIPT_CHILD = """
+import hashlib, io, json, sys
+from contextlib import redirect_stdout
+from tauseq.cli import main
+for argv in json.load(sys.stdin):
+    with redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    print(hashlib.sha256(f"{code}\\n{out.getvalue()}".encode()).hexdigest())
+"""
+
+
+def newer_interpreters() -> list[str]:
+    """Each python3.N on PATH, N >= 12, that starts and is that new; pytest
+    runs on one interpreter, and the package claims every CPython >= 3.11."""
+    probe = "import sys; sys.exit(sys.version_info < (3, 12))"
+    found = []
+    for name in (f"python3.{minor}" for minor in range(12, 30)):
+        exe = shutil.which(name)
+        if exe and subprocess.run([exe, "-c", probe],
+                                  capture_output=True).returncode == 0:
+            found.append(exe)
+    return found
+
+
+def test_golden_transcript_on_newer_interpreters(tmp_path):
+    pythons = newer_interpreters()
+    if not pythons:
+        pytest.skip("no CPython >= 3.12 starts here")
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for exe in pythons:
+        child = subprocess.run(
+            [exe, "-c", TRANSCRIPT_CHILD], cwd=tmp_path, env=env, text=True,
+            input=json.dumps([argv for argv, _ in TRANSCRIPT]),
+            capture_output=True, timeout=300)
+        assert child.returncode == 0, (exe, child.stderr[-2000:])
+        digests = child.stdout.split()
+        assert len(digests) == len(TRANSCRIPT), (exe, child.stderr[-2000:])
+        assert [argv for (argv, digest), got in zip(TRANSCRIPT, digests)
+                if got != digest] == [], exe
 
 
 # ------------------------------------------------------- global options

@@ -113,7 +113,7 @@ LAYERS = {
     "scan": {"oeis", "recurrence"},
     "fock": {"intlinalg", "recurrence"},
     "kp": {"maya"},
-    "verify": {"fock", "kp", "recurrence"},
+    "verify": {"fock", "kp", "maya", "recurrence"},
 }
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tauseq.cli import main
 from tauseq.maya import (MayaDiagram, Partition, half_str, maya_from_young_charge,
                          parse_half, young_charge_from_maya)
 
@@ -89,6 +90,26 @@ def test_json_rendering():
     assert obj == {"charge": 0, "added": ["7/2", "1/2"],
                    "removed": ["-3/2", "-7/2"]}
     assert MayaDiagram.from_json_dict(json.loads(json.dumps(obj))) == m
+
+
+@pytest.mark.parametrize("field", ["added", "removed"])
+@pytest.mark.parametrize("value, message", [
+    ({"1/2": 7}, "must be an array"),        # an object iterates its keys
+    ("1/2", "must be an array"),             # a string its characters
+    (None, "must be an array"),
+    ([1], "must be an array"),
+    (["1/2", "1/2"], "lists a position twice"),  # a set drops the repeat
+    (["-1/2", "-1 / 2"], "lists a position twice"),
+])
+def test_json_positions_are_arrays_of_distinct_half_integers(
+        capsys, field, value, message):
+    obj = {"charge": 0, "added": ["1/2", "3/2"], "removed": ["-1/2", "-3/2"]}
+    obj[field] = value
+    with pytest.raises(ValueError, match=f"^{field} {message}"):
+        MayaDiagram.from_json_dict(obj)
+    assert main(["maya", "--from-maya", json.dumps(obj)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"].startswith(field)
 
 
 def test_half_integer_strings():
