@@ -18,6 +18,7 @@ byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -147,17 +148,31 @@ def _load_db(args) -> oeis.StrippedDb:
 
 def cmd_scan(args) -> Result:
     """Streams its JSON Lines records itself, so returns no document."""
-    if args.output == "":  # would write ".summary.json" before failing
+    if args.output == "":
         raise ValueError("--output needs a path")
     cfg = scan.ScanConfig(bound=args.bound, terms=args.terms,
                           min_match_terms=args.min_match)
-    records, summary = scan.run_scan(cfg, _load_db(args),
-                                     workers=args.workers)
-    if args.output:  # both files open before stdout: a bad path prints no record
-        scan.write_summary(summary, args.output + ".summary.json")
-        scan.write_jsonl(records, args.output, echo=sys.stdout)
-    else:
-        sys.stdout.writelines(map(scan.jsonl_line, records))
+    db = _load_db(args)
+    paths = [args.output, args.output + ".summary.json"] if args.output else []
+    created = []  # a failed run removes the files it created, and only them
+    try:
+        for path in paths:  # before the walk: a bad path costs no scan
+            try:
+                open(path, "x").close()
+                created.append(path)
+            except FileExistsError:  # kept as it is until the scan is done
+                open(path, "a").close()
+        records, summary = scan.run_scan(cfg, db, workers=args.workers)
+        if paths:  # the summary first: a failed write prints no record
+            scan.write_summary(summary, paths[1])
+            scan.write_jsonl(records, paths[0], echo=sys.stdout)
+        else:
+            sys.stdout.writelines(map(scan.jsonl_line, records))
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
     print(json.dumps(summary, sort_keys=True), file=sys.stderr)
     return EXIT_OK, None
 

@@ -21,7 +21,11 @@ The residual runs on packed keys and int coefficients.  `pack` puts the
 exponent of t_k in bits [16(k-1), 16k) of one int, so `mul` multiplies two
 monomials by adding their keys, and `diff` reads and decrements one field.
 tau's exponents must stay below 2^15, so a sum of two never carries into
-the next field.  tau's denominators are cleared once on the way in and
+the next field.  The bilinear form takes three products, not four, since
+tau_xx^2 - tau_y^2 = (tau_xx - tau_y)(tau_xx + tau_y); adding keys
+commutes, so the identity is exact on packed keys too.  `mul` adds each
+product into one dict, and coefficients that cancel are dropped once, on
+the way out.  tau's denominators are cleared once on the way in and
 divided out once on the way out, with keys unpacked to tuples.  That
 division and the character quotients of `schur` are the only places
 Fraction is left.
@@ -75,14 +79,16 @@ def unpack(key: int, width: int) -> Exponent:
     return tuple(key >> _BITS * i & _FIELD for i in range(width))
 
 
-def mul(p: PackedPoly, q: PackedPoly) -> PackedPoly:
-    out: PackedPoly = {}
+def mul(p: PackedPoly, q: PackedPoly, k: int, out: PackedPoly) -> None:
+    """Add k * p * q into out.  Coefficients that cancel stay in out as
+    zeros, so the caller drops them once, after its last product."""
     get = out.get
+    terms = list(q.items())
     for ea, ca in p.items():
-        for eb, cb in q.items():
+        ca *= k
+        for eb, cb in terms:
             exp = ea + eb
             out[exp] = get(exp, 0) + ca * cb
-    return {exp: c for exp, c in out.items() if c}
 
 
 def diff(p: PackedPoly, var: int) -> PackedPoly:
@@ -160,6 +166,12 @@ def kp_bilinear_residual(tau: MultiPoly, m: int) -> MultiPoly:
     tau*tau_xxxx - 4 tau_xxx tau_x + 3 tau_xx^2
       - 4 (tau*tau_xt - tau_x tau_t) + 3 (tau*tau_yy - tau_y^2)
 
+    It is evaluated as three products, grouped by left factor and with
+    tau_xx^2 - tau_y^2 = (tau_xx - tau_y)(tau_xx + tau_y):
+
+    tau (tau_xxxx - 4 tau_xt + 3 tau_yy) - 4 tau_x (tau_xxx - tau_t)
+      + 3 (tau_xx - tau_y)(tau_xx + tau_y)
+
     tau's exponent tuples all have length m >= 3.  The residual is bilinear
     in tau, so it is computed on D * tau, where D is the lcm of tau's
     coefficient denominators, and divided by D^2.
@@ -176,17 +188,14 @@ def kp_bilinear_residual(tau: MultiPoly, m: int) -> MultiPoly:
     t_x, t_y, t_t = diff(t, 1), diff(t, 2), diff(t, 3)
     t_xx = diff(t_x, 1)
     t_xxx = diff(t_xx, 1)
-    # grouped by left factor: tau * (tau_xxxx - 4 tau_xt + 3 tau_yy)
-    #   - 4 tau_x (tau_xxx - tau_t) + 3 (tau_xx^2 - tau_y^2)
-    residual = add(
-        mul(t, add(diff(t_xxx, 1), scale(diff(t_x, 3), -4),
-                   scale(diff(t_y, 2), 3))),
-        scale(mul(t_x, add(t_xxx, scale(t_t, -1))), -4),
-        scale(add(mul(t_xx, t_xx), scale(mul(t_y, t_y), -1)), 3),
-    )
+    residual: PackedPoly = {}
+    mul(t, add(diff(t_xxx, 1), scale(diff(t_x, 3), -4),
+               scale(diff(t_y, 2), 3)), 1, residual)
+    mul(t_x, add(t_xxx, scale(t_t, -1)), -4, residual)
+    mul(add(t_xx, scale(t_y, -1)), add(t_xx, t_y), 3, residual)
     square = denom * denom
     return {unpack(key, m): Fraction(c, square)
-            for key, c in residual.items()}
+            for key, c in residual.items() if c}
 
 
 def partitions_up_to(max_weight: int) -> list[Partition]:

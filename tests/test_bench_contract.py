@@ -11,7 +11,8 @@ import sys
 import types
 from pathlib import Path
 
-from tauseq import scan, verify
+from tauseq import kp, scan, verify
+from tauseq.kp import add, diff, pack, scale
 from tauseq.oeis import load_fixture
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -62,3 +63,34 @@ def test_tracer_counts_octahedron_oracle_calls():
     assert layers["fock.random_group_element"]["calls"] == trials
     assert layers["fock.tau_with_insertions"]["calls"] == trials
     assert layers["intlinalg.det"]["calls"] == 0
+
+
+def residual_factors(tau: dict) -> list[tuple[dict, dict]]:
+    """The three factor pairs of the KP residual, on packed keys:
+    tau (tau_xxxx - 4 tau_xt + 3 tau_yy), tau_x (tau_xxx - tau_t) and
+    (tau_xx - tau_y)(tau_xx + tau_y)."""
+    t = {pack(exp): c for exp, c in tau.items()}
+    t_x, t_y, t_t = diff(t, 1), diff(t, 2), diff(t, 3)
+    t_xx = diff(t_x, 1)
+    t_xxx = diff(t_xx, 1)
+    return [(t, add(diff(t_xxx, 1), scale(diff(t_x, 3), -4),
+                    scale(diff(t_y, 2), 3))),
+            (t_x, add(t_xxx, scale(t_t, -1))),
+            (add(t_xx, scale(t_y, -1)), add(t_xx, t_y))]
+
+
+def test_tracer_counts_kp_residual_products():
+    # kp.mul is called once per factor pair, with the two factors as its
+    # first two arguments, which is what the tracer's term count reads
+    spans = load_spans()
+    m = 6
+    taus = [kp.schur(lam, m) for lam in kp.partitions_up_to(6)]
+    with spans.Tracer() as tracer:
+        residuals = [kp.kp_bilinear_residual(tau, m) for tau in taus]
+    assert residuals == [{}] * len(taus)
+    assert tracer.missing == MISSING
+    layers = tracer.aggregate()
+    assert layers["kp.residual"]["calls"] == len(taus)
+    assert layers["kp.mul"]["calls"] == 3 * len(taus)
+    assert tracer.counters.mul_term_products == sum(
+        len(p) * len(q) for tau in taus for p, q in residual_factors(tau))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tauseq import oeis, verify
+from tauseq import oeis, scan, verify
 from tauseq.cli import main
 from test_oeis import MALFORMED_PAYLOADS, SAMPLE, FakeResponse
 
@@ -367,6 +367,49 @@ def test_scan_output_file_is_stdout_serialised_once(capsys, tmp_path,
     assert records
     # one per record, plus the summary file and the stderr summary
     assert len(dumped) == len(records) + 2
+
+
+@pytest.mark.parametrize("output", ["outd/", "outd", "missing/scan.jsonl",
+                                    "clash"],
+                         ids=["directory/", "directory", "missing parent",
+                              "summary path a directory"])
+def test_scan_output_that_cannot_be_written_leaves_no_file(
+        capsys, tmp_path, monkeypatch, output):
+    # both paths are opened before the walk, so no scan runs, and the file
+    # opened before the one that failed is removed again
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "outd").mkdir()
+    (tmp_path / "clash.summary.json").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan ran before its output was opened")
+
+    monkeypatch.setattr(scan, "run_scan", no_scan)
+    code, out, err = run(capsys, "scan", "--bound", "1", "--output", output)
+    assert code == 2
+    assert "error" in json.loads(out)  # the only document on stdout
+    assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_failed_scan_removes_only_the_files_it_created(capsys, tmp_path,
+                                                       monkeypatch):
+    # an --output file that was there before keeps its bytes; the summary
+    # file the run created is removed
+    out_path = tmp_path / "scan.jsonl"
+    out_path.write_text("old records\n")
+
+    def failing_scan(*args, **kwargs):
+        raise ValueError("scan failed")
+
+    monkeypatch.setattr(scan, "run_scan", failing_scan)
+    code, out, _ = run(capsys, "scan", "--bound", "1", "--output",
+                       str(out_path))
+    assert code == 2
+    assert json.loads(out) == {"error": "scan failed"}
+    assert list(tmp_path.iterdir()) == [out_path]
+    assert out_path.read_text() == "old records\n"
 
 
 # ------------------------------------------------------ error handling

@@ -5,6 +5,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reference_kp as ref
 from tauseq.kp import (add, character, diff, kp_bilinear_residual, mul, pack,
@@ -18,6 +20,13 @@ ONE = {pack((0,) * M): 1}
 def t(idx):
     """The packed polynomial t_idx."""
     return {pack(tuple(int(k == idx) for k in range(1, M + 1))): 1}
+
+
+def product(a, b):
+    """a * b through the accumulating mul, with zero coefficients dropped."""
+    out = {}
+    mul(a, b, 1, out)
+    return {key: c for key, c in out.items() if c}
 
 
 def rand_poly(rng, m=M, terms=4, deg=3):
@@ -39,12 +48,12 @@ def test_ring_axioms_randomized():
     for _ in range(30):
         a, b, c = (rand_poly(rng) for _ in range(3))
         assert add(a, b) == add(b, a)
-        assert mul(a, b) == mul(b, a)
-        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
-        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert product(a, b) == product(b, a)
+        assert product(a, add(b, c)) == add(product(a, b), product(a, c))
+        assert product(product(a, b), c) == product(a, product(b, c))
         assert add(a, scale(a, -1)) == {}
-        assert mul(a, ONE) == a
-        assert mul(a, {}) == {}
+        assert product(a, ONE) == a
+        assert product(a, {}) == {}
 
 
 def test_no_zero_coefficients_stored():
@@ -52,15 +61,34 @@ def test_no_zero_coefficients_stored():
     for _ in range(20):
         a, b = rand_poly(rng), rand_poly(rng)
         for poly in (add(a, scale(a, -1)),
-                     add(mul(a, b), scale(mul(b, a), -1))):
+                     add(product(a, b), scale(product(b, a), -1))):
             assert all(c != 0 for c in poly.values())
+
+
+def test_mul_accumulates_into_a_nonempty_dict():
+    # mul adds k * a * b to what out holds, against the reference's
+    # add/scale/mul on exponent tuples; a product that cancels what out
+    # holds leaves zeros, which the caller drops
+    def tuples(poly):
+        return {unpack(key, M): c for key, c in poly.items() if c}
+
+    rng = random.Random(31)
+    for _ in range(30):
+        a, b, c = (rand_poly(rng) for _ in range(3))
+        k = rng.choice((-4, -1, 3))
+        out = dict(c)
+        mul(a, b, k, out)
+        assert tuples(out) == ref.add(
+            tuples(c), ref.scale(ref.mul(tuples(a), tuples(b)), k))
+        mul(a, b, -k, out)
+        assert tuples(out) == tuples(c)
 
 
 def test_diff_examples():
     # d/dt1 (t1^2 t2) = 2 t1 t2
-    p = mul(mul(t(1), t(1)), t(2))
-    assert diff(p, 1) == scale(mul(t(1), t(2)), 2)
-    assert diff(p, 2) == mul(t(1), t(1))
+    p = product(product(t(1), t(1)), t(2))
+    assert diff(p, 1) == scale(product(t(1), t(2)), 2)
+    assert diff(p, 2) == product(t(1), t(1))
     assert diff(p, 3) == {}
     assert diff(diff(p, 1), 1) == scale(t(2), 2)
     assert diff(scale(ONE, 7), 1) == {}
@@ -77,8 +105,8 @@ def test_diff_leibniz():
     rng = random.Random(2)
     for _ in range(10):
         a, b = rand_poly(rng), rand_poly(rng)
-        lhs = diff(mul(a, b), 1)
-        rhs = add(mul(diff(a, 1), b), mul(a, diff(b, 1)))
+        lhs = diff(product(a, b), 1)
+        rhs = add(product(diff(a, 1), b), product(a, diff(b, 1)))
         assert lhs == rhs
 
 
@@ -87,7 +115,7 @@ def test_packed_keys_hold_exponents_below_two_to_the_fifteen():
     exp = (top, 0, 3, top, 1, top)
     assert unpack(pack(exp), M) == exp
     # the largest product stays inside each field: no carry
-    square = mul({pack(exp): 1}, {pack(exp): 1})
+    square = product({pack(exp): 1}, {pack(exp): 1})
     assert [unpack(key, M) for key in square] == [tuple(2 * e for e in exp)]
     assert unpack(next(iter(diff(square, 6))), M) == \
         (2 * top, 0, 6, 2 * top, 2, 2 * top - 1)
@@ -242,6 +270,37 @@ def test_kp_residual_rejects_exponents_of_another_width():
         kp_bilinear_residual({(0,) * M: Fraction(1),
                               (4,) + (0,) * M: Fraction(1)}, M)
     assert kp_bilinear_residual({}, 3) == {}
+
+
+# the partitions in the 2 x 2 box, in the order of the Plucker relation
+BOX_2X2 = [Partition(p) for p in ((), (1,), (2,), (1, 1), (2, 1), (2, 2))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=6, max_size=6))
+@example([1, 1, 1, 1, 1, 0])  # a Plucker point: 0 - 1 + 1
+def test_kp_residual_on_the_2x2_box_is_the_plucker_relation(xi):
+    # tau = sum of xi_lambda s_lambda over the 2 x 2 box, in 4 variables:
+    # the residual is exactly the constant 12 times the one Plucker
+    # relation of Gr(2, 4), so KP holds iff the xi are Plucker coordinates
+    e, x1, x2, x11, x21, x22 = xi
+    tau = add(*(scale(schur(lam, 4), c) for lam, c in zip(BOX_2X2, xi)))
+    plucker = e * x22 - x1 * x21 + x2 * x11
+    assert kp_bilinear_residual(tau, 4) == \
+        ({(0, 0, 0, 0): 12 * plucker} if plucker else {})
+
+
+def test_kp_residual_stores_no_zero_coefficient():
+    # the three products cancel in one dict; the zeros they leave are
+    # dropped on the way out, also where some terms survive
+    rng = random.Random(5)
+    lams = partitions_up_to(4)
+    for _ in range(40):
+        tau = add(*(scale(schur(lam, M), rng.randint(-3, 3))
+                    for lam in rng.sample(lams, 3)))
+        residual = kp_bilinear_residual(tau, M)
+        assert all(c != 0 for c in residual.values())
+        assert all(type(c) is Fraction for c in residual.values())
 
 
 def test_kp_residual_bilinearity_in_scale():

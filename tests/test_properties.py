@@ -935,6 +935,10 @@ def tau_polys(draw):
 @example(({(0, 0, 0, 0): Fraction(5)}, 4))
 @example(({(1, 0, 0, 2 ** 15 - 1): Fraction(1),
            (2, 1, 1, 2 ** 15 - 1): Fraction(-3, 2)}, 4))
+# a factor that cancels completely: tau_xx - tau_y = 0 in s_(2) and
+# tau_xx + tau_y = 0 in s_(1,1)
+@example(({(2, 0, 0): Fraction(1, 2), (0, 1, 0): Fraction(1)}, 3))  # s_(2)
+@example(({(2, 0, 0): Fraction(1, 2), (0, 1, 0): Fraction(-1)}, 3))  # s_(1,1)
 def test_kp_residual_matches_fraction_reference(case):
     tau, m = case
     residual = kp_bilinear_residual(tau, m)
