@@ -5,6 +5,9 @@ A definition counts as used when its name occurs, as a name or as an
 attribute, somewhere in src/tauseq/ outside its own body; a module-level
 name (a constant or a type alias) outside the statement that assigns it.
 Dunders are used by Python itself, and cli.main is the console entry point.
+By the same count over tests/, every definition in a reference path
+(tests/reference_*.py) and every reference_* helper of a test module is
+used: a reference that no test reaches checks nothing.
 
 Every parameter default of a function under src/tauseq/ is relied on:
 some direct call in src/ or perfbench/ whose callee has the function's
@@ -85,6 +88,35 @@ def test_every_definition_is_used_in_src():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted(SRC.glob("*.py"))}
     assert unused_definitions(sources) == []
+
+
+def unused_references(sources: dict[str, str]) -> list[str]:
+    """The unused definitions of the reference modules, and the unused
+    reference_* definitions of any module."""
+    return [name for name in unused_definitions(sources)
+            if name.startswith("reference_")
+            or name.rpartition(".")[2].startswith("reference_")]
+
+
+def test_every_reference_is_used():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(TESTS.glob("*.py"))}
+    assert unused_references(sources) == []
+
+
+def test_unused_reference_is_found():
+    sources = {
+        "reference_a": "def reference_used():\n    return helper()\n"
+                       "def helper():\n    return 1\n"
+                       "def reference_spare():\n    return 2\n"
+                       "def spare():\n    return 3\n",
+        "test_b": "from reference_a import reference_used\n"
+                  "def test_x():\n    assert reference_used()\n"
+                  "def reference_local():\n    return 4\n",
+    }
+    assert unused_references(sources) == [
+        "reference_a.reference_spare", "reference_a.spare",
+        "test_b.reference_local"]
 
 
 def test_unused_definition_is_found():

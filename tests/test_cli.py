@@ -1,16 +1,24 @@
+import argparse
 import hashlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import urllib.request
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tauseq import oeis, scan, verify
-from tauseq.cli import main
+from tauseq.cli import (EXIT_CODES, EXIT_INTERNAL, EXIT_OK, EXIT_VERIFY_FAIL,
+                        build_parser, main)
 from test_oeis import MALFORMED_PAYLOADS, SAMPLE, FakeResponse
 
 SQUARE = "5,-2,-2,-1;1,1,-1,-1"
@@ -506,6 +514,116 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     assert code == 70
     assert json.loads(out)["error"].startswith("internal error")
     assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+# The text drawn for each option, by dest: mostly valid, and small enough
+# that one run takes milliseconds (scan bound <= 3, trials <= 3, max weight
+# <= 4, cutoff <= 5, terms <= 64, one worker).  Paths are relative to the
+# run's own directory, which holds "snapshot.txt" and nothing else.  The
+# options whose defaults cost more than that are always drawn.
+ALWAYS_DRAWN = {"trials", "max_weight"}
+OPTION_TEXT = {
+    "global_seed": st.integers(-5, 2 ** 40).map(str),
+    "young": st.sampled_from(["", "4,2,2,1", "1", "3,3", "1,2", "x"]),
+    "charge": st.integers(-4, 4).map(str),
+    "from_maya": st.sampled_from([
+        '{"charge": 1, "added": ["5/2"], "removed": ["-1/2"]}',
+        '{"charge": 0, "added": [], "removed": []}', "[1]", "{}", "null",
+        ""]),
+    "matrix": st.sampled_from([SQUARE, HEX, "2,-2,0,0;0,0,1,-1",
+                               "1,-1,0;0,1,-1", "1,1,-1,-1;2,2,-2,-2",
+                               "1,x;2,3", ""]),
+    "polygon": st.sampled_from(["0,0 1,0 4,1 1,3", "0,0 5,1 3,2 1,1",
+                                "0,0 2,0 0,1 1,-1 2,1", "0,0 1,0", "x", ""]),
+    "recurrence_json": st.sampled_from([
+        SOMOS, '{"pairs": [[0,0],[3,-3],[2,-2]]}',
+        '{"pairs": [[2,2],[1,1],[0,0]]}', "{}", "[1]", ""]),
+    "terms": st.integers(-2, 64).map(str),
+    "init": st.sampled_from(["1,1,1,1,1,1,1,1", "2,1,1,1,1,1,1,1", "1,1",
+                             "0,0,0,0,0,0,0,0", "x", ""]),
+    "trials": st.integers(-1, 3).map(str),
+    "seed": st.integers(-5, 2 ** 40).map(str),
+    "cutoff": st.integers(-1, 5).map(str),
+    "dim": st.integers(0, 10).map(str),
+    "max_weight": st.integers(-1, 4).map(str),
+    "bound": st.integers(-1, 3).map(str),
+    "min_match": st.integers(0, 8).map(str),
+    "oeis": st.sampled_from(["snapshot.txt"] * 3 + ["missing.txt", ".", ""]),
+    "output": st.sampled_from(["out.jsonl"] * 3
+                              + ["missing/out.jsonl", ".", ""]),
+    "workers": st.just("1"),
+    "terms_list": st.sampled_from(["2,3,4,5,9,18,34,93,180,348",
+                                   "1,1,1,2,3,4,5,9,18,34,93", "1,2,3",
+                                   "x", ""]),
+}
+
+
+def _options(draw, parser: argparse.ArgumentParser) -> list[str]:
+    """The positionals of a parser and a subset of its options, the
+    required ones and ALWAYS_DRAWN always, each with a value drawn from
+    OPTION_TEXT."""
+    argv = []
+    for action in parser._actions:
+        if isinstance(action, (argparse._HelpAction,
+                               argparse._SubParsersAction)):
+            continue
+        if not action.option_strings:
+            argv.append(draw(st.sampled_from(sorted(action.choices))))
+        elif (action.required or action.dest in ALWAYS_DRAWN
+              or draw(st.booleans())):
+            argv.append(action.option_strings[0])
+            if action.nargs != 0:
+                argv.append(draw(OPTION_TEXT[action.dest]))
+    return argv
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    command = draw(st.sampled_from(sorted(sub.choices)))
+    return [*_options(draw, parser), command,
+            *_options(draw, sub.choices[command])]
+
+
+def _offline(terms, endpoint):
+    raise oeis.OeisError("network failure: offline")
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+def test_exit_code_contract(argv):
+    # every exit code is a documented one, never the internal error; stdout
+    # is one JSON document (a scan's records are JSON Lines, and argparse's
+    # own rejections print nothing there); no traceback reaches stderr; and
+    # a run that fails leaves its directory as it found it
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, \
+            patch.object(oeis, "search_online", _offline):
+        Path(tmp, "snapshot.txt").write_text(SAMPLE)
+        before = sorted(Path(tmp).rglob("*"))
+        os.chdir(tmp)
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2 and out.getvalue() == ""
+        finally:
+            os.chdir(cwd)
+        after = sorted(Path(tmp).rglob("*"))
+    codes = {EXIT_OK, EXIT_VERIFY_FAIL, *(code for _, code in EXIT_CODES)}
+    assert code in codes and code != EXIT_INTERNAL, err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if out.getvalue() and "scan" in argv and code == EXIT_OK:
+        assert all(type(json.loads(line)) is dict
+                   for line in out.getvalue().splitlines())
+    elif out.getvalue():
+        assert type(json.loads(out.getvalue())) is dict
+    if code != EXIT_OK:
+        assert after == before
 
 
 def test_unused_verify_option_is_ignored(capsys):

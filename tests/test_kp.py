@@ -131,29 +131,32 @@ def test_render_deterministic():
     assert render(p) == "3/2*t1^2*t3 + t2"
 
 
-# ------------------------------------- complete homogeneous (reference path)
+# ---------------------------------------------- complete homogeneous h_n
+
+
+def one_row(n: int) -> Partition:
+    return Partition((n,) if n else ())
 
 
 def test_h_series_small():
+    # h_n = s_(n): h2 = t1^2/2 + t2 and h3 = t1^3/6 + t1 t2 + t3, as the
+    # reference series and as the one-row Schur functions
     def v(idx):
         return ref.variable(idx, M)
 
-    hs = ref.h_series(3, M)
-    assert hs[0] == ref.const(1, M)
-    assert hs[1] == v(1)
-    # h2 = t1^2/2 + t2 ; h3 = t1^3/6 + t1 t2 + t3
-    assert hs[2] == ref.add(ref.scale(ref.mul(v(1), v(1)), Fraction(1, 2)),
-                            v(2))
-    assert hs[3] == ref.add(ref.scale(ref.mul(ref.mul(v(1), v(1)), v(1)),
-                                      Fraction(1, 6)),
-                            ref.mul(v(1), v(2)), v(3))
+    hand = [ref.const(1, M), v(1),
+            ref.add(ref.scale(ref.mul(v(1), v(1)), Fraction(1, 2)), v(2)),
+            ref.add(ref.scale(ref.mul(ref.mul(v(1), v(1)), v(1)),
+                              Fraction(1, 6)),
+                    ref.mul(v(1), v(2)), v(3))]
+    assert ref.h_series(3, M) == hand
+    assert [schur(one_row(n), M) for n in range(4)] == hand
 
 
 def test_h_series_matches_truncated_exponential():
-    # sum_n h_n z^n = exp(sum_k t_k z^k): compare coefficient of z^n with
-    # the explicit exponential expansion sum over compositions
+    # sum_n s_(n) z^n = exp(sum_k t_k z^k): compare the one-row Schur
+    # functions with the coefficient of z^n of the explicit exponential
     n_max = 8
-    hs = ref.h_series(n_max, n_max)
     # exp(sum_k t_k z^k) = prod_k (sum_a t_k^a z^{k a} / a!), built by
     # convolving one exponential factor at a time
     expected = [ref.const(1, n_max)] + [{} for _ in range(n_max)]
@@ -170,7 +173,7 @@ def test_h_series_matches_truncated_exponential():
                 power = ref.mul(power, ref.variable(k, n_max))
                 fact /= a
         expected = nxt
-    assert hs == expected
+    assert [schur(one_row(n), n_max) for n in range(n_max + 1)] == expected
 
 
 # ------------------------------------------------------------ characters
@@ -214,7 +217,6 @@ def test_schur_small_partitions():
         return ref.h_series(n, M)[n]
 
     assert schur(Partition(()), M) == {(0,) * M: 1}
-    assert schur(Partition((2,)), M) == h(2)
     # s_{11} = h1^2 - h2 = t1^2/2 - t2
     assert schur(Partition((1, 1)), M) == ref.sub(ref.mul(h(1), h(1)), h(2))
     # s_{22} = h2^2 - h3 h1

@@ -88,10 +88,15 @@ def test_basis_requires_independent_rows():
 
 
 def test_basis_contains():
+    # the lattice holds 0 and 2a - b, not (1, -1, 0, 0), and the quotient
+    # map sends exactly the points it holds to index 0
     b = SQUARE_BASIS
-    assert member(b, (0, 0, 0, 0))
-    assert member(b, tuple(2 * x - y for x, y in zip(b.a, b.b)))
-    assert not member(b, (1, -1, 0, 0))
+    w = quotient_map(b)
+    for n, inside in [((0, 0, 0, 0), True),
+                      (tuple(2 * x - y for x, y in zip(b.a, b.b)), True),
+                      ((1, -1, 0, 0), False)]:
+        assert member(b, n) == inside
+        assert (index(w, n) == 0) == inside
 
 
 def test_parse_matrix_errors():

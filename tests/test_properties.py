@@ -24,9 +24,11 @@ triples generate can iterate.  Every torsion-free strictly convex
 quadrilateral is checked to give a positive Gale-Robinson recurrence (the
 statement is in the recurrence module docstring), and the scan's key of its
 edge cycle to map back to that recurrence, or both to say torsion.  The
-scan's slice, which keys each y3 of a column's interval and builds an edge
-cycle only for a new key, is checked against the list of the slice's
-cycles keyed one by one that it replaced (tests/reference_scan.py).
+scan's slice, which cuts each column of e3 to one y3 interval by floor
+division and keys each y3 in it, is checked at bounds 0-7, steps 1-4 and
+any start against the pruned loop of tests/reference_scan.py, keyed one
+cycle at a time.  The pruned loop tests each e3 candidate's crosses and
+e4 > e1 itself, so it shares none of the slice's interval cuts.
 Every Gale-Robinson key with N <= 24 and every bound-5 scanned recurrence
 is checked for the Laurent property, run from a window of primes, with a
 broken pair sum as the negative control.  The
@@ -313,6 +315,9 @@ def _outcome(fn, *args):
 
 @settings(max_examples=500, deadline=None)
 @given(quotient_cases())
+@example(((5, -2, -2, -1), (1, 1, -1, -1)))  # the square example
+@example(((3, -4, 0, 1), (-4, 3, 1, 0)))  # the 2-unknown solve example
+@example(((2, -2, 0, 0), (0, 0, 1, -1)))  # invariant factors (1, 2)
 def test_quotient_map_matches_kernel_reference(rows):
     a, b = rows
     basis = _outcome(SublatticeBasis, a, b)
@@ -592,29 +597,25 @@ def test_load_one_pass_matches_per_line_reference(lines, final_newline,
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(OFFSETS, OFFSETS), min_size=3, max_size=3),
-       st.integers(-10, 10))
-def test_canonicalize_pairs_invariances(raw, shift):
-    canon = canonicalize_pairs(raw)
-    assert canonicalize_pairs(canon) == canon
-    assert canonicalize_pairs([(-q, -p) for p, q in raw]) == canon
-    assert canonicalize_pairs([(p + shift, q + shift)
-                               for p, q in raw]) == canon
-
-
-@settings(max_examples=300, deadline=None)
 @given(st.integers(-20, 20), st.lists(st.integers(-20, 20), min_size=3,
-                                      max_size=3))
-@example(0, [0, 4, 3])  # even sum: centred pairs
-@example(1, [1, 5, 4])  # odd sum: least offset 0
-@example(1, [9, 0, 4])  # a plus spread is the largest
-@example(-3, [2, 2, -5])  # coinciding spreads
-def test_pairs_from_spreads_matches_canonicalize(total, firsts):
-    # three pairs (p, total - p) with the common sum, each in either order
+                                      max_size=3), st.integers(-10, 10))
+@example(0, [0, 4, 3], 0)  # even sum: centred pairs
+@example(1, [1, 5, 4], 0)  # odd sum: least offset 0
+@example(1, [9, 0, 4], 0)  # a plus spread is the largest
+@example(-3, [2, 2, -5], 0)  # coinciding spreads
+@example(8, [4, 8, 7], 0)  # even sum: centred on (0, 0), (4, -4), (3, -3)
+@example(-6, [0, 3, 2], 5)  # the hex example's offset triple
+def test_pairs_from_spreads_matches_canonicalize(total, firsts, shift):
+    # three pairs (p, total - p) with the common sum, each in either order;
+    # the search gives the closed form also after each freedom the spreads
+    # forget (a shift, the reflection (p, q) -> (-q, -p), the order of the
+    # two plus pairs) and on the closed form itself
     raw = [(p, total - p) for p in firsts]
     (p1, q1), (p2, q2), (p3, q3) = raw
-    assert pairs_from_spreads(abs(p2 - q2), abs(p1 - q1), abs(p3 - q3)) \
-        == canonicalize_pairs(raw)
+    want = pairs_from_spreads(abs(p2 - q2), abs(p1 - q1), abs(p3 - q3))
+    for pairs in (raw, raw[::-1], [(-q, -p) for p, q in raw],
+                  [(p + shift, q + shift) for p, q in raw], want):
+        assert canonicalize_pairs(pairs) == want, pairs
 
 
 # ------------------------------------------------------ Gale-Robinson
@@ -687,11 +688,11 @@ def enumeration_slices(draw):
     return bound, start, step
 
 
-# Each example's slice reaches one branch of the y3 interval step and,
-# but for x1 == 0, loses or gains a cycle if that branch is dropped or off
-# by one; the first cycle with x3 == x1 and y3 == y1 + 1 needs bound 8.  An e1 with x1 == 0 reaches no column: an e2 > e1 with
-# cross(e1, e2) > 0 has x2 > 0, and x3 would run from x1 = 0 to
-# -sx - x1 = -x2 < 0.
+# Each example's slice reaches one branch of scan_slice's y3 interval step
+# and, but for x1 == 0, loses or gains a cycle if that branch is dropped or
+# off by one; the first cycle with x3 == x1 and y3 == y1 + 1 needs bound 8.
+# An e1 with x1 == 0 reaches no column: an e2 > e1 with cross(e1, e2) > 0
+# has x2 > 0, and x3 would run from x1 = 0 to -sx - x1 = -x2 < 0.
 @settings(max_examples=60, deadline=None)
 @given(enumeration_slices())
 @example((1, 3, 1))  # e1 = (0, -1) and on: x1 == 0, no cycle

@@ -18,6 +18,7 @@ from tauseq.lattice import parse_matrix, quotient_map
 from tauseq.recurrence import (BASE_POINT, BilinearRecurrence,
                                UnsolvableError, derive_recurrence, generate,
                                octahedron_points, term_str)
+from tauseq.verify import _acted_value
 
 SQUARE_BASIS = parse_matrix("5,-2,-2,-1;1,1,-1,-1")
 HEX_BASIS = parse_matrix("1,3,-3,-1;0,1,2,-3")
@@ -55,24 +56,6 @@ def test_derived_points_have_degree_zero():
         assert [x - b for x, b in zip(point, BASE_POINT)] == \
             [int(c in (alpha, beta)) for c in range(1, 5)]
         assert sum(wi * ni for wi, ni in zip(w, point)) == idx
-
-
-def test_canonicalize_is_idempotent_and_symmetric():
-    raw = [(0, -6), (3, -9), (2, -8)]
-    canon = canonicalize_pairs(raw)
-    assert canonicalize_pairs(canon) == canon
-    # invariance under the declared freedoms
-    swapped_plus = [raw[2], raw[1], raw[0]]
-    assert canonicalize_pairs(swapped_plus) == canon
-    reflected = [(-q, -p) for p, q in raw]
-    assert canonicalize_pairs(reflected) == canon
-    shifted = [(p + 5, q + 5) for p, q in raw]
-    assert canonicalize_pairs(shifted) == canon
-
-
-def test_canonicalize_centers_even_sums():
-    assert canonicalize_pairs([(4, 4), (8, 0), (7, 1)]) == \
-        ((0, 0), (4, -4), (3, -3))
 
 
 def test_recurrence_rejects_shared_top_offset():
@@ -223,22 +206,18 @@ def inverse(sigma: PermutationAction) -> PermutationAction:
     return PermutationAction(tuple(inv))
 
 
-def test_permutation_validation_and_inverse():
-    with pytest.raises(ValueError):
-        PermutationAction((1, 1, 2, 3))
-    sigma = PermutationAction((2, 3, 1, 4))
-    assert inverse(sigma).sigma == (3, 1, 2, 4)
-    n = (5, -2, 1, -4)
-    assert inverse(sigma).apply(sigma.apply(n)) == n
-
-
 def test_q_sigma_examples():
-    identity = PermutationAction((1, 2, 3, 4))
-    assert q_sigma(identity, (7, -3, 2, 5)) == 0
-    swap12 = PermutationAction((2, 1, 3, 4))
-    assert q_sigma(swap12, (1, 1, 0, 0)) == 1
-    reversal = PermutationAction((4, 3, 2, 1))
-    assert q_sigma(reversal, (1, 1, 1, 1)) == 6
+    # the acted value tau'(n) = (-1)^q tau(sigma n), q summing n_a n_b over
+    # the inversions of sigma: the identity, a swap and the reversal, read
+    # off the permutation oracle and the reference's q_sigma
+    for sigma, n, q in [((1, 2, 3, 4), (7, -3, 2, 5), 0),
+                        ((2, 1, 3, 4), (1, 1, 0, 0), 1),
+                        ((4, 3, 2, 1), (1, 1, 1, 1), 6),
+                        ((4, 3, 2, 1), (1, 1, 1, 0), 3)]:
+        action = PermutationAction(sigma)
+        assert q_sigma(action, n) == q
+        assert _acted_value({action.apply(n): 5}.__getitem__, sigma, n) \
+            == 5 * (-1) ** q
 
 
 def test_permutation_action_preserves_octahedron():

@@ -7,36 +7,11 @@ from tauseq.lattice import edges_to_basis
 from tauseq.oeis import load_fixture
 from tauseq.recurrence import (BilinearRecurrence, derive_recurrence,
                                generate, pairs_from_spreads, term_str)
-from reference_scan import (enumerate_edge_cycles,
-                            pruned_enumerate_edge_cycles, reference_bases,
-                            reference_enumerate_edge_cycles, reference_scan,
+from reference_scan import (keyed, pruned_enumerate_edge_cycles,
+                            reference_edge_cycles, reference_scan,
                             reference_scan_one, reference_slice, scan_one)
 from tauseq.scan import (ScanConfig, complete_record, merge_slices, run_scan,
                          scan_slice, write_jsonl, write_summary)
-
-
-def reference_edge_cycles(bound):
-    """Every ccw rotation of every cycle, reduced to its smallest rotation
-    through a set and sorted: the slow enumeration the scan replaced."""
-    coords = range(-bound, bound + 1)
-    vectors = [(x, y) for x in coords for y in coords if (x, y) != (0, 0)]
-    cross = lambda u, v: u[0] * v[1] - u[1] * v[0]
-    seen = set()
-    for e1 in vectors:
-        for e2 in vectors:
-            if cross(e1, e2) <= 0:
-                continue
-            for e3 in vectors:
-                if cross(e2, e3) <= 0:
-                    continue
-                e4 = (-(e1[0] + e2[0] + e3[0]), -(e1[1] + e2[1] + e3[1]))
-                if abs(e4[0]) > bound or abs(e4[1]) > bound or e4 == (0, 0):
-                    continue
-                if cross(e3, e4) <= 0 or cross(e4, e1) <= 0:
-                    continue
-                edges = (e1, e2, e3, e4)
-                seen.add(min(edges[i:] + edges[:i] for i in range(4)))
-    return sorted(seen)
 
 
 # (bound, sha256 of the JSONL, summary) of scans at 24 terms against the
@@ -69,65 +44,34 @@ def test_config_validation():
 
 
 def test_enumerate_bound_zero_empty():
-    assert enumerate_edge_cycles(0) == []
     assert scan_slice(0) == (0, 0, {})
 
 
 def test_enumerate_bound_one():
-    cycles = enumerate_edge_cycles(1)
     # regression: the number of cyclic classes of strictly convex 4-cycles
-    # with unit coordinates is fixed
-    assert len(cycles) == 6
-    for edges in cycles:
-        assert sum(e[0] for e in edges) == 0
-        assert sum(e[1] for e in edges) == 0
-        for i, e in enumerate(edges):
-            f = edges[(i + 1) % 4]
-            assert e[0] * f[1] - e[1] * f[0] > 0
+    # with unit coordinates is fixed; one is torsion, and the other five
+    # share one key
+    total, torsion, firsts = scan_slice(1)
+    assert (total, torsion) == (6, 1)
+    assert list(firsts.values()) == [((-1, -1), (0, -1), (1, 1), (0, 1))]
 
 
 @pytest.mark.parametrize("bound", range(6))
 def test_enumerate_matches_reference(bound):
-    assert enumerate_edge_cycles(bound) == reference_edge_cycles(bound)
-
-
-@pytest.mark.parametrize("bound", range(8))
-def test_enumerate_matches_unpruned_loop(bound):
-    # the y3 intervals of the box columns that keep e4 in bounds give the
-    # same list as the loop over every later vector, for the whole run and
-    # each slice
-    assert enumerate_edge_cycles(bound) == \
-        reference_enumerate_edge_cycles(bound)
-    if bound <= 5:
-        for step in (2, 3):
-            for start in range(step):
-                assert enumerate_edge_cycles(bound, start, step) == \
-                    reference_enumerate_edge_cycles(bound, start, step)
-
-
-@pytest.mark.parametrize("bound", range(6))
-def test_enumerate_matches_pruned_loop(bound):
-    # one y3 interval per column gives the same list as the per-candidate
-    # filter of each column it replaced, for the whole run and every slice
-    # with step 2-4; both are references, and the unpruned loop (to bound 7)
-    # and scan_slice's own test (to bound 8) reach further
-    assert enumerate_edge_cycles(bound) == pruned_enumerate_edge_cycles(bound)
-    for step in (2, 3, 4):
-        for start in range(step):
-            assert enumerate_edge_cycles(bound, start, step) == \
-                pruned_enumerate_edge_cycles(bound, start, step)
+    # every rotation of every cycle, reduced through a set: scan_slice meets
+    # each rotation class once, and keeps the first cycle of each key
+    assert scan_slice(bound) == keyed(reference_edge_cycles(bound))
 
 
 def test_enumerate_bound_eight_count():
-    assert len(enumerate_edge_cycles(8)) == 421280
     assert scan_slice(8)[0] == 421280
 
 
 @pytest.mark.parametrize("step", range(1, 5))
 @pytest.mark.parametrize("bound", range(9))
 def test_scan_slice_matches_keyed_cycle_list(bound, step):
-    # keying each column's y3 and building a cycle only for a new key gives
-    # the counts and first cycles of the listed, one-by-one keyed slice: at
+    # keying each column's y3 interval and building a cycle only for a new
+    # key gives the counts and first cycles of the keyed pruned loop: at
     # bounds 0-6 for every start, past that for start 0
     for start in range(step) if bound <= 6 else [0]:
         assert scan_slice(bound, start, step) == \
@@ -135,16 +79,15 @@ def test_scan_slice_matches_keyed_cycle_list(bound, step):
 
 
 def test_enumerate_one_representative_per_rotation():
-    cycles = set(enumerate_edge_cycles(2))
-    for edges in cycles:
-        for i in range(1, 4):
-            rotation = edges[i:] + edges[:i]
-            assert rotation not in cycles or rotation == edges
-
-
-def test_scan_one_torsion_skip():
-    # the columns of the basis 2,-2,0,0;0,0,1,-1
-    assert scan_one(((2, 0), (-2, 0), (0, 1), (0, -1))) == "torsion"
+    # each kept cycle closes, turns left at every vertex and starts at its
+    # smallest edge, so no two kept cycles are rotations of one another
+    for bound in range(5):
+        for edges in scan_slice(bound)[2].values():
+            assert tuple(map(sum, zip(*edges))) == (0, 0)
+            for i, e in enumerate(edges):
+                f = edges[(i + 1) % 4]
+                assert e[0] * f[1] - e[1] * f[0] > 0
+                assert edges[i:] + edges[:i] >= edges
 
 
 def test_scan_one_reference_basis():
@@ -169,7 +112,7 @@ def test_run_scan_bound_two_deterministic():
     assert json.dumps(records1, sort_keys=True) == \
         json.dumps(records2, sort_keys=True)
     assert summary1 == summary2
-    assert summary1["total"] == len(list(reference_bases(cfg)))
+    assert summary1["total"] == len(reference_edge_cycles(cfg.bound))
     assert summary1["unique"] == len(records1)
     assert summary1["unique"] + summary1["duplicates"] + \
         sum(summary1["skipped"].values()) == summary1["total"]
@@ -182,13 +125,6 @@ def test_run_scan_parallel_equivalence():
     parallel, sum_parallel = run_scan(cfg, db, workers=2)
     assert serial == parallel
     assert sum_serial == sum_parallel
-
-
-@pytest.mark.parametrize("step", [2, 3, 7])
-def test_enumerate_slices_partition_the_cycles(step):
-    cycles = enumerate_edge_cycles(4)
-    slices = [enumerate_edge_cycles(4, start, step) for start in range(step)]
-    assert sorted(c for part in slices for c in part) == cycles
 
 
 @pytest.mark.parametrize("bound", range(6))
@@ -224,7 +160,7 @@ def test_dedup_key_determines_terms():
     records, summary = run_scan(cfg, load_fixture())
     kept = {r["dedup_key"]: r["terms"] for r in records}
     checked = 0
-    for edges in enumerate_edge_cycles(cfg.bound):
+    for edges in pruned_enumerate_edge_cycles(cfg.bound):
         if isinstance(scan_one(edges), str):
             continue
         rec = derive_recurrence(edges_to_basis(edges))
@@ -241,7 +177,7 @@ def test_scan_one_keys_match_reference_derive():
     # the same reason, and distinct keys are distinct recurrences
     keys, recs, checked = set(), set(), 0
     for bound in range(7):
-        for edges in enumerate_edge_cycles(bound):
+        for edges in pruned_enumerate_edge_cycles(bound):
             checked += 1
             key = scan_one(edges)
             want = reference_scan_one(edges_to_basis(edges))
