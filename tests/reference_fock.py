@@ -276,6 +276,10 @@ class PermutationAction:
 
     sigma: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        if sorted(self.sigma) != list(range(1, len(self.sigma) + 1)):
+            raise ValueError(f"not a permutation of 1..s: {self.sigma}")
+
     def apply(self, n: tuple[int, ...]) -> tuple[int, ...]:
         """Coordinate permutation: entry at alpha moves to slot sigma(alpha)."""
         out = [0] * len(n)

@@ -107,6 +107,8 @@ def snf_invariants_2rows(matrix: Matrix) -> tuple[int, int]:
     for i in range(s):
         for j in range(i + 1, s):
             g2 = gcd(g2, a[i] * b[j] - a[j] * b[i])
+    if d1 == 0 or g2 == 0:
+        raise ValueError("matrix has rank < 2")
     return d1, g2 // d1
 
 

@@ -8,7 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_intlinalg as ref
+from reference_lattice import (kernel_basis, snf_invariants_2rows,
+                               solve_2unknowns)
 from tauseq.intlinalg import det_exact, pair_minors
+from tauseq.lattice import SublatticeBasis, TorsionError, quotient_map
 
 
 def leibniz_det(m):
@@ -125,3 +128,39 @@ def test_pair_minors_at_the_edge_of_the_field_width(r, e, diagonal):
     minors = pair_minors(m)
     assert minors == ref.pair_minors(m)
     assert minors[0, e - 1] == largest != 0
+
+
+def test_kernel_contains_and_spans():
+    m = [[5, -2, -2, -1], [1, 1, -1, -1]]
+    basis = kernel_basis(m)
+    assert len(basis) == 2
+    for v in basis:
+        assert all(sum(m[r][i] * v[i] for i in range(4)) == 0 for r in range(2))
+    # the all-ones vector and the quotient map's covector are integer
+    # combinations of the basis
+    assert solve_2unknowns(basis[0], basis[1], (1, 1, 1, 1)) is not None
+    w = quotient_map(SublatticeBasis(*m))
+    assert solve_2unknowns(basis[0], basis[1], w) is not None
+
+
+def test_snf_invariants():
+    assert snf_invariants_2rows([[5, 3, 1], [1, 2, 1]]) == (1, 1)
+    assert snf_invariants_2rows([[2, 0, 0], [0, 0, 1]]) == (1, 2)
+    with pytest.raises(ValueError):
+        snf_invariants_2rows([[1, 2], [2, 4]])
+    # the quotient map's torsion gate reports the same invariant factors
+    rows = [[2, -2, 0, 0], [0, 0, 1, -1]]
+    with pytest.raises(TorsionError) as err:
+        quotient_map(SublatticeBasis(*rows))
+    assert err.value.invariant_factors == snf_invariants_2rows(rows) == (1, 2)
+
+
+def test_solve_2unknowns():
+    a, b = (3, -4, 0, 1), (-4, 3, 1, 0)
+    x = tuple(2 * a[i] - 3 * b[i] for i in range(4))
+    assert solve_2unknowns(a, b, x) == (2, -3)
+    assert solve_2unknowns(a, b, (1, 0, 0, -1)) is None
+    # a degree-0 point is in the lattice iff the quotient map sends it to 0
+    w = quotient_map(SublatticeBasis(a, b))
+    assert sum(wi * xi for wi, xi in zip(w, x)) == 0
+    assert sum(wi * xi for wi, xi in zip(w, (1, 0, 0, -1))) != 0

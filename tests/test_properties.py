@@ -597,6 +597,19 @@ def test_load_one_pass_matches_per_line_reference(lines, final_newline,
 
 
 @settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(OFFSETS, OFFSETS), min_size=3, max_size=3),
+       st.integers(-10, 10))
+def test_canonicalize_pairs_invariances(raw, shift):
+    # any three pairs, also without a common sum, which the closed form
+    # below never meets
+    canon = canonicalize_pairs(raw)
+    assert canonicalize_pairs(canon) == canon
+    assert canonicalize_pairs([(-q, -p) for p, q in raw]) == canon
+    assert canonicalize_pairs([(p + shift, q + shift)
+                               for p, q in raw]) == canon
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.integers(-20, 20), st.lists(st.integers(-20, 20), min_size=3,
                                       max_size=3), st.integers(-10, 10))
 @example(0, [0, 4, 3], 0)  # even sum: centred pairs

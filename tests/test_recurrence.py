@@ -17,7 +17,8 @@ from tauseq.fock import Window, random_group_element
 from tauseq.lattice import parse_matrix, quotient_map
 from tauseq.recurrence import (BASE_POINT, BilinearRecurrence,
                                UnsolvableError, derive_recurrence, generate,
-                               octahedron_points, term_str)
+                               octahedron_points, pairs_from_spreads,
+                               term_str)
 from tauseq.verify import _acted_value
 
 SQUARE_BASIS = parse_matrix("5,-2,-2,-1;1,1,-1,-1")
@@ -56,6 +57,26 @@ def test_derived_points_have_degree_zero():
         assert [x - b for x, b in zip(point, BASE_POINT)] == \
             [int(c in (alpha, beta)) for c in range(1, 5)]
         assert sum(wi * ni for wi, ni in zip(w, point)) == idx
+
+
+def test_canonicalize_is_idempotent_and_symmetric():
+    raw = [(0, -6), (3, -9), (2, -8)]
+    canon = canonicalize_pairs(raw)
+    assert canonicalize_pairs(canon) == canon
+    # invariance under the declared freedoms
+    swapped_plus = [raw[2], raw[1], raw[0]]
+    assert canonicalize_pairs(swapped_plus) == canon
+    reflected = [(-q, -p) for p, q in raw]
+    assert canonicalize_pairs(reflected) == canon
+    shifted = [(p + 5, q + 5) for p, q in raw]
+    assert canonicalize_pairs(shifted) == canon
+    # the closed form reads the same pairs off the spreads
+    assert pairs_from_spreads(12, 6, 10) == canon
+
+
+def test_canonicalize_centers_even_sums():
+    assert canonicalize_pairs([(4, 4), (8, 0), (7, 1)]) == \
+        ((0, 0), (4, -4), (3, -3)) == pairs_from_spreads(8, 0, 6)
 
 
 def test_recurrence_rejects_shared_top_offset():
@@ -204,6 +225,18 @@ def inverse(sigma: PermutationAction) -> PermutationAction:
     for alpha, target in enumerate(sigma.sigma):
         inv[target - 1] = alpha + 1
     return PermutationAction(tuple(inv))
+
+
+def test_permutation_validation_and_inverse():
+    with pytest.raises(ValueError):
+        PermutationAction((1, 1, 2, 3))
+    sigma = PermutationAction((2, 3, 1, 4))
+    assert inverse(sigma).sigma == (3, 1, 2, 4)
+    n = (5, -2, 1, -4)
+    assert inverse(sigma).apply(sigma.apply(n)) == n
+    # the permutation oracle acting by the inverse reads the table at n
+    assert abs(_acted_value({n: 5}.__getitem__, inverse(sigma).sigma,
+                            sigma.apply(n))) == 5
 
 
 def test_q_sigma_examples():

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from tauseq.lattice import edges_to_basis
+from tauseq.lattice import TorsionError, edges_to_basis
 from tauseq.oeis import load_fixture
 from tauseq.recurrence import (BilinearRecurrence, derive_recurrence,
                                generate, pairs_from_spreads, term_str)
@@ -63,6 +63,16 @@ def test_enumerate_matches_reference(bound):
     assert scan_slice(bound) == keyed(reference_edge_cycles(bound))
 
 
+@pytest.mark.parametrize("bound", range(6))
+def test_enumerate_matches_pruned_loop(bound):
+    # the pruned loop lists each rotation class once, in the brute force's
+    # order: the order the ordered walk and the first cycle of each key in
+    # reference_slice rely on; scan_slice counts the same cycles
+    cycles = pruned_enumerate_edge_cycles(bound)
+    assert cycles == reference_edge_cycles(bound)
+    assert scan_slice(bound)[0] == len(cycles)
+
+
 def test_enumerate_bound_eight_count():
     assert scan_slice(8)[0] == 421280
 
@@ -88,6 +98,14 @@ def test_enumerate_one_representative_per_rotation():
                 f = edges[(i + 1) % 4]
                 assert e[0] * f[1] - e[1] * f[0] > 0
                 assert edges[i:] + edges[:i] >= edges
+
+
+def test_scan_one_torsion_skip():
+    # the columns of the basis 2,-2,0,0;0,0,1,-1
+    edges = ((2, 0), (-2, 0), (0, 1), (0, -1))
+    assert scan_one(edges) == "torsion"
+    with pytest.raises(TorsionError):
+        derive_recurrence(edges_to_basis(edges))
 
 
 def test_scan_one_reference_basis():
@@ -125,6 +143,21 @@ def test_run_scan_parallel_equivalence():
     parallel, sum_parallel = run_scan(cfg, db, workers=2)
     assert serial == parallel
     assert sum_serial == sum_parallel
+
+
+@pytest.mark.parametrize("step", [2, 3, 7])
+def test_enumerate_slices_partition_the_cycles(step):
+    cycles = pruned_enumerate_edge_cycles(4)
+    slices = [pruned_enumerate_edge_cycles(4, start, step)
+              for start in range(step)]
+    assert sorted(c for part in slices for c in part) == cycles
+    # scan_slice's slices split the count, the torsion count and the keys
+    # of the whole run
+    total, torsion, firsts = scan_slice(4)
+    parts = [scan_slice(4, start, step) for start in range(step)]
+    assert sum(part[0] for part in parts) == total == len(cycles)
+    assert sum(part[1] for part in parts) == torsion
+    assert set().union(*(part[2] for part in parts)) == set(firsts)
 
 
 @pytest.mark.parametrize("bound", range(6))
