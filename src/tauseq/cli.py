@@ -10,7 +10,7 @@ Exit codes are part of the public contract:
   70 internal error: an unexpected exception, whose traceback goes to stderr
 
 All machine output goes to stdout as a single JSON document (JSON Lines for
-scan); a failed command emits {"error": <the exception message>}.
+scan); every failure, usage errors too, emits {"error": <its message>}.
 Diagnostics go to stderr.  Identical invocation and seed produce
 byte-identical stdout.
 """
@@ -202,24 +202,36 @@ def _set_config_defaults(parser: argparse.ArgumentParser, argv: list[str],
                if isinstance(a, argparse._SubParsersAction))
     command = next((arg for arg in argv if arg in sub.choices), None)
     scopes = [parser] + ([sub.choices[command]] if command else [])
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = (part.strip() for part in line.partition("="))
-            flag = "--" + key.replace("_", "-")
-            owner = next((p for p in scopes
-                          if flag in p._option_string_actions), None)
-            if not sep or owner is None:
-                parser.error(f"config {path}: unknown key {key!r}")
-            action = owner._option_string_actions[flag]
-            if action.nargs == 0:  # a switch such as --json
-                if value not in ("true", "false"):
-                    parser.error(f"config {path}: {key} takes true or false")
-                value = value == "true"
-            action.required = False  # the file may supply --bound
-            owner.set_defaults(**{action.dest: value})
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"config error: {path}: {exc}") from exc
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        flag = "--" + key.replace("_", "-")
+        action = next((p._option_string_actions[flag] for p in scopes
+                       if flag in p._option_string_actions), None)
+        if not sep or action is None:
+            raise ValueError(f"config {path}: unknown key {key!r}")
+        if action.nargs == 0:  # a switch such as --json
+            if value not in ("true", "false"):
+                raise ValueError(f"config {path}: {key} takes true or false")
+            value = value == "true"
+        action.required = False  # the file may supply --bound
+        action.default = value
+
+
+def _oracle_name(text: str) -> str:
+    """verify's oracle, rejected in one message on every CPython (argparse
+    quotes the choices in 3.11.7 and 3.13.0, not in 3.13.13)."""
+    if text in verify.ORACLES:
+        return text
+    raise argparse.ArgumentTypeError("invalid choice: %r (choose from %s)" % (
+        text, ", ".join(map(repr, verify.ORACLES))))
 
 
 def _worker_count(text: str) -> int:
@@ -231,8 +243,15 @@ def _worker_count(text: str) -> int:
     return count
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises each usage error as a ValueError, which main reports."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tauseq",
         description="Octahedral tau-function recurrences, sequences, and "
                     "exact verification oracles.",
@@ -265,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="run an exact oracle")
-    p.add_argument("oracle", choices=verify.ORACLES)
+    p.add_argument("oracle", type=_oracle_name, choices=verify.ORACLES)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=None,
                    help="overrides the global --seed")
@@ -301,26 +320,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    pre = argparse.ArgumentParser(prog="tauseq", add_help=False,
-                                  allow_abbrev=False)
-    pre.add_argument("--config", metavar="FILE")
-    known, argv = pre.parse_known_args(argv)
-    parser = build_parser()
-    if known.config is not None:
-        try:
-            _set_config_defaults(parser, argv, known.config)
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-    args = parser.parse_args(argv)
+    args = None
     # exact big-int text in and out for this command only
     with oeis.exact_int_str():
         try:
+            pre = _Parser(prog="tauseq", add_help=False, allow_abbrev=False)
+            pre.add_argument("--config", metavar="FILE")
+            known, argv = pre.parse_known_args(argv)
+            parser = build_parser()
+            if known.config is not None:
+                _set_config_defaults(parser, argv, known.config)
+            args = parser.parse_args(argv)
             code, doc = args.func(args)
         except Exception as exc:
             code, doc = _fail(exc)
         if doc is not None:  # scan has streamed its records already
-            if args.json:
+            if args is not None and args.json:
                 doc["config"] = {k: v for k, v in vars(args).items()
                                  if k not in ("func", "json")
                                  and v is not None}

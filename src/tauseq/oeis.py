@@ -3,11 +3,11 @@ live search client.
 
 The stripped format is one sequence per line: "A000045 ,0,1,1,2,3,...,".
 Loading keeps each entry as its canonical row text ",t0,t1,...,". One
-regex pass over the text stores every line already in that form as it
-stands; only the lines between two such lines go one by one through the
-slow path, which makes any other accepted line (leading zeros, "+5", "-0",
-spaces, "_" separators, empty fields, no trailing comma, Unicode digits)
-canonical as text: int() never reads a term, being quadratic in its length.
+regex pass walks the text line by line: a line already in that form is
+stored as it stands, and any other line takes the slow path, which makes an
+accepted line (leading zeros, "+5", "-0", spaces, "_" separators, empty
+fields, no trailing comma, Unicode digits) canonical as text: int() never
+reads a term, being quadratic in its length.
 A query is matched by one text search: the first match against a
 snapshot joins the rows, in A-number order, into one text, and every
 query then looks for ",q0,q1,...," in it.
@@ -29,11 +29,11 @@ from functools import cached_property
 from typing import BinaryIO
 
 A_NUMBER_RE = re.compile(r"A[0-9]{6}")
-# a whole stripped line, "\r\n" ends too, whose terms are already
-# canonical: 0, or an optional minus and digits without a leading zero
-# (possessive: a term never gives digits back, so the pass is faster)
-CANONICAL_LINE_RE = re.compile(
-    r"^(A[0-9]{6}) (,(?:[1-9][0-9]*+,|0,|-[1-9][0-9]*+,)++)\r?$", re.MULTILINE)
+# each line, in one of two forms: a stripped line ("\r\n" ends too) whose
+# terms are already canonical (0, or an optional minus and digits without a
+# leading zero; possessive, so the pass is faster), or any other line
+LINE_RE = re.compile(
+    r"^(?:(A[0-9]{6}) (,(?:[1-9][0-9]*+,|0,|-[1-9][0-9]*+,)++)\r?$|(.*))", re.M)
 INT_TERM_RE = re.compile(r"[+-]?\d+(?:_\d+)*")  # what int() reads
 DEFAULT_ENDPOINT = "https://oeis.org/search"
 
@@ -113,9 +113,10 @@ def _canonical_term(field: str) -> str:
 def load_stripped(source: BinaryIO | bytes) -> StrippedDb:
     """Parse a stripped file; gzip input is detected by magic bytes.
 
-    One `finditer` stores the canonical lines, the others take the per-line
-    path. Malformed lines (a byte that is not UTF-8 makes one) are recorded
-    with their line numbers and skipped. Terms of any size are accepted.
+    One `finditer` walks the lines: a canonical line is stored as it
+    stands, any other takes the per-line path. Malformed lines (a byte that
+    is not UTF-8 makes one) are recorded with their line numbers and
+    skipped. Terms of any size are accepted.
     """
     data = source if isinstance(source, bytes) else source.read()
     if data[:2] == b"\x1f\x8b":
@@ -129,42 +130,25 @@ def load_stripped(source: BinaryIO | bytes) -> StrippedDb:
     text = data.decode("utf-8", errors="replace")
     entries: dict[str, str] = {}
     malformed: list[tuple[int, str]] = []
-    # split on "\n" only: splitlines() would also split at "\r", "\x85",
-    # "\u2028" and others, and so move the line numbers of malformed lines
-    lineno, start = 1, 0  # number and offset of the first line not yet read
-    for canonical in CANONICAL_LINE_RE.finditer(text):
-        if canonical.start() > start:  # whole lines, each ended by a "\n"
-            gap = text[start:canonical.start() - 1].split("\n")
-            _load_lines(gap, lineno, entries, malformed)
-            lineno += len(gap)
-        entries[canonical[1]] = canonical[2]
-        lineno, start = lineno + 1, canonical.end() + 1
-    _load_lines(text[start:].split("\n"), lineno, entries, malformed)
+    # "^" and "." end a line at "\n" only; splitlines() would also split at
+    # "\r", "\x85", "\u2028" and others, and so move malformed line numbers
+    for lineno, match in enumerate(LINE_RE.finditer(text), start=1):
+        a_number, row, line = match.groups()
+        if line is not None:  # the per-line path: a canonical line reaches
+            line = line.strip()  # it only padded, and gets the same row here
+            if not line or line.startswith("#"):
+                continue
+            a_number, sep, rest = line.partition(" ,")
+            try:
+                row = ",".join(_canonical_term(x) for x in rest.split(",") if x)
+            except ValueError:
+                row = ""
+            if not (sep and row and A_NUMBER_RE.fullmatch(a_number)):
+                malformed.append((lineno, line))
+                continue
+            row = "," + row + ","
+        entries[a_number] = row
     return StrippedDb(entries=entries, malformed=malformed)
-
-
-def _load_lines(lines: list[str], lineno: int, entries: dict[str, str],
-                malformed: list[tuple[int, str]]) -> None:
-    """The per-line path: store or record each line, numbered from lineno;
-    a canonical line reaches it only padded, and gets the same row here."""
-    for lineno, raw in enumerate(lines, start=lineno):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, sep, rest = line.partition(" ,")
-        if not sep or not A_NUMBER_RE.fullmatch(head):
-            malformed.append((lineno, line))
-            continue
-        try:
-            row = ",".join(_canonical_term(x)
-                           for x in rest.rstrip(",").split(",") if x != "")
-        except ValueError:
-            malformed.append((lineno, line))
-            continue
-        if not row:
-            malformed.append((lineno, line))
-            continue
-        entries[head] = "," + row + ","
 
 
 def load_fixture() -> StrippedDb:

@@ -595,9 +595,9 @@ def _offline(terms, endpoint):
 @given(cli_argv())
 def test_exit_code_contract(argv):
     # every exit code is a documented one, never the internal error; stdout
-    # is one JSON document (a scan's records are JSON Lines, and argparse's
-    # own rejections print nothing there); no traceback reaches stderr; and
-    # a run that fails leaves its directory as it found it
+    # is one JSON document, a usage error's too (a scan's records are JSON
+    # Lines); no traceback reaches stderr; and a run that fails leaves its
+    # directory as it found it
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp, \
@@ -608,9 +608,6 @@ def test_exit_code_contract(argv):
         try:
             with redirect_stdout(out), redirect_stderr(err):
                 code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-            assert code == 2 and out.getvalue() == ""
         finally:
             os.chdir(cwd)
         after = sorted(Path(tmp).rglob("*"))
@@ -620,7 +617,7 @@ def test_exit_code_contract(argv):
     if out.getvalue() and "scan" in argv and code == EXIT_OK:
         assert all(type(json.loads(line)) is dict
                    for line in out.getvalue().splitlines())
-    elif out.getvalue():
+    elif out.getvalue() or code != EXIT_OK:
         assert type(json.loads(out.getvalue())) is dict
     if code != EXIT_OK:
         assert after == before
@@ -723,6 +720,10 @@ TRANSCRIPT = [
      "4749269a757a537e0bde6f276ef52a92cc6de389b03b8b9d46c1171751a7188d"),
     (["--json", "--seed", "11", "verify", "plucker", "--trials", "2"],
      "b94c7b754a30efc24fd0a70b2360bbf53479c6a83f544a9c2a0e9f35d3dc6633"),
+    (["scan", "--bound", "x"],
+     "ec462549def84d2de53ee82ea305c68dc8f54c128c98b7a05a1dc088eff1eb95"),
+    (["verify", "nosuch"],
+     "746957877bcab3142366f573350aa02a71bda83e97682dfe4e737ca798beca0f"),
 ]
 
 
@@ -760,21 +761,31 @@ def newer_interpreters() -> list[str]:
     return found
 
 
-def test_golden_transcript_on_newer_interpreters(tmp_path):
+def test_golden_transcript_on_newer_interpreters(tmp_path, monkeypatch,
+                                                  capsys):
     pythons = newer_interpreters()
     if not pythons:
         pytest.skip("no CPython >= 3.12 starts here")
+    # and one --config run, whose reader uses argparse internals, against
+    # its result on this interpreter
+    (tmp_path / "gen.cfg").write_text("terms = 12\njson = true\n")
+    config_argv = ["--config", "gen.cfg", "generate", "--matrix", SQUARE]
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, *config_argv)
+    assert code == 0 and len(json.loads(out)["terms"]) == 12
+    golden = [*TRANSCRIPT, (config_argv, hashlib.sha256(
+        f"{code}\n{out}".encode()).hexdigest())]
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     for exe in pythons:
         child = subprocess.run(
             [exe, "-c", TRANSCRIPT_CHILD], cwd=tmp_path, env=env, text=True,
-            input=json.dumps([argv for argv, _ in TRANSCRIPT]),
+            input=json.dumps([argv for argv, _ in golden]),
             capture_output=True, timeout=300)
         assert child.returncode == 0, (exe, child.stderr[-2000:])
         digests = child.stdout.split()
-        assert len(digests) == len(TRANSCRIPT), (exe, child.stderr[-2000:])
-        assert [argv for (argv, digest), got in zip(TRANSCRIPT, digests)
+        assert len(digests) == len(golden), (exe, child.stderr[-2000:])
+        assert [argv for (argv, digest), got in zip(golden, digests)
                 if got != digest] == [], exe
 
 
@@ -808,16 +819,16 @@ def test_config_file_flag_wins(capsys, tmp_path):
 
 
 def test_missing_config_file(capsys):
-    code, _, err = run(capsys, "generate", "--config", "/nonexistent",
-                       "--matrix", SQUARE)
+    code, obj = run_json(capsys, "generate", "--config", "/nonexistent",
+                         "--matrix", SQUARE)
     assert code == 2
-    assert "config error" in err
+    assert obj["error"].startswith("config error: /nonexistent: ")
 
 
 def test_config_flag_without_path_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["scan", "--bound", "1", "--config"])
-    assert exc.value.code == 2
+    code, obj = run_json(capsys, "scan", "--bound", "1", "--config")
+    assert code == 2
+    assert obj == {"error": "argument --config: expected one argument"}
 
 
 def test_config_sets_global_seed(capsys, tmp_path):
@@ -845,16 +856,14 @@ def test_config_switch_takes_true_false(capsys, tmp_path, value, echoed):
 def test_config_unknown_key_is_usage_error(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("terms = 16\nno_such_option = 3\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["scan", "--bound", "1", "--config", str(cfg)])
-    assert exc.value.code == 2
-    assert "no_such_option" in capsys.readouterr().err
+    code, obj = run_json(capsys, "scan", "--bound", "1", "--config", str(cfg))
+    assert code == 2
+    assert obj == {"error": f"config {cfg}: unknown key 'no_such_option'"}
 
 
 @pytest.mark.parametrize("workers", ["0", "-3", str((os.cpu_count() or 1) + 1)])
 def test_scan_workers_out_of_range(capsys, workers):
     # rejected while parsing, before any pool is started
-    with pytest.raises(SystemExit) as exc:
-        main(["scan", "--bound", "1", "--workers", workers])
-    assert exc.value.code == 2
-    assert "--workers" in capsys.readouterr().err
+    code, obj = run_json(capsys, "scan", "--bound", "1", "--workers", workers)
+    assert code == 2
+    assert obj["error"].startswith("argument --workers: expected 1 to ")

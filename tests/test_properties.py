@@ -580,6 +580,11 @@ def snapshot_lines(draw):
 @example([], False, False)  # empty input
 @example(["A000001 ,1,2,"], False, False)  # one line, no newline
 @example(["A000001 ,1,2,", ""], True, True)  # ends in "\n\n"
+@example(["A000001 ,1,2,", "A000002 ,007,"], True, False)  # other after one
+@example(["A000001 ,1,2,\r ", "x"], True, False)  # canonical but for "\r "
+@example(["A000001 ,1,2,", "", "", "x"], False, False)  # a run of "\n\n\n"
+@example(["A000001 ,1,", "\r", "x"], False, False)  # a lone "\r"
+@example(["A000001 ,1,2,", "A000002 ,+3"], False, False)  # other, unended
 def test_load_one_pass_matches_per_line_reference(lines, final_newline,
                                                   as_file):
     # canonical lines are found by one pass over the text, the others take
