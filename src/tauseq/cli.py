@@ -225,15 +225,6 @@ def _set_config_defaults(parser: argparse.ArgumentParser, argv: list[str],
         action.default = value
 
 
-def _oracle_name(text: str) -> str:
-    """verify's oracle, rejected in one message on every CPython (argparse
-    quotes the choices in 3.11.7 and 3.13.0, not in 3.13.13)."""
-    if text in verify.ORACLES:
-        return text
-    raise argparse.ArgumentTypeError("invalid choice: %r (choose from %s)" % (
-        text, ", ".join(map(repr, verify.ORACLES))))
-
-
 def _worker_count(text: str) -> int:
     """--workers: an integer from 1 to the CPU count."""
     count = int(text) if text.removeprefix("-").isdecimal() else 0
@@ -243,8 +234,21 @@ def _worker_count(text: str) -> int:
     return count
 
 
+def _check_choice(parser: argparse.ArgumentParser, action: argparse.Action,
+                  value) -> None:
+    """Reject a subcommand or oracle outside its choices in one message on
+    every CPython (argparse quotes the choices in 3.11.7 and 3.13.0, not in
+    3.13.13)."""
+    if action.choices is not None and value not in action.choices:
+        raise argparse.ArgumentError(
+            action, "invalid choice: %r (choose from %s)" % (
+                value, ", ".join(map(repr, action.choices))))
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises each usage error as a ValueError, which main reports."""
+
+    _check_value = _check_choice  # argparse's check of a value's choices
 
     def error(self, message: str):
         raise ValueError(message)
@@ -284,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="run an exact oracle")
-    p.add_argument("oracle", type=_oracle_name, choices=verify.ORACLES)
+    p.add_argument("oracle", choices=verify.ORACLES)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=None,
                    help="overrides the global --seed")

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .lattice import LatticeError, SublatticeBasis, minors
@@ -77,7 +78,7 @@ class BilinearRecurrence:
         if len(owners) != 1:
             raise UnsolvableError(self.pairs, owners)
 
-    @property
+    @cached_property
     def window(self) -> int:
         offsets = [x for pair in self.pairs for x in pair]
         return max(offsets) - min(offsets)

@@ -1,17 +1,23 @@
 """Reference scan: two enumerations of the 4-edge convex cycles, each
-compared directly with `tauseq.scan.scan_slice`, and the per-basis derive
-and ordered walk that `tauseq.scan.run_scan` replaced.
+compared directly with `tauseq.scan.scan_slice`, the symmetries of the
+square that scan_slice walks one orbit of, and the per-basis derive and
+ordered walk that `tauseq.scan.run_scan` replaced.
 
 `reference_edge_cycles` is the brute force: every ccw rotation of every
 cycle in the box, reduced to its smallest rotation through a set and
 sorted.  `pruned_enumerate_edge_cycles` walks only cycles whose first edge
 is the smallest, in lexicographic order, and tests each e3 candidate of a
 column for the three crosses and e4 > e1 one by one.  Neither cuts a
-column to a y3 interval by floor division, as `scan_slice` does; the only
-bounds the pruned loop takes as loop ranges are the box and e3 > e1.
-`keyed` keys a cycle list with `scan_one`.  Tests compare `scan_slice`
-with the keyed brute force at bounds 0-5 and, through `reference_slice`,
-with the keyed pruned loop at bounds 0-8 for slice steps 1-4.
+column to a y3 interval by floor division, as `scan_slice` does, nor walks
+one cycle per orbit of the square's symmetries; the only bounds the pruned
+loop takes as loop ranges are the box and e3 > e1.  `keyed` keys a cycle
+list with `scan_one`, and `merged` merges slices as `scan.merge_slices`
+does before it completes them.  Tests compare `scan_slice` with the keyed
+brute force at bounds 0-5 and its merged slices, through
+`reference_slice`, with the keyed pruned loop at bounds 0-8 for slice
+steps 1-4.  `images` maps a cycle by the 8 symmetries of the square, with
+8 integer matrices of its own; tests check that `scan_one` is the same on
+every image.
 
 The ordered walk builds the basis of every cycle of the pruned loop and
 derives its recurrence through the six octahedron points
@@ -25,6 +31,8 @@ to recurrences with `tauseq.recurrence.pairs_from_spreads(*key)`.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
+from itertools import product
 from math import gcd
 from typing import Iterable
 
@@ -96,6 +104,26 @@ def pruned_enumerate_edge_cycles(bound: int, start: int = 0, step: int = 1
     return cycles
 
 
+# the symmetries of the square [-B, B]^2 as matrices ((a, b), (c, d)):
+# one entry +-1 in each row and in each column
+SQUARE_SYMMETRIES = [((a, b), (c, d))
+                     for a, b, c, d in product((-1, 0, 1), repeat=4)
+                     if a * b == c * d == 0 and abs(a * d - b * c) == 1]
+
+
+def images(edges: Cycle) -> list[Cycle]:
+    """The 8 images of a ccw cycle under the symmetries of the square, each
+    as its smallest rotation.  A reflection turns the cycle cw, so its
+    image is read backwards."""
+    found = []
+    for (a, b), (c, d) in SQUARE_SYMMETRIES:
+        image = [(a * x + b * y, c * x + d * y) for x, y in edges]
+        if a * d - b * c < 0:
+            image.reverse()
+        found.append(min(tuple(image[i:] + image[:i]) for i in range(4)))
+    return found
+
+
 def scan_one(edges: Cycle) -> Key | str:
     """The key recurrence.spreads of a convex cycle's minors
     p_ij = cross(e_i, e_j), or "torsion" when their gcd is not 1."""
@@ -120,9 +148,24 @@ def keyed(cycles: list[Cycle]) -> Slice:
     return len(cycles), torsion, firsts
 
 
-def reference_slice(bound: int, start: int = 0, step: int = 1) -> Slice:
-    """The slice `scan.scan_slice` computes, from the keyed pruned loop."""
-    return keyed(pruned_enumerate_edge_cycles(bound, start, step))
+def merged(slices: Iterable[Slice]) -> Slice:
+    """Slices merged: their summed counts and the least cycle of each key."""
+    total = torsion = 0
+    firsts: dict[Key, Cycle] = {}
+    for slice_total, slice_torsion, slice_firsts in slices:
+        total += slice_total
+        torsion += slice_torsion
+        for key, edges in slice_firsts.items():
+            firsts[key] = min(edges, firsts.get(key, edges))
+    return total, torsion, firsts
+
+
+@cache
+def reference_slice(bound: int) -> Slice:
+    """What `scan.scan_slice(bound)`, or its slices merged, computes, from
+    the keyed pruned loop; one computation per bound, which no caller may
+    change."""
+    return keyed(pruned_enumerate_edge_cycles(bound))
 
 
 def reference_scan_one(basis: SublatticeBasis) -> BilinearRecurrence | str:

@@ -23,12 +23,15 @@ declared invariances, and BilinearRecurrence for accepting exactly the
 triples generate can iterate.  Every torsion-free strictly convex
 quadrilateral is checked to give a positive Gale-Robinson recurrence (the
 statement is in the recurrence module docstring), and the scan's key of its
-edge cycle to map back to that recurrence, or both to say torsion.  The
-scan's slice, which cuts each column of e3 to one y3 interval by floor
-division and keys each y3 in it, is checked at bounds 0-7, steps 1-4 and
-any start against the pruned loop of tests/reference_scan.py, keyed one
-cycle at a time.  The pruned loop tests each e3 candidate's crosses and
-e4 > e1 itself, so it shares none of the slice's interval cuts.
+edge cycle to map back to that recurrence, or both to say torsion, and to
+be the key and torsion verdict of each image of the cycle under the
+symmetries of the square.  The scan's slices, which walk one cycle per
+orbit of those symmetries, cut each column of e3 to one y3 interval by
+floor division and key each y3 in it, are checked, merged, at bounds 0-7
+and steps 1-16 against the pruned loop of tests/reference_scan.py, keyed
+one cycle at a time.  The pruned loop tests each e3 candidate's crosses and
+e4 > e1 itself and walks every rotation class, so it shares none of the
+slice's interval cuts or orbit weights.
 Every Gale-Robinson key with N <= 24 and every bound-5 scanned recurrence
 is checked for the Laurent property, run from a window of primes, with a
 broken pair sum as the negative control.  The
@@ -72,7 +75,7 @@ from tauseq.oeis import (MatchPolicy, QueryTooShort, load_stripped,
 from tauseq.recurrence import (SIGNS, BilinearRecurrence, SequenceRun,
                                UnsolvableError, derive_recurrence, generate,
                                octahedral_combination, pairs_from_spreads)
-from reference_scan import reference_slice, scan_one
+from reference_scan import images, merged, reference_slice, scan_one
 from tauseq.scan import scan_slice
 
 
@@ -698,30 +701,36 @@ def test_scan_key_maps_to_derived_recurrence(vertices):
 
 @st.composite
 def enumeration_slices(draw):
-    """(bound, start, step): a bound 0-7, a step 1-4 and any start among
-    the bound's nonzero vectors."""
-    bound = draw(st.integers(0, 7))
-    step = draw(st.integers(1, 4))
-    start = draw(st.integers(0, max(0, (2 * bound + 1) ** 2 - 2)))
-    return bound, start, step
+    """(bound, step): a bound 0-7 and a step 1-16."""
+    return draw(st.integers(0, 7)), draw(st.integers(1, 16))
 
 
-# Each example's slice reaches one branch of scan_slice's y3 interval step
-# and, but for x1 == 0, loses or gains a cycle if that branch is dropped or
-# off by one; the first cycle with x3 == x1 and y3 == y1 + 1 needs bound 8.
-# An e1 with x1 == 0 reaches no column: an e2 > e1 with cross(e1, e2) > 0
-# has x2 > 0, and x3 would run from x1 = 0 to -sx - x1 = -x2 < 0.
+# Each example is the least bound at which the merged slices change when
+# one cut or one kind of tie of scan_slice's orbit walk is dropped (each was
+# deleted in turn, one at a time): bound 1 the x2 = M range of e2 and the
+# orbit weights, bound 2 the |x3| = M, |x4| = M and |x4| > m cuts of y3 and
+# the ties of m = 0, m = M, e2, |x3| = M and |x4| = m, bound 3 the
+# |x3| > m cut, the |x2| > m range and the ties of |x3| = m and |x4| = M.
 @settings(max_examples=60, deadline=None)
 @given(enumeration_slices())
-@example((1, 3, 1))  # e1 = (0, -1) and on: x1 == 0, no cycle
-@example((1, 2, 4))  # e1 = (-1, 1), e2 = (0, -1): x2 == 0
-@example((1, 0, 4))  # e1 = (-1, -1), e2 = (1, -1): sx == 0
-@example((1, 1, 4))  # e1 = (-1, 0), e2 = (1, -1), x3 = 1: x4 == x1
-@example((5, 43, 4))  # e1 = (-2, 5), e2 = (-1, -1), x3 = -2: x3 == x1
-@example((2, 4, 4))  # e1 = (-2, 2): x1 and sx as low as -3, b // a inexact
-@example((8, 94, 4))  # e1 = (-3, 1), e2 = (8, -4), e3 = (-3, 2): y3 == y1 + 1
+@example((1, 1))
+@example((2, 3))
+@example((3, 4))
 def test_enumerate_slice_matches_pruned_loop(case):
-    assert scan_slice(*case) == reference_slice(*case)
+    bound, step = case
+    slices = [scan_slice(bound, start, step) for start in range(step)]
+    assert merged(slices) == reference_slice(bound)
+
+
+@settings(max_examples=300, deadline=None)
+@given(convex_quadrilaterals().filter(_strictly_convex))
+@example(((0, 0), (1, 0), (1, 1), (0, 1)))  # each symmetry fixes its cycle
+def test_scan_key_is_symmetric(vertices):
+    # the torsion verdict and key of every image of a cycle under the
+    # symmetries of the square, reflections read backwards, are its own
+    edges = EdgePolygon(vertices).edges
+    want = scan_one(edges)
+    assert all(scan_one(image) == want for image in images(edges))
 
 
 # -------------------------------------------------------------- Laurent

@@ -7,7 +7,8 @@ from tauseq.lattice import TorsionError, edges_to_basis
 from tauseq.oeis import load_fixture
 from tauseq.recurrence import (BilinearRecurrence, derive_recurrence,
                                generate, pairs_from_spreads, term_str)
-from reference_scan import (keyed, pruned_enumerate_edge_cycles,
+from reference_scan import (images, keyed, merged,
+                            pruned_enumerate_edge_cycles,
                             reference_edge_cycles, reference_scan,
                             reference_scan_one, reference_slice, scan_one)
 from tauseq.scan import (ScanConfig, complete_record, merge_slices, run_scan,
@@ -80,12 +81,32 @@ def test_enumerate_bound_eight_count():
 @pytest.mark.parametrize("step", range(1, 5))
 @pytest.mark.parametrize("bound", range(9))
 def test_scan_slice_matches_keyed_cycle_list(bound, step):
-    # keying each column's y3 interval and building a cycle only for a new
-    # key gives the counts and first cycles of the keyed pruned loop: at
-    # bounds 0-6 for every start, past that for start 0
-    for start in range(step) if bound <= 6 else [0]:
-        assert scan_slice(bound, start, step) == \
-            reference_slice(bound, start, step), start
+    # walking one cycle per orbit, weighted by its orbit size, keying each
+    # column's y3 interval and building a cycle only for a new key gives,
+    # merged over the slices, the counts and first cycles of the keyed
+    # pruned loop; each (e1, e2) pair of the walk is in one slice
+    slices = [scan_slice(bound, start, step) for start in range(step)]
+    assert merged(slices) == reference_slice(bound)
+    pairs = [{edges[:2] for edges in firsts.values()}
+             for _, _, firsts in slices]
+    assert sum(map(len, pairs)) == len(set().union(*pairs))
+
+
+@pytest.mark.parametrize("bound", range(6))
+def test_key_and_torsion_are_symmetric(bound):
+    # each of the 8 images of a cycle under the symmetries of the square has
+    # its torsion verdict and, torsion-free, its key, and the orbit sizes of
+    # the orbit-least cycles add up to the brute-force count, as
+    # scan_slice's weights do
+    cycles = reference_edge_cycles(bound)
+    weights = 0
+    for edges in cycles:
+        orbit = images(edges)
+        want = scan_one(edges)
+        assert all(scan_one(image) == want for image in orbit), edges
+        if edges == min(orbit):
+            weights += len(set(orbit))
+    assert weights == len(cycles)
 
 
 def test_enumerate_one_representative_per_rotation():
