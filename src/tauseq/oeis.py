@@ -25,7 +25,8 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from operator import eq
 from typing import BinaryIO
 
 A_NUMBER_RE = re.compile(r"A[0-9]{6}")
@@ -159,12 +160,13 @@ def load_fixture() -> StrippedDb:
 
 
 def trim_query(terms: list[int], policy: MatchPolicy) -> list[int]:
-    query = list(terms)
+    """The terms as a new list, without their leading ones if the policy
+    trims them (counted at C speed: 1 == t, as (1).__eq__(t) is the truthy
+    NotImplemented for a Fraction t)."""
+    ones = 0
     if policy.trim_leading_ones:
-        i = 0
-        while i < len(query) and query[i] == 1:
-            i += 1
-        query = query[i:]
+        ones = len(list(itertools.takewhile(partial(eq, 1), terms)))
+    query = terms[ones:]
     if len(query) < policy.min_match_terms:
         raise QueryTooShort(
             f"query has {len(query)} terms after trimming; "

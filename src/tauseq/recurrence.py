@@ -261,13 +261,12 @@ def generate(rec: BilinearRecurrence, count: int,
     if len(init) != window:
         raise ValueError(f"initial window must have length {window}")
 
-    # shift offsets so the minimum is 0; the top term is then at l + top
-    low = min(x for pair in rec.pairs for x in pair)
+    # shift offsets so the minimum, a q as each pair has p >= q, is 0; the
+    # top term is then at l + window, the p of the one pair that holds it
+    low = min(q for _, q in rec.pairs)
     pairs = [(p - low, q - low) for p, q in rec.pairs]
-    top = max(x for pair in pairs for x in pair)
-    owner = next(i for i, (p, q) in enumerate(pairs) if top in (p, q))
-    p_o, q_o = pairs[owner]
-    partner = q_o if p_o == top else p_o
+    owner = next(i for i, (p, _) in enumerate(pairs) if p == window)
+    partner = pairs[owner][1]
     # T(top) T(partner) = -SIGNS[owner] sum_{i != owner} SIGNS[i] T(p_i) T(q_i)
     # is a + b of the plus pairs when the minus pair owns the top term, else
     # a - b with a the minus pair's product
@@ -278,7 +277,7 @@ def generate(rec: BilinearRecurrence, count: int,
     terms: list[int | Fraction] = list(init)
     run = SequenceRun(terms=terms, seed_window=list(init))
     for j in range(window, count):
-        l = j - top
+        l = j - window
         a, b = terms[l + p_a] * terms[l + q_a], terms[l + p_b] * terms[l + q_b]
         num = a - b if subtract else a + b
         divisor = terms[l + partner]

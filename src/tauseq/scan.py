@@ -17,13 +17,16 @@ polygon.  The parent merges the slices by keeping, per key, the smallest
 edge cycle, which is the one a serial walk meets first.  So 1-worker and
 N-worker runs are byte-identical.  The parent then builds the record of
 each kept key once: its recurrence is pairs_from_spreads(*key), generated
-and matched.
+and matched.  What records share is built once: the scan's MatchPolicy
+(ScanConfig.policy) and the module's two JSON encoders.  A record keeps one
+string per distinct term, so its seed window of ones shares one "1".
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from math import gcd
 from typing import Iterable, TextIO
@@ -44,7 +47,12 @@ class ScanConfig:
             raise ValueError("coordinate bound must be >= 0")
         if self.terms < 16:
             raise ValueError("terms per sequence must be >= 16")
-        MatchPolicy(min_match_terms=self.min_match_terms)  # oeis's floor of 4
+        self.policy  # built now, so oeis checks its floor of 4 up front
+
+    @cached_property
+    def policy(self) -> MatchPolicy:
+        """The one MatchPolicy of every record of the scan."""
+        return MatchPolicy(min_match_terms=self.min_match_terms)
 
 
 Edge = tuple[int, int]
@@ -52,6 +60,11 @@ Cycle = tuple[Edge, Edge, Edge, Edge]
 # Gale-Robinson coordinates (N, s_lo, s_hi) of a cycle's recurrence, from
 # recurrence.spreads, the arguments of recurrence.pairs_from_spreads
 Key = tuple[int, int, int]
+
+# json.dumps(obj) and json.dumps(obj, sort_keys=True), without building an
+# encoder per call
+_encode = json.JSONEncoder().encode
+_encode_sorted = json.JSONEncoder(sort_keys=True).encode
 
 
 def complete_record(edges: Cycle, rec: BilinearRecurrence, cfg: ScanConfig,
@@ -65,19 +78,24 @@ def complete_record(edges: Cycle, rec: BilinearRecurrence, cfg: ScanConfig,
     terms are the seed window of ones, its status is "ok" and the summary
     counts it as integral, and its query is usually too short to match
     (657 and 855 of the 940 bound-5 records at 24 terms).
+
+    Each distinct term is turned to text once, and its positions share
+    that one str (CPython makes a new str(1) per call): a run's Fraction is
+    never whole, so equal terms have equal text.  The policy is cfg's, one
+    per scan.
     """
     recurrence = rec.to_json_dict()
     record = {"basis": [list(row) for row in zip(*edges)],
               "recurrence": recurrence,
-              "dedup_key": json.dumps(recurrence["pairs"])}
+              "dedup_key": _encode(recurrence["pairs"])}
     run = generate(rec, max(cfg.terms, rec.window))
     record["status"] = run.status
-    record["terms"] = [term_str(t) for t in run.terms]
+    text = {t: term_str(t) for t in set(run.terms)}
+    record["terms"] = list(map(text.__getitem__, run.terms))
     record["matches"] = []
     if run.status == "ok":
         try:
-            policy = MatchPolicy(min_match_terms=cfg.min_match_terms)
-            hits = match_sequence(db, run.terms, policy)
+            hits = match_sequence(db, run.terms, cfg.policy)
             record["matches"] = [{"a_number": a, "position": pos}
                                  for a, pos in hits]
         except QueryTooShort:
@@ -287,7 +305,7 @@ def run_scan(cfg: ScanConfig, db: StrippedDb,
 
 
 def jsonl_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True) + "\n"
+    return _encode_sorted(record) + "\n"
 
 
 def write_jsonl(records: list[dict], path: str,

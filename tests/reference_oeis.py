@@ -12,6 +12,10 @@ line on its own, before one regex pass over the whole text found the
 canonical lines; the tests compare it with `tauseq.oeis.load_stripped`.
 Its other lines take each term as str(int(term)) without the digit limit,
 the rule the text loader's term canonicaliser is specified against.
+
+`trim_query` is the query trim that stepped over the leading ones in a
+Python loop, before `tauseq.oeis.trim_query` counted them at C speed; the
+tests compare the two.
 """
 
 import gzip
@@ -20,7 +24,7 @@ import re
 import zlib
 
 from tauseq import oeis
-from tauseq.oeis import StrippedDb, exact_int_str
+from tauseq.oeis import QueryTooShort, StrippedDb, exact_int_str
 
 A_NUMBER_RE = re.compile(r"^A[0-9]{6}$")
 CANONICAL_LINE_RE = re.compile(r"(A[0-9]{6}) (,(?:(?:0|-?[1-9][0-9]*),)+)")
@@ -124,3 +128,19 @@ def load_stripped_by_line(source) -> StrippedDb:
             continue
         entries[head] = "," + row + ","
     return StrippedDb(entries=entries, malformed=malformed)
+
+
+def trim_query(terms, policy) -> list:
+    """The terms as a new list, without their leading ones if the policy
+    trims them, stepped over one at a time."""
+    query = list(terms)
+    if policy.trim_leading_ones:
+        i = 0
+        while i < len(query) and query[i] == 1:
+            i += 1
+        query = query[i:]
+    if len(query) < policy.min_match_terms:
+        raise QueryTooShort(
+            f"query has {len(query)} terms after trimming; "
+            f"need >= {policy.min_match_terms}")
+    return query

@@ -74,18 +74,16 @@ def reference_edge_cycles(bound: int) -> list[Cycle]:
     return sorted(seen)
 
 
-def pruned_enumerate_edge_cycles(bound: int, start: int = 0, step: int = 1
-                                 ) -> list[Cycle]:
+def pruned_enumerate_edge_cycles(bound: int) -> list[Cycle]:
     """The strictly convex ccw 4-edge cycles with coordinates in [-B, B]
-    whose first edge is their smallest and lies in vectors[start::step],
-    in lexicographic order.  The e3 loop walks the vectors after e1 that
-    keep e4 = -(e1 + e2 + e3) in the box and tests each candidate."""
+    whose first edge is their smallest, in lexicographic order.  The e3
+    loop walks the vectors after e1 that keep e4 = -(e1 + e2 + e3) in the
+    box and tests each candidate."""
     coords = range(-bound, bound + 1)
     grid = [[(x, y) for y in coords] for x in coords]  # grid[x + B][y + B]
     vectors = [v for column in grid for v in column if v != (0, 0)]
     cycles = []
-    for i in range(start, len(vectors), step):
-        e1 = vectors[i]
+    for i, e1 in enumerate(vectors):
         x1, y1 = e1
         for e2 in vectors[i + 1:]:
             if cross(e1, e2) <= 0:

@@ -357,15 +357,21 @@ def test_scan_output_file_is_stdout_serialised_once(capsys, tmp_path,
                                                     monkeypatch):
     # each record is turned into JSON once, and the --output file holds
     # exactly the bytes printed on stdout
-    dumped = []  # the dicts serialised; the scan also dumps list keys
-    dumps = json.dumps
+    dumped = []  # the dicts serialised: records by scan's sorted-key
+    # encoder, the summary by json.dumps
+    dumps, encode = json.dumps, scan._encode_sorted
 
     def counting_dumps(obj, **kwargs):
         if isinstance(obj, dict):
             dumped.append(obj)
         return dumps(obj, **kwargs)
 
+    def counting_encode(obj):
+        dumped.append(obj)
+        return encode(obj)
+
     monkeypatch.setattr(json, "dumps", counting_dumps)
+    monkeypatch.setattr(scan, "_encode_sorted", counting_encode)
     out_path = tmp_path / "scan.jsonl"
     code, out, _ = run(capsys, "scan", "--bound", "2", "--terms", "16",
                        "--output", str(out_path))

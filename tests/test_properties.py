@@ -13,10 +13,12 @@ Gaussian-elimination rank.  The recursive division `recurrence._divmod` is
 checked against the builtin divmod, and for recursing exactly when the
 divisor and the quotient both pass its cutoff.  The
 text-index OEIS match is checked against the per-entry slice scan it
-replaced, and the OEIS loader, which keeps canonical rows as text, against
-the int-parsing loader it replaced and, for its one regex pass over the
-whole text, against the loop that fullmatched each line on its own (both
-in tests/reference_oeis.py).  The closed
+replaced, its query trim, which counts the leading ones at C speed,
+against the Python loop it replaced, and the OEIS loader, which keeps
+canonical rows as text, against the int-parsing loader it replaced and,
+for its one regex pass over the whole text, against the loop that
+fullmatched each line on its own (the last three in
+tests/reference_oeis.py).  The closed
 form pairs_from_spreads is checked against the search canonicalize_pairs it
 replaced (kept in tests/reference_lattice.py), canonicalize_pairs for its
 declared invariances, and BilinearRecurrence for accepting exactly the
@@ -225,6 +227,13 @@ def divisions(draw):
 @example((((1 << 5000) + 1) * ((1 << 3000) + 3) + 7, (1 << 3000) + 3))
 @example((1 << 30001, (1 << CUTOFF + 1) - 1))  # quotient 14 times b
 @example((1 << 30001, 3))  # long quotient, short divisor: builtin
+# each gate at its edge: a divisor of CUTOFF bits, then one more, under a
+# long quotient; a quotient of CUTOFF bits, then one more, over a long
+# divisor
+@example(((1 << 4 * CUTOFF) - 1, (1 << CUTOFF - 1) + 5))
+@example(((1 << 4 * CUTOFF) - 1, (1 << CUTOFF) + 5))
+@example(((1 << 3 * CUTOFF) - 1, (1 << 2 * CUTOFF - 1) + 5))
+@example(((1 << 3 * CUTOFF + 1) - 1, (1 << 2 * CUTOFF - 1) + 5))
 def test_recursive_divmod_matches_builtin(case):
     a, b = case
     n = b.bit_length()
@@ -460,6 +469,43 @@ def test_match_matches_linear_scan(case):
             match_sequence(db, query, policy)
         return
     assert match_sequence(db, query, policy) == want
+
+
+@st.composite
+def trim_cases(draw):
+    """(terms, policy): a run of 0-30 leading ones, then terms that may
+    start with more ones or be none at all (a run of ones only), about
+    long enough for the policy's floor, or one short of it."""
+    policy = draw(POLICIES)
+    ones = draw(st.sampled_from([0, 1, 3]) | st.integers(0, 30))
+    length = policy.min_match_terms + draw(st.integers(-1, 3))
+    if draw(st.integers(0, 4)) == 0:
+        length = 0
+    rest = draw(st.lists(SMALL | TERM | st.fractions(max_denominator=4),
+                         min_size=length, max_size=length))
+    return [1] * ones + rest, policy
+
+
+@settings(max_examples=300, deadline=None)
+@given(trim_cases())
+@example(([1] * 12, MatchPolicy(min_match_terms=4)))  # all ones
+@example(([1, 1, 2, 3, 4, 5], MatchPolicy(min_match_terms=4)))  # the floor
+@example(([1, 1, 2, 3, 4], MatchPolicy(min_match_terms=4)))  # one short
+@example(([1, 1, Fraction(1, 2), 1, 3], MatchPolicy(min_match_terms=4)))
+@example(([1, 1, 2, 3], MatchPolicy(trim_leading_ones=False,
+                                    min_match_terms=4)))
+def test_trim_query_matches_while_loop(case):
+    terms, policy = case
+    try:
+        want = reference_oeis.trim_query(terms, policy)
+    except QueryTooShort as exc:
+        with pytest.raises(QueryTooShort) as got:
+            trim_query(terms, policy)
+        assert str(got.value) == str(exc)
+        return
+    got = trim_query(terms, policy)
+    assert got == want
+    assert got is not terms
 
 
 ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663"

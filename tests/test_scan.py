@@ -169,9 +169,6 @@ def test_run_scan_parallel_equivalence():
 @pytest.mark.parametrize("step", [2, 3, 7])
 def test_enumerate_slices_partition_the_cycles(step):
     cycles = pruned_enumerate_edge_cycles(4)
-    slices = [pruned_enumerate_edge_cycles(4, start, step)
-              for start in range(step)]
-    assert sorted(c for part in slices for c in part) == cycles
     # scan_slice's slices split the count, the torsion count and the keys
     # of the whole run
     total, torsion, firsts = scan_slice(4)
@@ -223,6 +220,34 @@ def test_dedup_key_determines_terms():
         assert [term_str(t) for t in run.terms] == kept[key]
         checked += 1
     assert checked == summary["unique"] + summary["duplicates"]
+
+
+@pytest.mark.parametrize("bound", range(8))
+def test_record_terms_share_one_str_per_value(bound):
+    # each record's terms are the text of its run, and a term that occurs
+    # more than once is the same str object at each place
+    cfg = ScanConfig(bound=bound)
+    records, _ = run_scan(cfg, load_fixture())
+    for record in records:
+        rec = BilinearRecurrence(tuple(map(tuple,
+                                           record["recurrence"]["pairs"])))
+        run = generate(rec, max(cfg.terms, rec.window))
+        assert record["terms"] == [term_str(t) for t in run.terms]
+        assert len(set(map(id, record["terms"]))) == len(set(record["terms"]))
+
+
+def test_non_integral_record_shares_fraction_text():
+    # a run's Fraction is never whole, so no Fraction shares an int's text,
+    # and a Fraction that recurs is one str as well
+    rec = BilinearRecurrence(((0, 0), (3, 1), (0, 0)))
+    run = generate(rec, 16)
+    fractions = [t for t in run.terms if type(t) is not int]
+    assert len(set(fractions)) < len(fractions)
+    record = complete_record(((1, 0), (0, 1), (-1, 0), (0, -1)), rec,
+                             ScanConfig(bound=1, terms=16), load_fixture())
+    assert record["status"] == "non-integral"
+    assert record["terms"] == [term_str(t) for t in run.terms]
+    assert len(set(map(id, record["terms"]))) == len(set(record["terms"]))
 
 
 def test_scan_one_keys_match_reference_derive():
