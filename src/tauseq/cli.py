@@ -150,8 +150,9 @@ def cmd_scan(args) -> Result:
     """Streams its JSON Lines records itself, so returns no document."""
     if args.output == "":
         raise ValueError("--output needs a path")
-    cfg = scan.ScanConfig(bound=args.bound, terms=args.terms,
-                          min_match_terms=args.min_match)
+    cfg = scan.ScanConfig(
+        bound=args.bound, terms=args.terms,
+        policy=oeis.MatchPolicy(min_match_terms=args.min_match))
     db = _load_db(args)
     paths = [args.output, args.output + ".summary.json"] if args.output else []
     created = []  # a failed run removes the files it created, and only them
@@ -232,6 +233,25 @@ def _worker_count(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"expected 1 to {os.cpu_count()} (the CPU count), got {text!r}")
     return count
+
+
+# the largest value of each numeric option, by subcommand: a run at one
+# ceiling, its other options at their defaults, takes at most about a
+# minute and 1 GB (the README gives each cost); past it the command exits
+# with 2 before any work
+CEILINGS = {
+    "generate": {"terms": 1000},
+    "scan": {"bound": 14, "terms": 500},
+    "verify": {"trials": 10_000, "cutoff": 16, "dim": 64, "max_weight": 18},
+}
+
+
+def _check_ceilings(args) -> None:
+    for dest, ceiling in CEILINGS.get(args.command, {}).items():
+        value = getattr(args, dest)
+        if value is not None and value > ceiling:
+            raise ValueError(f"--{dest.replace('_', '-')} must be <= "
+                             f"{ceiling}, its ceiling")
 
 
 def _check_choice(parser: argparse.ArgumentParser, action: argparse.Action,
@@ -335,6 +355,7 @@ def main(argv: list[str] | None = None) -> int:
             if known.config is not None:
                 _set_config_defaults(parser, argv, known.config)
             args = parser.parse_args(argv)
+            _check_ceilings(args)
             code, doc = args.func(args)
         except Exception as exc:
             code, doc = _fail(exc)

@@ -9,6 +9,8 @@ the cycle cw, so its image is read backwards.  So the first cycle of a key
 in lexicographic order is least in its own orbit, and a walk of only the
 orbit-least cycles, in lexicographic order, meets the same first cycle per
 key; the counts add each walked cycle's orbit size, 8 / |stabiliser|.
+One table per first edge, _y_ranges, states which edges such a cycle can
+have (the cut) and through which edges it can tie with an image.
 
 The unit of parallel work is a slice of the walk's (e1, e2) pairs taken by
 stride.  A slice keys each polygon by three 2x2 minors of its edges without
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 from math import gcd
 from typing import Iterable, TextIO
@@ -40,19 +41,13 @@ from .recurrence import (BilinearRecurrence, generate, pairs_from_spreads,
 class ScanConfig:
     bound: int
     terms: int = 24
-    min_match_terms: int = MatchPolicy.min_match_terms
+    policy: MatchPolicy = MatchPolicy()  # the one policy of every record
 
     def __post_init__(self) -> None:
         if self.bound < 0:
             raise ValueError("coordinate bound must be >= 0")
         if self.terms < 16:
             raise ValueError("terms per sequence must be >= 16")
-        self.policy  # built now, so oeis checks its floor of 4 up front
-
-    @cached_property
-    def policy(self) -> MatchPolicy:
-        """The one MatchPolicy of every record of the scan."""
-        return MatchPolicy(min_match_terms=self.min_match_terms)
 
 
 Edge = tuple[int, int]
@@ -145,25 +140,40 @@ def _orbit_weight(edges: Cycle, to_first: dict) -> int:
     return 8 // stabiliser
 
 
+def _y_ranges(big: int, small: int) -> dict[int, tuple[int, int, tuple]]:
+    """{x: (lo, hi, ties)} for x = -M..M, the table of e1 = (-M, -m): the
+    y range lo..hi an edge (x, y) of an orbit-least cycle may take, and the
+    y where that edge's |coordinates| are {M, m}.
+
+    An edge with a coordinate +-M beside one beyond m in absolute value has
+    an image smaller than e1, so |x| = M keeps |y| <= m and m < |x| < M
+    keeps |y| < M; any other column keeps the M-box.  Only an edge whose
+    |coordinates| are {M, m} can tie the cycle with an image: at |x| = M
+    the ties are y = +-m, at |x| = m < M they are y = +-M."""
+    ys = {}
+    for x in range(-big, big + 1):
+        if abs(x) == big:
+            ys[x] = (-small, small, (-small, small))
+        elif abs(x) > small:
+            ys[x] = (1 - big, big - 1, ())
+        else:
+            ys[x] = (-big, big, (-big, big) if abs(x) == small else ())
+    return ys
+
+
 def _first_pairs(bound: int):
-    """(M, m, e1, e2, _to_first(e1)) for e1 = (-M, -m), M = B..1 and
-    m = M..0, and each e2 in the M-box with cross(e1, e2) > 0 and no
-    coordinate +-M beside one beyond m, in lexicographic order."""
+    """(M, e1, e2, _y_ranges(M, m), _to_first(e1)) for e1 = (-M, -m),
+    M = B..1 and m = M..0, and each e2 with cross(e1, e2) > 0 and y2 in
+    its column's range of the table, in lexicographic order."""
     for big in range(bound, 0, -1):
         for small in range(big, -1, -1):
             e1 = (-big, -small)
-            to_first = _to_first(e1)
-            # cross(e1, e2) > 0 is M y2 < m x2, so x2 = -M would need
-            # y2 < -m
-            for x2 in range(1 - big, big + 1):
-                if abs(x2) == big:
-                    y2_lo = -small
-                elif abs(x2) > small:
-                    y2_lo = 1 - big
-                else:
-                    y2_lo = -big
+            ys, to_first = _y_ranges(big, small), _to_first(e1)
+            # cross(e1, e2) > 0 is M y2 < m x2: an upper end at or below
+            # the table's hi, and below its lo in the column x2 = -M
+            for x2, (y2_lo, _, _) in ys.items():
                 for y2 in range(y2_lo, (small * x2 - 1) // big + 1):
-                    yield big, small, e1, (x2, y2), to_first
+                    yield big, e1, (x2, y2), ys, to_first
 
 
 def scan_slice(bound: int, start: int = 0, step: int = 1) -> Slice:
@@ -177,55 +187,38 @@ def scan_slice(bound: int, start: int = 0, step: int = 1) -> Slice:
     its smallest edge (the edges of a strictly convex cycle point in
     distinct directions), and so does each of its images.  An orbit-least
     cycle starts at e1 = (-M, -m), 0 <= m <= M, with M the largest
-    |coordinate| of its edges, and has every edge in the M-box.  An edge
-    with a coordinate +-M and the other beyond m in absolute value has an
-    image smaller than e1, so such a cycle is never walked: for e2 it
-    bounds the e2 range, for e3 and e4 it cuts y3 (|x| = M keeps |y| <= m,
-    |x| > m keeps |y| < M).  A cycle can tie with an image only through an
-    edge whose |coordinates| are {M, m}: e1 itself when m is 0 or M, e2,
-    or e3 or e4 at up to four y3 values per column.  _orbit_weight settles
-    each tie; any other cycle is alone least in an orbit of 8.
+    |coordinate| of its edges, and each of its edges (x, y) has y in the
+    range of column x of e1's table, _y_ranges(M, m), which states the cut
+    to orbit-least cycles and the y where an edge can tie.  A cycle can tie
+    with an image only through e1 itself (m is 0 or M), e2, or a tie of e3
+    or e4 in the table; _orbit_weight settles each tie, and any other
+    cycle is alone least in an orbit of 8.
 
     Fixing e1, e2 and x3 fixes x4, and each remaining test is linear in
-    y3: the M-box and the cuts above, which keep e3 and e4 from being
-    smaller than e1, and a*y3 > b for the crosses (e2, e3), (e3, e4) and
-    (e4, e1), which also keep them from being e1.  So each column x3 is one
-    interval of y3, cut by floor division; a zero a keeps the column if
-    b < 0, else empties it.  Over a column p12 is fixed and p13, p23 step
-    by x1 and x2, so each y3 is keyed by recurrence.spreads of the three
-    minors, or skipped as torsion when their gcd is not 1; its edge cycle
-    is built only for a new key.
+    y3: the table's range of e3 at x3 and of e4 = (x4, -sy - y3) at x4,
+    which keep both in the M-box and not smaller than e1, and a*y3 > b for
+    the crosses (e2, e3), (e3, e4) and (e4, e1), which also keep them from
+    being e1.  So each column x3 is one interval of y3, cut by floor
+    division; a zero a keeps the column if b < 0, else empties it.  Over a
+    column p12 is fixed and p13, p23 step by x1 and x2, so each y3 is keyed
+    by recurrence.spreads of the three minors, or skipped as torsion when
+    their gcd is not 1; its edge cycle is built only for a new key.
     """
     total = torsion = 0
     firsts: dict[Key, Cycle] = {}
-    for big, small, e1, e2, to_first in islice(_first_pairs(bound), start,
-                                               None, step):
+    for big, e1, e2, ys, to_first in islice(_first_pairs(bound), start,
+                                            None, step):
         x1, y1 = e1
         x2, y2 = e2
         p12 = x1 * y2 - y1 * x2
         sx, sy = x1 + x2, y1 + y2
         pair_tie = e1 in to_first or e2 in to_first
-        box_lo, box_hi = max(-big, -big - sy), min(big, big - sy)
         for x3 in range(max(-big, -big - sx), min(big, big - sx) + 1):
             x4 = -sx - x3
-            lo, hi = box_lo, box_hi
-            # e3, then e4 = (x4, -sy - y3): the cuts of the M-box edges, and
-            # the y3 where the edge's |coordinates| are {M, m}
-            ties: tuple[int, ...] | range = ()
-            if abs(x3) == big:
-                lo, hi = max(lo, -small), min(hi, small)
-                ties = (-small, small)
-            elif abs(x3) > small:
-                lo, hi = max(lo, 1 - big), min(hi, big - 1)
-            elif abs(x3) == small:
-                ties = (-big, big)
-            if abs(x4) == big:
-                lo, hi = max(lo, -sy - small), min(hi, small - sy)
-                ties += (-sy - small, small - sy)
-            elif abs(x4) > small:
-                lo, hi = max(lo, 1 - big - sy), min(hi, big - 1 - sy)
-            elif abs(x4) == small:
-                ties += (-sy - big, big - sy)
+            # e3's range and ties, and e4's through y3 = -sy - y4
+            lo, hi, ties = ys[x3]
+            lo4, hi4, ties4 = ys[x4]
+            lo, hi = max(lo, -sy - hi4), min(hi, -sy - lo4)
             for a, b in ((x2, y2 * x3), (sx, sy * x3),
                          (x1, (sx + x3) * y1 - sy * x1)):
                 if a > 0:
@@ -238,6 +231,8 @@ def scan_slice(bound: int, start: int = 0, step: int = 1) -> Slice:
                 continue
             if pair_tie:
                 ties = range(lo, hi + 1)
+            elif ties4:
+                ties += (-sy - ties4[0], -sy - ties4[1])
             total += 8 * (hi - lo + 1)
             p13 = x1 * (lo - 1) - y1 * x3
             p23 = x2 * (lo - 1) - y2 * x3

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import urllib.request
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -17,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tauseq import oeis, scan, verify
-from tauseq.cli import (EXIT_CODES, EXIT_INTERNAL, EXIT_OK, EXIT_VERIFY_FAIL,
-                        build_parser, main)
+from tauseq.cli import (CEILINGS, EXIT_CODES, EXIT_INTERNAL, EXIT_OK,
+                        EXIT_PARSE, EXIT_VERIFY_FAIL, build_parser, main)
 from test_oeis import MALFORMED_PAYLOADS, SAMPLE, FakeResponse
 
 SQUARE = "5,-2,-2,-1;1,1,-1,-1"
@@ -524,10 +525,22 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
 
 # The text drawn for each option, by dest: mostly valid, and small enough
 # that one run takes milliseconds (scan bound <= 3, trials <= 3, max weight
-# <= 4, cutoff <= 5, terms <= 64, one worker).  Paths are relative to the
-# run's own directory, which holds "snapshot.txt" and nothing else.  The
-# options whose defaults cost more than that are always drawn.
+# <= 4, cutoff <= 5, terms <= 64, one worker), or past its ceiling in
+# every subcommand, which exits with 2 before any work.  Paths are relative
+# to the run's own directory, which holds "snapshot.txt" and nothing else.
+# The options whose defaults cost more than that are always drawn.
 ALWAYS_DRAWN = {"trials", "max_weight"}
+
+
+def or_past_ceiling(dest: str, text: st.SearchStrategy) -> st.SearchStrategy:
+    """text, or one draw in eight a value past the option's every ceiling:
+    one more than the largest, or one of 4 300 or more digits, which the
+    command parses without CPython's digit limit."""
+    top = max(ceilings.get(dest, 0) for ceilings in CEILINGS.values())
+    over = st.sampled_from([str(top + 1), "9" * 4300, "1" + "0" * 5000])
+    return st.integers(0, 7).flatmap(lambda i: over if i == 0 else text)
+
+
 OPTION_TEXT = {
     "global_seed": st.integers(-5, 2 ** 40).map(str),
     "young": st.sampled_from(["", "4,2,2,1", "1", "3,3", "1,2", "x"]),
@@ -544,15 +557,15 @@ OPTION_TEXT = {
     "recurrence_json": st.sampled_from([
         SOMOS, '{"pairs": [[0,0],[3,-3],[2,-2]]}',
         '{"pairs": [[2,2],[1,1],[0,0]]}', "{}", "[1]", ""]),
-    "terms": st.integers(-2, 64).map(str),
+    "terms": or_past_ceiling("terms", st.integers(-2, 64).map(str)),
     "init": st.sampled_from(["1,1,1,1,1,1,1,1", "2,1,1,1,1,1,1,1", "1,1",
                              "0,0,0,0,0,0,0,0", "x", ""]),
-    "trials": st.integers(-1, 3).map(str),
+    "trials": or_past_ceiling("trials", st.integers(-1, 3).map(str)),
     "seed": st.integers(-5, 2 ** 40).map(str),
-    "cutoff": st.integers(-1, 5).map(str),
-    "dim": st.integers(0, 10).map(str),
-    "max_weight": st.integers(-1, 4).map(str),
-    "bound": st.integers(-1, 3).map(str),
+    "cutoff": or_past_ceiling("cutoff", st.integers(-1, 5).map(str)),
+    "dim": or_past_ceiling("dim", st.integers(0, 10).map(str)),
+    "max_weight": or_past_ceiling("max_weight", st.integers(-1, 4).map(str)),
+    "bound": or_past_ceiling("bound", st.integers(-1, 3).map(str)),
     "min_match": st.integers(0, 8).map(str),
     "oeis": st.sampled_from(["snapshot.txt"] * 3 + ["missing.txt", ".", ""]),
     "output": st.sampled_from(["out.jsonl"] * 3
@@ -597,13 +610,25 @@ def _offline(terms, endpoint):
     raise oeis.OeisError("network failure: offline")
 
 
+def is_past_ceiling(argv: list[str]) -> bool:
+    """Whether argv gives a numeric option of its subcommand a value past
+    that subcommand's ceiling."""
+    ceilings = next((CEILINGS[arg] for arg in argv if arg in CEILINGS), {})
+    with oeis.exact_int_str():
+        return any(argv[i] == "--" + dest.replace("_", "-")
+                   and int(argv[i + 1]) > ceiling
+                   for i in range(len(argv) - 1)
+                   for dest, ceiling in ceilings.items())
+
+
 @settings(max_examples=150, deadline=None)
 @given(cli_argv())
 def test_exit_code_contract(argv):
     # every exit code is a documented one, never the internal error; stdout
     # is one JSON document, a usage error's too (a scan's records are JSON
-    # Lines); no traceback reaches stderr; and a run that fails leaves its
-    # directory as it found it
+    # Lines); no traceback reaches stderr; a run that fails leaves its
+    # directory as it found it; and a value past its ceiling exits with 2
+    # within a second
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp, \
@@ -613,20 +638,67 @@ def test_exit_code_contract(argv):
         os.chdir(tmp)
         try:
             with redirect_stdout(out), redirect_stderr(err):
+                start = time.perf_counter()
                 code = main(argv)
+                elapsed = time.perf_counter() - start
         finally:
             os.chdir(cwd)
         after = sorted(Path(tmp).rglob("*"))
     codes = {EXIT_OK, EXIT_VERIFY_FAIL, *(code for _, code in EXIT_CODES)}
     assert code in codes and code != EXIT_INTERNAL, err.getvalue()
+    if is_past_ceiling(argv):
+        assert code == EXIT_PARSE and elapsed < 1, (code, elapsed)
     assert "Traceback" not in err.getvalue()
-    if out.getvalue() and "scan" in argv and code == EXIT_OK:
-        assert all(type(json.loads(line)) is dict
-                   for line in out.getvalue().splitlines())
-    elif out.getvalue() or code != EXIT_OK:
-        assert type(json.loads(out.getvalue())) is dict
+    with oeis.exact_int_str():  # --json echoes option values of any size
+        if out.getvalue() and "scan" in argv and code == EXIT_OK:
+            assert all(type(json.loads(line)) is dict
+                       for line in out.getvalue().splitlines())
+        elif out.getvalue() or code != EXIT_OK:
+            assert type(json.loads(out.getvalue())) is dict
     if code != EXIT_OK:
         assert after == before
+
+
+# what each subcommand needs besides the option under test (the last
+# --bound given wins)
+NEEDS = {"generate": ["--matrix", SQUARE], "verify": ["permutation"],
+         "scan": ["--bound", "1", "--output", "out.jsonl"]}
+PAST_CEILING = [
+    ["generate", "--matrix", SQUARE, "--terms", "100000000000000000000"],
+    ["verify", "plucker", "--trials", "100000000000"],
+    ["scan", "--output", "out.jsonl", "--bound", "100000"],
+    ["scan", "--bound", "1", "--terms", "9" * 4300],
+    *([command, *NEEDS[command], "--" + dest.replace("_", "-"),
+       str(ceiling + 1)]
+      for command, ceilings in CEILINGS.items()
+      for dest, ceiling in ceilings.items()),
+]
+
+
+@pytest.mark.parametrize("argv", PAST_CEILING,
+                         ids=lambda argv: " ".join(argv)[:48])
+def test_value_past_ceiling_exits_promptly(capsys, tmp_path, monkeypatch,
+                                           argv):
+    # the error names the ceiling, and scan writes no file
+    monkeypatch.chdir(tmp_path)
+    dest = argv[-2][2:].replace("-", "_")
+    ceiling = CEILINGS[argv[0]][dest]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_PARSE
+    assert json.loads(out) == {
+        "error": f"--{dest.replace('_', '-')} must be <= {ceiling}, "
+                 "its ceiling"}
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_value_past_ceiling_exits(capsys, tmp_path):
+    config = tmp_path / "tauseq.conf"
+    config.write_text("bound = 15\n")
+    code, obj = run_json(capsys, "--config", str(config), "scan")
+    assert code == EXIT_PARSE
+    assert obj == {"error": "--bound must be <= 14, its ceiling"}
 
 
 def test_unused_verify_option_is_ignored(capsys):

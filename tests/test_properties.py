@@ -752,11 +752,16 @@ def enumeration_slices(draw):
 
 
 # Each example is the least bound at which the merged slices change when
-# one cut or one kind of tie of scan_slice's orbit walk is dropped (each was
-# deleted in turn, one at a time): bound 1 the x2 = M range of e2 and the
-# orbit weights, bound 2 the |x3| = M, |x4| = M and |x4| > m cuts of y3 and
-# the ties of m = 0, m = M, e2, |x3| = M and |x4| = m, bound 3 the
-# |x3| > m cut, the |x2| > m range and the ties of |x3| = m and |x4| = M.
+# one entry of the orbit walk's table scan._y_ranges, one edge's use of
+# it, or one kind of tie is dropped (each was dropped in turn, one at a
+# time).  Bound 1: the |x| = M range (y = -m..m) of every edge, e4's
+# lookup in the table, and the orbit weights.  Bound 2: the m < |x| < M
+# range (y = 1-M..M-1) of every edge, the |x| = M ties (y = +-m) and the
+# |x| = m ties (y = +-M) of every edge, the |x| = M range of e2, of e3 and
+# of e4 alone, e4's m < |x| < M range and |x| = m ties, the mapping of
+# e4's ties through y3 = -sy - y4, and the ties of m = 0, m = M and e2.
+# Bound 3: the m < |x| < M range of e2 and of e3 alone, e3's |x| = m ties
+# and e4's |x| = M ties.
 @settings(max_examples=60, deadline=None)
 @given(enumeration_slices())
 @example((1, 1))

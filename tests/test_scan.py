@@ -92,6 +92,28 @@ def test_scan_slice_matches_keyed_cycle_list(bound, step):
     assert sum(map(len, pairs)) == len(set().union(*pairs))
 
 
+# (bound, total, torsion, keys, sha256 of repr(sorted(firsts.items()))) of
+# scan_slice(bound) past the bound 8 that the references reach in a test
+SLICE_PINS = [
+    (9, 829358, 382741, 23578,
+     "06dc056dece8bbf8592227e44d86011e3098b599c505c8101076065c90ff1d3c"),
+    (10, 1522538, 766453, 39963,
+     "3a968cff783eba9c823b860d8fabc909b5d4cca80f362d57c5025219f0a945e5"),
+    (12, 4379940, 2211775, 114356,
+     "8a60b4712d464fb450865bd090c662d2d5828abe4182d1a7144fb02006c19450"),
+]
+
+
+@pytest.mark.parametrize("bound,total,torsion,keys,sha256", SLICE_PINS,
+                         ids=[f"bound{pin[0]}" for pin in SLICE_PINS])
+def test_scan_slice_pinned_past_references(bound, total, torsion, keys,
+                                           sha256):
+    got_total, got_torsion, firsts = scan_slice(bound)
+    assert (got_total, got_torsion, len(firsts)) == (total, torsion, keys)
+    text = repr(sorted(firsts.items())).encode()
+    assert hashlib.sha256(text).hexdigest() == sha256
+
+
 @pytest.mark.parametrize("bound", range(6))
 def test_key_and_torsion_are_symmetric(bound):
     # each of the 8 images of a cycle under the symmetries of the square has
