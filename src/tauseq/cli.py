@@ -150,9 +150,8 @@ def cmd_scan(args) -> Result:
     """Streams its JSON Lines records itself, so returns no document."""
     if args.output == "":
         raise ValueError("--output needs a path")
-    cfg = scan.ScanConfig(
-        bound=args.bound, terms=args.terms,
-        policy=oeis.MatchPolicy(min_match_terms=args.min_match))
+    cfg = scan.ScanConfig(bound=args.bound, terms=args.terms,
+                          min_match_terms=args.min_match)
     db = _load_db(args)
     paths = [args.output, args.output + ".summary.json"] if args.output else []
     created = []  # a failed run removes the files it created, and only them
@@ -235,23 +234,35 @@ def _worker_count(text: str) -> int:
     return count
 
 
-# the largest value of each numeric option, by subcommand: a run at one
-# ceiling, its other options at their defaults, takes at most about a
-# minute and 1 GB (the README gives each cost); past it the command exits
-# with 2 before any work
+# the largest value of each numeric option, by subcommand: a run with
+# every option of its subcommand at its ceiling takes at most about 70 s
+# and 1.1 GB (the README gives the costs); past one the command exits with
+# 2 as it parses
 CEILINGS = {
     "generate": {"terms": 1000},
-    "scan": {"bound": 14, "terms": 500},
-    "verify": {"trials": 10_000, "cutoff": 16, "dim": 64, "max_weight": 18},
+    "scan": {"bound": 14, "terms": 100},
+    "verify": {"trials": 1000, "cutoff": 9, "dim": 40, "max_weight": 18},
 }
 
 
-def _check_ceilings(args) -> None:
-    for dest, ceiling in CEILINGS.get(args.command, {}).items():
-        value = getattr(args, dest)
-        if value is not None and value > ceiling:
-            raise ValueError(f"--{dest.replace('_', '-')} must be <= "
-                             f"{ceiling}, its ceiling")
+def _at_most(command: str, dest: str):
+    """The type of an int option with a ceiling in CEILINGS.  A decimal text
+    with more digits than the ceiling is past it before int() runs, which
+    takes quadratic time on a long text (a --config value has no length
+    limit)."""
+    ceiling = CEILINGS[command][dest]
+
+    def parse(text: str) -> int:
+        digits = text.strip().removeprefix("+").replace("_", "").lstrip("0")
+        long = digits.isdecimal() and len(digits) > len(str(ceiling))
+        value = ceiling + 1 if long else int(text)
+        if value > ceiling:
+            raise argparse.ArgumentTypeError(
+                f"must be <= {ceiling}, its ceiling")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" names it
+    return parse
 
 
 def _check_choice(parser: argparse.ArgumentParser, action: argparse.Action,
@@ -302,24 +313,29 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--polygon", help='vertices "x1,y1 x2,y2 ..."')
         if name == "generate":
             p.add_argument("--recurrence-json", help="recurrence JSON")
-            p.add_argument("--terms", type=int, default=24)
+            p.add_argument("--terms", type=_at_most(name, "terms"),
+                           default=24)
             p.add_argument("--init", help="explicit seed window, commas; "
                            "write --init=-1,... when it starts with a minus")
         p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="run an exact oracle")
     p.add_argument("oracle", choices=verify.ORACLES)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_at_most("verify", "trials"),
+                   default=100)
     p.add_argument("--seed", type=int, default=None,
                    help="overrides the global --seed")
-    p.add_argument("--cutoff", type=int, default=None, help="window K")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--max-weight", type=int, default=6)
+    p.add_argument("--cutoff", type=_at_most("verify", "cutoff"),
+                   default=None, help="window K")
+    p.add_argument("--dim", type=_at_most("verify", "dim"), default=None)
+    p.add_argument("--max-weight", type=_at_most("verify", "max_weight"),
+                   default=6)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan", help="enumerate polygons and classify")
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--terms", type=int, default=scan.ScanConfig.terms)
+    p.add_argument("--bound", type=_at_most("scan", "bound"), required=True)
+    p.add_argument("--terms", type=_at_most("scan", "terms"),
+                   default=scan.ScanConfig.terms)
     p.add_argument("--min-match", type=int, default=oeis.MatchPolicy.min_match_terms)
     p.add_argument("--oeis", help="stripped db path (default: fixture)")
     p.add_argument("--output", help="JSONL output path")
@@ -355,7 +371,6 @@ def main(argv: list[str] | None = None) -> int:
             if known.config is not None:
                 _set_config_defaults(parser, argv, known.config)
             args = parser.parse_args(argv)
-            _check_ceilings(args)
             code, doc = args.func(args)
         except Exception as exc:
             code, doc = _fail(exc)

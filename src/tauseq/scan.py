@@ -27,7 +27,7 @@ string per distinct term, so its seed window of ones shares one "1".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from math import gcd
 from typing import Iterable, TextIO
@@ -41,13 +41,16 @@ from .recurrence import (BilinearRecurrence, generate, pairs_from_spreads,
 class ScanConfig:
     bound: int
     terms: int = 24
-    policy: MatchPolicy = MatchPolicy()  # the one policy of every record
+    min_match_terms: int = MatchPolicy.min_match_terms
+    policy: MatchPolicy = field(init=False)  # the one of every record
 
     def __post_init__(self) -> None:
         if self.bound < 0:
             raise ValueError("coordinate bound must be >= 0")
         if self.terms < 16:
             raise ValueError("terms per sequence must be >= 16")
+        object.__setattr__(self, "policy", MatchPolicy(
+            min_match_terms=self.min_match_terms))  # oeis checks its floor
 
 
 Edge = tuple[int, int]

@@ -534,8 +534,8 @@ ALWAYS_DRAWN = {"trials", "max_weight"}
 
 def or_past_ceiling(dest: str, text: st.SearchStrategy) -> st.SearchStrategy:
     """text, or one draw in eight a value past the option's every ceiling:
-    one more than the largest, or one of 4 300 or more digits, which the
-    command parses without CPython's digit limit."""
+    one more than the largest, or one of 4 300 or more digits, at and past
+    CPython's default limit on int text."""
     top = max(ceilings.get(dest, 0) for ceilings in CEILINGS.values())
     over = st.sampled_from([str(top + 1), "9" * 4300, "1" + "0" * 5000])
     return st.integers(0, 7).flatmap(lambda i: over if i == 0 else text)
@@ -649,12 +649,11 @@ def test_exit_code_contract(argv):
     if is_past_ceiling(argv):
         assert code == EXIT_PARSE and elapsed < 1, (code, elapsed)
     assert "Traceback" not in err.getvalue()
-    with oeis.exact_int_str():  # --json echoes option values of any size
-        if out.getvalue() and "scan" in argv and code == EXIT_OK:
-            assert all(type(json.loads(line)) is dict
-                       for line in out.getvalue().splitlines())
-        elif out.getvalue() or code != EXIT_OK:
-            assert type(json.loads(out.getvalue())) is dict
+    if out.getvalue() and "scan" in argv and code == EXIT_OK:
+        assert all(type(json.loads(line)) is dict
+                   for line in out.getvalue().splitlines())
+    elif out.getvalue() or code != EXIT_OK:
+        assert type(json.loads(out.getvalue())) is dict
     if code != EXIT_OK:
         assert after == before
 
@@ -688,17 +687,23 @@ def test_value_past_ceiling_exits_promptly(capsys, tmp_path, monkeypatch,
     assert time.perf_counter() - start < 1
     assert code == EXIT_PARSE
     assert json.loads(out) == {
-        "error": f"--{dest.replace('_', '-')} must be <= {ceiling}, "
-                 "its ceiling"}
+        "error": f"argument --{dest.replace('_', '-')}: must be <= "
+                 f"{ceiling}, its ceiling"}
     assert list(tmp_path.iterdir()) == []
 
 
-def test_config_value_past_ceiling_exits(capsys, tmp_path):
+@pytest.mark.parametrize("value", ["15", "9" * 1_000_000,
+                                   "1_" + "0" * 1_000_000])
+def test_config_value_past_ceiling_exits(capsys, tmp_path, value):
+    # a million digits, past the command line's length limit, are judged
+    # by their count, not parsed, also with an underscore
     config = tmp_path / "tauseq.conf"
-    config.write_text("bound = 15\n")
-    code, obj = run_json(capsys, "--config", str(config), "scan")
+    config.write_text(f"bound = {value}\n")
+    start = time.perf_counter()
+    code, obj = run_json(capsys, "--config", str(config), "scan", "--json")
+    assert time.perf_counter() - start < 1
     assert code == EXIT_PARSE
-    assert obj == {"error": "--bound must be <= 14, its ceiling"}
+    assert obj == {"error": "argument --bound: must be <= 14, its ceiling"}
 
 
 def test_unused_verify_option_is_ignored(capsys):
