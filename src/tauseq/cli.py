@@ -13,6 +13,13 @@ All machine output goes to stdout as a single JSON document (JSON Lines for
 scan); every failure, usage errors too, emits {"error": <its message>}.
 Diagnostics go to stderr.  Identical invocation and seed produce
 byte-identical stdout.
+
+A run imports only the modules of tauseq that its subcommand reads, since
+most of a short command's wall time is start-up: the parser declares the
+arguments of the named subcommand alone, each declaration and handler
+imports what it reads when it runs, and _fail looks up an exception type
+only in a module already loaded.  A fresh `import tauseq.cli` loads no
+other module of tauseq.
 """
 
 from __future__ import annotations
@@ -23,14 +30,7 @@ import json
 import os
 import sys
 
-from . import oeis, scan, verify
-from .lattice import (LatticeError, RankError, SublatticeBasis, TorsionError,
-                      edges_to_basis, parse_matrix, parse_polygon,
-                      quotient_map)
-from .maya import MayaDiagram, Partition, maya_from_young_charge, \
-    young_charge_from_maya
-from .recurrence import (BASE_POINT, BilinearRecurrence, UnsolvableError,
-                         derive_recurrence, generate, octahedron_points)
+from . import exact_int_str
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -42,24 +42,35 @@ EXIT_INTERNAL = 70
 
 # exception -> exit code; the first matching row wins, so a subclass comes
 # before its base (TorsionError, UnsolvableError and RankError are
-# LatticeErrors)
+# LatticeErrors).  "module.Name" is a type of that module of tauseq, which
+# _fail looks up only once the module is loaded: a module not loaded has
+# raised nothing
 EXIT_CODES = (
-    (TorsionError, EXIT_TORSION),
-    (UnsolvableError, EXIT_UNSOLVABLE),
-    (RankError, EXIT_RANK),
-    ((ValueError, LatticeError, OSError, oeis.OeisError), EXIT_PARSE),
+    (("lattice.TorsionError",), EXIT_TORSION),
+    (("recurrence.UnsolvableError",), EXIT_UNSOLVABLE),
+    (("lattice.RankError",), EXIT_RANK),
+    ((ValueError, "lattice.LatticeError", OSError, "oeis.OeisError"),
+     EXIT_PARSE),
 )
 
 
 Result = tuple[int, dict | None]  # exit code, the one JSON document
 
 
+def _is_a(exc: Exception, kind: type | str) -> bool:
+    """isinstance(exc, kind), kind an EXIT_CODES type or type name."""
+    if isinstance(kind, str):
+        module, _, name = kind.partition(".")
+        kind = getattr(sys.modules.get(f"{__package__}.{module}"), name, ())
+    return isinstance(exc, kind)
+
+
 def _fail(exc: Exception) -> Result:
     """The exit code and error document of exc."""
-    code = next((code for types, code in EXIT_CODES
-                 if isinstance(exc, types)), EXIT_INTERNAL)
+    code = next((code for kinds, code in EXIT_CODES
+                 if any(_is_a(exc, kind) for kind in kinds)), EXIT_INTERNAL)
     error = {"error": str(exc)}
-    if isinstance(exc, TorsionError):
+    if code == EXIT_TORSION:
         error["invariant_factors"] = list(exc.invariant_factors)
     if code == EXIT_INTERNAL:
         import traceback
@@ -69,11 +80,6 @@ def _fail(exc: Exception) -> Result:
     return code, error
 
 
-def _parse_partition(text: str) -> Partition:
-    text = text.strip()
-    return Partition(tuple(int(x) for x in text.split(",")) if text else ())
-
-
 def _json_arg(text: str):
     try:  # nesting too deep to decode is a parse error, not an internal one
         return json.loads(text)
@@ -81,7 +87,9 @@ def _json_arg(text: str):
         raise ValueError("JSON argument nested too deeply") from exc
 
 
-def _basis_from_args(args) -> SublatticeBasis:
+def _basis_from_args(args):
+    """The SublatticeBasis of --matrix or --polygon."""
+    from .lattice import edges_to_basis, parse_matrix, parse_polygon
     if args.matrix is not None:
         return parse_matrix(args.matrix)
     if args.polygon is None:
@@ -90,15 +98,20 @@ def _basis_from_args(args) -> SublatticeBasis:
 
 
 def cmd_maya(args) -> Result:
+    from .maya import (MayaDiagram, Partition, maya_from_young_charge,
+                       young_charge_from_maya)
     if args.from_maya is not None:
         diagram = MayaDiagram.from_json_dict(_json_arg(args.from_maya))
         lam, charge = young_charge_from_maya(diagram)
         return EXIT_OK, {"young": list(lam.parts), "charge": charge}
-    lam = _parse_partition(args.young)
+    young = args.young.strip()
+    lam = Partition(tuple(int(x) for x in young.split(",")) if young else ())
     return EXIT_OK, maya_from_young_charge(lam, args.charge).to_json_dict()
 
 
 def cmd_derive(args) -> Result:
+    from .lattice import quotient_map
+    from .recurrence import BASE_POINT, derive_recurrence, octahedron_points
     basis = _basis_from_args(args)
     w = quotient_map(basis)
     return EXIT_OK, {
@@ -113,6 +126,7 @@ def cmd_derive(args) -> Result:
 
 
 def cmd_generate(args) -> Result:
+    from .recurrence import BilinearRecurrence, derive_recurrence, generate
     if args.recurrence_json is not None:
         rec = BilinearRecurrence.from_json_dict(
             _json_arg(args.recurrence_json))
@@ -125,6 +139,7 @@ def cmd_generate(args) -> Result:
 
 
 def cmd_verify(args) -> Result:
+    from . import verify
     if args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
     seed = args.seed if args.seed is not None else args.global_seed
@@ -134,7 +149,9 @@ def cmd_verify(args) -> Result:
     return (EXIT_OK if report["failures"] == 0 else EXIT_VERIFY_FAIL), report
 
 
-def _load_db(args) -> oeis.StrippedDb:
+def _load_db(args):
+    """The StrippedDb of --oeis, or the fixture."""
+    from . import oeis
     if args.oeis is None:
         return oeis.load_fixture()
     with open(args.oeis, "rb") as fh:
@@ -148,6 +165,7 @@ def _load_db(args) -> oeis.StrippedDb:
 
 def cmd_scan(args) -> Result:
     """Streams its JSON Lines records itself, so returns no document."""
+    from . import scan
     if args.output == "":
         raise ValueError("--output needs a path")
     cfg = scan.ScanConfig(bound=args.bound, terms=args.terms,
@@ -178,6 +196,7 @@ def cmd_scan(args) -> Result:
 
 
 def cmd_match(args) -> Result:
+    from . import oeis
     terms = [int(x) for x in args.terms_list.split(",")]
     db = _load_db(args)
     policy = oeis.MatchPolicy(min_match_terms=args.min_match,
@@ -193,14 +212,13 @@ def cmd_match(args) -> Result:
     return EXIT_OK, result
 
 
-def _set_config_defaults(parser: argparse.ArgumentParser, argv: list[str],
-                         path: str) -> None:
+def _set_config_defaults(parser: argparse.ArgumentParser,
+                         command: str | None, path: str) -> None:
     """Make each `key = value` line of a config file the default of the long
-    option --key, on the global parser or else on the parser of the
-    subcommand named in argv, so that flags on the command line still win."""
+    option --key, on the global parser or else on the parser of command, so
+    that flags on the command line still win."""
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
-    command = next((arg for arg in argv if arg in sub.choices), None)
     scopes = [parser] + ([sub.choices[command]] if command else [])
     try:
         with open(path, encoding="utf-8") as fh:
@@ -234,31 +252,41 @@ def _worker_count(text: str) -> int:
     return count
 
 
-# the largest value of each numeric option, by subcommand: a run with
-# every option of its subcommand at its ceiling takes at most about 70 s
-# and 1.1 GB (the README gives the costs); past one the command exits with
-# 2 as it parses
+# the largest absolute value of each numeric option, by subcommand
+# ("tauseq" for the global options) and long option: a run with every
+# option of its subcommand at its ceiling takes at most about 70 s and
+# 1.1 GB (the README gives the costs), and a seed or a charge fits a
+# signed 64-bit int, so any JSON reader takes it back; past one the
+# command exits with 2 as it parses
 CEILINGS = {
+    "tauseq": {"seed": 10 ** 18},
+    "maya": {"charge": 10 ** 18},
     "generate": {"terms": 1000},
-    "scan": {"bound": 14, "terms": 100},
-    "verify": {"trials": 1000, "cutoff": 9, "dim": 40, "max_weight": 18},
+    "scan": {"bound": 14, "terms": 100, "min_match": 100},
+    "verify": {"trials": 1000, "seed": 10 ** 18, "cutoff": 9, "dim": 40,
+               "max_weight": 18},
+    "match": {"min_match": 1000},
 }
 
 
-def _at_most(command: str, dest: str):
+def _at_most(command: str, option: str):
     """The type of an int option with a ceiling in CEILINGS.  A decimal text
-    with more digits than the ceiling is past it before int() runs, which
-    takes quadratic time on a long text (a --config value has no length
-    limit)."""
-    ceiling = CEILINGS[command][dest]
+    with more digits than the ceiling, signed or not, is past it before
+    int() runs, which takes quadratic time on a long text (a --config value
+    has no length limit)."""
+    ceiling = CEILINGS[command][option]
 
     def parse(text: str) -> int:
-        digits = text.strip().removeprefix("+").replace("_", "").lstrip("0")
+        body = text.strip()
+        sign = -1 if body.startswith("-") else 1
+        digits = body.removeprefix("-" if sign < 0 else "+")
+        digits = digits.replace("_", "").lstrip("0")
         long = digits.isdecimal() and len(digits) > len(str(ceiling))
-        value = ceiling + 1 if long else int(text)
-        if value > ceiling:
+        value = sign * (ceiling + 1) if long else int(text)
+        if abs(value) > ceiling:
             raise argparse.ArgumentTypeError(
-                f"must be <= {ceiling}, its ceiling")
+                f"must be <= {ceiling}, its ceiling" if value > 0
+                else f"must be >= {-ceiling}, minus its ceiling")
         return value
 
     parse.__name__ = "int"  # argparse's "invalid int value" names it
@@ -285,7 +313,89 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _maya_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--young", default="",
+                   help="comma-separated parts, e.g. 4,2,2,1")
+    p.add_argument("--charge", type=_at_most("maya", "charge"), default=0)
+    p.add_argument("--from-maya", default=None, metavar="JSON",
+                   help="inverse direction: Maya JSON to (partition, charge)")
+
+
+def _basis_arguments(p: argparse.ArgumentParser) -> None:
+    """The options _basis_from_args reads, all that derive takes."""
+    p.add_argument("--matrix", help='rows "5,-2,-2,-1;1,1,-1,-1"')
+    p.add_argument("--polygon", help='vertices "x1,y1 x2,y2 ..."')
+
+
+def _generate_arguments(p: argparse.ArgumentParser) -> None:
+    _basis_arguments(p)
+    p.add_argument("--recurrence-json", help="recurrence JSON")
+    p.add_argument("--terms", type=_at_most("generate", "terms"), default=24)
+    p.add_argument("--init", help="explicit seed window, commas; "
+                   "write --init=-1,... when it starts with a minus")
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    from .verify import ORACLES
+    p.add_argument("oracle", choices=ORACLES)
+    p.add_argument("--trials", type=_at_most("verify", "trials"),
+                   default=100)
+    p.add_argument("--seed", type=_at_most("verify", "seed"), default=None,
+                   help="overrides the global --seed")
+    p.add_argument("--cutoff", type=_at_most("verify", "cutoff"),
+                   default=None, help="window K")
+    p.add_argument("--dim", type=_at_most("verify", "dim"), default=None)
+    p.add_argument("--max-weight", type=_at_most("verify", "max_weight"),
+                   default=6)
+
+
+def _scan_arguments(p: argparse.ArgumentParser) -> None:
+    from .scan import ScanConfig
+    p.add_argument("--bound", type=_at_most("scan", "bound"), required=True)
+    p.add_argument("--terms", type=_at_most("scan", "terms"),
+                   default=ScanConfig.terms)
+    p.add_argument("--min-match", type=_at_most("scan", "min_match"),
+                   default=ScanConfig.min_match_terms)
+    p.add_argument("--oeis", help="stripped db path (default: fixture)")
+    p.add_argument("--output", help="JSONL output path")
+    p.add_argument("--workers", type=_worker_count, default=1,
+                   help="processes that enumerate and key the cycles, "
+                   "1 to the CPU count")
+
+
+def _match_arguments(p: argparse.ArgumentParser) -> None:
+    from .oeis import MatchPolicy
+    p.add_argument("--terms-list", required=True, metavar="TERMS",
+                   help="comma-separated integers; write "
+                   "--terms-list=-1,... when they start with a minus")
+    p.add_argument("--oeis", help="stripped db path (default: fixture)")
+    p.add_argument("--min-match", type=_at_most("match", "min_match"),
+                   default=MatchPolicy.min_match_terms)
+    p.add_argument("--no-trim", action="store_true",
+                   help="do not trim leading ones")
+    p.add_argument("--online", action="store_true",
+                   help="also query the live OEIS endpoint (advisory)")
+
+
+# each subcommand: its handler, the function that declares its arguments,
+# and the keywords of its add_parser
+SUBCOMMANDS = {
+    "maya": (cmd_maya, _maya_arguments,
+             {"help": "(partition, charge) <-> Maya diagram"}),
+    "derive": (cmd_derive, _basis_arguments, {}),
+    "generate": (cmd_generate, _generate_arguments, {}),
+    "verify": (cmd_verify, _verify_arguments,
+               {"help": "run an exact oracle"}),
+    "scan": (cmd_scan, _scan_arguments,
+             {"help": "enumerate polygons and classify"}),
+    "match": (cmd_match, _match_arguments,
+              {"help": "match terms against the offline db"}),
+}
+
+
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of tauseq, with every subcommand as a choice and the
+    arguments of command alone (of none when command is None)."""
     parser = _Parser(
         prog="tauseq",
         description="Octahedral tau-function recurrences, sequences, and "
@@ -295,66 +405,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true",
                         help="echo the resolved configuration in the JSON "
                         "document (not scan's JSON Lines)")
-    parser.add_argument("--seed", type=int, default=0, dest="global_seed",
+    parser.add_argument("--seed", type=_at_most("tauseq", "seed"), default=0,
+                        dest="global_seed",
                         help="default seed for randomized subcommands")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("maya", help="(partition, charge) <-> Maya diagram")
-    p.add_argument("--young", default="",
-                   help="comma-separated parts, e.g. 4,2,2,1")
-    p.add_argument("--charge", type=int, default=0)
-    p.add_argument("--from-maya", default=None, metavar="JSON",
-                   help="inverse direction: Maya JSON to (partition, charge)")
-    p.set_defaults(func=cmd_maya)
-
-    for name, func in (("derive", cmd_derive), ("generate", cmd_generate)):
-        p = sub.add_parser(name)
-        p.add_argument("--matrix", help='rows "5,-2,-2,-1;1,1,-1,-1"')
-        p.add_argument("--polygon", help='vertices "x1,y1 x2,y2 ..."')
-        if name == "generate":
-            p.add_argument("--recurrence-json", help="recurrence JSON")
-            p.add_argument("--terms", type=_at_most(name, "terms"),
-                           default=24)
-            p.add_argument("--init", help="explicit seed window, commas; "
-                           "write --init=-1,... when it starts with a minus")
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("verify", help="run an exact oracle")
-    p.add_argument("oracle", choices=verify.ORACLES)
-    p.add_argument("--trials", type=_at_most("verify", "trials"),
-                   default=100)
-    p.add_argument("--seed", type=int, default=None,
-                   help="overrides the global --seed")
-    p.add_argument("--cutoff", type=_at_most("verify", "cutoff"),
-                   default=None, help="window K")
-    p.add_argument("--dim", type=_at_most("verify", "dim"), default=None)
-    p.add_argument("--max-weight", type=_at_most("verify", "max_weight"),
-                   default=6)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("scan", help="enumerate polygons and classify")
-    p.add_argument("--bound", type=_at_most("scan", "bound"), required=True)
-    p.add_argument("--terms", type=_at_most("scan", "terms"),
-                   default=scan.ScanConfig.terms)
-    p.add_argument("--min-match", type=int, default=oeis.MatchPolicy.min_match_terms)
-    p.add_argument("--oeis", help="stripped db path (default: fixture)")
-    p.add_argument("--output", help="JSONL output path")
-    p.add_argument("--workers", type=_worker_count, default=1,
-                   help="processes that enumerate and key the cycles, "
-                   "1 to the CPU count")
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("match", help="match terms against the offline db")
-    p.add_argument("--terms-list", required=True, metavar="TERMS",
-                   help="comma-separated integers; write "
-                   "--terms-list=-1,... when they start with a minus")
-    p.add_argument("--oeis", help="stripped db path (default: fixture)")
-    p.add_argument("--min-match", type=int, default=oeis.MatchPolicy.min_match_terms)
-    p.add_argument("--no-trim", action="store_true",
-                   help="do not trim leading ones")
-    p.add_argument("--online", action="store_true",
-                   help="also query the live OEIS endpoint (advisory)")
-    p.set_defaults(func=cmd_match)
+    for name, (func, declare, keywords) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, **keywords)
+        if name == command:
+            declare(p)
+            p.set_defaults(func=func)
     return parser
 
 
@@ -362,14 +421,17 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = None
     # exact big-int text in and out for this command only
-    with oeis.exact_int_str():
+    with exact_int_str():
         try:
             pre = _Parser(prog="tauseq", add_help=False, allow_abbrev=False)
             pre.add_argument("--config", metavar="FILE")
             known, argv = pre.parse_known_args(argv)
-            parser = build_parser()
+            # the subcommand argparse will select: only global options come
+            # before it, and a value of theirs is an int
+            command = next((arg for arg in argv if arg in SUBCOMMANDS), None)
+            parser = build_parser(command)
             if known.config is not None:
-                _set_config_defaults(parser, argv, known.config)
+                _set_config_defaults(parser, command, known.config)
             args = parser.parse_args(argv)
             code, doc = args.func(args)
         except Exception as exc:

@@ -21,13 +21,13 @@ import bisect
 import itertools
 import json
 import re
-import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from operator import eq
 from typing import BinaryIO
+
+from . import exact_int_str
 
 A_NUMBER_RE = re.compile(r"A[0-9]{6}")
 # each line, in one of two forms: a stripped line ("\r\n" ends too) whose
@@ -45,19 +45,6 @@ class OeisError(Exception):
 
 class QueryTooShort(OeisError):
     pass
-
-
-@contextmanager
-def exact_int_str():
-    """Lift CPython's int <-> str digit limit (4300 digits by default) for
-    the block, so an int of any size converts exactly; the old limit is
-    restored afterwards."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 @dataclass

@@ -23,8 +23,8 @@ import itertools
 import re
 import zlib
 
-from tauseq import oeis
-from tauseq.oeis import QueryTooShort, StrippedDb, exact_int_str
+from tauseq import exact_int_str, oeis
+from tauseq.oeis import QueryTooShort, StrippedDb
 
 A_NUMBER_RE = re.compile(r"^A[0-9]{6}$")
 CANONICAL_LINE_RE = re.compile(r"(A[0-9]{6}) (,(?:(?:0|-?[1-9][0-9]*),)+)")

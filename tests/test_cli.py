@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -17,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tauseq import oeis, scan, verify
+from tauseq import exact_int_str, oeis, scan, verify
 from tauseq.cli import (CEILINGS, EXIT_CODES, EXIT_INTERNAL, EXIT_OK,
-                        EXIT_PARSE, EXIT_VERIFY_FAIL, build_parser, main)
+                        EXIT_PARSE, EXIT_VERIFY_FAIL, SUBCOMMANDS,
+                        build_parser, main)
 from test_oeis import MALFORMED_PAYLOADS, SAMPLE, FakeResponse
 
 SQUARE = "5,-2,-2,-1;1,1,-1,-1"
@@ -512,6 +514,52 @@ def test_deeply_nested_json_argument_is_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_exit_code_names_are_exception_types():
+    # each "module.Name" in EXIT_CODES is an exception type of that module
+    # of tauseq, and no row names a subclass of a type in an earlier row,
+    # which would win over it
+    def resolve(kind):
+        if isinstance(kind, type):
+            return kind
+        module, _, name = kind.partition(".")
+        return getattr(importlib.import_module(f"tauseq.{module}"), name)
+
+    rows = [[resolve(kind) for kind in kinds] for kinds, _ in EXIT_CODES]
+    assert all(issubclass(kind, Exception) for row in rows for kind in row)
+    assert not any(issubclass(later, kind)
+                   for i, row in enumerate(rows) for kind in row
+                   for below in rows[i + 1:] for later in below)
+
+
+# one run for each exit code reachable offline, each in a fresh
+# interpreter: in-process runs have every module of tauseq loaded already,
+# so they cannot see a handler, or a _fail lookup, whose deferred import
+# is missing
+COLD_START = [
+    (["generate", "--matrix", SQUARE, "--terms", "24"], EXIT_OK),
+    (["scan", "--bound", "x"], EXIT_PARSE),
+    (["match", "--terms-list", "1,2,3"], EXIT_PARSE),  # oeis.QueryTooShort
+    (["generate", "--matrix", SQUARE, "--terms", "1001"], EXIT_PARSE),
+    (["derive", "--matrix", "2,-2,0,0;0,0,1,-1"], 3),
+    (["derive", "--matrix", "1,-1,0;0,1,-1"], 4),
+    (["generate", "--recurrence-json", '{"pairs": [[2,0],[2,-2],[1,-1]]}',
+      "--terms", "16"], 5),
+]
+
+
+@pytest.mark.parametrize("argv,code", COLD_START,
+                         ids=[" ".join(argv)[:40] for argv, _ in COLD_START])
+def test_cold_start_exit_codes(tmp_path, argv, code):
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    child = subprocess.run([sys.executable, "-m", "tauseq.cli", *argv],
+                           cwd=tmp_path, env=env, capture_output=True,
+                           text=True, timeout=60)
+    assert child.returncode == code, child.stderr
+    assert type(json.loads(child.stdout)) is dict
+    assert "Traceback" not in child.stderr
+
+
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     def broken(**options):
         raise RuntimeError("boom")
@@ -532,19 +580,24 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
 ALWAYS_DRAWN = {"trials", "max_weight"}
 
 
-def or_past_ceiling(dest: str, text: st.SearchStrategy) -> st.SearchStrategy:
-    """text, or one draw in eight a value past the option's every ceiling:
-    one more than the largest, or one of 4 300 or more digits, at and past
-    CPython's default limit on int text."""
-    top = max(ceilings.get(dest, 0) for ceilings in CEILINGS.values())
-    over = st.sampled_from([str(top + 1), "9" * 4300, "1" + "0" * 5000])
+def or_past_ceiling(option: str,
+                    text: st.SearchStrategy) -> st.SearchStrategy:
+    """text, or one draw in eight a value past the option's every ceiling,
+    positive or negative: one more than the largest in absolute value, or
+    one of 4 300 or more digits, at and past CPython's default limit on int
+    text."""
+    top = max(ceilings.get(option, 0) for ceilings in CEILINGS.values())
+    over = st.sampled_from([sign + digits for sign in ("", "-")
+                            for digits in (str(top + 1), "9" * 4300,
+                                           "1" + "0" * 5000)])
     return st.integers(0, 7).flatmap(lambda i: over if i == 0 else text)
 
 
 OPTION_TEXT = {
-    "global_seed": st.integers(-5, 2 ** 40).map(str),
+    "global_seed": or_past_ceiling("seed",
+                                   st.integers(-5, 2 ** 40).map(str)),
     "young": st.sampled_from(["", "4,2,2,1", "1", "3,3", "1,2", "x"]),
-    "charge": st.integers(-4, 4).map(str),
+    "charge": or_past_ceiling("charge", st.integers(-4, 4).map(str)),
     "from_maya": st.sampled_from([
         '{"charge": 1, "added": ["5/2"], "removed": ["-1/2"]}',
         '{"charge": 0, "added": [], "removed": []}', "[1]", "{}", "null",
@@ -561,12 +614,12 @@ OPTION_TEXT = {
     "init": st.sampled_from(["1,1,1,1,1,1,1,1", "2,1,1,1,1,1,1,1", "1,1",
                              "0,0,0,0,0,0,0,0", "x", ""]),
     "trials": or_past_ceiling("trials", st.integers(-1, 3).map(str)),
-    "seed": st.integers(-5, 2 ** 40).map(str),
+    "seed": or_past_ceiling("seed", st.integers(-5, 2 ** 40).map(str)),
     "cutoff": or_past_ceiling("cutoff", st.integers(-1, 5).map(str)),
     "dim": or_past_ceiling("dim", st.integers(0, 10).map(str)),
     "max_weight": or_past_ceiling("max_weight", st.integers(-1, 4).map(str)),
     "bound": or_past_ceiling("bound", st.integers(-1, 3).map(str)),
-    "min_match": st.integers(0, 8).map(str),
+    "min_match": or_past_ceiling("min_match", st.integers(0, 8).map(str)),
     "oeis": st.sampled_from(["snapshot.txt"] * 3 + ["missing.txt", ".", ""]),
     "output": st.sampled_from(["out.jsonl"] * 3
                               + ["missing/out.jsonl", ".", ""]),
@@ -598,10 +651,11 @@ def _options(draw, parser: argparse.ArgumentParser) -> list[str]:
 
 @st.composite
 def cli_argv(draw) -> list[str]:
-    parser = build_parser()
+    # main builds the parser of the subcommand it finds in argv alone
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    parser = build_parser(command)
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
-    command = draw(st.sampled_from(sorted(sub.choices)))
     return [*_options(draw, parser), command,
             *_options(draw, sub.choices[command])]
 
@@ -611,14 +665,18 @@ def _offline(terms, endpoint):
 
 
 def is_past_ceiling(argv: list[str]) -> bool:
-    """Whether argv gives a numeric option of its subcommand a value past
-    that subcommand's ceiling."""
-    ceilings = next((CEILINGS[arg] for arg in argv if arg in CEILINGS), {})
-    with oeis.exact_int_str():
-        return any(argv[i] == "--" + dest.replace("_", "-")
-                   and int(argv[i + 1]) > ceiling
-                   for i in range(len(argv) - 1)
-                   for dest, ceiling in ceilings.items())
+    """Whether argv gives a numeric option a value past its ceiling in
+    absolute value: a global option before the subcommand, or one of the
+    subcommand after it."""
+    at = next(i for i, arg in enumerate(argv) if arg in SUBCOMMANDS)
+    scopes = ((argv[:at], CEILINGS["tauseq"]),
+              (argv[at:], CEILINGS.get(argv[at], {})))
+    with exact_int_str():
+        return any(part[i] == "--" + option.replace("_", "-")
+                   and abs(int(part[i + 1])) > ceiling
+                   for part, ceilings in scopes
+                   for i in range(len(part) - 1)
+                   for option, ceiling in ceilings.items())
 
 
 @settings(max_examples=150, deadline=None)
@@ -659,18 +717,32 @@ def test_exit_code_contract(argv):
 
 
 # what each subcommand needs besides the option under test (the last
-# --bound given wins)
-NEEDS = {"generate": ["--matrix", SQUARE], "verify": ["permutation"],
-         "scan": ["--bound", "1", "--output", "out.jsonl"]}
+# --bound given wins); a global option comes before the subcommand
+NEEDS = {"tauseq": ["maya"], "maya": [], "generate": ["--matrix", SQUARE],
+         "verify": ["permutation"],
+         "scan": ["--bound", "1", "--output", "out.jsonl"],
+         "match": ["--terms-list", "1,2,3,4"]}
+
+
+def past_ceiling(command: str, option: str, value: int) -> list[str]:
+    flag = ["--" + option.replace("_", "-"), str(value)]
+    if command == "tauseq":
+        return [*flag, *NEEDS[command]]
+    return [command, *NEEDS[command], *flag]
+
+
 PAST_CEILING = [
     ["generate", "--matrix", SQUARE, "--terms", "100000000000000000000"],
     ["verify", "plucker", "--trials", "100000000000"],
     ["scan", "--output", "out.jsonl", "--bound", "100000"],
     ["scan", "--bound", "1", "--terms", "9" * 4300],
-    *([command, *NEEDS[command], "--" + dest.replace("_", "-"),
-       str(ceiling + 1)]
+    ["scan", "--bound", "1", "--terms", "-" + "9" * 4300],
+    ["maya", "--charge", "9" * 5000],
+    ["--seed", "9" * 5000, "verify", "plucker", "--trials", "1"],
+    *(past_ceiling(command, option, sign * (ceiling + 1))
       for command, ceilings in CEILINGS.items()
-      for dest, ceiling in ceilings.items()),
+      for option, ceiling in ceilings.items()
+      for sign in (1, -1)),
 ]
 
 
@@ -680,30 +752,34 @@ def test_value_past_ceiling_exits_promptly(capsys, tmp_path, monkeypatch,
                                            argv):
     # the error names the ceiling, and scan writes no file
     monkeypatch.chdir(tmp_path)
-    dest = argv[-2][2:].replace("-", "_")
-    ceiling = CEILINGS[argv[0]][dest]
+    command, flag, value = ((argv[0], *argv[-2:]) if argv[0] in CEILINGS
+                            else ("tauseq", *argv[:2]))
+    ceiling = CEILINGS[command][flag[2:].replace("-", "_")]
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert code == EXIT_PARSE
-    assert json.loads(out) == {
-        "error": f"argument --{dest.replace('_', '-')}: must be <= "
-                 f"{ceiling}, its ceiling"}
+    assert json.loads(out) == {"error": f"argument {flag}: " + (
+        f"must be >= {-ceiling}, minus its ceiling" if value[0] == "-"
+        else f"must be <= {ceiling}, its ceiling")}
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("value", ["15", "9" * 1_000_000,
-                                   "1_" + "0" * 1_000_000])
+                                   "1_" + "0" * 1_000_000,
+                                   "-" + "9" * 1_000_000])
 def test_config_value_past_ceiling_exits(capsys, tmp_path, value):
     # a million digits, past the command line's length limit, are judged
-    # by their count, not parsed, also with an underscore
+    # by their count, not parsed, also with an underscore or a minus
     config = tmp_path / "tauseq.conf"
     config.write_text(f"bound = {value}\n")
     start = time.perf_counter()
     code, obj = run_json(capsys, "--config", str(config), "scan", "--json")
     assert time.perf_counter() - start < 1
     assert code == EXIT_PARSE
-    assert obj == {"error": "argument --bound: must be <= 14, its ceiling"}
+    assert obj == {"error": "argument --bound: " + (
+        "must be >= -14, minus its ceiling" if value[0] == "-"
+        else "must be <= 14, its ceiling")}
 
 
 def test_unused_verify_option_is_ignored(capsys):

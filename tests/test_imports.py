@@ -3,7 +3,8 @@ makes it, every annotation under src/tauseq/ names something the module can
 resolve, and only the two modules with a rational end import fractions.
 A fresh `import tauseq.cli` loads no stdlib module that only one branch
 uses (the process pool, gzip, Unicode digits, the internal-error
-traceback)."""
+traceback) and no other module of tauseq, and a run of a subcommand loads
+only the modules of tauseq that it reads."""
 
 import ast
 import importlib
@@ -102,13 +103,14 @@ def test_annotations_resolve(path):
 
 # the modules of tauseq each module imports; cli, on top, imports any of
 # them and no module imports cli.  The scan keys cycles from minors it
-# computes itself, so it never reaches lattice.
+# computes itself, so it never reaches lattice.  The package itself
+# (__init__) holds exact_int_str, which cli and oeis share.
 LAYERS = {
     "__init__": set(),
     "intlinalg": set(),
     "lattice": set(),
     "maya": set(),
-    "oeis": set(),
+    "oeis": {"__init__"},
     "recurrence": {"lattice"},
     "scan": {"oeis", "recurrence"},
     "fock": {"intlinalg", "recurrence"},
@@ -119,7 +121,10 @@ LAYERS = {
 
 def package_imports(source: str) -> set[str]:
     """The tauseq modules a module's from-imports name, relative
-    ("from .lattice import ...") or absolute ("from tauseq import lattice")."""
+    ("from .lattice import ...") or absolute ("from tauseq import lattice");
+    a name of the package itself ("from . import exact_int_str") counts as
+    __init__."""
+    modules = {path.stem for path in SRC.glob("*.py")}
     found = set()
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.ImportFrom) or node.level > 1:
@@ -130,7 +135,8 @@ def package_imports(source: str) -> set[str]:
             if package != "tauseq":
                 continue
         found |= ({module.split(".")[0]} if module
-                  else {alias.name for alias in node.names})
+                  else {alias.name if alias.name in modules else "__init__"
+                        for alias in node.names})
     return found
 
 
@@ -150,6 +156,8 @@ def test_package_imports_are_found():
     source = "from tauseq import lattice\nfrom tauseq.kp import schur\n"
     assert package_imports(source) == {"lattice", "kp"}
     assert package_imports("from fractions import Fraction\n") == set()
+    assert package_imports("from . import exact_int_str, maya\n") == \
+        {"__init__", "maya"}
 
 
 # each is imported inside the one branch that uses it: scan.run_scan's
@@ -167,3 +175,45 @@ def test_cli_import_defers_branch_only_modules():
     out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+# runs argv, if any, after a fresh `import tauseq.cli` and prints the
+# modules of tauseq then loaded
+LOADED_CHILD = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import tauseq.cli
+if sys.argv[2:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert tauseq.cli.main(sys.argv[2:]) == 0
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "tauseq")))
+"""
+
+# the modules of tauseq beyond the package and cli that each run loads:
+# each subcommand imports only what it runs (data is the package of the
+# vendored OEIS fixture, which match and scan read)
+SQUARE = "5,-2,-2,-1;1,1,-1,-1"
+LOADED = [
+    ([], set()),
+    (["maya", "--young", "2,1"], {"maya"}),
+    (["derive", "--matrix", SQUARE], {"lattice", "recurrence"}),
+    (["generate", "--matrix", SQUARE, "--terms", "24"],
+     {"lattice", "recurrence"}),
+    (["match", "--terms-list", "2,3,4,5,9,18,34,93,180,348"],
+     {"oeis", "data"}),
+    (["scan", "--bound", "1"],
+     {"scan", "oeis", "recurrence", "lattice", "data"}),
+    (["verify", "octahedron", "--trials", "1"],
+     {"verify", "fock", "kp", "maya", "intlinalg", "recurrence", "lattice"}),
+]
+
+
+@pytest.mark.parametrize("argv,modules", LOADED,
+                         ids=[argv[0] if argv else "import"
+                              for argv, _ in LOADED])
+def test_each_subcommand_loads_only_its_modules(tmp_path, argv, modules):
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", LOADED_CHILD, str(SRC.parent), *argv],
+        cwd=tmp_path, check=True, capture_output=True, text=True).stdout
+    assert set(out.split()) == \
+        {"tauseq", "tauseq.cli", *(f"tauseq.{m}" for m in modules)}

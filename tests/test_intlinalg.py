@@ -44,9 +44,10 @@ def fraction_det(m):
             m[k], m[pivot] = m[pivot], m[k]
             det = -det
         det *= m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+        for i in range(k + 1, n):  # later steps read only columns > k
+            if f := m[i][k] / m[k][k]:
+                m[i][k + 1:] = [a - f * b
+                                for a, b in zip(m[i][k + 1:], m[k][k + 1:])]
     return det
 
 
