@@ -102,6 +102,16 @@ def cmd_maya(args) -> Result:
                        young_charge_from_maya)
     if args.from_maya is not None:
         diagram = MayaDiagram.from_json_dict(_json_arg(args.from_maya))
+        # --charge's ceiling holds the charge and each half-integer
+        # position p + 1/2 too, so that every part printed, at most twice
+        # the ceiling, fits a signed 64-bit int
+        ceiling = CEILINGS["maya"]["charge"]
+        if abs(diagram.charge) > ceiling or any(
+                abs(2 * p + 1) > 2 * ceiling
+                for p in diagram.added | diagram.removed):
+            raise ValueError(f"charge and positions must lie between "
+                             f"{-ceiling} and {ceiling}, the ceiling of "
+                             "--charge")
         lam, charge = young_charge_from_maya(diagram)
         return EXIT_OK, {"young": list(lam.parts), "charge": charge}
     young = args.young.strip()
@@ -244,11 +254,17 @@ def _set_config_defaults(parser: argparse.ArgumentParser,
 
 
 def _worker_count(text: str) -> int:
-    """--workers: an integer from 1 to the CPU count."""
-    count = int(text) if text.removeprefix("-").isdecimal() else 0
-    if not 1 <= count <= (os.cpu_count() or 1):
+    """--workers: an integer from 1 to the CPU count.  A decimal text with
+    more digits than the CPU count is past it before int() runs, which
+    takes quadratic time on a long text, and is named by its length."""
+    cpus = os.cpu_count() or 1
+    digits = text.removeprefix("-")
+    long = digits.isdecimal() and len(digits.lstrip("0")) > len(str(cpus))
+    count = int(text) if digits.isdecimal() and not long else 0
+    if not 1 <= count <= cpus:
+        got = f"a {len(digits)}-digit number" if long else repr(text)
         raise argparse.ArgumentTypeError(
-            f"expected 1 to {os.cpu_count()} (the CPU count), got {text!r}")
+            f"expected 1 to {os.cpu_count()} (the CPU count), got {got}")
     return count
 
 
@@ -257,7 +273,8 @@ def _worker_count(text: str) -> int:
 # option of its subcommand at its ceiling takes at most about 70 s and
 # 1.1 GB (the README gives the costs), and a seed or a charge fits a
 # signed 64-bit int, so any JSON reader takes it back; past one the
-# command exits with 2 as it parses
+# command exits with 2 as it parses.  maya's also bounds the charge and
+# positions of --from-maya, which cmd_maya checks
 CEILINGS = {
     "tauseq": {"seed": 10 ** 18},
     "maya": {"charge": 10 ** 18},

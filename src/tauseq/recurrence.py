@@ -8,6 +8,13 @@ a term becomes an exact rational only where a division leaves a remainder,
 which the Laurent phenomenon makes the uncommon case.  Big steps divide
 recursively (_divmod), the rest by the builtin, quadratic, divmod.
 
+Each fact of a run is stated once.  A BilinearRecurrence sets its window
+in the pass that checks its top offset.  generate builds one list per run,
+which starts as the seed window; the SequenceRun keeps the window's length,
+not a copy of it.  SequenceRun.term_texts is the one rule that turns a run
+into text, one str per distinct term through term_str: to_json_dict takes
+its terms and its seed window (a slice) from it, and so do scan's records.
+
 Convex polygons give positive Gale-Robinson recurrences (spreads proves
 it): a strictly convex ccw quadrilateral whose basis is torsion-free, with
 p_ij = cross(e_i, e_j), derives, with its top offset in the minus pair
@@ -28,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Sequence
 
 from .lattice import LatticeError, SublatticeBasis, minors
@@ -66,6 +72,7 @@ class BilinearRecurrence:
     """T(l+p1)T(l+q1) - T(l+p2)T(l+q2) + T(l+p3)T(l+q3) = 0 for all l."""
 
     pairs: tuple[Pair, Pair, Pair]
+    window: int = field(init=False)  # top offset minus least, set once
 
     def __post_init__(self) -> None:
         if any(p < q for p, q in self.pairs):
@@ -77,11 +84,7 @@ class BilinearRecurrence:
                   for x in pair if x == top]
         if len(owners) != 1:
             raise UnsolvableError(self.pairs, owners)
-
-    @cached_property
-    def window(self) -> int:
-        offsets = [x for pair in self.pairs for x in pair]
-        return max(offsets) - min(offsets)
+        object.__setattr__(self, "window", top - min(offsets))
 
     def to_json_dict(self) -> dict:
         return {"pairs": [list(p) for p in self.pairs],
@@ -174,23 +177,29 @@ def derive_recurrence(basis: SublatticeBasis) -> BilinearRecurrence:
 class SequenceRun:
     """Generated terms plus how the generation ended.
 
-    status is "ok", "degenerate" (division by zero at status_index) or
-    "non-integral" (first fractional term at status_index; the run then
-    continues over exact rationals).
+    terms begin with the seed window, its first `window` terms.  status is
+    "ok", "degenerate" (division by zero at status_index) or "non-integral"
+    (first fractional term at status_index; the run then continues over
+    exact rationals).
     """
 
     terms: list[int | Fraction]
+    window: int
     status: str = "ok"
     status_index: int | None = None
-    seed_window: list[int | Fraction] = field(default_factory=list)
+
+    def term_texts(self) -> list[str]:
+        """The text of each term, one str per distinct term (CPython makes
+        a new str(1) per call), so that equal terms share it: a run's
+        Fraction is never whole, so equal terms have equal text."""
+        text = {t: term_str(t) for t in set(self.terms)}
+        return list(map(text.__getitem__, self.terms))
 
     def to_json_dict(self) -> dict:
-        return {
-            "terms": [term_str(t) for t in self.terms],
-            "status": self.status,
-            "status_index": self.status_index,
-            "seed_window": [term_str(t) for t in self.seed_window],
-        }
+        terms = self.term_texts()
+        return {"terms": terms, "status": self.status,
+                "status_index": self.status_index,
+                "seed_window": terms[:self.window]}
 
 
 def term_str(t: int | Fraction) -> str:
@@ -256,9 +265,8 @@ def generate(rec: BilinearRecurrence, count: int,
     window = rec.window
     if count < window:
         raise ValueError(f"count must be >= window size {window}")
-    if init is None:
-        init = [1] * window
-    if len(init) != window:
+    terms: list[int | Fraction] = [1] * window if init is None else list(init)
+    if len(terms) != window:
         raise ValueError(f"initial window must have length {window}")
 
     # shift offsets so the minimum, a q as each pair has p >= q, is 0; the
@@ -274,8 +282,7 @@ def generate(rec: BilinearRecurrence, count: int,
     (p_a, q_a), (p_b, q_b) = pairs[i_a], pairs[i_b]
     subtract = SIGNS[i_b] == SIGNS[owner]
 
-    terms: list[int | Fraction] = list(init)
-    run = SequenceRun(terms=terms, seed_window=list(init))
+    run = SequenceRun(terms=terms, window=window)
     for j in range(window, count):
         l = j - window
         a, b = terms[l + p_a] * terms[l + q_a], terms[l + p_b] * terms[l + q_b]

@@ -20,8 +20,9 @@ edge cycle, which is the one a serial walk meets first.  So 1-worker and
 N-worker runs are byte-identical.  The parent then builds the record of
 each kept key once: its recurrence is pairs_from_spreads(*key), generated
 and matched.  What records share is built once: the scan's MatchPolicy
-(ScanConfig.policy) and the module's two JSON encoders.  A record keeps one
-string per distinct term, so its seed window of ones shares one "1".
+(ScanConfig.policy) and the module's two JSON encoders.  A record's terms
+are its run's text by recurrence.SequenceRun.term_texts, one string per
+distinct term, so its seed window of ones shares one "1".
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Iterable, TextIO
 
 from .oeis import MatchPolicy, QueryTooShort, StrippedDb, match_sequence
 from .recurrence import (BilinearRecurrence, generate, pairs_from_spreads,
-                         spreads, term_str)
+                         spreads)
 
 
 @dataclass(frozen=True)
@@ -77,10 +78,9 @@ def complete_record(edges: Cycle, rec: BilinearRecurrence, cfg: ScanConfig,
     counts it as integral, and its query is usually too short to match
     (657 and 855 of the 940 bound-5 records at 24 terms).
 
-    Each distinct term is turned to text once, and its positions share
-    that one str (CPython makes a new str(1) per call): a run's Fraction is
-    never whole, so equal terms have equal text.  The policy is cfg's, one
-    per scan.
+    The terms are the run's own text, SequenceRun.term_texts, the one
+    rule that turns a run into text: one str per distinct term, shared by
+    its positions.  The policy is cfg's, one per scan.
     """
     recurrence = rec.to_json_dict()
     record = {"basis": [list(row) for row in zip(*edges)],
@@ -88,8 +88,7 @@ def complete_record(edges: Cycle, rec: BilinearRecurrence, cfg: ScanConfig,
               "dedup_key": _encode(recurrence["pairs"])}
     run = generate(rec, max(cfg.terms, rec.window))
     record["status"] = run.status
-    text = {t: term_str(t) for t in set(run.terms)}
-    record["terms"] = list(map(text.__getitem__, run.terms))
+    record["terms"] = run.term_texts()
     record["matches"] = []
     if run.status == "ok":
         try:

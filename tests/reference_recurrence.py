@@ -1,15 +1,21 @@
-"""Reference generate: every step by one builtin divmod.
+"""Reference generate and serialisation: every step by one builtin divmod,
+and every term turned into text by its own call.
 
-This is the loop that `tauseq.recurrence.generate` replaced: it builds the
-signed products SIGNS[i] * T(p_i) * T(q_i), the signed divisor and -acc,
-and divides with the builtin divmod at every size.  `generate` now folds
-the signs into one add or subtract and divides big ints recursively
-(`recurrence._divmod`); the tests compare the two term for term.
+divmod_generate is the loop that `tauseq.recurrence.generate` replaced: it
+builds the signed products SIGNS[i] * T(p_i) * T(q_i), the signed divisor
+and -acc, and divides with the builtin divmod at every size.  `generate`
+now folds the signs into one add or subtract and divides big ints
+recursively (`recurrence._divmod`); the tests compare the two term for
+term.
+
+per_term_json_dict is the `SequenceRun.to_json_dict` that
+`SequenceRun.term_texts` replaced: one `term_str` call per term, and the
+seed window's text made apart from the terms'.
 """
 
 from fractions import Fraction
 
-from tauseq.recurrence import SIGNS, BilinearRecurrence, SequenceRun
+from tauseq.recurrence import SIGNS, BilinearRecurrence, SequenceRun, term_str
 
 
 def divmod_generate(rec: BilinearRecurrence, count: int,
@@ -26,7 +32,7 @@ def divmod_generate(rec: BilinearRecurrence, count: int,
     partner = q_o if p_o == top else p_o
 
     terms = list(init)
-    run = SequenceRun(terms=terms, seed_window=list(init))
+    run = SequenceRun(terms=terms, window=window)
     for j in range(window, count):
         l = j - top
         acc = 0
@@ -46,3 +52,13 @@ def divmod_generate(rec: BilinearRecurrence, count: int,
                 run.status_index = j
         terms.append(value)
     return run
+
+
+def per_term_json_dict(run: SequenceRun) -> dict:
+    """The former SequenceRun.to_json_dict, a str per term and position."""
+    return {
+        "terms": [term_str(t) for t in run.terms],
+        "status": run.status,
+        "status_index": run.status_index,
+        "seed_window": [term_str(t) for t in run.terms[:run.window]],
+    }

@@ -48,6 +48,9 @@ def test_tracer_counts_every_enumerated_and_derived_cycle():
     for layer in ("lattice.basis", "lattice.quotient_map",
                   "recurrence.derive"):
         assert layers[layer]["calls"] == 0, layer
+    # a record takes its terms from SequenceRun.term_texts, never through
+    # to_json_dict, which would also build a seed-window text per record
+    assert layers["recurrence.serialise"]["calls"] == 0
 
 
 def test_tracer_counts_octahedron_oracle_calls():

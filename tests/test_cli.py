@@ -192,6 +192,40 @@ def test_maya_parse_error(capsys):
     assert code == 2
 
 
+MAYA_C = CEILINGS["maya"]["charge"]
+
+
+@pytest.mark.parametrize("maya", [
+    '{"charge": %s, "added": [], "removed": []}' % ("9" * 19),
+    '{"charge": %s, "added": [], "removed": []}' % ("9" * 5000),
+    # a 5 000-digit position, which would print a 5 000-digit part
+    '{"charge": 0, "added": ["%s/2"], "removed": ["-1/2"]}' % ("9" * 5001),
+    '{"charge": 0, "added": ["%d/2"], "removed": ["-1/2"]}' % (2 * MAYA_C + 1),
+    '{"charge": 0, "added": ["1/2"], "removed": ["%d/2"]}' % (-2 * MAYA_C - 1),
+], ids=["charge-19-digits", "charge-5000-digits", "added-5001-digits",
+        "added-past-ceiling", "removed-past-ceiling"])
+def test_maya_json_past_ceiling_exits(capsys, maya):
+    # --charge's ceiling holds a Maya JSON's charge and positions too
+    code, obj = run_json(capsys, "maya", "--from-maya", maya)
+    assert code == EXIT_PARSE
+    assert obj == {"error": f"charge and positions must lie between "
+                   f"{-MAYA_C} and {MAYA_C}, the ceiling of --charge"}
+
+
+def test_maya_json_at_ceiling_prints_64_bit_ints(capsys):
+    # the largest part, from the top position and the least charge, is
+    # 2 MAYA_C - 1
+    for maya, want in [
+            ('{"charge": %d, "added": [], "removed": []}' % MAYA_C,
+             {"young": [], "charge": MAYA_C}),
+            ('{"charge": %d, "added": ["%d/2"], "removed": ["%d/2"]}'
+             % (1 - MAYA_C, 2 * MAYA_C - 1, 1 - 2 * MAYA_C),
+             {"young": [2 * MAYA_C - 1], "charge": 1 - MAYA_C})]:
+        code, obj = run_json(capsys, "maya", "--from-maya", maya)
+        assert (code, obj) == (EXIT_OK, want)
+        assert all(abs(n) < 2 ** 63 for n in [obj["charge"], *obj["young"]])
+
+
 # -------------------------------------------------------------- verify
 
 
@@ -765,18 +799,25 @@ def test_value_past_ceiling_exits_promptly(capsys, tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("value", ["15", "9" * 1_000_000,
-                                   "1_" + "0" * 1_000_000,
-                                   "-" + "9" * 1_000_000])
-def test_config_value_past_ceiling_exits(capsys, tmp_path, value):
+@pytest.mark.parametrize("key, value", [
+    *(pytest.param("bound", value, id=value)
+      for value in ["15", "9" * 1_000_000, "1_" + "0" * 1_000_000,
+                    "-" + "9" * 1_000_000]),
+    pytest.param("workers", "9" * 1_000_000, id="workers")])
+def test_config_value_past_ceiling_exits(capsys, tmp_path, key, value):
     # a million digits, past the command line's length limit, are judged
     # by their count, not parsed, also with an underscore or a minus
     config = tmp_path / "tauseq.conf"
-    config.write_text(f"bound = {value}\n")
+    config.write_text(f"{key} = {value}\n")
     start = time.perf_counter()
     code, obj = run_json(capsys, "--config", str(config), "scan", "--json")
     assert time.perf_counter() - start < 1
     assert code == EXIT_PARSE
+    if key == "workers":  # named by its length, not echoed
+        assert obj == {"error": f"argument --workers: expected 1 to "
+                       f"{os.cpu_count()} (the CPU count), got a "
+                       "1000000-digit number"}
+        return
     assert obj == {"error": "argument --bound: " + (
         "must be >= -14, minus its ceiling" if value[0] == "-"
         else "must be <= 14, its ceiling")}

@@ -7,7 +7,9 @@ replaced (both kept in tests/reference_lattice.py).  Every coprime triple
 (N, p, q) is checked to be the recurrence of a convex quadrilateral.  Each
 integer fast path is checked against the Fraction reference it replaced:
 integer `generate` against the Fraction loop (windows scaled by 2 000-10 000
-bit ints included, so that big steps take the recursive division), and the
+bit ints included, so that big steps take the recursive division), a run's
+text, one str per distinct term, against the per-term serialisation it
+replaced (tests/reference_recurrence.py) over the same runs, and the
 2x2-minors rank check of SublatticeBasis against a Fraction
 Gaussian-elimination rank.  The recursive division `recurrence._divmod` is
 checked against the builtin divmod, and for recursing exactly when the
@@ -65,7 +67,8 @@ import reference_kp
 import reference_lattice
 import reference_oeis
 from reference_lattice import canonicalize_pairs
-from tauseq import fock, recurrence
+from reference_recurrence import per_term_json_dict
+from tauseq import exact_int_str, fock, recurrence
 from tauseq.fock import Window, octahedron_residual, random_group_element
 from tauseq.kp import kp_bilinear_residual, partitions_up_to, schur
 from tauseq.lattice import (EdgePolygon, LatticeError, RankError,
@@ -123,7 +126,7 @@ def fraction_generate(rec: BilinearRecurrence, count: int,
     partner = q_o if p_o == top else p_o
 
     terms = list(init)
-    run = SequenceRun(terms=terms, seed_window=list(init))
+    run = SequenceRun(terms=terms, window=window)
     for j in range(window, count):
         l = j - top
         acc = Fraction(0)
@@ -200,7 +203,24 @@ def test_generate_matches_fraction_reference(case):
     assert got.terms == want.terms
     assert [type(t) for t in got.terms] == [type(t) for t in want.terms]
     assert (got.status, got.status_index) == (want.status, want.status_index)
-    assert got.seed_window == want.seed_window
+    assert got.window == want.window == rec.window
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs())
+# a non-integral run whose Fractions recur, a degenerate one, and a big one
+@example((BilinearRecurrence(((0, 0), (3, 1), (0, 0))), 16, None))
+@example((BilinearRecurrence(((0, 0), (2, -2), (1, -1))), 9, [0, 1, 1, 1]))
+@example((BilinearRecurrence(((0, 0), (2, -2), (1, -1))), 16,
+          [(1 << 10_000) + 1] * 4))
+def test_run_text_matches_per_term_reference(case):
+    run = generate(*case)
+    with exact_int_str():  # Fraction runs outgrow the digit limit
+        got, want = run.to_json_dict(), per_term_json_dict(run)
+    assert got == want
+    # equal terms share one str, across the terms and the seed window
+    texts = got["terms"] + got["seed_window"]
+    assert len(set(map(id, texts))) == len(set(texts))
 
 
 CUTOFF = recurrence._FAST_DIV_BITS

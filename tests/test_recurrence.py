@@ -137,7 +137,8 @@ def test_generate_trivial_window_regression():
 def test_generate_custom_seed_window():
     rec = derive_recurrence(SQUARE_BASIS)
     run = generate(rec, 12, init=[1, 1, 1, 1, 1, 1, 1, 2])
-    assert run.seed_window == [1, 1, 1, 1, 1, 1, 1, 2]
+    assert run.window == 8
+    assert run.terms[:run.window] == [1, 1, 1, 1, 1, 1, 1, 2]
     check_recurrence_holds(rec, run.terms)
 
 
