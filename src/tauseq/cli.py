@@ -28,6 +28,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 
 from . import exact_int_str
@@ -99,23 +100,34 @@ def _basis_from_args(args):
 
 def cmd_maya(args) -> Result:
     from .maya import (MayaDiagram, Partition, maya_from_young_charge,
-                       young_charge_from_maya)
+                       parse_parts, young_charge_from_maya)
+    ceilings = CEILINGS["maya"]
     if args.from_maya is not None:
-        diagram = MayaDiagram.from_json_dict(_json_arg(args.from_maya))
         # --charge's ceiling holds the charge and each half-integer
         # position p + 1/2 too, so that every part printed, at most twice
-        # the ceiling, fits a signed 64-bit int
-        ceiling = CEILINGS["maya"]["charge"]
+        # the ceiling, fits a signed 64-bit int.  A number of more digits
+        # than the ceiling is past it before json.loads or int() reads it,
+        # which takes quadratic time on a long text
+        ceiling = ceilings["charge"]
+        past = (f"charge and positions must lie between {-ceiling} and "
+                f"{ceiling}, the ceiling of --charge")
+        if re.search("[1-9][0-9]{%d}" % ceilings["digits"], args.from_maya):
+            raise ValueError(past)
+        diagram = MayaDiagram.from_json_dict(_json_arg(args.from_maya))
         if abs(diagram.charge) > ceiling or any(
                 abs(2 * p + 1) > 2 * ceiling
                 for p in diagram.added | diagram.removed):
-            raise ValueError(f"charge and positions must lie between "
-                             f"{-ceiling} and {ceiling}, the ceiling of "
-                             "--charge")
+            raise ValueError(past)
+        # the partition has one part per position from the least removed
+        # one up to the charge
+        parts = diagram.charge - min(diagram.removed, default=diagram.charge)
+        if parts > ceilings["parts"]:
+            raise ValueError(f"the partition would have {parts} parts, past "
+                             f"the ceiling of {ceilings['parts']}")
         lam, charge = young_charge_from_maya(diagram)
         return EXIT_OK, {"young": list(lam.parts), "charge": charge}
-    young = args.young.strip()
-    lam = Partition(tuple(int(x) for x in young.split(",")) if young else ())
+    lam = Partition(parse_parts(args.young.strip(), ceilings["parts"],
+                                ceilings["digits"]))
     return EXIT_OK, maya_from_young_charge(lam, args.charge).to_json_dict()
 
 
@@ -274,10 +286,13 @@ def _worker_count(text: str) -> int:
 # 1.1 GB (the README gives the costs), and a seed or a charge fits a
 # signed 64-bit int, so any JSON reader takes it back; past one the
 # command exits with 2 as it parses.  maya's also bounds the charge and
-# positions of --from-maya, which cmd_maya checks
+# positions of --from-maya, and holds two ceilings that are not options,
+# which cmd_maya checks before it parses a number: the parts of a
+# partition, either way, and the digits of a --young part or of a number
+# in --from-maya (as many as the charge ceiling has)
 CEILINGS = {
     "tauseq": {"seed": 10 ** 18},
-    "maya": {"charge": 10 ** 18},
+    "maya": {"charge": 10 ** 18, "parts": 10 ** 6, "digits": 19},
     "generate": {"terms": 1000},
     "scan": {"bound": 14, "terms": 100, "min_match": 100},
     "verify": {"trials": 1000, "seed": 10 ** 18, "cutoff": 9, "dim": 40,

@@ -191,6 +191,15 @@ def octahedron_residual(g: Block, n: Sequence[int], window: Window) -> int:
     Zero for every integer block g: the identity is a Grassmann-Plucker
     relation among its maximal minors (Fulton, Young Tableaux 9.1), the
     discrete Hirota/Plucker identity the rest of the package builds on.
+
+    So this residual cannot fail at runtime.  The six values come from one
+    elimination of the common columns, so they are, up to one common
+    factor, the 2x2 minors of one 2x4 block, and the minors of any 2x4
+    block satisfy the relation, which is homogeneous: six wrong values
+    from a wrong elimination still give 0.  The guard of the values
+    themselves is test_octahedron_insertions_match_entrywise_elimination
+    in tests/test_fock.py, which compares them with the entry-by-entry
+    elimination.
     """
     values = tau_with_insertions(g, n, window)
     return octahedral_combination(values.__getitem__)

@@ -27,6 +27,20 @@ def parse_half(text: str) -> int:
     return (n - 1) // 2
 
 
+def parse_parts(text: str, most: int, digits: int) -> tuple[int, ...]:
+    """The parts of a comma-separated text such as "4,2,2,1" ("" has
+    none).  More than `most` parts, or a part of more than `digits` digits,
+    is refused by the count of commas and the length of the part, before
+    int() reads it in time quadratic in its length."""
+    if text.count(",") >= most:
+        raise ValueError(f"the partition would have {text.count(',') + 1} "
+                         f"parts, past the ceiling of {most}")
+    texts = text.split(",") if text else []
+    if any(len(x.strip().lstrip("+0")) > digits for x in texts):
+        raise ValueError(f"a part has more than {digits} digits, the ceiling")
+    return tuple(map(int, texts))
+
+
 @dataclass(frozen=True)
 class Partition:
     """Weakly decreasing tuple of positive integers; () is the empty one."""

@@ -9,11 +9,15 @@ which the Laurent phenomenon makes the uncommon case.  Big steps divide
 recursively (_divmod), the rest by the builtin, quadratic, divmod.
 
 Each fact of a run is stated once.  A BilinearRecurrence sets its window
-in the pass that checks its top offset.  generate builds one list per run,
-which starts as the seed window; the SequenceRun keeps the window's length,
-not a copy of it.  SequenceRun.term_texts is the one rule that turns a run
-into text, one str per distinct term through term_str: to_json_dict takes
-its terms and its seed window (a slice) from it, and so do scan's records.
+and its step plan in the pass that checks its top offset: the offsets of
+the two products and of the divisor, each less the top offset, and whether
+the products add or subtract.  So generate has no per-call setup: it
+builds one list per run, which starts as the seed window, and each step
+reads its terms off the end of that list.  The SequenceRun keeps the
+window's length, not a copy of it.  SequenceRun.term_texts is the one
+rule that turns a run into text, one str per distinct term through
+term_str: to_json_dict takes its terms and its seed window (a slice) from
+it, and so do scan's records.
 
 Convex polygons give positive Gale-Robinson recurrences (spreads proves
 it): a strictly convex ccw quadrilateral whose basis is torsion-free, with
@@ -55,6 +59,11 @@ def octahedral_combination(t: Callable[[Pair], int]) -> int:
     return sum(sign * t(p) * t(q) for sign, (p, q) in zip(SIGNS, PAIRINGS))
 
 
+# the two pairs other than each pair, the minus pair first
+_OTHERS = tuple(tuple(sorted({0, 1, 2} - {i}, key=SIGNS.__getitem__))
+                for i in range(3))
+
+
 class UnsolvableError(LatticeError):
     """The top offset occurs more than once, in two pairs or twice in one
     pair; no step can solve for the top term."""
@@ -73,18 +82,32 @@ class BilinearRecurrence:
 
     pairs: tuple[Pair, Pair, Pair]
     window: int = field(init=False)  # top offset minus least, set once
+    # generate's step plan, set once: (p_a, q_a, p_b, q_b, partner,
+    # subtract), each offset minus the top one, so that a step reads its
+    # terms off the end of the list it appends to
+    plan: tuple[int, int, int, int, int, bool] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if any(p < q for p, q in self.pairs):
+        (p1, q1), (p2, q2), (p3, q3) = pairs = self.pairs
+        if p1 < q1 or p2 < q2 or p3 < q3:
             raise ValueError("each pair must be ordered p >= q")
-        offsets = [x for pair in self.pairs for x in pair]
-        top = max(offsets)
+        top = max(p1, p2, p3)
         # one index per occurrence, so a pair (top, top) counts twice
-        owners = [i for i, pair in enumerate(self.pairs)
-                  for x in pair if x == top]
+        owners = [i for i, pair in enumerate(pairs) for x in pair if x == top]
         if len(owners) != 1:
-            raise UnsolvableError(self.pairs, owners)
-        object.__setattr__(self, "window", top - min(offsets))
+            raise UnsolvableError(pairs, owners)
+        # the top offset is the p of its one pair, the owner, and
+        # T(top) T(partner) = -SIGNS[owner] sum_{i != owner} SIGNS[i] T(p_i)
+        # T(q_i) is a + b of the plus pairs when the minus pair owns the top
+        # term, else a - b with a the minus pair's product
+        owner = owners[0]
+        i_a, i_b = _OTHERS[owner]
+        (p_a, q_a), (p_b, q_b) = pairs[i_a], pairs[i_b]
+        object.__setattr__(self, "window", top - min(q1, q2, q3))
+        object.__setattr__(self, "plan", (
+            p_a - top, q_a - top, p_b - top, q_b - top,
+            pairs[owner][1] - top, SIGNS[i_b] == SIGNS[owner]))
 
     def to_json_dict(self) -> dict:
         return {"pairs": [list(p) for p in self.pairs],
@@ -268,26 +291,14 @@ def generate(rec: BilinearRecurrence, count: int,
     terms: list[int | Fraction] = [1] * window if init is None else list(init)
     if len(terms) != window:
         raise ValueError(f"initial window must have length {window}")
-
-    # shift offsets so the minimum, a q as each pair has p >= q, is 0; the
-    # top term is then at l + window, the p of the one pair that holds it
-    low = min(q for _, q in rec.pairs)
-    pairs = [(p - low, q - low) for p, q in rec.pairs]
-    owner = next(i for i, (p, _) in enumerate(pairs) if p == window)
-    partner = pairs[owner][1]
-    # T(top) T(partner) = -SIGNS[owner] sum_{i != owner} SIGNS[i] T(p_i) T(q_i)
-    # is a + b of the plus pairs when the minus pair owns the top term, else
-    # a - b with a the minus pair's product
-    i_a, i_b = sorted({0, 1, 2} - {owner}, key=SIGNS.__getitem__)
-    (p_a, q_a), (p_b, q_b) = pairs[i_a], pairs[i_b]
-    subtract = SIGNS[i_b] == SIGNS[owner]
+    p_a, q_a, p_b, q_b, partner, subtract = rec.plan
 
     run = SequenceRun(terms=terms, window=window)
+    # terms holds T(0) .. T(j - 1), so a plan offset k < 0 reads T(j + k)
     for j in range(window, count):
-        l = j - window
-        a, b = terms[l + p_a] * terms[l + q_a], terms[l + p_b] * terms[l + q_b]
+        a, b = terms[p_a] * terms[q_a], terms[p_b] * terms[q_b]
         num = a - b if subtract else a + b
-        divisor = terms[l + partner]
+        divisor = terms[partner]
         if divisor == 0:
             run.status = "degenerate"
             run.status_index = j
@@ -304,4 +315,3 @@ def generate(rec: BilinearRecurrence, count: int,
                 run.status_index = j
         terms.append(value)
     return run
-

@@ -20,9 +20,13 @@ edge cycle, which is the one a serial walk meets first.  So 1-worker and
 N-worker runs are byte-identical.  The parent then builds the record of
 each kept key once: its recurrence is pairs_from_spreads(*key), generated
 and matched.  What records share is built once: the scan's MatchPolicy
-(ScanConfig.policy) and the module's two JSON encoders.  A record's terms
-are its run's text by recurrence.SequenceRun.term_texts, one string per
-distinct term, so its seed window of ones shares one "1".
+(ScanConfig.policy).  A record's terms are its run's text by
+recurrence.SequenceRun.term_texts, one string per distinct term, so its
+seed window of ones shares one "1".  A record's text is formatted, not
+encoded: its dedup key is one %-format of its six offsets, and its JSON
+line (jsonl_line) one %-format of the fixed record schema with its terms
+joined in, the bytes of json.dumps(record, sort_keys=True), which
+tests/reference_scan.py keeps as the reference.
 """
 
 from __future__ import annotations
@@ -60,10 +64,17 @@ Cycle = tuple[Edge, Edge, Edge, Edge]
 # recurrence.spreads, the arguments of recurrence.pairs_from_spreads
 Key = tuple[int, int, int]
 
-# json.dumps(obj) and json.dumps(obj, sort_keys=True), without building an
-# encoder per call
-_encode = json.JSONEncoder().encode
-_encode_sorted = json.JSONEncoder(sort_keys=True).encode
+# the JSON text of a recurrence's pairs, a record's dedup key
+_PAIRS = "[[%d, %d], [%d, %d], [%d, %d]]"
+# a record's JSON line, its keys sorted: every string of a record (the
+# dedup key, the status, the match note, A-numbers and terms) is ASCII
+# with no quote, backslash or control character, so it is its own JSON
+# text, and it has at least one term (a window is at least 1)
+_LINE = ('{"basis": [[%d, %d, %d, %d], [%d, %d, %d, %d]], "dedup_key": "%s", '
+         '%s"matches": [%s], "recurrence": {"pairs": ' + _PAIRS + ', '
+         '"signs": [%d, %d, %d], "window": %d}, "status": "%s", '
+         '"terms": ["%s"]}\n')
+_MATCH = '{"a_number": "%s", "position": %d}'
 
 
 def complete_record(edges: Cycle, rec: BilinearRecurrence, cfg: ScanConfig,
@@ -82,10 +93,11 @@ def complete_record(edges: Cycle, rec: BilinearRecurrence, cfg: ScanConfig,
     rule that turns a run into text: one str per distinct term, shared by
     its positions.  The policy is cfg's, one per scan.
     """
+    p1, p2, p3 = rec.pairs
     recurrence = rec.to_json_dict()
     record = {"basis": [list(row) for row in zip(*edges)],
               "recurrence": recurrence,
-              "dedup_key": _encode(recurrence["pairs"])}
+              "dedup_key": _PAIRS % (*p1, *p2, *p3)}
     run = generate(rec, max(cfg.terms, rec.window))
     record["status"] = run.status
     record["terms"] = run.term_texts()
@@ -302,7 +314,17 @@ def run_scan(cfg: ScanConfig, db: StrippedDb,
 
 
 def jsonl_line(record: dict) -> str:
-    return _encode_sorted(record) + "\n"
+    """json.dumps(record, sort_keys=True) + "\n" of a record of
+    complete_record, by one format of its fixed schema."""
+    (b1, b2), recurrence = record["basis"], record["recurrence"]
+    (p1, p2, p3), note = recurrence["pairs"], record.get("match_note")
+    return _LINE % (
+        *b1, *b2, record["dedup_key"],
+        "" if note is None else '"match_note": "%s", ' % note,
+        ", ".join(_MATCH % (m["a_number"], m["position"])
+                  for m in record["matches"]),
+        *p1, *p2, *p3, *recurrence["signs"], recurrence["window"],
+        record["status"], '", "'.join(record["terms"]))
 
 
 def write_jsonl(records: list[dict], path: str,

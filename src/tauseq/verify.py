@@ -56,6 +56,15 @@ def _four_component_window(check: str, cutoff: int | None) -> fock.Window:
 
 def verify_octahedron(trials: int, seed: int, cutoff: int | None = None,
                       **unused) -> dict:
+    """fock.octahedron_residual on `trials` random blocks and base points.
+
+    It cannot report a failure: the six insertion values are, up to one
+    common factor, the 2x2 minors of one 2x4 block, from one elimination,
+    and the minors of any 2x4 block satisfy the relation, so a fault in
+    the minors still gives 0.  The guard of the minors is
+    test_octahedron_insertions_match_entrywise_elimination in
+    tests/test_fock.py, against the entry-by-entry elimination.
+    """
     window = _four_component_window("octahedron", cutoff)
     rng = random.Random(seed)
     failures = []

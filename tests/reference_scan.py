@@ -26,10 +26,16 @@ bases, when workers > 1), walks the derived recurrences in enumeration
 order, and completes the first of each.  Tests
 compare the keyed, merged scan against it, and map `scan_one`'s keys back
 to recurrences with `tauseq.recurrence.pairs_from_spreads(*key)`.
+
+`reference_jsonl_line` is the sorted-key JSON encoder that
+`tauseq.scan.jsonl_line`, one format of the record's fixed schema,
+replaced; tests compare the two on every record of the bound 0-8 scans and
+on random records of that schema.
 """
 
 from __future__ import annotations
 
+import json
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 from itertools import product
@@ -215,3 +221,8 @@ def reference_scan(cfg: ScanConfig, db: StrippedDb,
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return collect(zip(cycles, pool.map(reference_scan_one, bases,
                                             chunksize=64)), cfg, db)
+
+
+def reference_jsonl_line(record: dict) -> str:
+    """A record's JSON line by the sorted-key encoder."""
+    return json.dumps(record, sort_keys=True) + "\n"

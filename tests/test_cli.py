@@ -226,6 +226,51 @@ def test_maya_json_at_ceiling_prints_64_bit_ints(capsys):
         assert all(abs(n) < 2 ** 63 for n in [obj["charge"], *obj["young"]])
 
 
+MAYA_PARTS, MAYA_DIGITS = CEILINGS["maya"]["parts"], CEILINGS["maya"]["digits"]
+
+
+@pytest.mark.parametrize("line,error", [
+    # 10^7 parts, which took 10.8 s and 847 MB without the parts ceiling
+    ('from_maya = {"charge": 0, "added": ["1/2"], "removed": ["-19999999/2"]}',
+     "the partition would have 10000000 parts, past the ceiling of "
+     f"{MAYA_PARTS}"),
+    # numbers of 200 000 digits, which int() and json.loads read in
+    # quadratic time
+    ("young = " + "9" * 200_000,
+     f"a part has more than {MAYA_DIGITS} digits, the ceiling"),
+    ('from_maya = {"charge": %s, "added": [], "removed": []}' % ("9" * 200_000),
+     f"charge and positions must lie between {-MAYA_C} and {MAYA_C}, the "
+     "ceiling of --charge"),
+    ("young = " + ",".join(["1"] * (MAYA_PARTS + 1)),
+     f"the partition would have {MAYA_PARTS + 1} parts, past the ceiling "
+     f"of {MAYA_PARTS}"),
+], ids=["maya-10^7-parts", "young-200000-digits", "charge-200000-digits",
+        "young-past-parts"])
+def test_maya_past_parts_or_digits_exits_promptly(capsys, tmp_path, line,
+                                                   error):
+    config = tmp_path / "maya.cfg"
+    config.write_text(line + "\n")
+    start = time.perf_counter()
+    code, obj = run_json(capsys, "--config", str(config), "maya")
+    assert time.perf_counter() - start < 1
+    assert (code, obj) == (EXIT_PARSE, {"error": error})
+
+
+def test_maya_parts_and_digits_ceilings_are_inclusive(capsys, monkeypatch):
+    monkeypatch.setitem(CEILINGS["maya"], "parts", 3)
+    part = "9" * MAYA_DIGITS
+    for argv, want in [
+            (["--young", f"{part},2,1"], EXIT_OK),
+            (["--young", f"00{part},2,1"], EXIT_OK),  # leading zeros
+            (["--young", f"1{part},2,1"], EXIT_PARSE),
+            (["--young", "4,3,2,1"], EXIT_PARSE),
+            (["--from-maya", '{"charge": 0, "added": ["1/2"], '
+              '"removed": ["-5/2"]}'], EXIT_OK),  # parts 1, 1, 1
+            (["--from-maya", '{"charge": 0, "added": ["1/2"], '
+              '"removed": ["-7/2"]}'], EXIT_PARSE)]:
+        assert run_json(capsys, "maya", *argv)[0] == want, argv
+
+
 # -------------------------------------------------------------- verify
 
 
@@ -394,21 +439,14 @@ def test_scan_output_file_is_stdout_serialised_once(capsys, tmp_path,
                                                     monkeypatch):
     # each record is turned into JSON once, and the --output file holds
     # exactly the bytes printed on stdout
-    dumped = []  # the dicts serialised: records by scan's sorted-key
-    # encoder, the summary by json.dumps
-    dumps, encode = json.dumps, scan._encode_sorted
+    lines = []  # the records serialised, by scan.jsonl_line
+    line = scan.jsonl_line
 
-    def counting_dumps(obj, **kwargs):
-        if isinstance(obj, dict):
-            dumped.append(obj)
-        return dumps(obj, **kwargs)
+    def counting_line(record):
+        lines.append(record)
+        return line(record)
 
-    def counting_encode(obj):
-        dumped.append(obj)
-        return encode(obj)
-
-    monkeypatch.setattr(json, "dumps", counting_dumps)
-    monkeypatch.setattr(scan, "_encode_sorted", counting_encode)
+    monkeypatch.setattr(scan, "jsonl_line", counting_line)
     out_path = tmp_path / "scan.jsonl"
     code, out, _ = run(capsys, "scan", "--bound", "2", "--terms", "16",
                        "--output", str(out_path))
@@ -416,8 +454,7 @@ def test_scan_output_file_is_stdout_serialised_once(capsys, tmp_path,
     assert out_path.read_bytes() == out.encode("utf-8")
     records = out.splitlines()
     assert records
-    # one per record, plus the summary file and the stderr summary
-    assert len(dumped) == len(records) + 2
+    assert len(lines) == len(records)
 
 
 @pytest.mark.parametrize("output", ["outd/", "outd", "missing/scan.jsonl",
@@ -765,6 +802,11 @@ def past_ceiling(command: str, option: str, value: int) -> list[str]:
     return [command, *NEEDS[command], *flag]
 
 
+# the ceilings that no option has: maya's bounds on what --young and
+# --from-maya hold, which test_maya_past_parts_or_digits_exits_promptly
+# and test_maya_parts_and_digits_ceilings_are_inclusive test
+NOT_OPTIONS = {("maya", "parts"), ("maya", "digits")}
+
 PAST_CEILING = [
     ["generate", "--matrix", SQUARE, "--terms", "100000000000000000000"],
     ["verify", "plucker", "--trials", "100000000000"],
@@ -776,6 +818,7 @@ PAST_CEILING = [
     *(past_ceiling(command, option, sign * (ceiling + 1))
       for command, ceilings in CEILINGS.items()
       for option, ceiling in ceilings.items()
+      if (command, option) not in NOT_OPTIONS
       for sign in (1, -1)),
 ]
 

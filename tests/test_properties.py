@@ -9,7 +9,11 @@ integer fast path is checked against the Fraction reference it replaced:
 integer `generate` against the Fraction loop (windows scaled by 2 000-10 000
 bit ints included, so that big steps take the recursive division), a run's
 text, one str per distinct term, against the per-term serialisation it
-replaced (tests/reference_recurrence.py) over the same runs, and the
+replaced (tests/reference_recurrence.py) over the same runs, `generate`'s
+step plan, set once per recurrence, against the builtin-divmod loop it
+replaced, with the top offset in each pair and the pairs in any order, a
+scan record's JSON line against the sorted-key encoder it replaced
+(tests/reference_scan.py) on random records of its schema, and the
 2x2-minors rank check of SublatticeBasis against a Fraction
 Gaussian-elimination rank.  The recursive division `recurrence._divmod` is
 checked against the builtin divmod, and for recursing exactly when the
@@ -52,6 +56,7 @@ the all-Fraction Jacobi-Trudi oracle (tests/reference_kp.py).
 
 import gzip
 import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -79,9 +84,12 @@ from tauseq.oeis import (MatchPolicy, QueryTooShort, load_stripped,
                          match_sequence, trim_query)
 from tauseq.recurrence import (SIGNS, BilinearRecurrence, SequenceRun,
                                UnsolvableError, derive_recurrence, generate,
-                               octahedral_combination, pairs_from_spreads)
-from reference_scan import images, merged, reference_slice, scan_one
-from tauseq.scan import scan_slice
+                               octahedral_combination, pairs_from_spreads,
+                               term_str)
+from reference_recurrence import divmod_generate
+from reference_scan import (images, merged, reference_jsonl_line,
+                            reference_slice, scan_one)
+from tauseq.scan import jsonl_line, scan_slice
 
 
 def fraction_rank(matrix) -> int:
@@ -223,6 +231,44 @@ def test_run_text_matches_per_term_reference(case):
     assert len(set(map(id, texts))) == len(set(texts))
 
 
+@st.composite
+def planned_runs(draw):
+    """A triple whose top offset lies in the minus pair or in a plus pair
+    (where the step subtracts), its pairs in any order, and the all-ones
+    window or an int one with zeros and negatives, which runs into
+    "degenerate" and "non-integral"."""
+    top = draw(st.integers(-4, 4))
+    below = st.integers(top - 6, top - 1)
+    owner = (top, draw(below))
+    others = st.tuples(below, below).map(lambda pq: (max(pq), min(pq)))
+    rec = BilinearRecurrence(tuple(draw(st.permutations(
+        [owner, draw(others), draw(others)]))))
+    init = draw(st.none() | st.lists(st.integers(-3, 3), min_size=rec.window,
+                                     max_size=rec.window))
+    return rec, rec.window + draw(st.integers(0, 16)), init
+
+
+@settings(max_examples=300, deadline=None)
+@given(planned_runs())
+# the top offset in a plus pair, then in the minus pair, each with a
+# degenerate and a non-integral run
+@example((BilinearRecurrence(((0, -1), (1, -2), (2, -1))), 14, [-3, 3, 0, -1]))
+@example((BilinearRecurrence(((1, -1), (1, 1), (2, -1))), 13, [3, -2, -2]))
+@example((BilinearRecurrence(((0, -2), (2, 1), (1, -1))), 14, [0, -1, 1, -1]))
+@example((BilinearRecurrence(((1, -2), (2, 0), (-1, -2))), 14, [1, -2, 2, 3]))
+def test_step_plan_matches_divmod_reference(case):
+    rec, count, init = case
+    got, want = generate(rec, count, init), divmod_generate(rec, count, init)
+    assert got == want
+    assert [type(t) for t in got.terms] == [type(t) for t in want.terms]
+    # the plan is set once and is no part of the value: repr, == and hash
+    # read the pairs and the window alone
+    assert repr(rec) == (f"BilinearRecurrence(pairs={rec.pairs!r}, "
+                         f"window={rec.window})")
+    assert rec == BilinearRecurrence(rec.pairs)
+    assert hash(rec) == hash((rec.pairs, rec.window))
+
+
 CUTOFF = recurrence._FAST_DIV_BITS
 DIV_BITS = (st.integers(0, 64) | st.integers(CUTOFF - 3, CUTOFF + 3)
             | st.integers(CUTOFF + 4, 3 * CUTOFF))
@@ -282,6 +328,41 @@ def test_recurrence_accepts_exactly_iterable_triples(pairs):
     else:
         with pytest.raises(UnsolvableError):
             BilinearRecurrence(pairs)
+
+
+# ----------------------------------------------------------- JSON lines
+
+TERM_TEXTS = (st.integers(-10 ** 30, 10 ** 30)
+              | st.fractions(max_denominator=10 ** 12).filter(
+                  lambda f: f.denominator != 1)).map(term_str)
+MATCHES = st.builds(lambda n, position: {"a_number": f"A{n:06d}",
+                                         "position": position},
+                    st.integers(0, 999_999), st.integers(0, 1000))
+
+
+@st.composite
+def records(draw):
+    """Records of scan.complete_record's schema: any basis and recurrence,
+    each status, with a match note or not, 0-3 matches, and terms of ints
+    and fractions p/q of both signs."""
+    recurrence = BilinearRecurrence(draw(st.tuples(PAIRS, PAIRS, PAIRS)
+                                         .filter(_iterable))).to_json_dict()
+    row = st.lists(st.integers(-50, 50), min_size=4, max_size=4)
+    record = {"basis": [draw(row), draw(row)], "recurrence": recurrence,
+              "dedup_key": json.dumps(recurrence["pairs"]),
+              "status": draw(st.sampled_from(["ok", "non-integral",
+                                              "degenerate"])),
+              "terms": draw(st.lists(TERM_TEXTS, min_size=1, max_size=30)),
+              "matches": draw(st.lists(MATCHES, max_size=3))}
+    if draw(st.booleans()):
+        record["match_note"] = "query too short after trimming"
+    return record
+
+
+@settings(max_examples=300, deadline=None)
+@given(records())
+def test_jsonl_line_matches_encoder_on_random_records(record):
+    assert jsonl_line(record) == reference_jsonl_line(record)
 
 
 # ---------------------------------------------------------- rank checks

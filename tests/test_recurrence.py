@@ -80,12 +80,18 @@ def test_canonicalize_centers_even_sums():
 
 
 def test_recurrence_rejects_shared_top_offset():
-    with pytest.raises(UnsolvableError):
+    with pytest.raises(UnsolvableError) as exc:
         BilinearRecurrence(((2, 0), (2, -2), (1, -1)))
+    assert str(exc.value) == ("degenerate recurrence: max offset shared by "
+                              "pairs [0, 1] of ((2, 0), (2, -2), (1, -1))")
     # the top offset paired with itself: the step would divide by the term
     # it solves for
-    with pytest.raises(UnsolvableError):
+    with pytest.raises(UnsolvableError) as exc:
         BilinearRecurrence(((2, 2), (1, 1), (0, 0)))
+    assert str(exc.value) == ("degenerate recurrence: max offset shared by "
+                              "pairs [0, 0] of ((2, 2), (1, 1), (0, 0))")
+    with pytest.raises(ValueError, match=r"^each pair must be ordered p >= q$"):
+        BilinearRecurrence(((0, 1), (2, -2), (1, -1)))
 
 
 def test_recurrence_json_roundtrip():

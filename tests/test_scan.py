@@ -9,10 +9,12 @@ from tauseq.recurrence import (BilinearRecurrence, derive_recurrence,
                                generate, pairs_from_spreads, term_str)
 from reference_scan import (images, keyed, merged,
                             pruned_enumerate_edge_cycles,
-                            reference_edge_cycles, reference_scan,
-                            reference_scan_one, reference_slice, scan_one)
-from tauseq.scan import (ScanConfig, complete_record, merge_slices, run_scan,
-                         scan_slice, write_jsonl, write_summary)
+                            reference_edge_cycles, reference_jsonl_line,
+                            reference_scan, reference_scan_one,
+                            reference_slice, scan_one)
+from tauseq.scan import (ScanConfig, complete_record, jsonl_line,
+                         merge_slices, run_scan, scan_slice, write_jsonl,
+                         write_summary)
 
 
 # (bound, sha256 of the JSONL, summary) of scans at 24 terms against the
@@ -300,6 +302,16 @@ def test_scan_golden(tmp_path, bound, sha256, summary):
     write_jsonl(records, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
     assert got == summary
+
+
+@pytest.mark.parametrize("bound", range(9))
+def test_jsonl_line_matches_sorted_key_encoder(bound):
+    records, _ = run_scan(ScanConfig(bound=bound), load_fixture())
+    for record in records:
+        assert jsonl_line(record) == reference_jsonl_line(record)
+    # a match and a match note are met at bound 4 and on
+    assert bound < 4 or any(r["matches"] for r in records) and any(
+        "match_note" in r for r in records)
 
 
 def test_writers(tmp_path):
