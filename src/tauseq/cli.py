@@ -14,6 +14,13 @@ scan); every failure, usage errors too, emits {"error": <its message>}.
 Diagnostics go to stderr.  Identical invocation and seed produce
 byte-identical stdout.
 
+Every integer a command reads, an option's value, a term, a matrix entry
+or a coordinate, is read by tauseq.int_text, which accepts what int()
+accepts and refuses the rest with int()'s message in time linear in the
+text's length.  A value with a ceiling is judged by the digit count of
+that text before int() reads it (_int), since int() takes time quadratic
+in the length, so a --config value of any length is refused at once.
+
 A run imports only the modules of tauseq that its subcommand reads, since
 most of a short command's wall time is start-up: the parser declares the
 arguments of the named subcommand alone, each declaration and handler
@@ -28,10 +35,9 @@ import argparse
 import contextlib
 import json
 import os
-import re
 import sys
 
-from . import exact_int_str
+from . import exact_int_str, int_text
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -81,9 +87,9 @@ def _fail(exc: Exception) -> Result:
     return code, error
 
 
-def _json_arg(text: str):
+def _json_arg(text: str, parse_int=None):
     try:  # nesting too deep to decode is a parse error, not an internal one
-        return json.loads(text)
+        return json.loads(text, parse_int=parse_int)
     except RecursionError as exc:
         raise ValueError("JSON argument nested too deeply") from exc
 
@@ -102,22 +108,21 @@ def cmd_maya(args) -> Result:
     from .maya import (MayaDiagram, Partition, maya_from_young_charge,
                        parse_parts, young_charge_from_maya)
     ceilings = CEILINGS["maya"]
+    ceiling = ceilings["charge"]
     if args.from_maya is not None:
         # --charge's ceiling holds the charge and each half-integer
         # position p + 1/2 too, so that every part printed, at most twice
-        # the ceiling, fits a signed 64-bit int.  A number of more digits
-        # than the ceiling is past it before json.loads or int() reads it,
-        # which takes quadratic time on a long text
-        ceiling = ceilings["charge"]
-        past = (f"charge and positions must lie between {-ceiling} and "
-                f"{ceiling}, the ceiling of --charge")
-        if re.search("[1-9][0-9]{%d}" % ceilings["digits"], args.from_maya):
-            raise ValueError(past)
-        diagram = MayaDiagram.from_json_dict(_json_arg(args.from_maya))
+        # the ceiling, fits a signed 64-bit int.  _int reads each JSON
+        # integer and position numerator, so a long one is past it unread
+        number = lambda text: _int(text, 2 * ceiling)
+        diagram = MayaDiagram.from_json_dict(
+            _json_arg(args.from_maya, number), number)
         if abs(diagram.charge) > ceiling or any(
                 abs(2 * p + 1) > 2 * ceiling
                 for p in diagram.added | diagram.removed):
-            raise ValueError(past)
+            raise ValueError("charge and positions must lie between "
+                             f"{-ceiling} and {ceiling}, the ceiling of "
+                             "--charge")
         # the partition has one part per position from the least removed
         # one up to the charge
         parts = diagram.charge - min(diagram.removed, default=diagram.charge)
@@ -127,7 +132,7 @@ def cmd_maya(args) -> Result:
         lam, charge = young_charge_from_maya(diagram)
         return EXIT_OK, {"young": list(lam.parts), "charge": charge}
     lam = Partition(parse_parts(args.young.strip(), ceilings["parts"],
-                                ceilings["digits"]))
+                                len(str(ceiling))))
     return EXIT_OK, maya_from_young_charge(lam, args.charge).to_json_dict()
 
 
@@ -154,7 +159,8 @@ def cmd_generate(args) -> Result:
             _json_arg(args.recurrence_json))
     else:
         rec = derive_recurrence(_basis_from_args(args))
-    init = None if args.init is None else [*map(int, args.init.split(","))]
+    init = None if args.init is None else [
+        int(int_text(x)) for x in args.init.split(",")]
     out = generate(rec, args.terms, init).to_json_dict()
     out["recurrence"] = rec.to_json_dict()
     return EXIT_OK, out
@@ -219,7 +225,7 @@ def cmd_scan(args) -> Result:
 
 def cmd_match(args) -> Result:
     from . import oeis
-    terms = [int(x) for x in args.terms_list.split(",")]
+    terms = [int(int_text(x)) for x in args.terms_list.split(",")]
     db = _load_db(args)
     policy = oeis.MatchPolicy(min_match_terms=args.min_match,
                               trim_leading_ones=not args.no_trim)
@@ -265,34 +271,42 @@ def _set_config_defaults(parser: argparse.ArgumentParser,
         action.default = value
 
 
+def _int(text: str, ceiling: int) -> int:
+    """int(text), or, for a text with more digits than the ceiling, the
+    ceiling plus one with the text's sign: past the ceiling, and not read
+    by int(), which takes time quadratic in a text's length.  A text int()
+    refuses raises int()'s ValueError (int_text judges it)."""
+    value = int_text(text)
+    if len(value.lstrip("-")) > len(str(ceiling)):
+        return -ceiling - 1 if value[0] == "-" else ceiling + 1
+    return int(value)
+
+
 def _worker_count(text: str) -> int:
-    """--workers: an integer from 1 to the CPU count.  A decimal text with
-    more digits than the CPU count is past it before int() runs, which
-    takes quadratic time on a long text, and is named by its length."""
+    """--workers: an integer from 1 to the CPU count, read by _int; a text
+    that is not one is echoed cut to 200 characters, as int() cuts it."""
     cpus = os.cpu_count() or 1
-    digits = text.removeprefix("-")
-    long = digits.isdecimal() and len(digits.lstrip("0")) > len(str(cpus))
-    count = int(text) if digits.isdecimal() and not long else 0
-    if not 1 <= count <= cpus:
-        got = f"a {len(digits)}-digit number" if long else repr(text)
-        raise argparse.ArgumentTypeError(
-            f"expected 1 to {os.cpu_count()} (the CPU count), got {got}")
-    return count
+    with contextlib.suppress(ValueError):
+        if 1 <= (count := _int(text, cpus)) <= cpus:
+            return count
+    raise argparse.ArgumentTypeError(
+        f"expected 1 to {cpus} (the CPU count), got {text!r:.200}")
 
 
 # the largest absolute value of each numeric option, by subcommand
-# ("tauseq" for the global options) and long option: a run with every
-# option of its subcommand at its ceiling takes at most about 70 s and
-# 1.1 GB (the README gives the costs), and a seed or a charge fits a
-# signed 64-bit int, so any JSON reader takes it back; past one the
-# command exits with 2 as it parses.  maya's also bounds the charge and
-# positions of --from-maya, and holds two ceilings that are not options,
-# which cmd_maya checks before it parses a number: the parts of a
-# partition, either way, and the digits of a --young part or of a number
-# in --from-maya (as many as the charge ceiling has)
+# ("tauseq" for the global options) and long option: a run of integer
+# terms with every option of its subcommand at its ceiling takes at most
+# about 70 s and 1.1 GB (the README gives the costs; a --init window whose
+# run has fractions is not bounded), and a seed or a charge fits a signed
+# 64-bit int, so any JSON reader takes it back; past one the command exits
+# with 2 as it parses.  maya's also bounds the charge and positions of
+# --from-maya, and holds one ceiling that is no option, which cmd_maya
+# checks before it reads a number: the parts of a partition, either way.
+# A --young part with more digits than the charge ceiling is refused, and
+# a --from-maya number with more is past it, before int() reads either
 CEILINGS = {
     "tauseq": {"seed": 10 ** 18},
-    "maya": {"charge": 10 ** 18, "parts": 10 ** 6, "digits": 19},
+    "maya": {"charge": 10 ** 18, "parts": 10 ** 6},
     "generate": {"terms": 1000},
     "scan": {"bound": 14, "terms": 100, "min_match": 100},
     "verify": {"trials": 1000, "seed": 10 ** 18, "cutoff": 9, "dim": 40,
@@ -302,26 +316,24 @@ CEILINGS = {
 
 
 def _at_most(command: str, option: str):
-    """The type of an int option with a ceiling in CEILINGS.  A decimal text
-    with more digits than the ceiling, signed or not, is past it before
-    int() runs, which takes quadratic time on a long text (a --config value
-    has no length limit)."""
+    """The type of an int option with a ceiling in CEILINGS, read by _int
+    (a --config value has no length limit).  A text int() refuses is
+    echoed as argparse echoes it, cut to 200 characters, as int() cuts
+    it."""
     ceiling = CEILINGS[command][option]
 
     def parse(text: str) -> int:
-        body = text.strip()
-        sign = -1 if body.startswith("-") else 1
-        digits = body.removeprefix("-" if sign < 0 else "+")
-        digits = digits.replace("_", "").lstrip("0")
-        long = digits.isdecimal() and len(digits) > len(str(ceiling))
-        value = sign * (ceiling + 1) if long else int(text)
+        try:
+            value = _int(text, ceiling)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r:.200}") from None
         if abs(value) > ceiling:
             raise argparse.ArgumentTypeError(
                 f"must be <= {ceiling}, its ceiling" if value > 0
                 else f"must be >= {-ceiling}, minus its ceiling")
         return value
 
-    parse.__name__ = "int"  # argparse's "invalid int value" names it
     return parse
 
 

@@ -125,6 +125,15 @@ def _uniform_ints(rng: random.Random, bound: int, count: int) -> list[int]:
     return values
 
 
+def _draw(dim: int, count: int, rng: random.Random,
+          bound: int = 5) -> list[list[int]]:
+    """count vectors of length dim, drawn row by row, entries in [-bound,
+    bound]: one _uniform_ints pass cut into rows, the same values and
+    generator state as one rng.randint(-bound, bound) per entry."""
+    entries = _uniform_ints(rng, bound, dim * count)
+    return [entries[i:i + dim] for i in range(0, dim * count, dim)]
+
+
 def random_group_element(window: Window, rng: random.Random,
                          bound: int = 3) -> Block:
     """The covacuum rows of a random integer g, row r on the r-th
@@ -135,13 +144,9 @@ def random_group_element(window: Window, rng: random.Random,
     integer block (Fulton, Young Tableaux 9.1): no other row of g is read,
     and g need not be invertible, so nothing checks that it is.
 
-    The entries come from one _uniform_ints pass cut into rows, the same
-    values and generator state as one rng.randint(-bound, bound) per entry."""
-    size = window.size
-    entries = _uniform_ints(rng, bound,
-                            window.components * window.cutoff * size)
-    return tuple(tuple(entries[i:i + size])
-                 for i in range(0, len(entries), size))
+    The rows are a _draw, the same values and generator state as one
+    rng.randint(-bound, bound) per entry."""
+    return tuple(map(tuple, _draw(window.size, window.size // 2, rng, bound)))
 
 
 def _vacuum_columns(n: Sequence[int], window: Window) -> list[range]:
@@ -213,14 +218,6 @@ def check_dim(dim: int, least: int) -> int:
     if dim < least:
         raise ValueError(f"need ambient dimension >= {least}")
     return dim
-
-
-def _draw(dim: int, count: int, rng: random.Random) -> list[list[int]]:
-    """count vectors of length dim, drawn row by row, entries in [-5, 5]:
-    one _uniform_ints pass cut into rows, the same values and generator
-    state as one rng.randint(-5, 5) per entry."""
-    entries = _uniform_ints(rng, 5, dim * count)
-    return [entries[i:i + dim] for i in range(0, dim * count, dim)]
 
 
 def plucker3_residual(dim: int, seed: int) -> int:

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from . import int_text
+
 
 class LatticeError(Exception):
     pass
@@ -132,7 +134,8 @@ def _normalize_w(w: list[int]) -> tuple[int, ...]:
 
 def parse_matrix(text: str) -> SublatticeBasis:
     """Parse "5,-2,-2,-1;1,1,-1,-1" into a sublattice basis.  An empty
-    entry is named by row and place; a non-integer one by int()'s error."""
+    entry is named by row and place; a non-integer one by int()'s error,
+    which int_text raises in time linear in its length."""
     rows = [row.split(",") for row in text.strip().split(";")]
     if len(rows) != 2:
         raise ValueError("matrix must have exactly two ';'-separated rows")
@@ -141,18 +144,19 @@ def parse_matrix(text: str) -> SublatticeBasis:
             if not entry.strip():
                 raise ValueError(f"bad matrix entry {entry!r} at row {i}, "
                                  f"place {j}: expected a,b,...;c,d,...")
-    a, b = (tuple(int(x) for x in row) for row in rows)
+    a, b = (tuple(int(int_text(x)) for x in row) for row in rows)
     return SublatticeBasis(a, b)
 
 
 def parse_polygon(text: str) -> EdgePolygon:
     """Parse a vertex list "x1,y1 x2,y2 ..." into a polygon.  A vertex that
     is not two comma-separated coordinates is named; a non-integer
-    coordinate by int()'s error."""
+    coordinate by int()'s error, which int_text raises in time linear in
+    its length."""
     verts = []
     for chunk in text.split():
         coords = chunk.split(",")
         if len(coords) != 2 or not all(c.strip() for c in coords):
             raise ValueError(f"bad vertex {chunk!r}: expected x,y")
-        verts.append((int(coords[0]), int(coords[1])))
+        verts.append(tuple(int(int_text(c)) for c in coords))
     return EdgePolygon(tuple(verts))

@@ -4,11 +4,17 @@ A Maya diagram is an occupation pattern on half-integer positions that
 differs from a charged vacuum in finitely many places.  Half-integers are
 stored as plain ints via p -> p - 1/2, so position 1/2 is stored as 0 and
 -1/2 as -1.  The charge-c vacuum occupies every stored position < c.
+
+The integers of a Maya JSON are read by the caller's parse_int, as
+json.loads reads them: a caller with a ceiling can refuse a long number
+before int() reads it in time quadratic in its length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from . import int_text
 
 
 def half_str(pos: int) -> str:
@@ -16,12 +22,14 @@ def half_str(pos: int) -> str:
     return f"{2 * pos + 1}/2"
 
 
-def parse_half(text: str) -> int:
-    """Parse a half-integer string like "-3/2" back to its stored int."""
+def parse_half(text: str, parse_int) -> int:
+    """Parse a half-integer string like "-3/2" back to its stored int;
+    parse_int reads the numerator, as json.loads's parse_int reads a JSON
+    integer."""
     num, _, den = text.partition("/")
     if den.strip() != "2":
         raise ValueError(f"not a half-integer: {text!r}")
-    n = int(num)
+    n = parse_int(num)
     if (n - 1) % 2:
         raise ValueError(f"not a half-integer: {text!r}")
     return (n - 1) // 2
@@ -29,16 +37,16 @@ def parse_half(text: str) -> int:
 
 def parse_parts(text: str, most: int, digits: int) -> tuple[int, ...]:
     """The parts of a comma-separated text such as "4,2,2,1" ("" has
-    none).  More than `most` parts, or a part of more than `digits` digits,
-    is refused by the count of commas and the length of the part, before
-    int() reads it in time quadratic in its length."""
+    none).  More than `most` parts, counted by the commas, or a part of
+    more than `digits` digits, counted in its canonical text (int_text),
+    is refused before int() reads it in time quadratic in its length."""
     if text.count(",") >= most:
         raise ValueError(f"the partition would have {text.count(',') + 1} "
                          f"parts, past the ceiling of {most}")
-    texts = text.split(",") if text else []
-    if any(len(x.strip().lstrip("+0")) > digits for x in texts):
+    parts = [int_text(x) for x in text.split(",")] if text else []
+    if any(len(part.lstrip("-")) > digits for part in parts):
         raise ValueError(f"a part has more than {digits} digits, the ceiling")
-    return tuple(map(int, texts))
+    return tuple(map(int, parts))
 
 
 @dataclass(frozen=True)
@@ -94,11 +102,13 @@ class MayaDiagram:
         }
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "MayaDiagram":
+    def from_json_dict(cls, obj: dict, parse_int) -> "MayaDiagram":
+        """The diagram of a JSON object; parse_int reads the numerator of
+        each position, as json.loads's parse_int reads the charge."""
         try:
             charge = obj["charge"]
-            added = _positions("added", obj["added"])
-            removed = _positions("removed", obj["removed"])
+            added = _positions("added", obj["added"], parse_int)
+            removed = _positions("removed", obj["removed"], parse_int)
         except (KeyError, TypeError) as exc:
             raise ValueError('Maya JSON must be {"charge": c, "added": '
                              '[half-integers], "removed": '
@@ -109,11 +119,12 @@ class MayaDiagram:
         return cls(charge=charge, added=added, removed=removed)
 
 
-def _positions(name: str, value) -> frozenset[int]:
+def _positions(name: str, value, parse_int) -> frozenset[int]:
     """The stored positions of a JSON array of distinct half-integers."""
     if type(value) is not list or not all(type(p) is str for p in value):
         raise ValueError(f"{name} must be an array of half-integer strings")
-    if len(positions := frozenset(map(parse_half, value))) < len(value):
+    positions = frozenset(parse_half(p, parse_int) for p in value)
+    if len(positions) < len(value):
         raise ValueError(f"{name} lists a position twice")
     return positions
 

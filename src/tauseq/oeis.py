@@ -6,8 +6,9 @@ Loading keeps each entry as its canonical row text ",t0,t1,...,". One
 regex pass walks the text line by line: a line already in that form is
 stored as it stands, and any other line takes the slow path, which makes an
 accepted line (leading zeros, "+5", "-0", spaces, "_" separators, empty
-fields, no trailing comma, Unicode digits) canonical as text: int() never
-reads a term, being quadratic in its length.
+fields, no trailing comma, Unicode digits) canonical as text with the
+package's integer reader, tauseq.int_text: int() never reads a term, being
+quadratic in its length.
 A query is matched by one text search: the first match against a
 snapshot joins the rows, in A-number order, into one text, and every
 query then looks for ",q0,q1,...," in it.
@@ -27,7 +28,7 @@ from functools import cached_property, partial
 from operator import eq
 from typing import BinaryIO
 
-from . import exact_int_str
+from . import exact_int_str, int_text
 
 A_NUMBER_RE = re.compile(r"A[0-9]{6}")
 # each line, in one of two forms: a stripped line ("\r\n" ends too) whose
@@ -35,7 +36,6 @@ A_NUMBER_RE = re.compile(r"A[0-9]{6}")
 # leading zero; possessive, so the pass is faster), or any other line
 LINE_RE = re.compile(
     r"^(?:(A[0-9]{6}) (,(?:[1-9][0-9]*+,|0,|-[1-9][0-9]*+,)++)\r?$|(.*))", re.M)
-INT_TERM_RE = re.compile(r"[+-]?\d+(?:_\d+)*")  # what int() reads
 DEFAULT_ENDPOINT = "https://oeis.org/search"
 
 
@@ -80,24 +80,6 @@ class MatchPolicy:
             raise ValueError("min_match_terms must be >= 4")
 
 
-def _canonical_term(field: str) -> str:
-    """str(int(field)), by text: int() is quadratic in the term's length.
-
-    A term int() accepts, with `_` between digits or Unicode digits, is
-    brought to ASCII digits first; any other term is malformed.
-    """
-    term = field.strip()
-    if not INT_TERM_RE.fullmatch(term):
-        raise ValueError("malformed term")
-    term = term.replace("_", "")
-    if not term.isascii():
-        import unicodedata
-        term = "".join(ch if ch in "+-" else str(unicodedata.decimal(ch))
-                       for ch in term)
-    digits = term.lstrip("+-").lstrip("0") or "0"
-    return "-" + digits if term[0] == "-" and digits != "0" else digits
-
-
 def load_stripped(source: BinaryIO | bytes) -> StrippedDb:
     """Parse a stripped file; gzip input is detected by magic bytes.
 
@@ -128,7 +110,7 @@ def load_stripped(source: BinaryIO | bytes) -> StrippedDb:
                 continue
             a_number, sep, rest = line.partition(" ,")
             try:
-                row = ",".join(_canonical_term(x) for x in rest.split(",") if x)
+                row = ",".join(int_text(x) for x in rest.split(",") if x)
             except ValueError:
                 row = ""
             if not (sep and row and A_NUMBER_RE.fullmatch(a_number)):

@@ -212,6 +212,15 @@ def test_maya_json_past_ceiling_exits(capsys, maya):
                    f"{-MAYA_C} and {MAYA_C}, the ceiling of --charge"}
 
 
+def test_maya_json_ignores_digits_outside_its_numbers(capsys):
+    # a digit run in a string that is no position is not read, as the
+    # key that holds it is not
+    maya = ('{"charge": 0, "added": [], "removed": [], '
+            '"note": "12345678901234567890"}')
+    assert run_json(capsys, "maya", "--from-maya", maya) == (
+        EXIT_OK, {"young": [], "charge": 0})
+
+
 def test_maya_json_at_ceiling_prints_64_bit_ints(capsys):
     # the largest part, from the top position and the least charge, is
     # 2 MAYA_C - 1
@@ -226,7 +235,10 @@ def test_maya_json_at_ceiling_prints_64_bit_ints(capsys):
         assert all(abs(n) < 2 ** 63 for n in [obj["charge"], *obj["young"]])
 
 
-MAYA_PARTS, MAYA_DIGITS = CEILINGS["maya"]["parts"], CEILINGS["maya"]["digits"]
+# a --young part has at most as many digits as the charge ceiling
+MAYA_PARTS, MAYA_DIGITS = CEILINGS["maya"]["parts"], len(str(MAYA_C))
+# a million digits and an "x", which int() took 5.7-8.1 s to refuse
+NOT_AN_INT = "9" * 1_000_000 + "x"
 
 
 @pytest.mark.parametrize("line,error", [
@@ -244,8 +256,17 @@ MAYA_PARTS, MAYA_DIGITS = CEILINGS["maya"]["parts"], CEILINGS["maya"]["digits"]
     ("young = " + ",".join(["1"] * (MAYA_PARTS + 1)),
      f"the partition would have {MAYA_PARTS + 1} parts, past the ceiling "
      f"of {MAYA_PARTS}"),
+    # 10^6 digits in groups of three, which took 5.1 s to end in a 1.3 MB
+    # "not a half-integer" error when int() read them
+    ('from_maya = {"charge": 0, "added": ["1%s/2"], "removed": ["-1/2"]}'
+     % ("_000" * 333_333),
+     f"charge and positions must lie between {-MAYA_C} and {MAYA_C}, the "
+     "ceiling of --charge"),
+    ("young = 1," + NOT_AN_INT,
+     f"invalid literal for int() with base 10: {NOT_AN_INT!r:.200}"),
 ], ids=["maya-10^7-parts", "young-200000-digits", "charge-200000-digits",
-        "young-past-parts"])
+        "young-past-parts", "position-10^6-grouped-digits",
+        "young-not-an-int"])
 def test_maya_past_parts_or_digits_exits_promptly(capsys, tmp_path, line,
                                                    error):
     config = tmp_path / "maya.cfg"
@@ -263,6 +284,8 @@ def test_maya_parts_and_digits_ceilings_are_inclusive(capsys, monkeypatch):
             (["--young", f"{part},2,1"], EXIT_OK),
             (["--young", f"00{part},2,1"], EXIT_OK),  # leading zeros
             (["--young", f"1{part},2,1"], EXIT_PARSE),
+            # 10^18: 19 digits once the separators are dropped
+            (["--young", "1" + "_000" * 6 + ",2,1"], EXIT_OK),
             (["--young", "4,3,2,1"], EXIT_PARSE),
             (["--from-maya", '{"charge": 0, "added": ["1/2"], '
               '"removed": ["-5/2"]}'], EXIT_OK),  # parts 1, 1, 1
@@ -802,10 +825,10 @@ def past_ceiling(command: str, option: str, value: int) -> list[str]:
     return [command, *NEEDS[command], *flag]
 
 
-# the ceilings that no option has: maya's bounds on what --young and
+# the ceiling that no option has: maya's bound on the parts --young and
 # --from-maya hold, which test_maya_past_parts_or_digits_exits_promptly
 # and test_maya_parts_and_digits_ceilings_are_inclusive test
-NOT_OPTIONS = {("maya", "parts"), ("maya", "digits")}
+NOT_OPTIONS = {("maya", "parts")}
 
 PAST_CEILING = [
     ["generate", "--matrix", SQUARE, "--terms", "100000000000000000000"],
@@ -842,28 +865,50 @@ def test_value_past_ceiling_exits_promptly(capsys, tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+# a subcommand that reads each key, and what else it needs
+READS_KEY = {"bound": ["scan"], "terms": ["scan", "--bound", "1"],
+             "min_match": ["scan", "--bound", "1"], "seed": ["maya"],
+             **dict.fromkeys(["trials", "cutoff", "dim", "max_weight"],
+                             ["verify", "permutation"]),
+             "charge": ["maya"], "init": ["generate", "--matrix", SQUARE],
+             "terms_list": ["match"], "matrix": ["generate"],
+             "polygon": ["derive"]}
+# where the text goes: the last matrix entry and the last coordinate
+NOT_AN_INT_VALUE = {"matrix": "5,-2,-2,-1;1,1,-1," + NOT_AN_INT,
+                    "polygon": "0,0 1,0 4,1 1," + NOT_AN_INT}
+
+
 @pytest.mark.parametrize("key, value", [
     *(pytest.param("bound", value, id=value)
       for value in ["15", "9" * 1_000_000, "1_" + "0" * 1_000_000,
                     "-" + "9" * 1_000_000]),
-    pytest.param("workers", "9" * 1_000_000, id="workers")])
+    pytest.param("workers", "9" * 1_000_000, id="workers"),
+    *(pytest.param(key, NOT_AN_INT_VALUE.get(key, NOT_AN_INT),
+                   id=f"{key}-not-an-int") for key in READS_KEY)])
 def test_config_value_past_ceiling_exits(capsys, tmp_path, key, value):
     # a million digits, past the command line's length limit, are judged
-    # by their count, not parsed, also with an underscore or a minus
+    # by their count, not parsed, also with an underscore or a minus; a
+    # text that is no int is refused in linear time, and echoed cut to
+    # 200 characters, as int() cuts it
     config = tmp_path / "tauseq.conf"
     config.write_text(f"{key} = {value}\n")
+    argv = READS_KEY.get(key, ["scan", "--json"])
     start = time.perf_counter()
-    code, obj = run_json(capsys, "--config", str(config), "scan", "--json")
+    code, out, _ = run(capsys, "--config", str(config), *argv)
     assert time.perf_counter() - start < 1
-    assert code == EXIT_PARSE
-    if key == "workers":  # named by its length, not echoed
-        assert obj == {"error": f"argument --workers: expected 1 to "
-                       f"{os.cpu_count()} (the CPU count), got a "
-                       "1000000-digit number"}
-        return
-    assert obj == {"error": "argument --bound: " + (
-        "must be >= -14, minus its ceiling" if value[0] == "-"
-        else "must be <= 14, its ceiling")}
+    assert code == EXIT_PARSE and len(out.encode()) < 300
+    flag = "argument --" + key.replace("_", "-")
+    if value.endswith("x"):
+        want = (f"invalid literal for int() with base 10: {NOT_AN_INT!r:.200}"
+                if key in ("init", "terms_list", "matrix", "polygon")
+                else f"{flag}: invalid int value: {NOT_AN_INT!r:.200}")
+    elif key == "workers":
+        want = (f"{flag}: expected 1 to {os.cpu_count() or 1} (the CPU "
+                f"count), got {value!r:.200}")
+    else:
+        want = flag + (": must be >= -14, minus its ceiling"
+                       if value[0] == "-" else ": must be <= 14, its ceiling")
+    assert json.loads(out) == {"error": want}
 
 
 def test_unused_verify_option_is_ignored(capsys):
@@ -1129,3 +1174,20 @@ def test_scan_workers_out_of_range(capsys, workers):
     code, obj = run_json(capsys, "scan", "--bound", "1", "--workers", workers)
     assert code == 2
     assert obj["error"].startswith("argument --workers: expected 1 to ")
+
+
+@pytest.mark.parametrize("workers", ["+1", " 1"])
+def test_scan_workers_take_what_int_takes(capsys, workers):
+    # as --bound +1 does
+    _, one, _ = run(capsys, "scan", "--bound", "1")
+    assert run(capsys, "scan", "--bound", "1", "--workers", workers)[:2] \
+        == (EXIT_OK, one)
+
+
+def test_scan_workers_bound_an_unknown_cpu_count_by_one(capsys, monkeypatch):
+    # os.cpu_count() is None where the count is unknown; one worker is
+    # allowed then, and the message names that bound
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run_json(capsys, "scan", "--bound", "1", "--workers", "2") == (
+        EXIT_PARSE, {"error": "argument --workers: expected 1 to 1 (the CPU "
+                     "count), got '2'"})

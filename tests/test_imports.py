@@ -104,12 +104,14 @@ def test_annotations_resolve(path):
 # the modules of tauseq each module imports; cli, on top, imports any of
 # them and no module imports cli.  The scan keys cycles from minors it
 # computes itself, so it never reaches lattice.  The package itself
-# (__init__) holds exact_int_str, which cli and oeis share.
+# (__init__) holds exact_int_str, which cli and oeis share, and int_text,
+# the one reader of an integer's text, which cli, oeis, lattice (--matrix,
+# --polygon) and maya (--young) share.
 LAYERS = {
     "__init__": set(),
     "intlinalg": set(),
-    "lattice": set(),
-    "maya": set(),
+    "lattice": {"__init__"},
+    "maya": {"__init__"},
     "oeis": {"__init__"},
     "recurrence": {"lattice"},
     "scan": {"oeis", "recurrence"},
@@ -161,7 +163,7 @@ def test_package_imports_are_found():
 
 
 # each is imported inside the one branch that uses it: scan.run_scan's
-# pool, load_stripped's gzip input, _canonical_term's non-ASCII digits and
+# pool, load_stripped's gzip input, int_text's non-ASCII digits and
 # cli._fail's exit 70
 DEFERRED = ("concurrent.futures", "multiprocessing", "gzip", "unicodedata",
             "traceback")

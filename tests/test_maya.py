@@ -89,7 +89,7 @@ def test_json_rendering():
     obj = m.to_json_dict()
     assert obj == {"charge": 0, "added": ["7/2", "1/2"],
                    "removed": ["-3/2", "-7/2"]}
-    assert MayaDiagram.from_json_dict(json.loads(json.dumps(obj))) == m
+    assert MayaDiagram.from_json_dict(json.loads(json.dumps(obj)), int) == m
 
 
 @pytest.mark.parametrize("field", ["added", "removed"])
@@ -106,7 +106,7 @@ def test_json_positions_are_arrays_of_distinct_half_integers(
     obj = {"charge": 0, "added": ["1/2", "3/2"], "removed": ["-1/2", "-3/2"]}
     obj[field] = value
     with pytest.raises(ValueError, match=f"^{field} {message}"):
-        MayaDiagram.from_json_dict(obj)
+        MayaDiagram.from_json_dict(obj, int)
     assert main(["maya", "--from-maya", json.dumps(obj)]) == 2
     out = json.loads(capsys.readouterr().out)
     assert out["error"].startswith(field)
@@ -114,6 +114,6 @@ def test_json_positions_are_arrays_of_distinct_half_integers(
 
 def test_half_integer_strings():
     assert half_str(0) == "1/2" and half_str(-1) == "-1/2"
-    assert parse_half("-3/2") == -2
+    assert parse_half("-3/2", int) == -2
     with pytest.raises(ValueError):
-        parse_half("3/4")
+        parse_half("3/4", int)

@@ -46,6 +46,9 @@ broken pair sum as the negative control.  The
 octahedral relation is checked to hold exactly for random covacuum blocks.
 fock's batched draw `_uniform_ints` is checked against one randint per
 value, in the values and in the generator state it leaves.
+The package's integer reader `int_text`, which every command and the OEIS
+loader read integers with, is checked against str(int()) directly: the
+same text, or the same ValueError message.
 The Plucker oracles' unchecked draws, with the three-term brackets read off
 one elimination, are checked against the per-bracket determinants of the
 Gram-checked draws they replaced (tests/reference_fock.py), common blocks
@@ -73,7 +76,7 @@ import reference_lattice
 import reference_oeis
 from reference_lattice import canonicalize_pairs
 from reference_recurrence import per_term_json_dict
-from tauseq import exact_int_str, fock, recurrence
+from tauseq import exact_int_str, fock, int_text, recurrence
 from tauseq.fock import Window, octahedron_residual, random_group_element
 from tauseq.kp import kp_bilinear_residual, partitions_up_to, schur
 from tauseq.lattice import (EdgePolygon, LatticeError, RankError,
@@ -705,6 +708,43 @@ def test_load_ascii_terms_by_text_match_int_reference(rows):
     entries, malformed = reference_oeis.load_stripped(text)
     assert db.malformed == malformed
     assert db._index == reference_oeis.index(entries)
+
+
+# the characters around and inside an int's text where int() and a
+# str method may disagree: separators, signs, whitespace that int() strips
+# (" ", "\t", "\x85", "\u3000") and whitespace it does not ("\x1c")
+INT_EDGES = st.text(st.sampled_from(" \t\x1c\x85\u3000+-_019\u0660\u0665x"),
+                    max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(term_fields(), DIGIT_FIELD, INT_EDGES))
+@example("\uff11\uff12")  # fullwidth digits
+@example("\u096b\u0966")  # Devanagari
+@example("\u0e59")  # Thai
+@example("\xb2")  # superscript two: a digit, but not a decimal one
+@example("\u2167")  # Roman numeral eight
+@example("1__0")
+@example("_1")
+@example("1_")
+@example("+-1")
+@example(" ")
+@example("")
+@example("0x10")
+@example("\x1c5")  # str.strip() strips "\x1c", int() does not
+@example("9" * 1_000_000 + "x")  # the message cuts the repr at 200
+def test_int_text_is_str_of_int(text):
+    # the one reader of an integer's text gives str(int(text)), or raises
+    # int()'s own ValueError, message and all
+    with exact_int_str():
+        try:
+            want = str(int(text))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                int_text(text)
+            assert str(got.value) == str(exc)
+            return
+    assert int_text(text) == want
 
 
 # what str.strip removes around a line but "^" and "$" do not skip
